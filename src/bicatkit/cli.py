@@ -25,6 +25,7 @@ from . import __version__
 from .bicat import UnsupportedSettingError, validate_bicategory, validate_monoidal
 from .catcore import validate_category
 from .fileformat import (
+    KINDS,
     StructureError,
     StructureFile,
     dump_id,
@@ -82,9 +83,7 @@ class Resolver:
         """(kind, structure) for the first layer that knows the name."""
         for i in range(len(self._loaders)):
             layer = self._layer(i)
-            for kind in kinds or ("category", "magma", "cocycledata",
-                                  "bicategory", "monoidal", "laxfunctor",
-                                  "icon", "oplax"):
+            for kind in kinds or KINDS:
                 reg = layer._registry(kind)
                 if name in reg:
                     return kind, reg[name]
@@ -243,7 +242,7 @@ def _do_costrict(args, res, body):
     if verdict.refutation is not None:
         r = verdict.refutation
         body.append(f"  cylinder refutation against {dump_id(r.beta.name)}: "
-                    f"witness: {_ids(r.witness)}")
+                    f"witness: {_ids((r.witness,))}")
         body.append(f"  replay holds: {not r.replay().ok}")
     return 1
 

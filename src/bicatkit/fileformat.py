@@ -13,6 +13,9 @@ arrays for tuples), so heterogeneous ids round-trip exactly; composition
 lines fix the textual order as ``compose g after f = h``, meaning g runs
 after f.  Serializing any structure and parsing the result yields an equal
 structure, names included.
+
+The grammar of every block is one entry of the table `_SCHEMAS`; the
+parser and the serializer both read it, so a line form is written once.
 """
 
 from __future__ import annotations
@@ -127,17 +130,12 @@ class _Lines:
     def done(self):
         return self.pos >= len(self.rows)
 
-    def peek(self):
-        return self.rows[self.pos][1]
-
     def next(self):
         row = self.rows[self.pos]
         self.pos += 1
         return row
 
-    def fail(self, message, lineno=None):
-        if lineno is None and self.pos < len(self.rows):
-            lineno = self.rows[self.pos][0]
+    def fail(self, message, lineno):
         raise StructureError(f"{self.source}:{lineno}: {message}")
 
 
@@ -165,10 +163,6 @@ class CocycleData:
     twist: dict
 
 
-_KINDS = ("category", "magma", "cocycledata", "bicategory", "monoidal",
-          "laxfunctor", "icon", "oplax")
-
-
 @dataclass
 class StructureFile:
     """Named structures of every kind, in definition order."""
@@ -183,11 +177,7 @@ class StructureFile:
     order: list = field(default_factory=list)       # (kind, name)
 
     def _registry(self, kind):
-        return {"category": self.categories, "magma": self.magmas,
-                "cocycledata": self.cocycledata,
-                "bicategory": self.bicategories, "monoidal": self.monoidals,
-                "laxfunctor": self.laxfunctors, "icon": self.icons,
-                "oplax": self.oplaxes}[kind]
+        return getattr(self, _SCHEMAS[kind].attr)
 
     def add(self, kind, name, obj, replace=False):
         reg = self._registry(kind)
@@ -205,11 +195,258 @@ class StructureFile:
 
     def lookup(self, name):
         """(kind, structure) for a name of any kind."""
-        for kind in _KINDS:
+        for kind in KINDS:
             reg = self._registry(kind)
             if name in reg:
                 return kind, reg[name]
         raise StructureError(f"unknown name {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# the grammar: one schema per block kind
+
+class _Form:
+    """One line form, written as the line reads with `{slot}` for each value.
+
+    A line fills `field` of its block.  A "list" field appends the line's one
+    value and is written in stored order; a "scalar" field takes it; a "dict"
+    field stores the remaining slots under the `key` slots (a tuple when
+    there are several of either) and is written in `sorted_ids` order of its
+    keys.  A form with a `block` opens a nested block of that schema, named
+    by its `{name}` slot, and its value is the structure that block builds.
+    """
+
+    def __init__(self, text, field=None, store="dict", key="", block=None):
+        self.text, self.field, self.store, self.block = text, field, store, block
+        words = text.split()
+        self.shape = tuple("@" if w[0] == "{" else w for w in words)
+        self.slots = tuple(w[1:-1] for w in words if w[0] == "{")
+        self.key = tuple(key.split())
+        self.value = tuple(s for s in self.slots if s not in self.key)
+
+    def line(self, vals):
+        return self.text.format(**{s: dump_id(vals[s]) for s in self.slots})
+
+
+class _Schema:
+    """The line forms of one block kind, in the order they are written, and
+    the finishing step that builds, checks and validates its structure.
+    Top-level kinds also have a header line, the StructureFile attribute
+    that registers them, their structure type, and the kind of the
+    structures their header names as {source} and {target}."""
+
+    def __init__(self, forms, finish, header=None, attr=None, cls=None, refs=None):
+        self.forms, self.finish = forms, finish
+        self.header = _Form(header) if header else None
+        self.attr, self.cls, self.refs = attr, cls, refs
+        self.by_shape = {f.shape: f for f in forms}
+
+
+class _Block:
+    """A block being read: the name and key of its opening line, the fields
+    its lines fill, the block it is nested in, and the structures its header
+    names.  Refusals point at the opening line."""
+
+    def __init__(self, lines, lineno, what, name, key=(), parent=None):
+        self.lines, self.lineno, self.what, self.name = lines, lineno, what, name
+        self.key, self.parent = key, parent
+        self.source = self.target = None
+        self.fields = {}
+
+    def fail(self, message):
+        self.lines.fail(message, self.lineno)
+
+    def checked(self, validator, obj):
+        _check(validator(obj), self.what, self.lines, self.lineno)
+        return obj
+
+
+def _finish_category(blk):
+    return blk.checked(validate_category, FiniteCategory(blk.name, **blk.fields))
+
+
+def _finish_magma(blk):
+    m = Magma(**blk.fields)
+    missing = [(x, y) for x in m.elements for y in m.elements
+               if (x, y) not in m.table]
+    if missing or m.basepoint not in m.elements:
+        blk.fail(f"{blk.what} is incomplete (missing {missing or 'basepoint'})")
+    outside = _off_elements("op", m.elements, m.table)
+    if outside:
+        blk.fail(f"{blk.what} leaves its elements at {', '.join(outside)}")
+    return m
+
+
+def _off_elements(word, elements, table):
+    """The lines of an operation whose value is not one of its elements;
+    the deloopings compose such values again."""
+    return [f"{word} {x!r} {y!r}" for x in elements for y in elements
+            if table[(x, y)] not in elements]
+
+
+def _finish_cocycledata(blk):
+    d = CocycleData(**blk.fields)
+    missing = []
+    for word, unit_word, elements, op, unit in (
+            ("op", "unit", d.g_elements, d.g_op, d.g_unit),
+            ("coop", "counit", d.a_elements, d.a_op, d.a_unit)):
+        missing += [f"{word} {x!r} {y!r}" for x in elements for y in elements
+                    if (x, y) not in op]
+        if unit not in elements:
+            missing.append(unit_word)
+    if missing:
+        blk.fail(f"{blk.what} is incomplete (missing {', '.join(missing)})")
+    # the delooping ignores twist entries off the group
+    outside = _off_elements("op", d.g_elements, d.g_op) + [
+        f"twist {x!r} {y!r} {z!r}" for x, y, z in sorted_ids(d.twist)
+        if not {x, y, z} <= set(d.g_elements)]
+    if outside:
+        blk.fail(f"{blk.what} leaves its elements at {', '.join(outside)}")
+    return d
+
+
+def _finish_bicategory(blk):
+    return blk.checked(validate_bicategory, FiniteBicategory(blk.name, **blk.fields))
+
+
+def _finish_compose_functor(blk):
+    x, y, z = blk.key
+    homs = blk.parent.fields["homs"]
+    for pair in ((y, z), (x, y), (x, z)):
+        if pair not in homs:
+            blk.fail(f"compose {x} {y} {z} precedes hom {pair}")
+    return Functor(blk.name, product_category(homs[(y, z)], homs[(x, y)]),
+                   homs[(x, z)], **blk.fields)
+
+
+def _finish_monoidal(blk):
+    if blk.fields["cat"] is None:
+        blk.fail(f"{blk.what} has no base category")
+    return blk.checked(validate_monoidal, MonoidalCategory(blk.name, **blk.fields))
+
+
+def _finish_laxfunctor(blk):
+    return blk.checked(validate_lax_functor,
+                       LaxFunctor(blk.name, blk.source, blk.target, **blk.fields))
+
+
+def _finish_hom_functor(blk):
+    a, b = blk.key
+    fun = blk.parent
+    object_map = fun.fields["object_map"]
+    if a not in object_map or b not in object_map:
+        blk.fail(f"hom {a} {b} precedes its object lines")
+    image = (object_map[a], object_map[b])
+    if (a, b) not in fun.source.homs:
+        blk.fail(f"hom {a} {b} is not a hom of {fun.source.name!r}")
+    if image not in fun.target.homs:
+        blk.fail(f"hom {a} {b} maps to {image}, not a hom of {fun.target.name!r}")
+    return Functor(blk.name, fun.source.homs[(a, b)], fun.target.homs[image],
+                   **blk.fields)
+
+
+def _finish_icon(blk):
+    return blk.checked(validate_icon,
+                       Icon(blk.name, blk.source, blk.target, **blk.fields))
+
+
+def _finish_icon_component(blk):
+    icon = blk.parent
+    if blk.key not in icon.source.hom_functors or \
+            blk.key not in icon.target.hom_functors:
+        blk.fail(f"{icon.what} names a missing hom {blk.key[0]} {blk.key[1]}")
+    return NatTrans(blk.name, icon.source.hom_functors[blk.key],
+                    icon.target.hom_functors[blk.key], **blk.fields)
+
+
+def _finish_oplax(blk):
+    return blk.checked(validate_oplax,
+                       OplaxNat(blk.name, blk.source, blk.target, **blk.fields))
+
+
+# The whole .bc grammar: the parser and the serializer both read this table.
+# Keys are the top-level keywords, plus the bodies of nested blocks.
+_SCHEMAS = {
+    "category": _Schema((
+        _Form("object {x}", "objects", "list"),
+        _Form("morphism {m} : {s} -> {t}", "morphisms", key="m"),
+        _Form("identity {x} = {m}", "identity", key="x"),
+        _Form("compose {g} after {f} = {h}", "table", key="f g"),
+    ), _finish_category, "category {name}", "categories", FiniteCategory),
+    "magma": _Schema((
+        _Form("element {x}", "elements", "list"),
+        _Form("basepoint {x}", "basepoint", "scalar"),
+        _Form("op {x} {y} = {z}", "table", key="x y"),
+    ), _finish_magma, "magma {name}", "magmas", Magma),
+    "cocycledata": _Schema((
+        _Form("element {x}", "g_elements", "list"),
+        _Form("unit {x}", "g_unit", "scalar"),
+        _Form("op {x} {y} = {z}", "g_op", key="x y"),
+        _Form("coelement {x}", "a_elements", "list"),
+        _Form("counit {x}", "a_unit", "scalar"),
+        _Form("coop {x} {y} = {z}", "a_op", key="x y"),
+        _Form("twist {x} {y} {z} = {a}", "twist", key="x y z"),
+    ), _finish_cocycledata, "cocycledata {name}", "cocycledata", CocycleData),
+    "bicategory": _Schema((
+        _Form("object {x}", "objects", "list"),
+        _Form("unit {x} = {f}", "unit", key="x"),
+        _Form("hom {a} {b} = category {name}", "homs", key="a b", block="category"),
+        _Form("compose {x} {y} {z} = functor {name}", "comp", key="x y z",
+              block="compose-functor"),
+        _Form("assoc {h} {g} {f} = {c}", "associator", key="h g f"),
+        _Form("lunit {f} = {c}", "left_unitor", key="f"),
+        _Form("runit {f} = {c}", "right_unitor", key="f"),
+    ), _finish_bicategory, "bicategory {name}", "bicategories", FiniteBicategory),
+    "compose-functor": _Schema((
+        _Form("on1 {g} after {f} = {h}", "object_map", key="g f"),
+        _Form("on2 {d} after {c} = {e}", "morphism_map", key="d c"),
+    ), _finish_compose_functor),
+    "monoidal": _Schema((
+        _Form("base = category {name}", "cat", "scalar", block="category"),
+        _Form("unitobj {x}", "unit_obj", "scalar"),
+        _Form("tensor {x} {y} = {z}", "tensor_obj", key="x y"),
+        _Form("tensormor {f} {g} = {h}", "tensor_mor", key="f g"),
+        _Form("massoc {x} {y} {z} = {m}", "associator", key="x y z"),
+        _Form("mlunit {x} = {m}", "left_unitor", key="x"),
+        _Form("mrunit {x} = {m}", "right_unitor", key="x"),
+    ), _finish_monoidal, "monoidal {name}", "monoidals", MonoidalCategory),
+    "laxfunctor": _Schema((
+        _Form("object {a} -> {b}", "object_map", key="a"),
+        _Form("hom {a} {b} = functor {name}", "hom_functors", key="a b",
+              block="hom-functor"),
+        _Form("comp {g} {f} = {c}", "comp_constraints", key="g f"),
+        _Form("unitcell {a} = {c}", "unit_constraints", key="a"),
+    ), _finish_laxfunctor, "laxfunctor {name} : {source} -> {target}",
+        "laxfunctors", LaxFunctor, "bicategory"),
+    "hom-functor": _Schema((
+        _Form("on1 {f} -> {g}", "object_map", key="f"),
+        _Form("on2 {c} -> {d}", "morphism_map", key="c"),
+    ), _finish_hom_functor),
+    "icon": _Schema((
+        _Form("at {a} {b} = nat {name}", "components", key="a b", block="nat"),
+    ), _finish_icon, "icon {name} : {source} => {target}", "icons", Icon,
+        "laxfunctor"),
+    "nat": _Schema((
+        _Form("cell {f} = {c}", "components", key="f"),
+    ), _finish_icon_component),
+    "oplax": _Schema((
+        _Form("component {a} = {c}", "components", key="a"),
+        _Form("constraint {f} = {c}", "constraints", key="f"),
+    ), _finish_oplax, "oplax {name} : {source} => {target}", "oplaxes", OplaxNat,
+        "laxfunctor"),
+}
+
+KINDS = tuple(kind for kind, schema in _SCHEMAS.items() if schema.attr)
+
+
+def _pick(vals, slots):
+    """The values of some slots: one value, or a tuple of several."""
+    return vals[slots[0]] if len(slots) == 1 else tuple(vals[s] for s in slots)
+
+
+def _unpick(slots, value):
+    """The inverse of `_pick`: slot name -> value."""
+    return dict(zip(slots, value if len(slots) > 1 else (value,)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +457,11 @@ def parse(text: str, source: str = "<string>", into: StructureFile = None) -> St
     lines = _Lines(text, source)
     while not lines.done():
         lineno, toks = lines.next()
-        head = _shape(toks)
-        if head[:1] == ("category",):
-            name, cat = _parse_category(toks, lines)
-            sf.add("category", name, cat)
-        elif head[:1] == ("magma",):
-            _parse_magma(toks, lines, sf)
-        elif head[:1] == ("cocycledata",):
-            _parse_cocycledata(toks, lines, sf)
-        elif head[:1] == ("bicategory",):
-            _parse_bicategory(toks, lines, sf)
-        elif head[:1] == ("monoidal",):
-            _parse_monoidal(toks, lines, sf)
-        elif head[:1] == ("laxfunctor",):
-            _parse_laxfunctor(toks, lines, sf)
-        elif head[:1] == ("icon",):
-            _parse_icon(toks, lines, sf)
-        elif head[:1] == ("oplax",):
-            _parse_oplax(toks, lines, sf)
-        elif head[:1] == ("build",):
-            _run_build(toks, lines, sf)
+        kind = _shape(toks)[0]
+        if kind == "build":
+            _run_build(toks, lineno, lines, sf)
+        elif kind in KINDS:
+            _read_definition(kind, toks, lineno, lines, sf)
         else:
             lines.fail(f"unknown directive {toks[0][1]!r}", lineno)
     return sf
@@ -250,12 +472,6 @@ def parse_path(path, into: StructureFile = None) -> StructureFile:
         return parse(fh.read(), source=str(path), into=into)
 
 
-def _expect(lines, toks, shape, what):
-    if _shape(toks) != shape:
-        lines.fail(f"malformed {what} line")
-    return _values(toks)
-
-
 def _check(report, what, lines, lineno):
     if not report.ok:
         first = report.first()
@@ -264,351 +480,60 @@ def _check(report, what, lines, lineno):
             f"{first.kind}: {first.message}")
 
 
-def _parse_category_body(name, lines):
-    objects, morphisms, identity, table = [], {}, {}, {}
+def _read_definition(kind, toks, lineno, lines, sf):
+    schema = _SCHEMAS[kind]
+    if _shape(toks) != schema.header.shape:
+        lines.fail(f"malformed {kind} header line", lineno)
+    vals = dict(zip(schema.header.slots, _values(toks)))
+    blk = _Block(lines, lineno, f"{kind} {vals['name']!r}", vals["name"])
+    if schema.refs:
+        blk.source = sf.get(schema.refs, vals["source"])
+        blk.target = sf.get(schema.refs, vals["target"])
+    sf.add(kind, blk.name, _read_block(schema, blk))
+
+
+def _read_block(schema, blk):
+    """Fill the block's fields from its lines up to `end`, then return what
+    the schema's finishing step builds from them."""
+    lines = blk.lines
+    fields = blk.fields = {f.field: [] if f.store == "list" else
+                           {} if f.store == "dict" else None
+                           for f in schema.forms}
     while True:
         if lines.done():
-            lines.fail(f"category {name!r} is missing its end line")
+            blk.fail(f"{blk.what} is missing its end line")
         lineno, toks = lines.next()
         shape = _shape(toks)
         if shape == ("end",):
-            return FiniteCategory(name, objects, morphisms, identity, table), lineno
-        if shape == ("object", "@"):
-            objects.append(_values(toks)[0])
-        elif shape == ("morphism", "@", ":", "@", "->", "@"):
-            m, s, t = _values(toks)
-            morphisms[m] = (s, t)
-        elif shape == ("identity", "@", "=", "@"):
-            x, m = _values(toks)
-            identity[x] = m
-        elif shape == ("compose", "@", "after", "@", "=", "@"):
-            g, f, h = _values(toks)
-            table[(f, g)] = h
+            return schema.finish(blk)
+        form = schema.by_shape.get(shape)
+        if form is None:
+            lines.fail(f"unexpected line in {blk.what}", lineno)
+        vals = dict(zip(form.slots, _values(toks)))
+        key = _pick(vals, form.key) if form.key else ()
+        if form.block:
+            name = vals["name"]
+            value = _read_block(_SCHEMAS[form.block], _Block(
+                lines, lineno, f"{form.shape[-2]} {name!r} in {blk.what}",
+                name, key, blk))
         else:
-            lines.fail(f"unexpected line in category {name!r}", lineno)
-
-
-def _parse_category(toks, lines):
-    name, = _expect(lines, toks, ("category", "@"), "category header")
-    start = lines.rows[lines.pos - 1][0]
-    cat, _ = _parse_category_body(name, lines)
-    _check(validate_category(cat), f"category {name!r}", lines, start)
-    return name, cat
-
-
-def _parse_magma(toks, lines, sf):
-    name, = _expect(lines, toks, ("magma", "@"), "magma header")
-    elements, table, basepoint = [], {}, None
-    start = lines.rows[lines.pos - 1][0]
-    while True:
-        if lines.done():
-            lines.fail(f"magma {name!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            break
-        if shape == ("element", "@"):
-            elements.append(_values(toks)[0])
-        elif shape == ("basepoint", "@"):
-            basepoint, = _values(toks)
-        elif shape == ("op", "@", "@", "=", "@"):
-            x, y, z = _values(toks)
-            table[(x, y)] = z
+            value = _pick(vals, form.value)
+        if form.store == "list":
+            fields[form.field].append(value)
+        elif form.store == "scalar":
+            fields[form.field] = value
         else:
-            lines.fail(f"unexpected line in magma {name!r}", lineno)
-    missing = [(x, y) for x in elements for y in elements
-               if (x, y) not in table]
-    if missing or basepoint not in elements:
-        raise StructureError(f"{lines.source}:{start}: magma {name!r} is "
-                             f"incomplete (missing {missing or 'basepoint'})")
-    sf.add("magma", name, Magma(elements, table, basepoint))
-
-
-def _parse_cocycledata(toks, lines, sf):
-    name, = _expect(lines, toks, ("cocycledata", "@"), "cocycledata header")
-    data = CocycleData([], {}, None, [], {}, None, {})
-    while True:
-        if lines.done():
-            lines.fail(f"cocycledata {name!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            break
-        if shape == ("element", "@"):
-            data.g_elements.append(_values(toks)[0])
-        elif shape == ("unit", "@"):
-            data.g_unit, = _values(toks)
-        elif shape == ("op", "@", "@", "=", "@"):
-            x, y, z = _values(toks)
-            data.g_op[(x, y)] = z
-        elif shape == ("coelement", "@"):
-            data.a_elements.append(_values(toks)[0])
-        elif shape == ("counit", "@"):
-            data.a_unit, = _values(toks)
-        elif shape == ("coop", "@", "@", "=", "@"):
-            x, y, z = _values(toks)
-            data.a_op[(x, y)] = z
-        elif shape == ("twist", "@", "@", "@", "=", "@"):
-            x, y, z, a = _values(toks)
-            data.twist[(x, y, z)] = a
-        else:
-            lines.fail(f"unexpected line in cocycledata {name!r}", lineno)
-    sf.add("cocycledata", name, data)
-
-
-def _parse_functor_block(fname, src_cat, tgt_cat, lines, owner):
-    omap, mmap = {}, {}
-    while True:
-        if lines.done():
-            lines.fail(f"functor block in {owner!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            return Functor(fname, src_cat, tgt_cat, omap, mmap)
-        if shape == ("on1", "@", "after", "@", "=", "@"):
-            g, f, h = _values(toks)
-            omap[(g, f)] = h
-        elif shape == ("on2", "@", "after", "@", "=", "@"):
-            d, c, e = _values(toks)
-            mmap[(d, c)] = e
-        else:
-            lines.fail(f"unexpected line in functor block of {owner!r}", lineno)
-
-
-def _parse_bicategory(toks, lines, sf):
-    name, = _expect(lines, toks, ("bicategory", "@"), "bicategory header")
-    start = lines.rows[lines.pos - 1][0]
-    objects, homs, comp, unit = [], {}, {}, {}
-    associator, left_unitor, right_unitor = {}, {}, {}
-    while True:
-        if lines.done():
-            lines.fail(f"bicategory {name!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            break
-        if shape == ("object", "@"):
-            objects.append(_values(toks)[0])
-        elif shape == ("unit", "@", "=", "@"):
-            x, f = _values(toks)
-            unit[x] = f
-        elif shape == ("hom", "@", "@", "=", "category", "@"):
-            a, b, cname = _values(toks)
-            cat, _ = _parse_category_body(cname, lines)
-            _check(validate_category(cat), f"hom {a!r}->{b!r} of {name!r}",
-                   lines, lineno)
-            homs[(a, b)] = cat
-        elif shape == ("compose", "@", "@", "@", "=", "functor", "@"):
-            x, y, z, fname = _values(toks)
-            for pair in ((y, z), (x, y), (x, z)):
-                if pair not in homs:
-                    lines.fail(f"compose {x} {y} {z} precedes hom {pair}", lineno)
-            prod = product_category(homs[(y, z)], homs[(x, y)])
-            comp[(x, y, z)] = _parse_functor_block(fname, prod, homs[(x, z)],
-                                                   lines, name)
-        elif shape == ("assoc", "@", "@", "@", "=", "@"):
-            h, g, f, c = _values(toks)
-            associator[(h, g, f)] = c
-        elif shape == ("lunit", "@", "=", "@"):
-            f, c = _values(toks)
-            left_unitor[f] = c
-        elif shape == ("runit", "@", "=", "@"):
-            f, c = _values(toks)
-            right_unitor[f] = c
-        else:
-            lines.fail(f"unexpected line in bicategory {name!r}", lineno)
-    b = FiniteBicategory(name, objects, homs, comp, unit,
-                         associator, left_unitor, right_unitor)
-    _check(validate_bicategory(b), f"bicategory {name!r}", lines, start)
-    sf.add("bicategory", name, b)
-
-
-def _parse_monoidal(toks, lines, sf):
-    name, = _expect(lines, toks, ("monoidal", "@"), "monoidal header")
-    start = lines.rows[lines.pos - 1][0]
-    cat = unit_obj = None
-    tensor_obj, tensor_mor = {}, {}
-    associator, left_unitor, right_unitor = {}, {}, {}
-    while True:
-        if lines.done():
-            lines.fail(f"monoidal {name!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            break
-        if shape == ("base", "=", "category", "@"):
-            cname, = _values(toks)
-            cat, _ = _parse_category_body(cname, lines)
-            _check(validate_category(cat), f"base of {name!r}", lines, lineno)
-        elif shape == ("unitobj", "@"):
-            unit_obj, = _values(toks)
-        elif shape == ("tensor", "@", "@", "=", "@"):
-            x, y, z = _values(toks)
-            tensor_obj[(x, y)] = z
-        elif shape == ("tensormor", "@", "@", "=", "@"):
-            f, g, h = _values(toks)
-            tensor_mor[(f, g)] = h
-        elif shape == ("massoc", "@", "@", "@", "=", "@"):
-            x, y, z, m = _values(toks)
-            associator[(x, y, z)] = m
-        elif shape == ("mlunit", "@", "=", "@"):
-            x, m = _values(toks)
-            left_unitor[x] = m
-        elif shape == ("mrunit", "@", "=", "@"):
-            x, m = _values(toks)
-            right_unitor[x] = m
-        else:
-            lines.fail(f"unexpected line in monoidal {name!r}", lineno)
-    if cat is None:
-        raise StructureError(f"{lines.source}:{start}: monoidal {name!r} "
-                             f"has no base category")
-    m = MonoidalCategory(name, cat, tensor_obj, tensor_mor, unit_obj,
-                         associator, left_unitor, right_unitor)
-    _check(validate_monoidal(m), f"monoidal {name!r}", lines, start)
-    sf.add("monoidal", name, m)
-
-
-def _parse_laxfunctor(toks, lines, sf):
-    vals = _expect(lines, toks, ("laxfunctor", "@", ":", "@", "->", "@"),
-                   "laxfunctor header")
-    name, src_name, tgt_name = vals
-    start = lines.rows[lines.pos - 1][0]
-    src = sf.get("bicategory", src_name)
-    tgt = sf.get("bicategory", tgt_name)
-    object_map, hom_functors, comp_c, unit_c = {}, {}, {}, {}
-    while True:
-        if lines.done():
-            lines.fail(f"laxfunctor {name!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            break
-        if shape == ("object", "@", "->", "@"):
-            a, b = _values(toks)
-            object_map[a] = b
-        elif shape == ("hom", "@", "@", "=", "functor", "@"):
-            a, b, fname = _values(toks)
-            if a not in object_map or b not in object_map:
-                lines.fail(f"hom {a} {b} precedes its object lines", lineno)
-            image = (object_map[a], object_map[b])
-            hom_functors[(a, b)] = _parse_arrow_functor_block(
-                fname, src.homs[(a, b)], tgt.homs[image], lines, name)
-        elif shape == ("comp", "@", "@", "=", "@"):
-            g, f, c = _values(toks)
-            comp_c[(g, f)] = c
-        elif shape == ("unitcell", "@", "=", "@"):
-            a, c = _values(toks)
-            unit_c[a] = c
-        else:
-            lines.fail(f"unexpected line in laxfunctor {name!r}", lineno)
-    fun = LaxFunctor(name, src, tgt, object_map, hom_functors, comp_c, unit_c)
-    _check(validate_lax_functor(fun), f"laxfunctor {name!r}", lines, start)
-    sf.add("laxfunctor", name, fun)
-
-
-def _parse_arrow_functor_block(fname, src_cat, tgt_cat, lines, owner):
-    omap, mmap = {}, {}
-    while True:
-        if lines.done():
-            lines.fail(f"functor block in {owner!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            return Functor(fname, src_cat, tgt_cat, omap, mmap)
-        if shape == ("on1", "@", "->", "@"):
-            f, g = _values(toks)
-            omap[f] = g
-        elif shape == ("on2", "@", "->", "@"):
-            c, d = _values(toks)
-            mmap[c] = d
-        else:
-            lines.fail(f"unexpected line in functor block of {owner!r}", lineno)
-
-
-def _parse_icon(toks, lines, sf):
-    vals = _expect(lines, toks, ("icon", "@", ":", "@", "=>", "@"),
-                   "icon header")
-    name, f_name, g_name = vals
-    start = lines.rows[lines.pos - 1][0]
-    f = sf.get("laxfunctor", f_name)
-    g = sf.get("laxfunctor", g_name)
-    components = {}
-    while True:
-        if lines.done():
-            lines.fail(f"icon {name!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            break
-        if shape == ("at", "@", "@", "=", "nat", "@"):
-            a, b, nt_name = _values(toks)
-            cells = _parse_nat_cells(nt_name, lines, name)
-            if (a, b) not in f.hom_functors:
-                lines.fail(f"icon {name!r} names a missing hom {a} {b}", lineno)
-            components[(a, b)] = NatTrans(nt_name, f.hom_functors[(a, b)],
-                                          g.hom_functors[(a, b)], cells)
-        else:
-            lines.fail(f"unexpected line in icon {name!r}", lineno)
-    icon = Icon(name, f, g, components)
-    _check(validate_icon(icon), f"icon {name!r}", lines, start)
-    sf.add("icon", name, icon)
-
-
-def _parse_nat_cells(nt_name, lines, owner):
-    cells = {}
-    while True:
-        if lines.done():
-            lines.fail(f"nat block in {owner!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            return cells
-        if shape == ("cell", "@", "=", "@"):
-            f, c = _values(toks)
-            cells[f] = c
-        else:
-            lines.fail(f"unexpected line in nat block of {owner!r}", lineno)
-
-
-def _parse_oplax(toks, lines, sf):
-    vals = _expect(lines, toks, ("oplax", "@", ":", "@", "=>", "@"),
-                   "oplax header")
-    name, f_name, g_name = vals
-    start = lines.rows[lines.pos - 1][0]
-    f = sf.get("laxfunctor", f_name)
-    g = sf.get("laxfunctor", g_name)
-    components, constraints = {}, {}
-    while True:
-        if lines.done():
-            lines.fail(f"oplax {name!r} is missing its end line")
-        lineno, toks = lines.next()
-        shape = _shape(toks)
-        if shape == ("end",):
-            break
-        if shape == ("component", "@", "=", "@"):
-            a, c = _values(toks)
-            components[a] = c
-        elif shape == ("constraint", "@", "=", "@"):
-            w, c = _values(toks)
-            constraints[w] = c
-        else:
-            lines.fail(f"unexpected line in oplax {name!r}", lineno)
-    u = OplaxNat(name, f, g, components, constraints)
-    _check(validate_oplax(u), f"oplax {name!r}", lines, start)
-    sf.add("oplax", name, u)
+            fields[form.field][key] = value
 
 
 # ---------------------------------------------------------------------------
 # builder directives
 
-def _run_build(toks, lines, sf):
-    lineno = lines.rows[lines.pos - 1][0]
+def _run_build(toks, lineno, lines, sf):
     shape = _shape(toks)
-    if len(shape) != 5 or shape[:1] != ("build",) or shape[2] != "=":
+    if len(shape) != 5 or (shape[1], shape[2], shape[4]) != ("@", "=", "@"):
         lines.fail("malformed build line (build NAME = KIND ARG)", lineno)
-    name = _values(toks[:2])[0]
-    kind = toks[3][1]
-    arg, = _values(toks[4:])
+    name, kind, arg = toks[1][1], toks[3][1], toks[4][1]
     if kind == "from_category":
         b = from_category(sf.get("category", arg), name)
     elif kind == "sigma":
@@ -647,186 +572,51 @@ def _run_build(toks, lines, sf):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _category_lines(cat: FiniteCategory, header: str, out: list):
-    out.append(header)
-    for x in cat.objects:
-        out.append(f"  object {dump_id(x)}")
-    for m in sorted_ids(cat.morphisms):
-        s, t = cat.morphisms[m]
-        out.append(f"  morphism {dump_id(m)} : {dump_id(s)} -> {dump_id(t)}")
-    for x in sorted_ids(cat.identity):
-        out.append(f"  identity {dump_id(x)} = {dump_id(cat.identity[x])}")
-    for f, g in sorted_ids(cat.table):
-        out.append(f"  compose {dump_id(g)} after {dump_id(f)} "
-                   f"= {dump_id(cat.table[(f, g)])}")
+def _definition_lines(kind, obj, name=None) -> list:
+    """One top-level definition as text lines; structures that carry a name
+    are written under it, magmas and cocycle data under `name`."""
+    schema = _SCHEMAS[kind]
+    vals = {"name": getattr(obj, "name", name)}
+    if schema.refs:
+        vals.update(source=obj.source.name, target=obj.target.name)
+    out = [schema.header.line(vals)]
+    _write_body(schema, obj, "  ", out)
     out.append("end")
+    return out
+
+
+def _write_body(schema, obj, indent, out):
+    for form in schema.forms:
+        data = getattr(obj, form.field)
+        if form.store == "dict":
+            entries = [(key, data[key]) for key in sorted_ids(data)]
+        else:
+            entries = [((), v) for v in (data if form.store == "list" else [data])]
+        for key, value in entries:
+            vals = _unpick(form.key, key)
+            if form.block:
+                vals["name"] = value.name
+            else:
+                vals.update(_unpick(form.value, value))
+            out.append(indent + form.line(vals))
+            if form.block:
+                _write_body(_SCHEMAS[form.block], value, indent + "  ", out)
+                out.append(indent + "end")
 
 
 def serialize_category(cat: FiniteCategory) -> list:
-    out = []
-    _category_lines(cat, f"category {dump_id(cat.name)}", out)
-    return out
-
-
-def serialize_magma(name, m: Magma) -> list:
-    out = [f"magma {dump_id(name)}"]
-    for x in m.elements:
-        out.append(f"  element {dump_id(x)}")
-    out.append(f"  basepoint {dump_id(m.basepoint)}")
-    for x, y in sorted_ids(m.table):
-        out.append(f"  op {dump_id(x)} {dump_id(y)} = {dump_id(m.table[(x, y)])}")
-    out.append("end")
-    return out
-
-
-def serialize_cocycledata(name, d: CocycleData) -> list:
-    out = [f"cocycledata {dump_id(name)}"]
-    for g in d.g_elements:
-        out.append(f"  element {dump_id(g)}")
-    out.append(f"  unit {dump_id(d.g_unit)}")
-    for x, y in sorted_ids(d.g_op):
-        out.append(f"  op {dump_id(x)} {dump_id(y)} = {dump_id(d.g_op[(x, y)])}")
-    for a in d.a_elements:
-        out.append(f"  coelement {dump_id(a)}")
-    out.append(f"  counit {dump_id(d.a_unit)}")
-    for x, y in sorted_ids(d.a_op):
-        out.append(f"  coop {dump_id(x)} {dump_id(y)} = {dump_id(d.a_op[(x, y)])}")
-    for x, y, z in sorted_ids(d.twist):
-        out.append(f"  twist {dump_id(x)} {dump_id(y)} {dump_id(z)} "
-                   f"= {dump_id(d.twist[(x, y, z)])}")
-    out.append("end")
-    return out
-
-
-def serialize_bicategory(b: FiniteBicategory) -> list:
-    out = [f"bicategory {dump_id(b.name)}"]
-    inner = []
-    for x in b.objects:
-        out.append(f"  object {dump_id(x)}")
-    for x in sorted_ids(b.unit):
-        out.append(f"  unit {dump_id(x)} = {dump_id(b.unit[x])}")
-    for a, bb in sorted_ids(b.homs):
-        cat = b.homs[(a, bb)]
-        inner.clear()
-        _category_lines(cat, f"  hom {dump_id(a)} {dump_id(bb)} "
-                             f"= category {dump_id(cat.name)}", inner)
-        out.append(inner[0])
-        out.extend("  " + ln for ln in inner[1:])
-    for x, y, z in sorted_ids(b.comp):
-        fun = b.comp[(x, y, z)]
-        out.append(f"  compose {dump_id(x)} {dump_id(y)} {dump_id(z)} "
-                   f"= functor {dump_id(fun.name)}")
-        for g, f in sorted_ids(fun.object_map):
-            out.append(f"    on1 {dump_id(g)} after {dump_id(f)} "
-                       f"= {dump_id(fun.object_map[(g, f)])}")
-        for d, c in sorted_ids(fun.morphism_map):
-            out.append(f"    on2 {dump_id(d)} after {dump_id(c)} "
-                       f"= {dump_id(fun.morphism_map[(d, c)])}")
-        out.append("  end")
-    for h, g, f in sorted_ids(b.associator):
-        out.append(f"  assoc {dump_id(h)} {dump_id(g)} {dump_id(f)} "
-                   f"= {dump_id(b.associator[(h, g, f)])}")
-    for f in sorted_ids(b.left_unitor):
-        out.append(f"  lunit {dump_id(f)} = {dump_id(b.left_unitor[f])}")
-    for f in sorted_ids(b.right_unitor):
-        out.append(f"  runit {dump_id(f)} = {dump_id(b.right_unitor[f])}")
-    out.append("end")
-    return out
-
-
-def serialize_monoidal(m: MonoidalCategory) -> list:
-    out = [f"monoidal {dump_id(m.name)}"]
-    inner = []
-    _category_lines(m.cat, f"  base = category {dump_id(m.cat.name)}", inner)
-    out.append(inner[0])
-    out.extend("  " + ln for ln in inner[1:])
-    out.append(f"  unitobj {dump_id(m.unit_obj)}")
-    for x, y in sorted_ids(m.tensor_obj):
-        out.append(f"  tensor {dump_id(x)} {dump_id(y)} "
-                   f"= {dump_id(m.tensor_obj[(x, y)])}")
-    for f, g in sorted_ids(m.tensor_mor):
-        out.append(f"  tensormor {dump_id(f)} {dump_id(g)} "
-                   f"= {dump_id(m.tensor_mor[(f, g)])}")
-    for x, y, z in sorted_ids(m.associator):
-        out.append(f"  massoc {dump_id(x)} {dump_id(y)} {dump_id(z)} "
-                   f"= {dump_id(m.associator[(x, y, z)])}")
-    for x in sorted_ids(m.left_unitor):
-        out.append(f"  mlunit {dump_id(x)} = {dump_id(m.left_unitor[x])}")
-    for x in sorted_ids(m.right_unitor):
-        out.append(f"  mrunit {dump_id(x)} = {dump_id(m.right_unitor[x])}")
-    out.append("end")
-    return out
+    return _definition_lines("category", cat)
 
 
 def serialize_laxfunctor(fun: LaxFunctor) -> list:
-    out = [f"laxfunctor {dump_id(fun.name)} : {dump_id(fun.source.name)} "
-           f"-> {dump_id(fun.target.name)}"]
-    for a in sorted_ids(fun.object_map):
-        out.append(f"  object {dump_id(a)} -> {dump_id(fun.object_map[a])}")
-    for a, b in sorted_ids(fun.hom_functors):
-        hf = fun.hom_functors[(a, b)]
-        out.append(f"  hom {dump_id(a)} {dump_id(b)} = functor {dump_id(hf.name)}")
-        for f in sorted_ids(hf.object_map):
-            out.append(f"    on1 {dump_id(f)} -> {dump_id(hf.object_map[f])}")
-        for c in sorted_ids(hf.morphism_map):
-            out.append(f"    on2 {dump_id(c)} -> {dump_id(hf.morphism_map[c])}")
-        out.append("  end")
-    for g, f in sorted_ids(fun.comp_constraints):
-        out.append(f"  comp {dump_id(g)} {dump_id(f)} "
-                   f"= {dump_id(fun.comp_constraints[(g, f)])}")
-    for a in sorted_ids(fun.unit_constraints):
-        out.append(f"  unitcell {dump_id(a)} = {dump_id(fun.unit_constraints[a])}")
-    out.append("end")
-    return out
-
-
-def serialize_icon(icon: Icon) -> list:
-    out = [f"icon {dump_id(icon.name)} : {dump_id(icon.source.name)} "
-           f"=> {dump_id(icon.target.name)}"]
-    for a, b in sorted_ids(icon.components):
-        nt = icon.components[(a, b)]
-        out.append(f"  at {dump_id(a)} {dump_id(b)} = nat {dump_id(nt.name)}")
-        for f in sorted_ids(nt.components):
-            out.append(f"    cell {dump_id(f)} = {dump_id(nt.components[f])}")
-        out.append("  end")
-    out.append("end")
-    return out
-
-
-def serialize_oplax(u: OplaxNat) -> list:
-    out = [f"oplax {dump_id(u.name)} : {dump_id(u.source.name)} "
-           f"=> {dump_id(u.target.name)}"]
-    for a in sorted_ids(u.components):
-        out.append(f"  component {dump_id(a)} = {dump_id(u.components[a])}")
-    for f in sorted_ids(u.constraints):
-        out.append(f"  constraint {dump_id(f)} = {dump_id(u.constraints[f])}")
-    out.append("end")
-    return out
+    return _definition_lines("laxfunctor", fun)
 
 
 def serialize(sf: StructureFile) -> str:
     """The whole document, one blank line between definitions; built
     structures are expanded to full blocks so the text stands alone."""
-    chunks = []
-    for kind, name in sf.order:
-        obj = sf.get(kind, name)
-        if kind == "category":
-            chunks.append(serialize_category(obj))
-        elif kind == "magma":
-            chunks.append(serialize_magma(name, obj))
-        elif kind == "cocycledata":
-            chunks.append(serialize_cocycledata(name, obj))
-        elif kind == "bicategory":
-            chunks.append(serialize_bicategory(obj))
-        elif kind == "monoidal":
-            chunks.append(serialize_monoidal(obj))
-        elif kind == "laxfunctor":
-            chunks.append(serialize_laxfunctor(obj))
-        elif kind == "icon":
-            chunks.append(serialize_icon(obj))
-        elif kind == "oplax":
-            chunks.append(serialize_oplax(obj))
-    return "\n\n".join("\n".join(c) for c in chunks) + "\n"
+    return "\n\n".join("\n".join(_definition_lines(kind, sf.get(kind, name), name))
+                       for kind, name in sf.order) + "\n"
 
 
 def document_for(obj, name=None) -> StructureFile:
@@ -838,28 +628,13 @@ def document_for(obj, name=None) -> StructureFile:
 
 
 def _include(sf, obj, name=None):
-    if isinstance(obj, FiniteCategory):
-        _add_once(sf, "category", name or obj.name, obj)
-    elif isinstance(obj, FiniteBicategory):
-        _add_once(sf, "bicategory", name or obj.name, obj)
-    elif isinstance(obj, Magma):
-        _add_once(sf, "magma", name, obj)
-    elif isinstance(obj, MonoidalCategory):
-        _add_once(sf, "monoidal", name or obj.name, obj)
-    elif isinstance(obj, LaxFunctor):
-        _include(sf, obj.source)
-        _include(sf, obj.target)
-        _add_once(sf, "laxfunctor", name or obj.name, obj)
-    elif isinstance(obj, Icon):
-        _include(sf, obj.source)
-        _include(sf, obj.target)
-        _add_once(sf, "icon", name or obj.name, obj)
-    elif isinstance(obj, OplaxNat):
-        _include(sf, obj.source)
-        _include(sf, obj.target)
-        _add_once(sf, "oplax", name or obj.name, obj)
-    else:
+    kind = next((k for k in KINDS if isinstance(obj, _SCHEMAS[k].cls)), None)
+    if kind is None:
         raise StructureError(f"cannot serialize {type(obj).__name__}")
+    if _SCHEMAS[kind].refs:
+        _include(sf, obj.source)
+        _include(sf, obj.target)
+    _add_once(sf, kind, name or getattr(obj, "name", None), obj)
 
 
 def _add_once(sf, kind, name, obj):

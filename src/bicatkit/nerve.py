@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .bicat import FiniteBicategory, from_category
 from .catcore import Functor, FiniteCategory, chain_category, compose_functors
-from .icon import Icon, enumerate_icons, identity_icon, whisker_icon_right
+from .icon import Icon, enumerate_icons, identity_icon
 from .laxfun import LaxFunctor, classify, two_functor, compose_lax, validate_lax_functor
 from .report import ValidationReport, sorted_ids
 
@@ -204,22 +204,22 @@ def _level_category(b: FiniteBicategory, k: int, sims):
 
 
 def _level_functor(nerve, k: int, k2: int, theta, name):
+    """Reindexing along theta: [k2] -> [k] as a functor between levels.
+
+    Whiskering an icon along theta only reindexes its components: the one
+    at edge (i, j) of [k2] is the one at (theta(i), theta(j)) of [k], since
+    vcomp(c, id) = c in a validated hom."""
     src_cat, src_sims = nerve.levels[k], nerve.simplices[k]
-    tgt_cat = nerve.levels[k2]
     omap, mmap = {}, {}
     for sk, s in src_sims.items():
         omap[sk] = reindex_simplex(s, theta).key()
+    edges = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]
+    picks = [edges.index((theta[i], theta[j]))
+             for i in range(k2 + 1) for j in range(i, k2 + 1)]
     for mid in src_cat.morphisms:
         _, sk, tk, flat = mid
-        # recover the icon behind the morphism id, then transport it
-        icon = None
-        for cand in enumerate_nerve_morphisms(src_sims[sk], src_sims[tk]):
-            if _icon_flat(cand, k) == flat:
-                icon = cand
-                break
-        moved = whisker_icon_right(icon, ordinal_map_functor(theta, k))
-        mmap[mid] = ("ic", omap[sk], omap[tk], _icon_flat(moved, k2))
-    return Functor(name, src_cat, tgt_cat, omap, mmap)
+        mmap[mid] = ("ic", omap[sk], omap[tk], tuple(flat[p] for p in picks))
+    return Functor(name, src_cat, nerve.levels[k2], omap, mmap)
 
 
 @dataclass

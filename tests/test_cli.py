@@ -55,6 +55,17 @@ def test_parse_error_is_structural(capsys, tmp_path):
     assert "missing its end" in out
 
 
+def test_incomplete_cocycledata_is_structural(capsys, tmp_path):
+    doc = tmp_path / "broken.bc"
+    doc.write_text('cocycledata "d"\n  element 0\n  element 1\n  unit 0\n'
+                   '  op 0 0 = 0\n  coelement 0\n  counit 0\n  coop 0 0 = 0\nend\n'
+                   'build "b" = cocycle "d"\n', encoding="utf-8")
+    code, out = run(capsys, "--file", str(doc), "validate", "b")
+    assert code == 2
+    assert "error: " in out
+    assert "incomplete (missing op 0 1" in out
+
+
 def test_unknown_verb_exits_2():
     proc = subprocess.run([sys.executable, "-m", "bicatkit.cli", "frobnicate"],
                           capture_output=True, text=True)
@@ -118,6 +129,12 @@ def test_costrict_verdicts(capsys):
     code, out = run(capsys, "costrict", "idem-general")
     assert code == 1
     assert "refutation" in out
+    assert 'witness: ("*")' in out
+    assert "replay holds: True" in out
+    code, out = run(capsys, "costrict", "arrow-shift")
+    assert code == 1
+    assert ('  cylinder refutation against "cross[walking-arrow]": witness: (1)'
+            in out.splitlines())
     assert "replay holds: True" in out
 
 

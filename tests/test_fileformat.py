@@ -1,4 +1,5 @@
 import pathlib
+import runpy
 
 import pytest
 
@@ -8,6 +9,7 @@ from bicatkit.catcore import chain_category
 from bicatkit.cylinder import lax_cylinder
 
 DATA = pathlib.Path(ff.__file__).parent / "data"
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 def roundtrip(obj, name=None):
@@ -168,6 +170,48 @@ def test_ordinal_directive_rejects_bad_argument():
         ff.parse('build "b" = ordinal "two"\n')
 
 
+Z1 = ('cocycledata "d"\n  element 0\n  unit 0\n  op 0 0 = 0\n'
+      '  coelement 0\n  counit 0\n  coop 0 0 = 0\n')
+ARROW = 'build "o" = ordinal 1\nlaxfunctor "F" : "o" -> "o"\n'
+
+
+@pytest.mark.parametrize("doc, match", [
+    ('cocycledata "d"\n  element 0\n  element 1\n  unit 0\n  op 0 0 = 0\n'
+     '  coelement 0\n  counit 0\n  coop 0 0 = 0\nend\nbuild "b" = cocycle "d"\n',
+     r"<string>:1: cocycledata 'd' is incomplete \(missing op 0 1, op 1 0, op 1 1\)"),
+    ('cocycledata "d"\n  element 0\n  unit 0\n  op 0 0 = 0\n  coelement 0\n'
+     '  coelement 1\n  counit 0\n  coop 0 0 = 0\nend\nbuild "b" = cocycle "d"\n',
+     r"incomplete \(missing coop 0 1, coop 1 0, coop 1 1\)"),
+    (Z1.replace("  unit 0", "  unit 3") + 'end\nbuild "b" = cocycle "d"\n',
+     r"incomplete \(missing unit\)"),
+    (Z1 + '  twist 5 5 5 = 0\nend\nbuild "b" = cocycle "d"\n',
+     "leaves its elements at twist 5 5 5"),
+    (Z1.replace("  op 0 0 = 0", "  op 0 0 = 9") + 'end\nbuild "b" = cocycle "d"\n',
+     "leaves its elements at op 0 0"),
+    ('magma "m"\n  element "e"\n  element "a"\n  basepoint "e"\n  op "e" "e" = "e"\n'
+     '  op "e" "a" = "a"\n  op "a" "e" = "a"\n  op "a" "a" = "q"\nend\n'
+     'build "b" = codiscrete "m"\n', "leaves its elements at op 'a' 'a'"),
+    (ARROW + '  object 0 -> 7\n  object 1 -> 1\n  hom 0 1 = functor "h"\n  end\nend\n',
+     r"<string>:5: hom 0 1 maps to \(7, 1\), not a hom of 'o'"),
+    (ARROW + '  object 0 -> 0\n  object 5 -> 1\n  hom 5 0 = functor "h"\n  end\nend\n',
+     "<string>:5: hom 5 0 is not a hom of 'o'"),
+    ('build "o1" = ordinal 1\nbuild "o2" = ordinal 2\nbuild "c1" = cylinder "o1"\n'
+     'build "c2" = cylinder "o2"\nicon "i" : "c2-bottom" => "c1-bottom"\n'
+     '  at 0 2 = nat "n"\n  end\nend\n', "<string>:6: icon 'i' names a missing hom 0 2"),
+    ('category\n  object "x"\nend\n', "<string>:1: malformed category header"),
+    ('# a header with nothing after it\ncategory\n',
+     "<string>:2: malformed category header"),
+    ('build b = ordinal 2\n', "<string>:1: malformed build line"),
+    ('build "b" = ordinal two\n', "<string>:1: malformed build line"),
+], ids=["missing-op", "missing-coop", "unit-off-group", "twist-off-group",
+        "op-off-group", "magma-op-off-elements", "laxfunctor-object-image",
+        "laxfunctor-hom-source", "icon-hom-of-one-side", "header-without-name",
+        "header-at-end", "build-bare-name", "build-bare-argument"])
+def test_malformed_documents_are_refused(doc, match):
+    with pytest.raises(ff.StructureError, match=match):
+        ff.parse(doc)
+
+
 # ---------------------------------------------------------------------------
 # the bundled corpus files
 
@@ -192,6 +236,13 @@ def test_bundled_files_cover_the_corpus():
     for key in sorted(corpus.OPLAX):
         u = corpus.get_oplax(key)
         assert sf.oplaxes[u.name] == u
+
+
+def test_bundled_files_match_their_generator():
+    gen = runpy.run_path(str(SCRIPTS / "make_bundled_data.py"))
+    for name, build in (("cocycle.bc", gen["build_cocycle_file"]),
+                        ("corpus.bc", gen["build_corpus_file"])):
+        assert build() == (DATA / name).read_text(encoding="utf-8"), name
 
 
 def test_bundled_files_reserialize_cleanly():

@@ -5,9 +5,11 @@ import pytest
 from bicatkit.bicat import from_category
 from bicatkit.catcore import chain_category, validate_category, validate_functor
 from bicatkit.corpus import get_bicategory
+from bicatkit.icon import whisker_icon_right
 from bicatkit.laxfun import classify
 from bicatkit.nerve import (
     as_lax_functor,
+    enumerate_nerve_morphisms,
     enumerate_simplices,
     ordinal_as_bicategory,
     ordinal_inclusion_check,
@@ -125,3 +127,39 @@ def test_truncation_bound():
 
 def test_ordinal_inclusion_check():
     assert ordinal_inclusion_check(3).ok
+
+
+def _flat(icon, n):
+    return tuple(icon.at(("le", i, j)) for i in range(n + 1) for j in range(i, n + 1))
+
+
+def _whiskered_morphism_map(nerve, k, k2, theta, omap):
+    """The reference: recover every icon of level k by enumeration and
+    whisker it along the monotone map theta: [k2] -> [k]."""
+    sims = nerve.simplices[k]
+    mmap = {}
+    for sk, s in sims.items():
+        for tk, t in sims.items():
+            for icon in enumerate_nerve_morphisms(s, t):
+                moved = whisker_icon_right(icon, ordinal_map_functor(theta, k))
+                mmap[("ic", sk, tk, _flat(icon, k))] = (
+                    "ic", omap[sk], omap[tk], _flat(moved, k2))
+    return mmap
+
+
+@pytest.mark.parametrize("builder, truncation", [
+    (lambda: from_category(chain_category(2)), 3),
+    (lambda: get_bicategory("walking-two-cell"), 3),
+    (lambda: get_bicategory("cocycle-twisted"), 2),
+    (lambda: get_bicategory("sigma-idem"), 2),
+], ids=["chain2", "walking-two-cell", "cocycle-twisted", "sigma-idem"])
+def test_level_functors_reindex_like_whiskering(builder, truncation):
+    nerve = two_nerve(builder(), truncation)
+    for (k, i), fun in nerve.face.items():
+        theta = tuple(v if v < i else v + 1 for v in range(k))
+        assert fun.morphism_map == _whiskered_morphism_map(
+            nerve, k, k - 1, theta, fun.object_map)
+    for (k, i), fun in nerve.degeneracy.items():
+        theta = tuple(v if v <= i else v - 1 for v in range(k + 2))
+        assert fun.morphism_map == _whiskered_morphism_map(
+            nerve, k, k + 1, theta, fun.object_map)
