@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .report import ValidationReport, sorted_ids
+from .search import constraints, search
 
 
 @dataclass
@@ -64,8 +65,9 @@ class FiniteCategory:
         return self.iso_inverse(f) is not None
 
     def composable_pairs(self):
-        for f in sorted_ids(self.morphisms):
-            for g in sorted_ids(self.morphisms):
+        morphisms = sorted_ids(self.morphisms)
+        for f in morphisms:
+            for g in morphisms:
                 if self.tgt(f) == self.src(g):
                     yield f, g
 
@@ -241,12 +243,22 @@ def validate_functor(fun: Functor) -> ValidationReport:
     for a in sorted_ids(s.objects):
         if fun.morphism_map[s.identity[a]] != t.identity[fun.object_map[a]]:
             rep.add("identity", f"identity of {a!r} is not sent to an identity", (a,))
-    for f, g in s.composable_pairs():
-        lhs = fun.morphism_map[s.table[(f, g)]]
-        rhs = t.table[(fun.morphism_map[f], fun.morphism_map[g])]
-        if lhs != rhs:
-            rep.add("composition", f"images of {g!r}.{f!r} disagree", (f, g))
+    rep.check_laws(fun, functor_laws(fun))
     return rep
+
+
+def _preserves_composite(fun, f, g):
+    mm = fun.morphism_map
+    return mm[fun.source.table[(f, g)]] == fun.target.table[(mm[f], mm[g])]
+
+
+def functor_laws(fun):
+    """Preservation of composites, as law instances (see
+    `ValidationReport.check_laws`) of `fun`."""
+    mm, table = fun.morphism_map, fun.source.table
+    for f, g in fun.source.composable_pairs():
+        yield (_preserves_composite, (f, g), ((mm, f), (mm, g), (mm, table[(f, g)])),
+               "composition", "images of {1!r}.{0!r} disagree")
 
 
 def identity_functor(c: FiniteCategory) -> Functor:
@@ -334,13 +346,24 @@ def validate_nat(nt: NatTrans) -> ValidationReport:
                     f"component at {a!r} must run from the first image to the second", (a,))
     if rep.violations:
         return rep
-    for m in sorted_ids(cat.morphisms):
-        a, b = cat.morphisms[m]
-        lhs = tcat.compose(nt.components[b], f.morphism_map[m])
-        rhs = tcat.compose(g.morphism_map[m], nt.components[a])
-        if lhs != rhs:
-            rep.add("naturality", f"naturality square at {m!r} does not commute", (m,))
+    rep.check_laws(nt, nat_laws(nt))
     return rep
+
+
+def _natural_at(nt, m):
+    f, g, comp = nt.source, nt.target, nt.components
+    a, b = f.source.morphisms[m]
+    return (f.target.compose(comp[b], f.morphism_map[m])
+            == f.target.compose(g.morphism_map[m], comp[a]))
+
+
+def nat_laws(nt):
+    """Naturality at each morphism, as law instances of `nt`."""
+    comp, morphisms = nt.components, nt.source.source.morphisms
+    for m in sorted_ids(morphisms):
+        a, b = morphisms[m]
+        yield (_natural_at, (m,), ((comp, a), (comp, b)),
+               "naturality", "naturality square at {!r} does not commute")
 
 
 def identity_nat(fun: Functor) -> NatTrans:
@@ -382,38 +405,31 @@ def is_nat_iso(nt: NatTrans) -> bool:
 # exhaustive enumeration (all structures here are deliberately tiny)
 
 def enumerate_functors(s: FiniteCategory, t: FiniteCategory):
-    """All functors s -> t, in deterministic order."""
-    objs = sorted_ids(s.objects)
-    nonid = [m for m in sorted_ids(s.morphisms) if not s.is_identity(m)]
-    for images in itertools.product(sorted_ids(t.objects), repeat=len(objs)):
-        omap = dict(zip(objs, images))
-        choices = [t.hom(omap[s.src(m)], omap[s.tgt(m)]) for m in nonid]
-        if any(not c for c in choices):
-            continue
-        for picks in itertools.product(*choices):
-            mmap = dict(zip(nonid, picks))
-            for a in objs:
-                mmap[s.identity[a]] = t.identity[omap[a]]
-            cand = Functor("enum", s, t, omap, mmap)
-            if all(mmap[s.table[(f, g)]] == t.table[(mmap[f], mmap[g])]
-                   for f, g in s.composable_pairs()):
-                yield cand
+    """All functors s -> t, in deterministic order: by the images of the
+    objects, then of the non-identity morphisms, each in sorted order."""
+    objs, targets = sorted_ids(s.objects), sorted_ids(t.objects)
+    draft = Functor("enum", s, t, {}, {})
+    omap, mmap = draft.object_map, draft.morphism_map
+    variables = [(omap, a, (), lambda: targets) for a in objs]
+    variables += [(mmap, m, ((omap, s.src(m)), (omap, s.tgt(m))),
+                   lambda m=m: t.hom(omap[s.src(m)], omap[s.tgt(m)]))
+                  for m in sorted_ids(s.morphisms) if not s.is_identity(m)]
+    variables += [(mmap, s.identity[a], ((omap, a),),
+                   lambda a=a: (t.identity[omap[a]],)) for a in objs]
+    for _ in search(variables, constraints(draft, functor_laws(draft))):
+        yield Functor("enum", s, t, dict(omap), dict(mmap))
+
+
+def nat_variables(nt: NatTrans):
+    """Search variables for the components of the draft `nt`, one per
+    object in sorted order, each ranging over its hom in order."""
+    f, g = nt.source, nt.target
+    return [(nt.components, a, (), lambda a=a: f.target.hom(f.object_map[a], g.object_map[a]))
+            for a in sorted_ids(f.source.objects)]
 
 
 def enumerate_nats(f: Functor, g: Functor):
     """All natural transformations f => g, in deterministic order."""
-    cat, tcat = f.source, f.target
-    objs = sorted_ids(cat.objects)
-    choices = [tcat.hom(f.object_map[a], g.object_map[a]) for a in objs]
-    if any(not c for c in choices):
-        return
-    for picks in itertools.product(*choices):
-        comp = dict(zip(objs, picks))
-        ok = True
-        for m in cat.morphisms:
-            a, b = cat.morphisms[m]
-            if tcat.compose(comp[b], f.morphism_map[m]) != tcat.compose(g.morphism_map[m], comp[a]):
-                ok = False
-                break
-        if ok:
-            yield NatTrans("enum", f, g, comp)
+    draft = NatTrans("enum", f, g, {})
+    for _ in search(nat_variables(draft), constraints(draft, nat_laws(draft))):
+        yield NatTrans("enum", f, g, dict(draft.components))

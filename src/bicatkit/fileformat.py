@@ -572,13 +572,14 @@ def _run_build(toks, lineno, lines, sf):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _definition_lines(kind, obj, name=None) -> list:
-    """One top-level definition as text lines; structures that carry a name
-    are written under it, magmas and cocycle data under `name`."""
+def _definition_lines(kind, obj, name, names) -> list:
+    """One top-level definition as text lines, under `name`; the structures
+    its header refers to go under their entry in `names` (by id), if any."""
     schema = _SCHEMAS[kind]
-    vals = {"name": getattr(obj, "name", name)}
+    vals = {"name": name}
     if schema.refs:
-        vals.update(source=obj.source.name, target=obj.target.name)
+        vals.update(source=names.get(id(obj.source), obj.source.name),
+                    target=names.get(id(obj.target), obj.target.name))
     out = [schema.header.line(vals)]
     _write_body(schema, obj, "  ", out)
     out.append("end")
@@ -605,17 +606,22 @@ def _write_body(schema, obj, indent, out):
 
 
 def serialize_category(cat: FiniteCategory) -> list:
-    return _definition_lines("category", cat)
+    return _definition_lines("category", cat, cat.name, {})
 
 
 def serialize_laxfunctor(fun: LaxFunctor) -> list:
-    return _definition_lines("laxfunctor", fun)
+    return _definition_lines("laxfunctor", fun, fun.name, {})
 
 
 def serialize(sf: StructureFile) -> str:
     """The whole document, one blank line between definitions; built
-    structures are expanded to full blocks so the text stands alone."""
-    return "\n\n".join("\n".join(_definition_lines(kind, sf.get(kind, name), name))
+    structures are expanded to full blocks so the text stands alone.  Each
+    structure and each reference to it uses the structure's (first)
+    registered name."""
+    names = {}
+    for kind, name in sf.order:
+        names.setdefault(id(sf.get(kind, name)), name)
+    return "\n\n".join("\n".join(_definition_lines(kind, sf.get(kind, name), name, names))
                        for kind, name in sf.order) + "\n"
 
 

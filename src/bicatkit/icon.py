@@ -13,13 +13,14 @@ the tests drive exactly those laws.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .bicat import UnsupportedSettingError
-from .catcore import NatTrans, enumerate_nats, identity_nat, validate_nat, vcomp_nat
+from .catcore import (NatTrans, identity_nat, nat_laws, nat_variables, validate_nat,
+                      vcomp_nat)
 from .laxfun import LaxFunctor, compose_lax
 from .report import ValidationReport, sorted_ids
+from .search import constraints, search
 
 
 @dataclass
@@ -67,22 +68,40 @@ def validate_icon(icon: Icon) -> ValidationReport:
     if rep.violations:
         return rep
 
-    for x in s.one_cells():
-        for y in s.one_cells():
-            if s.home1(y)[1] != s.home1(x)[0]:
-                continue
-            lhs = t.vcomp(g.comp_constraints[(x, y)], t.hcomp(icon.at(x), icon.at(y)))
-            rhs = t.vcomp(icon.at(s.compose1(x, y)), f.comp_constraints[(x, y)])
-            if lhs != rhs:
-                rep.add("composition-compat",
-                        f"components do not commute with the comparison at ({x!r}, {y!r})",
-                        (x, y))
-    for a in sorted_ids(s.objects):
-        lhs = t.vcomp(icon.at(s.unit[a]), f.unit_constraints[a])
-        if lhs != g.unit_constraints[a]:
-            rep.add("unit-compat",
-                    f"components do not commute with the unit comparison at {a!r}", (a,))
+    rep.check_laws(icon, icon_laws(icon))
     return rep
+
+
+def _composition_compatible(icon, x, y):
+    f, g, t = icon.source, icon.target, icon.source.target
+    lhs = t.vcomp(g.comp_constraints[(x, y)], t.hcomp(icon.at(x), icon.at(y)))
+    return lhs == t.vcomp(icon.at(f.source.compose1(x, y)), f.comp_constraints[(x, y)])
+
+
+def _unit_compatible(icon, a):
+    f, t = icon.source, icon.source.target
+    lhs = t.vcomp(icon.at(f.source.unit[a]), f.unit_constraints[a])
+    return lhs == icon.target.unit_constraints[a]
+
+
+def icon_laws(icon):
+    """Compatibility with the comparisons and with the unit comparisons, as
+    law instances (see `ValidationReport.check_laws`) of `icon`."""
+    s, comps = icon.source.source, icon.components
+    homs = sorted_ids(s.homs)
+    cells = {p: sorted_ids(s.homs[p].objects) for p in homs}
+    for b, c in homs:
+        for x in cells[(b, c)]:
+            for a in [p[0] for p in homs if p[1] == b]:
+                at_x, at_y = comps[(b, c)].components, comps[(a, b)].components
+                for y in cells[(a, b)]:
+                    yield (_composition_compatible, (x, y),
+                           ((at_x, x), (at_y, y), (comps[(a, c)].components, s.compose1(x, y))),
+                           "composition-compat",
+                           "components do not commute with the comparison at ({!r}, {!r})")
+    for a in sorted_ids(s.objects):
+        yield (_unit_compatible, (a,), ((comps[(a, a)].components, s.unit[a]),),
+               "unit-compat", "components do not commute with the unit comparison at {!r}")
 
 
 def identity_icon(fun: LaxFunctor) -> Icon:
@@ -149,18 +168,23 @@ def is_invertible_icon(icon: Icon):
 
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
     """All icons f => g, in deterministic order; empty when the object maps
-    differ."""
-    if f.source != g.source or f.target != g.target:
+    differ.  One search binds every component 2-cell, hom pair by hom pair,
+    under the naturality of each family and the icon laws; it meets the
+    icons in the order of their families, each in `enumerate_nats` order."""
+    if (f.source is not g.source and f.source != g.source) or \
+            (f.target is not g.target and f.target != g.target):
         return
     if any(f.object_map[a] != g.object_map[a] for a in f.source.objects):
         return
-    pairs = sorted_ids(f.hom_functors)
-    per_pair = [list(enumerate_nats(f.hom_functors[p], g.hom_functors[p]))
-                for p in pairs]
-    if any(not opts for opts in per_pair):
-        return
-    for combo in itertools.product(*per_pair):
-        cand = Icon("enum", f, g, dict(zip(pairs, combo)))
+    draft = Icon("enum", f, g, {p: NatTrans("enum", f.hom_functors[p], g.hom_functors[p], {})
+                                for p in sorted_ids(f.hom_functors)})
+    variables, laws = [], constraints(draft, icon_laws(draft))
+    for nt in draft.components.values():
+        variables += nat_variables(nt)
+        laws += constraints(nt, nat_laws(nt))
+    for _ in search(variables, laws):
+        cand = Icon("enum", f, g, {p: NatTrans("enum", nt.source, nt.target, dict(nt.components))
+                                   for p, nt in draft.components.items()})
         if validate_icon(cand).ok:
             yield cand
 

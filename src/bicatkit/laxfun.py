@@ -10,12 +10,13 @@ a given functor actually is.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 from .bicat import FiniteBicategory, MonoidalCategory, sigma_bicategory
 from .catcore import Functor, compose_functors, enumerate_functors, validate_functor
 from .report import ValidationReport, sorted_ids
+from .search import constraints, search
 
 
 @dataclass
@@ -70,23 +71,17 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     if rep.violations:
         return rep
 
-    pairs = [(g, f) for f in s.one_cells() for g in s.one_cells()
-             if s.home1(f)[1] == s.home1(g)[0]]
-    for g, f in pairs:
-        a = s.home1(f)[0]
-        c_ = s.home1(g)[1]
-        cat = t.homs[(fun.object_map[a], fun.object_map[c_])]
+    for g, f in _composable_pairs(s):
+        cat = t.homs[(fun.object_map[s.home1(f)[0]], fun.object_map[s.home1(g)[1]])]
         cell = fun.comp_constraints.get((g, f))
         if cell is None:
             rep.add("missing-comp-constraint", f"no comparison for the pair ({g!r}, {f!r})",
                     (g, f), structural=True)
-            continue
-        want = (t.compose1(fun.on_1(g), fun.on_1(f)), fun.on_1(s.compose1(g, f)))
-        if cell not in cat.morphisms:
+        elif cell not in cat.morphisms:
             rep.add("dangling-comp-constraint",
                     f"comparison at ({g!r}, {f!r}) is not a 2-cell of its hom", (g, f),
                     structural=True)
-        elif cat.morphisms[cell] != want:
+        elif cell not in comparison_cells(fun, g, f):
             rep.add("comp-constraint-endpoints",
                     f"comparison at ({g!r}, {f!r}) must run F{g!r}.F{f!r} => F(g.f)",
                     (g, f))
@@ -108,51 +103,84 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     if rep.violations:
         return rep
 
-    # naturality of the comparison in both slots at once
-    for d in s.two_cells():
-        for c in s.two_cells():
-            if s.home2(c)[1] != s.home2(d)[0]:
-                continue
-            lhs = t.vcomp(fun.comp_constraints[(s.tgt2(d), s.tgt2(c))],
-                          t.hcomp(fun.on_2(d), fun.on_2(c)))
-            rhs = t.vcomp(fun.on_2(s.hcomp(d, c)),
-                          fun.comp_constraints[(s.src2(d), s.src2(c))])
-            if lhs != rhs:
-                rep.add("comp-constraint-naturality",
-                        f"comparison is not natural under ({d!r}, {c!r})", (d, c))
-
-    for g, f in pairs:
-        for h in s.one_cells():
-            if s.home1(h)[0] != s.home1(g)[1]:
-                continue
-            fh, fg, ff = fun.on_1(h), fun.on_1(g), fun.on_1(f)
-            lhs = t.vcomp(fun.comp_constraints[(h, s.compose1(g, f))],
-                          t.vcomp(t.whisker_left(fh, fun.comp_constraints[(g, f)]),
-                                  t.assoc(fh, fg, ff)))
-            rhs = t.vcomp(fun.on_2(s.assoc(h, g, f)),
-                          t.vcomp(fun.comp_constraints[(s.compose1(h, g), f)],
-                                  t.whisker_right(fun.comp_constraints[(h, g)], ff)))
-            if lhs != rhs:
-                rep.add("comp-coherence",
-                        f"the two comparison pastings disagree at ({h!r}, {g!r}, {f!r})",
-                        (h, g, f))
-
-    for f in s.one_cells():
-        a, b = s.home1(f)
-        ff = fun.on_1(f)
-        lhs = t.lunit(ff)
-        rhs = t.vcomp(fun.on_2(s.lunit(f)),
-                      t.vcomp(fun.comp_constraints[(s.unit[b], f)],
-                              t.whisker_right(fun.unit_constraints[b], ff)))
-        if lhs != rhs:
-            rep.add("left-unit-coherence", f"left unit axiom fails at {f!r}", (f,))
-        lhs = t.runit(ff)
-        rhs = t.vcomp(fun.on_2(s.runit(f)),
-                      t.vcomp(fun.comp_constraints[(f, s.unit[a])],
-                              t.whisker_left(ff, fun.unit_constraints[a])))
-        if lhs != rhs:
-            rep.add("right-unit-coherence", f"right unit axiom fails at {f!r}", (f,))
+    rep.check_laws(fun, lax_laws(fun))
     return rep
+
+
+def _composable_pairs(s):
+    """The pairs (g, f) of 1-cells with g after f defined, f slowest."""
+    cells = list(s.one_cells())
+    return [(g, f) for f in cells for g in cells if s.home1(f)[1] == s.home1(g)[0]]
+
+
+def _natural(fun, d, c):
+    s, t, comp = fun.source, fun.target, fun.comp_constraints
+    lhs = t.vcomp(comp[(s.tgt2(d), s.tgt2(c))], t.hcomp(fun.on_2(d), fun.on_2(c)))
+    rhs = t.vcomp(fun.on_2(s.hcomp(d, c)), comp[(s.src2(d), s.src2(c))])
+    return lhs == rhs
+
+
+def _coherent(fun, h, g, f):
+    s, t, comp = fun.source, fun.target, fun.comp_constraints
+    fh, fg, ff = fun.on_1(h), fun.on_1(g), fun.on_1(f)
+    lhs = t.vcomp(comp[(h, s.compose1(g, f))],
+                  t.vcomp(t.whisker_left(fh, comp[(g, f)]), t.assoc(fh, fg, ff)))
+    rhs = t.vcomp(fun.on_2(s.assoc(h, g, f)),
+                  t.vcomp(comp[(s.compose1(h, g), f)],
+                          t.whisker_right(comp[(h, g)], ff)))
+    return lhs == rhs
+
+
+def _left_unital(fun, f):
+    s, t, ff = fun.source, fun.target, fun.on_1(f)
+    b = s.home1(f)[1]
+    return t.lunit(ff) == t.vcomp(
+        fun.on_2(s.lunit(f)),
+        t.vcomp(fun.comp_constraints[(s.unit[b], f)],
+                t.whisker_right(fun.unit_constraints[b], ff)))
+
+
+def _right_unital(fun, f):
+    s, t, ff = fun.source, fun.target, fun.on_1(f)
+    a = s.home1(f)[0]
+    return t.runit(ff) == t.vcomp(
+        fun.on_2(s.runit(f)),
+        t.vcomp(fun.comp_constraints[(f, s.unit[a])],
+                t.whisker_left(ff, fun.unit_constraints[a])))
+
+
+def lax_laws(fun):
+    """Naturality and associativity of the comparison and the two unit
+    axioms, as law instances (see `ValidationReport.check_laws`) of `fun`."""
+    s = fun.source
+    homs, comp, unit = fun.hom_functors, fun.comp_constraints, fun.unit_constraints
+    cells1, cells2 = list(s.one_cells()), list(s.two_cells())
+    for d in cells2:
+        for c in cells2:
+            (a, b), (b2, e) = s.home2(c), s.home2(d)
+            if b == b2:
+                yield (_natural, (d, c), ((homs, (a, b)), (homs, (b, e)), (homs, (a, e)),
+                                          (comp, (s.tgt2(d), s.tgt2(c))),
+                                          (comp, (s.src2(d), s.src2(c)))),
+                       "comp-constraint-naturality",
+                       "comparison is not natural under ({!r}, {!r})")
+    for g, f in _composable_pairs(s):
+        for h in cells1:
+            a, b = s.home1(f)
+            c, (c2, e) = s.home1(g)[1], s.home1(h)
+            if c2 == c:
+                yield (_coherent, (h, g, f),
+                       ((homs, (a, b)), (homs, (b, c)), (homs, (c, e)), (homs, (a, e)),
+                        (comp, (h, s.compose1(g, f))), (comp, (g, f)),
+                        (comp, (s.compose1(h, g), f)), (comp, (h, g))),
+                       "comp-coherence",
+                       "the two comparison pastings disagree at ({!r}, {!r}, {!r})")
+    for f in cells1:
+        a, b = s.home1(f)
+        yield (_left_unital, (f,), ((homs, (a, b)), (comp, (s.unit[b], f)), (unit, b)),
+               "left-unit-coherence", "left unit axiom fails at {!r}")
+        yield (_right_unital, (f,), ((homs, (a, b)), (comp, (f, s.unit[a])), (unit, a)),
+               "right-unit-coherence", "right unit axiom fails at {!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +243,7 @@ def identity_lax(b: FiniteBicategory) -> LaxFunctor:
         homs[pair] = Functor(f"1{pair!r}", cat, cat,
                              {x: x for x in cat.objects},
                              {m: m for m in cat.morphisms})
-    comp = {}
-    for f in b.one_cells():
-        for g in b.one_cells():
-            if b.home1(f)[1] == b.home1(g)[0]:
-                comp[(g, f)] = b.id2(b.compose1(g, f))
+    comp = {(g, f): b.id2(b.compose1(g, f)) for g, f in _composable_pairs(b)}
     unit = {a: b.id2(b.unit[a]) for a in b.objects}
     return LaxFunctor(f"1_{b.name}", b, b,
                       {a: a for a in b.objects}, homs, comp, unit)
@@ -260,123 +284,101 @@ def two_functor(name, s: FiniteBicategory, t: FiniteBicategory,
                 t.homs[(object_map[a], object_map[b_])],
                 {x: cell1_map[x] for x in cat.objects},
                 {m: cell2_map[m] for m in cat.morphisms})
-    comp = {}
-    for f in s.one_cells():
-        for g in s.one_cells():
-            if s.home1(f)[1] != s.home1(g)[0]:
-                continue
-            image = cell1_map[s.compose1(g, f)]
-            if t.compose1(cell1_map[g], cell1_map[f]) != image:
-                raise ValueError(f"{name} does not strictly preserve the composite "
-                                 f"of ({g!r}, {f!r})")
-            comp[(g, f)] = t.id2(image)
-    unit = {}
+    fun = LaxFunctor(name, s, t, dict(object_map), homs, {}, {})
+    for g, f in _composable_pairs(s):
+        if not _preserves_composite(fun, g, f):
+            raise ValueError(f"{name} does not strictly preserve the composite "
+                             f"of ({g!r}, {f!r})")
+        fun.comp_constraints[(g, f)] = t.id2(cell1_map[s.compose1(g, f)])
     for a in s.objects:
-        if cell1_map[s.unit[a]] != t.unit[object_map[a]]:
+        if not _preserves_unit(fun, a):
             raise ValueError(f"{name} does not strictly preserve the unit at {a!r}")
-        unit[a] = t.id2(t.unit[object_map[a]])
-    return LaxFunctor(name, s, t, dict(object_map), homs, comp, unit)
+        fun.unit_constraints[a] = t.id2(t.unit[object_map[a]])
+    return fun
+
+
+def _preserves_composite(fun, g, f):
+    s = fun.source
+    return fun.target.compose1(fun.on_1(g), fun.on_1(f)) == fun.on_1(s.compose1(g, f))
+
+
+def _preserves_unit(fun, a):
+    return fun.on_1(fun.source.unit[a]) == fun.target.unit[fun.object_map[a]]
+
+
+def lax_variables(fun, comparisons, units):
+    """The search variables of a lax functor, bound into the draft `fun`
+    (empty dicts to start with): object images, hom functors, comparisons
+    at the composable pairs and unit comparisons, each family in sorted
+    order.  `comparisons(g, f)` and `units(a)` list the candidate 2-cells."""
+    s, t = fun.source, fun.target
+    omap, homs = fun.object_map, fun.hom_functors
+    objs, targets = sorted_ids(s.objects), sorted_ids(t.objects)
+
+    def hom_functors(a, b):
+        cat, tcat = s.homs[(a, b)], t.homs[(omap[a], omap[b])]
+        if not cat.objects:
+            return [Functor("empty", cat, tcat, {}, {})]
+        return list(enumerate_functors(cat, tcat))
+
+    variables = [(omap, a, (), lambda: targets) for a in objs]
+    variables += [(homs, (a, b), ((omap, a), (omap, b)), functools.partial(hom_functors, a, b))
+                  for a in objs for b in objs]
+    for g, f in _composable_pairs(s):
+        (a, b), c = s.home1(f), s.home1(g)[1]
+        variables.append((fun.comp_constraints, (g, f),
+                          ((homs, (a, b)), (homs, (b, c)), (homs, (a, c))),
+                          functools.partial(comparisons, g, f)))
+    variables += [(fun.unit_constraints, a, ((omap, a), (homs, (a, a))),
+                   functools.partial(units, a)) for a in objs]
+    return variables
+
+
+def comparison_cells(fun, g, f):
+    """The 2-cells F(g).F(f) => F(g.f), candidates for a comparison."""
+    s, t = fun.source, fun.target
+    cat = t.homs[(fun.object_map[s.home1(f)[0]], fun.object_map[s.home1(g)[1]])]
+    return cat.hom(t.compose1(fun.on_1(g), fun.on_1(f)), fun.on_1(s.compose1(g, f)))
 
 
 def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
-    """All strict functors s -> t, for finite strict search settings."""
-    objs = sorted_ids(s.objects)
-    pairs = [(a, b) for a in objs for b in objs]
-    for images in itertools.product(sorted_ids(t.objects), repeat=len(objs)):
-        omap = dict(zip(objs, images))
-        per_pair = []
-        ok = True
-        for (a, b_) in pairs:
-            cands = list(enumerate_functors(s.homs[(a, b_)],
-                                            t.homs[(omap[a], omap[b_])]))
-            if s.homs[(a, b_)].objects and not cands:
-                ok = False
-                break
-            per_pair.append((cands if s.homs[(a, b_)].objects else [None]))
-        if not ok:
-            continue
-        for combo in itertools.product(*per_pair):
-            cell1, cell2 = {}, {}
-            for (a, b_), hf in zip(pairs, combo):
-                if hf is None:
-                    continue
-                cell1.update(hf.object_map)
-                cell2.update(hf.morphism_map)
-            if any(cell1[s.unit[a]] != t.unit[omap[a]] for a in objs):
-                continue
-            good = True
-            for f in s.one_cells():
-                for g in s.one_cells():
-                    if s.home1(f)[1] != s.home1(g)[0]:
-                        continue
-                    if t.compose1(cell1[g], cell1[f]) != cell1[s.compose1(g, f)]:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                for d in s.two_cells():
-                    for c in s.two_cells():
-                        if s.home2(c)[1] != s.home2(d)[0]:
-                            continue
-                        if t.hcomp(cell2[d], cell2[c]) != cell2[s.hcomp(d, c)]:
-                            good = False
-                            break
-                    if not good:
-                        break
-            if good:
-                yield two_functor("enum", s, t, omap, cell1, cell2)
+    """All strict functors s -> t, for finite strict search settings: the
+    lax functors whose comparisons are identities, so that units and
+    composites are preserved on the nose, checked for naturality, which
+    then says that horizontal composites are preserved too."""
+    draft = LaxFunctor("enum", s, t, {}, {}, {}, {})
+
+    def identity_comparison(g, f):
+        ok = _preserves_composite(draft, g, f)
+        return [t.id2(draft.on_1(s.compose1(g, f)))] if ok else []
+
+    def identity_unit(a):
+        return [t.id2(t.unit[draft.object_map[a]])] if _preserves_unit(draft, a) else []
+
+    natural = [law for law in lax_laws(draft) if law[0] is _natural]
+    variables = lax_variables(draft, identity_comparison, identity_unit)
+    for _ in search(variables, constraints(draft, natural)):
+        cell1, cell2 = {}, {}
+        for hf in draft.hom_functors.values():
+            cell1.update(hf.object_map)
+            cell2.update(hf.morphism_map)
+        yield two_functor("enum", s, t, draft.object_map, cell1, cell2)
 
 
 def enumerate_lax_functors(s: FiniteBicategory, t: FiniteBicategory):
     """All lax functors s -> t.  Exhaustive; meant for very small instances."""
-    objs = sorted_ids(s.objects)
-    pairs = [(a, b) for a in objs for b in objs]
-    comp_pairs = [(g, f) for f in s.one_cells() for g in s.one_cells()
-                  if s.home1(f)[1] == s.home1(g)[0]]
-    for images in itertools.product(sorted_ids(t.objects), repeat=len(objs)):
-        omap = dict(zip(objs, images))
-        per_pair = []
-        dead = False
-        for (a, b_) in pairs:
-            cands = list(enumerate_functors(s.homs[(a, b_)],
-                                            t.homs[(omap[a], omap[b_])]))
-            if s.homs[(a, b_)].objects and not cands:
-                dead = True
-                break
-            per_pair.append(cands if s.homs[(a, b_)].objects else [None])
-        if dead:
-            continue
-        for combo in itertools.product(*per_pair):
-            homs = {}
-            for (a, b_), hf in zip(pairs, combo):
-                cat = s.homs[(a, b_)]
-                if hf is None:
-                    homs[(a, b_)] = Functor("empty", cat, t.homs[(omap[a], omap[b_])],
-                                            {}, {})
-                else:
-                    homs[(a, b_)] = hf
-            draft = LaxFunctor("enum", s, t, omap, homs, {}, {})
-            comp_opts = []
-            for g, f in comp_pairs:
-                a = s.home1(f)[0]
-                c_ = s.home1(g)[1]
-                cat = t.homs[(omap[a], omap[c_])]
-                comp_opts.append(cat.hom(t.compose1(draft.on_1(g), draft.on_1(f)),
-                                         draft.on_1(s.compose1(g, f))))
-            unit_opts = []
-            for a in objs:
-                cat = t.homs[(omap[a], omap[a])]
-                unit_opts.append(cat.hom(t.unit[omap[a]], draft.on_1(s.unit[a])))
-            if any(not o for o in comp_opts) or any(not o for o in unit_opts):
-                continue
-            for comp_pick in itertools.product(*comp_opts):
-                for unit_pick in itertools.product(*unit_opts):
-                    cand = LaxFunctor("enum", s, t, omap, homs,
-                                      dict(zip(comp_pairs, comp_pick)),
-                                      dict(zip(objs, unit_pick)))
-                    if validate_lax_functor(cand).ok:
-                        yield cand
+    draft = LaxFunctor("enum", s, t, {}, {}, {}, {})
+
+    def unit_cells(a):
+        x = draft.object_map[a]
+        return t.homs[(x, x)].hom(t.unit[x], draft.on_1(s.unit[a]))
+
+    variables = lax_variables(draft, functools.partial(comparison_cells, draft), unit_cells)
+    for _ in search(variables, constraints(draft, lax_laws(draft))):
+        cand = LaxFunctor("enum", s, t, dict(draft.object_map), dict(draft.hom_functors),
+                          dict(draft.comp_constraints), dict(draft.unit_constraints))
+        if validate_lax_functor(cand).ok:
+            yield cand
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ the simplicial identities can be checked as equalities of functors.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 from .bicat import FiniteBicategory, from_category
 from .catcore import Functor, FiniteCategory, chain_category, compose_functors
 from .icon import Icon, enumerate_icons, identity_icon
-from .laxfun import LaxFunctor, classify, two_functor, compose_lax, validate_lax_functor
+from .laxfun import (LaxFunctor, classify, comparison_cells, compose_lax, lax_laws,
+                     lax_variables, two_functor, validate_lax_functor)
 from .report import ValidationReport, sorted_ids
+from .search import constraints, search
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,18 +69,21 @@ def as_lax_functor(s: SimplexData) -> LaxFunctor:
     for i in range(s.n + 1):
         for j in range(i, s.n + 1):
             for k in range(j, s.n + 1):
-                pair = (("le", j, k), ("le", i, j))
-                if i < j < k:
-                    comp[pair] = s.constraints[(i, j, k)]
-                elif i == j and j < k:
-                    comp[pair] = b.runit(s.cell(j, k))
-                elif i < j and j == k:
-                    comp[pair] = b.lunit(s.cell(i, j))
-                else:
-                    comp[pair] = b.lunit(s.cell(i, i))
+                comp[(("le", j, k), ("le", i, j))] = s.constraints[(i, j, k)] \
+                    if i < j < k else _degenerate_comparison(b, s.cell, i, j, k)
     units = {i: b.id2(b.unit[s.objects[i]]) for i in range(s.n + 1)}
     return LaxFunctor(f"simplex{s.key()[1:3]!r}", src, b,
                       dict(s.objects), homs, comp, units)
+
+
+def _degenerate_comparison(b, cell, i, j, k):
+    """The unitor over a degenerate triangle i <= j <= k (not i < j < k);
+    `cell(i, j)` gives the edges."""
+    if i == j < k:
+        return b.runit(cell(j, k))
+    if i < j == k:
+        return b.lunit(cell(i, j))
+    return b.lunit(cell(i, i))
 
 
 def simplex_from_lax(fun: LaxFunctor) -> SimplexData:
@@ -112,32 +116,30 @@ def validate_simplex(s: SimplexData) -> ValidationReport:
 
 
 def enumerate_simplices(b: FiniteBicategory, n: int):
-    """All n-simplices in b, by exhaustive choice of vertices, edges, and
-    invertible triangle comparisons, keeping the ones that cohere."""
-    idx = list(range(n + 1))
-    edges = [(i, j) for i in idx for j in idx if i < j]
-    tris = [(i, j, k) for i in idx for j in idx for k in idx if i < j < k]
-    for objs in itertools.product(sorted_ids(b.objects), repeat=n + 1):
-        objects = dict(enumerate(objs))
-        cell_opts = [sorted_ids(b.homs[(objs[i], objs[j])].objects)
-                     for (i, j) in edges]
-        if any(not o for o in cell_opts):
-            continue
-        for picks in itertools.product(*cell_opts):
-            cells = dict(zip(edges, picks))
-            con_opts = []
-            for (i, j, k) in tris:
-                cat = b.homs[(objs[i], objs[k])]
-                src = b.compose1(cells[(j, k)], cells[(i, j)])
-                opts = [c for c in cat.hom(src, cells[(i, k)])
-                        if cat.iso_inverse(c) is not None]
-                con_opts.append(opts)
-            if any(not o for o in con_opts):
-                continue
-            for cons in itertools.product(*con_opts):
-                s = SimplexData(n, b, objects, cells, dict(zip(tris, cons)))
-                if validate_simplex(s).ok:
-                    yield s
+    """All n-simplices in b: the normal homomorphisms out of [n] with
+    invertible comparisons, searched as lax functors whose units are
+    identities and whose degenerate triangles carry unitors.  Ordered by
+    vertices, then edges, then triangle comparisons."""
+    draft = LaxFunctor("simplex", ordinal_as_bicategory(n), b, {}, {}, {}, {})
+
+    def cell(i, j):
+        return draft.on_1(("le", i, j))
+
+    def comparisons(g, f):
+        (_, i, j), k = f, g[2]
+        if i < j < k:
+            return [c for c in comparison_cells(draft, g, f) if b.inv2(c) is not None]
+        return [_degenerate_comparison(b, cell, i, j, k)]
+
+    def units(i):
+        unit = b.unit[draft.object_map[i]]
+        return [b.id2(unit)] if cell(i, i) == unit else []
+
+    variables = lax_variables(draft, comparisons, units)
+    for _ in search(variables, constraints(draft, lax_laws(draft))):
+        s = simplex_from_lax(draft)
+        if validate_simplex(s).ok:
+            yield s
 
 
 def ordinal_map_functor(theta, n: int) -> LaxFunctor:
@@ -180,24 +182,23 @@ def _level_category(b: FiniteBicategory, k: int, sims):
     for s in sims:
         keys[s.key()] = s
     objects = sorted_ids(keys)
+    funs = {sk: as_lax_functor(keys[sk]) for sk in objects}
     morphisms, identity, table = {}, {}, {}
-    arrows = {}   # mid -> (src simplex, tgt simplex, flat cells)
+    out = {sk: [] for sk in objects}    # simplex -> (mid, flat cells) leaving it
     for sk in objects:
         for tk in objects:
-            for icon in enumerate_nerve_morphisms(keys[sk], keys[tk]):
+            for icon in enumerate_icons(funs[sk], funs[tk]):
                 flat = _icon_flat(icon, k)
                 mid = ("ic", sk, tk, flat)
                 morphisms[mid] = (sk, tk)
-                arrows[mid] = flat
-        identity[sk] = ("ic", sk, sk,
-                        _icon_flat(identity_icon(as_lax_functor(keys[sk])), k))
-    for m1, (s1, t1) in morphisms.items():
-        for m2, (s2, t2) in morphisms.items():
-            if t1 != s2:
-                continue
-            flat = tuple(b.vcomp(c2, c1)
-                         for c1, c2 in zip(arrows[m1], arrows[m2]))
-            table[(m1, m2)] = ("ic", s1, t2, flat)
+                out[sk].append((mid, flat))
+        identity[sk] = ("ic", sk, sk, _icon_flat(identity_icon(funs[sk]), k))
+    for sk in objects:
+        for m1, flat1 in out[sk]:
+            t1 = morphisms[m1][1]
+            for m2, flat2 in out[t1]:
+                flat = tuple(b.vcomp(c2, c1) for c1, c2 in zip(flat1, flat2))
+                table[(m1, m2)] = ("ic", sk, morphisms[m2][1], flat)
     cat = FiniteCategory(f"nerve-{k}[{b.name}]", objects, morphisms,
                          identity, table)
     return cat, keys

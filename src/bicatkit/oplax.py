@@ -16,6 +16,7 @@ several inequivalent pastings.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .bicat import FiniteBicategory, UnsupportedSettingError
@@ -23,6 +24,7 @@ from .catcore import NatTrans
 from .icon import Icon, validate_icon
 from .laxfun import LaxFunctor, classify, compose_lax, two_functor
 from .report import ValidationReport, sorted_ids
+from .search import constraints, search
 
 
 @dataclass
@@ -84,50 +86,69 @@ def validate_oplax(u: OplaxNat) -> ValidationReport:
     if rep.violations:
         return rep
 
-    # ON0: naturality in every 2-cell
-    for c in s.two_cells():
-        w, w2 = s.src2(c), s.tgt2(c)
-        a, b = s.home2(c)
-        lhs = t.vcomp(t.whisker_right(g.on_2(c), u.components[a]), u.constraints[w])
-        rhs = t.vcomp(u.constraints[w2], t.whisker_left(u.components[b], f.on_2(c)))
-        if lhs != rhs:
-            rep.add("naturality", f"constraint family is not natural under {c!r}", (c,))
-
-    # ON1: compatibility with composition, fully padded
-    for x in s.one_cells():
-        for y in s.one_cells():
-            if s.home1(y)[1] != s.home1(x)[0]:
-                continue
-            a = s.home1(y)[0]
-            c_ = s.home1(x)[1]
-            fx, fy, gx, gy = f.on_1(x), f.on_1(y), g.on_1(x), g.on_1(y)
-            ca, cb, cc = u.components[a], u.components[s.home1(y)[1]], u.components[c_]
-            lhs = t.vcomp(
-                t.whisker_right(g.comp_constraints[(x, y)], ca),
-                t.vcomp(
-                    t.assoc_inv(gx, gy, ca),
-                    t.vcomp(
-                        t.whisker_left(gx, u.constraints[y]),
-                        t.vcomp(
-                            t.assoc(gx, cb, fy),
-                            t.vcomp(t.whisker_right(u.constraints[x], fy),
-                                    t.assoc_inv(cc, fx, fy))))))
-            rhs = t.vcomp(u.constraints[s.compose1(x, y)],
-                          t.whisker_left(cc, f.comp_constraints[(x, y)]))
-            if lhs != rhs:
-                rep.add("composition-compat",
-                        f"constraint pasting disagrees at the pair ({x!r}, {y!r})", (x, y))
-
-    # ON2: compatibility with units
-    for a in sorted_ids(s.objects):
-        ca = u.components[a]
-        lhs = t.vcomp(t.whisker_right(g.unit_constraints[a], ca),
-                      t.vcomp(t.lunit_inv(ca), t.runit(ca)))
-        rhs = t.vcomp(u.constraints[s.unit[a]],
-                      t.whisker_left(ca, f.unit_constraints[a]))
-        if lhs != rhs:
-            rep.add("unit-compat", f"unit constraint pasting disagrees at {a!r}", (a,))
+    rep.check_laws(u, oplax_laws(u))
     return rep
+
+
+def _natural(u, c):
+    f, g, s, t = u.source, u.target, u.source.source, u.source.target
+    a, b = s.home2(c)
+    lhs = t.vcomp(t.whisker_right(g.on_2(c), u.components[a]), u.constraints[s.src2(c)])
+    rhs = t.vcomp(u.constraints[s.tgt2(c)], t.whisker_left(u.components[b], f.on_2(c)))
+    return lhs == rhs
+
+
+def _composition_compatible(u, x, y):
+    f, g, s, t = u.source, u.target, u.source.source, u.source.target
+    (a, b), c = s.home1(y), s.home1(x)[1]
+    fx, fy, gx, gy = f.on_1(x), f.on_1(y), g.on_1(x), g.on_1(y)
+    ca, cb, cc = u.components[a], u.components[b], u.components[c]
+    lhs = t.vcomp(
+        t.whisker_right(g.comp_constraints[(x, y)], ca),
+        t.vcomp(
+            t.assoc_inv(gx, gy, ca),
+            t.vcomp(
+                t.whisker_left(gx, u.constraints[y]),
+                t.vcomp(
+                    t.assoc(gx, cb, fy),
+                    t.vcomp(t.whisker_right(u.constraints[x], fy),
+                            t.assoc_inv(cc, fx, fy))))))
+    rhs = t.vcomp(u.constraints[s.compose1(x, y)],
+                  t.whisker_left(cc, f.comp_constraints[(x, y)]))
+    return lhs == rhs
+
+
+def _unit_compatible(u, a):
+    f, g, s, t = u.source, u.target, u.source.source, u.source.target
+    ca = u.components[a]
+    lhs = t.vcomp(t.whisker_right(g.unit_constraints[a], ca),
+                  t.vcomp(t.lunit_inv(ca), t.runit(ca)))
+    return lhs == t.vcomp(u.constraints[s.unit[a]],
+                          t.whisker_left(ca, f.unit_constraints[a]))
+
+
+def oplax_laws(u):
+    """Naturality (ON0), compatibility with composition, fully padded (ON1),
+    and with units (ON2), as law instances of `u` (see `ValidationReport.check_laws`)."""
+    s, comps, cons = u.source.source, u.components, u.constraints
+    cells1 = list(s.one_cells())
+    for c in s.two_cells():
+        a, b = s.home2(c)
+        yield (_natural, (c,),
+               ((comps, a), (comps, b), (cons, s.src2(c)), (cons, s.tgt2(c))),
+               "naturality", "constraint family is not natural under {!r}")
+    for x in cells1:
+        for y in cells1:
+            (a, b), (b2, c) = s.home1(y), s.home1(x)
+            if b == b2:
+                yield (_composition_compatible, (x, y),
+                       ((comps, a), (comps, b), (comps, c),
+                        (cons, x), (cons, y), (cons, s.compose1(x, y))),
+                       "composition-compat",
+                       "constraint pasting disagrees at the pair ({!r}, {!r})")
+    for a in sorted_ids(s.objects):
+        yield (_unit_compatible, (a,), ((comps, a), (cons, s.unit[a])),
+               "unit-compat", "unit constraint pasting disagrees at {!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,31 +372,25 @@ def oplax_is_icon(u: OplaxNat):
 
 def enumerate_oplax(f: LaxFunctor, g: LaxFunctor):
     """All oplax transformations f => g, exhaustively; tiny inputs only."""
-    import itertools
-
     if f.source != g.source or f.target != g.target:
         return
     s, t = f.source, f.target
-    objs = sorted_ids(s.objects)
-    comp_opts = [sorted_ids(t.homs[(f.object_map[a], g.object_map[a])].objects)
-                 for a in objs]
-    if any(not opts for opts in comp_opts):
-        return
-    cells = list(s.one_cells())
-    for picks in itertools.product(*comp_opts):
-        comps = dict(zip(objs, picks))
-        con_opts = []
-        for w in cells:
-            a, b = s.home1(w)
-            src = t.compose1(comps[b], f.on_1(w))
-            tgt = t.compose1(g.on_1(w), comps[a])
-            con_opts.append(t.homs[t.home1(src)].hom(src, tgt))
-        if any(not opts for opts in con_opts):
-            continue
-        for cons in itertools.product(*con_opts):
-            cand = OplaxNat("enum", f, g, comps, dict(zip(cells, cons)))
-            if validate_oplax(cand).ok:
-                yield cand
+    draft = OplaxNat("enum", f, g, {}, {})
+    comps, cons = draft.components, draft.constraints
+
+    def constraint_cells(w):
+        a, b = s.home1(w)
+        src = t.compose1(comps[b], f.on_1(w))
+        return t.homs[t.home1(src)].hom(src, t.compose1(g.on_1(w), comps[a]))
+
+    variables = [(comps, a, (), lambda a=a: sorted_ids(
+        t.homs[(f.object_map[a], g.object_map[a])].objects)) for a in sorted_ids(s.objects)]
+    variables += [(cons, w, tuple((comps, a) for a in s.home1(w)),
+                   functools.partial(constraint_cells, w)) for w in s.one_cells()]
+    for _ in search(variables, constraints(draft, oplax_laws(draft))):
+        cand = OplaxNat("enum", f, g, dict(comps), dict(cons))
+        if validate_oplax(cand).ok:
+            yield cand
 
 
 DEFAULT_BATTERY_TARGET_NAMES = ("terminal", "walking-two-cell", "sigma-idem")

@@ -40,6 +40,15 @@ class ValidationReport:
     def structural_failure(self) -> bool:
         return any(v.structural for v in self.violations)
 
+    def check_laws(self, subject, laws):
+        """Report each law instance ``(holds, cells, reads, kind, message)``
+        with ``holds(subject, *cells)`` false: its kind, the message
+        formatted with the cells, and the cells as witness.  ``reads`` lists
+        the ``(slot, key)`` entries of the subject it looks at."""
+        for holds, cells, _, kind, message in laws:
+            if not holds(subject, *cells):
+                self.add(kind, message.format(*cells), cells)
+
     def first(self, kind=None) -> Violation | None:
         """The first violation, optionally the first of a given kind."""
         for v in self.violations:
@@ -73,14 +82,14 @@ def canon_key(x):
     type rank and recurse through tuples.  Used everywhere iteration order
     must be deterministic (witness selection, file serialization, CLI output).
     """
+    if isinstance(x, str):
+        return (2, x)
     if isinstance(x, tuple):
-        return (3, tuple(canon_key(e) for e in x))
+        return (3, tuple(map(canon_key, x)))
     if isinstance(x, bool):
         return (1, (0, int(x)))
     if isinstance(x, int):
         return (1, (1, x))
-    if isinstance(x, str):
-        return (2, x)
     if x is None:
         return (0, 0)
     return (4, repr(x))

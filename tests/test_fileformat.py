@@ -121,6 +121,20 @@ def test_from_category_and_cylinder_directives():
     assert sf.oplaxes["cyl-crossing"].source is sf.laxfunctors["cyl-bottom"]
 
 
+def test_built_names_survive_a_round_trip():
+    sf = ff.parse('build "o" = ordinal 1\nbuild "cyl" = cylinder "o"\n')
+    text = ff.serialize(sf)
+    back = ff.parse(text)
+    for kind in ff.KINDS:
+        assert list(back._registry(kind)) == list(sf._registry(kind))
+    assert list(back.bicategories) == ["o", "cyl"]
+    assert list(back.laxfunctors) == ["cyl-bottom", "cyl-top"]
+    assert list(back.oplaxes) == ["cyl-crossing"]
+    assert back.oplaxes["cyl-crossing"].source is back.laxfunctors["cyl-bottom"]
+    assert back.laxfunctors["cyl-top"].target is back.bicategories["cyl"]
+    assert ff.serialize(back) == text
+
+
 def test_ordinal_directive():
     sf = ff.parse('build "ordinal-2" = ordinal 2\n')
     assert sf.bicategories["ordinal-2"] == corpus.get_bicategory("ordinal-2")
