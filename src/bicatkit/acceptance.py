@@ -40,7 +40,7 @@ from .internal import (
     is_fibration,
     is_p_cartesian,
 )
-from .laxfun import enumerate_lax_functors, identity_lax, sigma_functor
+from .laxfun import enumerate_lax_functors, sigma_functor
 from .nerve import two_nerve
 from .oplax import (
     battery_transformations,

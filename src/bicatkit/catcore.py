@@ -379,28 +379,6 @@ def vcomp_nat(later: NatTrans, earlier: NatTrans) -> NatTrans:
                      for a in earlier.source.source.objects})
 
 
-def precompose_nat(nt: NatTrans, k: Functor) -> NatTrans:
-    """Restrict nt along k (components picked at k's images)."""
-    f = compose_functors(nt.source, k)
-    g = compose_functors(nt.target, k)
-    return NatTrans(f"{nt.name}*{k.name}", f, g,
-                    {a: nt.components[k.object_map[a]] for a in k.source.objects})
-
-
-def postcompose_nat(h: Functor, nt: NatTrans) -> NatTrans:
-    """Push nt forward through h (apply h to every component)."""
-    f = compose_functors(h, nt.source)
-    g = compose_functors(h, nt.target)
-    return NatTrans(f"{h.name}*{nt.name}", f, g,
-                    {a: h.morphism_map[nt.components[a]]
-                     for a in nt.source.source.objects})
-
-
-def is_nat_iso(nt: NatTrans) -> bool:
-    t = nt.source.target
-    return all(t.is_iso(nt.components[a]) for a in nt.source.source.objects)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration (all structures here are deliberately tiny)
 

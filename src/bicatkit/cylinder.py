@@ -22,14 +22,13 @@ what `costrict_refutation` packages up.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .bicat import FiniteBicategory, UnsupportedSettingError, strict_bicategory
 from .catcore import FiniteCategory
 from .laxfun import LaxFunctor, two_functor
 from .oplax import OplaxNat, _require_strict_setting, interchange_check
-from .report import ValidationReport, canon_key, sorted_ids
+from .report import ValidationReport, canon_key
 
 
 class DisjointSets:

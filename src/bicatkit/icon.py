@@ -116,33 +116,45 @@ def vcomp_icons(later: Icon, earlier: Icon) -> Icon:
     return Icon(f"{later.name}.{earlier.name}", earlier.source, later.target, comps)
 
 
+def _pasted(name, src: LaxFunctor, tgt: LaxFunctor, cell) -> Icon:
+    """The icon src => tgt, between two composites, whose component at each
+    1-cell f of their source is `cell(f)`."""
+    return Icon(name, src, tgt, {
+        pair: NatTrans(f"h{pair!r}", hf, tgt.hom_functors[pair],
+                       {f: cell(f) for f in hf.object_map})
+        for pair, hf in src.hom_functors.items()})
+
+
 def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
     """Horizontal composite along composition of lax functors.
 
     The two pastings (act on the component, then shift, or the other way
     round) agree by naturality; this builds the shift-after-act order.
     """
-    src = compose_lax(later.source, earlier.source)
-    tgt = compose_lax(later.target, earlier.target)
     t = later.source.target
-    comps = {}
-    for pair, hf in src.hom_functors.items():
-        cells = {}
-        for f in earlier.source.hom_functors[pair].object_map:
-            gf = earlier.target.on_1(f)
-            cells[f] = t.vcomp(later.at(gf), later.source.on_2(earlier.at(f)))
-        comps[pair] = NatTrans(f"h{pair!r}", hf, tgt.hom_functors[pair], cells)
-    return Icon(f"{later.name}*{earlier.name}", src, tgt, comps)
+    return _pasted(f"{later.name}*{earlier.name}",
+                   compose_lax(later.source, earlier.source),
+                   compose_lax(later.target, earlier.target),
+                   lambda f: t.vcomp(later.at(earlier.target.on_1(f)),
+                                     later.source.on_2(earlier.at(f))))
 
 
 def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
-    """Post-compose every functor in sight with `fun`."""
-    return hcomp_icons(identity_icon(fun), icon)
+    """Post-compose every functor in sight with `fun`: the component at f is
+    `fun` applied to the component of `icon` at f.  This is
+    `hcomp_icons(identity_icon(fun), icon)`, whose pasting composes that
+    cell with an identity."""
+    return _pasted(f"id:{fun.name}*{icon.name}", compose_lax(fun, icon.source),
+                   compose_lax(fun, icon.target), lambda f: fun.on_2(icon.at(f)))
 
 
 def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
-    """Pre-compose every functor in sight with `fun`."""
-    return hcomp_icons(icon, identity_icon(fun))
+    """Pre-compose every functor in sight with `fun`: the component at f is
+    the component of `icon` at fun(f), a pure reindexing.  This is
+    `hcomp_icons(icon, identity_icon(fun))`, whose pasting composes that
+    cell with the image of an identity."""
+    return _pasted(f"{icon.name}*id:{fun.name}", compose_lax(icon.source, fun),
+                   compose_lax(icon.target, fun), lambda f: icon.at(fun.on_1(f)))
 
 
 def is_invertible_icon(icon: Icon):

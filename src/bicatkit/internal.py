@@ -29,9 +29,6 @@ class EquivalenceVerdict:
         return self.verdict
 
 
-_EQUIV_CHECKS = ("bijective-on-objects", "hom-equivalences", "homomorphism")
-
-
 def is_equivalence_in_bicat2(fun: LaxFunctor) -> EquivalenceVerdict:
     """Decide invertibility up to invertible icons by the three-part
     characterization; the verdict names the first failing part, if any."""

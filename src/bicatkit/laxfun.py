@@ -10,6 +10,7 @@ a given functor actually is.
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
 
@@ -249,9 +250,35 @@ def identity_lax(b: FiniteBicategory) -> LaxFunctor:
                       {a: a for a in b.objects}, homs, comp, unit)
 
 
+# The law checks compose the same few pairs of functors over and over, mostly
+# within one law instance; composites over the larger bicategories are big,
+# so only the most recent few are kept.
+COMPOSITE_MEMO_SIZE = 8
+# (id(later), id(earlier)) -> (later, earlier, composite); an entry holds both
+# functors, so neither id can be reused while the entry lives
+_composites = collections.OrderedDict()
+
+
 def compose_lax(later: LaxFunctor, earlier: LaxFunctor) -> LaxFunctor:
     """The composite "later after earlier"; comparisons are pasted, and the
-    result of pasting two lax functors is again lax on the nose."""
+    result of pasting two lax functors is again lax on the nose.
+
+    The most recent composites are remembered by the identity of both
+    functors, so a repeated call returns the same object: the composite is
+    shared and must not be mutated, and neither may a functor once composed."""
+    key = (id(later), id(earlier))
+    entry = _composites.get(key)
+    if entry is not None and entry[0] is later and entry[1] is earlier:
+        _composites.move_to_end(key)
+        return entry[2]
+    composite = _compose_lax(later, earlier)
+    _composites[key] = (later, earlier, composite)
+    if len(_composites) > COMPOSITE_MEMO_SIZE:
+        _composites.popitem(last=False)
+    return composite
+
+
+def _compose_lax(later, earlier):
     f, g = earlier, later
     t = g.target
     omap = {a: g.object_map[f.object_map[a]] for a in f.source.objects}

@@ -69,11 +69,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-# two-dimensional validators return the same report shape; the alias keeps
-# call sites honest about what they are reading
-CoherenceReport = ValidationReport
-
-
 def canon_key(x):
     """Total order on the heterogeneous ids used throughout this package.
 

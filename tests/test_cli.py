@@ -197,3 +197,5 @@ def test_corpus_run_all_passes():
     assert "criteria passed: 10/10" in proc.stdout
     for num in range(1, 11):
         assert f"criterion {num} (" in proc.stdout
+    golden = pathlib.Path(__file__).parents[1] / "perfbench" / "golden" / "run-all.txt"
+    assert above_timing(proc.stdout) + "\n" == golden.read_text(encoding="utf-8")

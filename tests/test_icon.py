@@ -4,6 +4,7 @@ and the one-object dictionary with monoidal natural transformations."""
 import pytest
 
 from bicatkit import corpus
+from bicatkit.acceptance import _law_universe
 from bicatkit.bicat import UnsupportedSettingError
 from bicatkit.icon import (
     Icon,
@@ -115,6 +116,23 @@ def test_whiskering_by_identity_functor_keeps_cells():
     one = identity_lax(kappa.source.target)
     assert icon_cells(whisker_icon_left(one, kappa)) == icon_cells(kappa)
     assert icon_cells(whisker_icon_right(kappa, one)) == icon_cells(kappa)
+
+
+def test_whiskers_equal_hcomp_with_identity_icons():
+    bics, fams, icons = _law_universe()
+    checked = 0
+    for (s, t), fam in icons.items():
+        if len(fam) > 81:
+            continue
+        for h in [h for d in bics for h in fams[(t, d)]]:
+            for _, _, alpha in fam:
+                assert whisker_icon_left(h, alpha) == hcomp_icons(identity_icon(h), alpha)
+                checked += 1
+        for k in [k for c in bics for k in fams[(c, s)]]:
+            for _, _, alpha in fam:
+                assert whisker_icon_right(alpha, k) == hcomp_icons(alpha, identity_icon(k))
+                checked += 1
+    assert checked == 182203
 
 
 def test_icon_interchange_on_idem_pair():

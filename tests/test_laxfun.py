@@ -2,7 +2,7 @@
 
 import pytest
 
-from bicatkit import corpus
+from bicatkit import corpus, laxfun
 from bicatkit.laxfun import (
     classify,
     compose_lax,
@@ -74,6 +74,27 @@ def test_compose_with_identity_preserves_everything():
         assert g.object_map == f.object_map
         assert g.comp_constraints == f.comp_constraints
         assert g.unit_constraints == f.unit_constraints
+
+
+def test_compose_lax_reuses_recent_composites():
+    lax = corpus.idem_laxonly()
+    first = compose_lax(lax, lax)
+    assert compose_lax(lax, lax) is first
+    for _ in range(laxfun.COMPOSITE_MEMO_SIZE):
+        tw = corpus.twisted_identity()
+        compose_lax(tw, tw)
+    again = compose_lax(lax, lax)
+    assert again is not first and again == first
+    assert len(laxfun._composites) <= laxfun.COMPOSITE_MEMO_SIZE
+
+
+def test_composite_memo_stays_bounded():
+    funs = [corpus.twisted_identity() for _ in range(3 * laxfun.COMPOSITE_MEMO_SIZE)]
+    for g in funs:
+        for f in funs:
+            compose_lax(g, f)
+            assert len(laxfun._composites) <= laxfun.COMPOSITE_MEMO_SIZE
+    assert len(laxfun._composites) == laxfun.COMPOSITE_MEMO_SIZE
 
 
 def test_two_functor_rejects_nonstrict_maps():

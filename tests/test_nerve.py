@@ -5,7 +5,7 @@ import pytest
 from bicatkit.bicat import from_category
 from bicatkit.catcore import chain_category, validate_category, validate_functor
 from bicatkit.corpus import get_bicategory
-from bicatkit.icon import whisker_icon_right
+from bicatkit.icon import hcomp_icons, identity_icon
 from bicatkit.laxfun import classify
 from bicatkit.nerve import (
     as_lax_functor,
@@ -135,13 +135,13 @@ def _flat(icon, n):
 
 def _whiskered_morphism_map(nerve, k, k2, theta, omap):
     """The reference: recover every icon of level k by enumeration and
-    whisker it along the monotone map theta: [k2] -> [k]."""
+    paste it with the identity icon of the monotone map theta: [k2] -> [k]."""
     sims = nerve.simplices[k]
     mmap = {}
     for sk, s in sims.items():
         for tk, t in sims.items():
             for icon in enumerate_nerve_morphisms(s, t):
-                moved = whisker_icon_right(icon, ordinal_map_functor(theta, k))
+                moved = hcomp_icons(icon, identity_icon(ordinal_map_functor(theta, k)))
                 mmap[("ic", sk, tk, _flat(icon, k))] = (
                     "ic", omap[sk], omap[tk], _flat(moved, k2))
     return mmap
