@@ -58,12 +58,6 @@ SAMPLE_SIZE = 1_500
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _cells(icon):
-    """The comparison-relevant content of an icon: every constraint 2-cell,
-    keyed by hom pair and 1-cell."""
-    return {pair: dict(nt.components) for pair, nt in icon.components.items()}
-
-
 def _strict_bicat(b) -> bool:
     def is_id(c):
         return c == b.id2(b.src2(c))
@@ -141,9 +135,9 @@ def _unit_laws(fams, icons):
     for key, fam in icons.items():
         ids = [identity_icon(f) for f in fams[key]]
         for i, j, ic in fam:
-            want = _cells(ic)
-            if _cells(vcomp_icons(ids[j], ic)) != want or \
-               _cells(vcomp_icons(ic, ids[i])) != want:
+            want = ic.cells
+            if vcomp_icons(ids[j], ic).cells != want or \
+               vcomp_icons(ic, ids[i]).cells != want:
                 return len(fam), f"unit law fails in {key}"
     return sum(2 * len(f) for f in icons.values()), None
 
@@ -183,7 +177,7 @@ def _vertical_associativity(icons, rng):
             checked += 1
             lhs = vcomp_icons(last, vcomp_icons(mid, a))
             rhs = vcomp_icons(vcomp_icons(last, mid), a)
-            if _cells(lhs) != _cells(rhs):
+            if lhs.cells != rhs.cells:
                 return checked, f"vertical associativity fails in {key}"
     return checked, None
 
@@ -228,17 +222,16 @@ def _whisker_functoriality(bics, fams, icons, rng):
                 checked += 1
                 lhs = apply(h, vcomp_icons(mid, a))
                 rhs = vcomp_icons(apply(h, mid), apply(h, a))
-                if _cells(lhs) != _cells(rhs):
+                if lhs.cells != rhs.cells:
                     return checked, f"{side} whiskering not functorial in {s}->{t}"
 
         # whiskering an identity icon yields an identity icon
         for fun, whiskered in _identity_whiskers(fams[(s, t)], lefts, rights, rng):
             checked += 1
-            tgt = whiskered.source.target
-            for nt in whiskered.components.values():
-                for c in nt.components.values():
-                    if c != tgt.id2(tgt.src2(c)):
-                        return checked, f"identity icon not preserved in {s}->{t}"
+            tgt = whiskered.bicategory
+            for c in whiskered.cells.values():
+                if c != tgt.id2(tgt.src2(c)):
+                    return checked, f"identity icon not preserved in {s}->{t}"
     return checked, None
 
 
@@ -288,7 +281,7 @@ def _middle_four(bics, fams, icons, rng):
             side_b = vcomp_icons(whisker_icon_left(gl, alpha),
                                  whisker_icon_right(beta, fi))
             both = hcomp_icons(beta, alpha)
-            if not (_cells(side_a) == _cells(side_b) == _cells(both)):
+            if not (side_a.cells == side_b.cells == both.cells):
                 return checked, f"middle-four interchange fails over middle {t}"
     return checked, None
 
@@ -330,7 +323,7 @@ def criterion_3():
     for a, mid, last in itertools.product(pool, repeat=3):
         lhs = vcomp_icons(last, vcomp_icons(mid, a))
         rhs = vcomp_icons(vcomp_icons(last, mid), a)
-        if _cells(lhs) != _cells(rhs):
+        if lhs.cells != rhs.cells:
             return False, "icon transport is not associative"
     return True, (f"triple composites disagree ({got[0]} vs {got[1]}) yet both "
                   f"validate; all {len(pool)}^3 icon triples associate")
@@ -339,9 +332,8 @@ def criterion_3():
 # ---------------------------------------------------------------------------
 # 4. the one-object dictionary with monoidal transformations
 
-def _canon_cells(cells):
-    return repr(sorted((repr(p), sorted(map(repr, d.items())))
-                       for p, d in cells.items()))
+def _canon_cells(icon):
+    return repr(sorted(map(repr, icon.cells.items())))
 
 
 def criterion_4():
@@ -365,8 +357,8 @@ def criterion_4():
                 ic = monoidal_to_icon("t", theta, delooped[i], delooped[j])
                 if not validate_icon(ic).ok or icon_to_monoidal(ic) != theta:
                     return False, f"{pname}: dictionary does not round-trip"
-                mapped.append(_canon_cells(_cells(ic)))
-            if sorted(mapped) != sorted(_canon_cells(_cells(ic))
+                mapped.append(_canon_cells(ic))
+            if sorted(mapped) != sorted(_canon_cells(ic)
                                         for ic in icons):
                 return False, f"{pname}: transported families miss some icon"
 
@@ -375,7 +367,7 @@ def criterion_4():
             idnat = {x: cat.identity[monoidal[i].functor.object_map[x]]
                      for x in monoidal[i].source.cat.objects}
             ic = monoidal_to_icon("id", idnat, delooped[i], delooped[i])
-            if _cells(ic) != _cells(identity_icon(delooped[i])):
+            if ic.cells != identity_icon(delooped[i]).cells:
                 return False, f"{pname}: identity transformation not preserved"
 
         # ... and composition
@@ -388,7 +380,7 @@ def criterion_4():
                     rhs = vcomp_icons(
                         monoidal_to_icon("e", eta, delooped[j], delooped[k]),
                         monoidal_to_icon("t", theta, delooped[i], delooped[j]))
-                    if _cells(lhs) != _cells(rhs):
+                    if lhs.cells != rhs.cells:
                         return False, f"{pname}: composition not preserved"
                     composites += 1
         counts = sorted(len(v) for v in nats.values())
@@ -415,7 +407,7 @@ def criterion_5():
         found = icon_inverse_by_search(ic)
         if ok != (found is not None):
             return False, f"invertibility disagreement on icon {name}"
-        if ok and _cells(inv) != _cells(found):
+        if ok and inv.cells != found.cells:
             return False, f"inverse mismatch on icon {name}"
 
     for name in EQUIVALENCE_POSITIVES:

@@ -52,6 +52,8 @@ class FiniteBicategory:
     right_unitor: dict   # f -> 2-cell: f.unit => f
     _home1: dict = field(default_factory=dict, repr=False, compare=False)
     _home2: dict = field(default_factory=dict, repr=False, compare=False)
+    # (earlier, later) -> vertical composite, over every hom-category
+    _vcomp: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- indexes -----------------------------------------------------------
     def _build_indexes(self):
@@ -60,6 +62,7 @@ class FiniteBicategory:
                 self._home1[f] = pair
             for c in cat.morphisms:
                 self._home2[c] = pair
+            self._vcomp.update(cat.table)
 
     def home1(self, f):
         """The (source object, target object) pair of a 1-cell."""
@@ -95,7 +98,9 @@ class FiniteBicategory:
 
     def vcomp(self, later, earlier):
         """Vertical composite inside one hom-category ("later" runs second)."""
-        return self.homs[self.home2(earlier)].compose(later, earlier)
+        if not self._vcomp:
+            self._build_indexes()
+        return self._vcomp[(earlier, later)]
 
     def compose1(self, g, f):
         a, b = self.home1(f)

@@ -169,21 +169,6 @@ def chain_category(n):
     return FiniteCategory(f"chain{n}", objects, morphisms, identity, table)
 
 
-def terminal_category():
-    return discrete_category("terminal", ["*"])
-
-
-def monoid_category(name, elements, op_table, unit, obj="*"):
-    """One object; morphisms are the monoid elements, composition is the monoid op.
-
-    op_table[(x, y)] must be "x then y" in diagrammatic order, i.e. the
-    categorical composite y.x.
-    """
-    morphisms = {x: (obj, obj) for x in elements}
-    table = {(x, y): op_table[(x, y)] for x in elements for y in elements}
-    return FiniteCategory(name, [obj], morphisms, {obj: unit}, table)
-
-
 def product_category(c: FiniteCategory, d: FiniteCategory) -> FiniteCategory:
     objects = [(a, b) for a in c.objects for b in d.objects]
     morphisms = {(f, g): ((c.morphisms[f][0], d.morphisms[g][0]),
@@ -261,11 +246,6 @@ def functor_laws(fun):
                "composition", "images of {1!r}.{0!r} disagree")
 
 
-def identity_functor(c: FiniteCategory) -> Functor:
-    return Functor(f"1_{c.name}", c, c,
-                   {a: a for a in c.objects}, {f: f for f in c.morphisms})
-
-
 def compose_functors(g: Functor, f: Functor) -> Functor:
     """The composite "g after f"."""
     return Functor(f"{g.name}.{f.name}", f.source, g.target,
@@ -302,12 +282,6 @@ def is_essentially_surjective(fun: Functor):
 
 def _isomorphic(c: FiniteCategory, a, b):
     return any(c.is_iso(f) for f in c.hom(a, b))
-
-
-def is_equivalence_functor(fun: Functor) -> bool:
-    """Full, faithful, and essentially surjective — which, everything being
-    finite, is the same as having a quasi-inverse."""
-    return is_fully_faithful(fun)[0] and is_essentially_surjective(fun)[0]
 
 
 # ---------------------------------------------------------------------------

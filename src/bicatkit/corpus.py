@@ -17,7 +17,7 @@ from .bicat import (
     from_category,
     strict_bicategory,
 )
-from .catcore import FiniteCategory, Functor, NatTrans, chain_category
+from .catcore import FiniteCategory, Functor, chain_category
 from .icon import Icon, identity_icon, monoidal_to_icon
 from .laxfun import LaxFunctor, MonoidalFunctor, identity_lax, two_functor
 from .oplax import OplaxNat, arrow_witness, icon_as_oplax, identity_oplax
@@ -313,16 +313,6 @@ def arrow_thickening_inclusion() -> LaxFunctor:
                        {0: "a", 1: "b"}, cell1, cell2)
 
 
-def collapse_to_start(base: FiniteBicategory | None = None) -> LaxFunctor:
-    """Strict endofunctor of the walking arrow sending everything to the
-    start object (a different object map from the identity)."""
-    b = base or walking_arrow()
-    u0 = ("le", 0, 0)
-    cell1 = {f: u0 for f in b.one_cells()}
-    cell2 = {c: ("id", u0) for c in b.two_cells()}
-    return two_functor("collapse-to-start", b, b, {0: 0, 1: 0}, cell1, cell2)
-
-
 def const_at_basepoint(base: FiniteBicategory | None = None) -> LaxFunctor:
     """Endofunctor of the codiscrete delooping constant at the unit 1-cell.
     Identity comparisons work because parallel 2-cells there are equal."""
@@ -364,9 +354,8 @@ def idem_icon_k(base: FiniteBicategory | None = None) -> Icon:
     icon whose underlying functors are as strict as can be."""
     b = base or sigma_idem()
     one = identity_lax(b)
-    hf = one.hom_functors[("*", "*")]
-    nt = NatTrans("k-family", hf, hf, {"u": ("i", "u"), "s": "k"})
-    return Icon("idem-icon-k", one, one, {("*", "*"): nt})
+    return Icon("idem-icon-k", one, one, {"u": ("i", "u"), "s": "k"},
+                {("*", "*"): "k-family"})
 
 
 def twisted_icon(c1: int, base: FiniteBicategory | None = None) -> Icon:

@@ -346,15 +346,19 @@ def _finish_hom_functor(blk):
 
 
 def _finish_icon(blk):
-    return blk.checked(validate_icon,
-                       Icon(blk.name, blk.source, blk.target, **blk.fields))
+    return blk.checked(validate_icon, Icon.from_components(blk.name, blk.source, blk.target,
+                                                           blk.fields["components"]))
 
 
 def _finish_icon_component(blk):
-    icon = blk.parent
+    icon, (a, b) = blk.parent, blk.key
     if blk.key not in icon.source.hom_functors or \
             blk.key not in icon.target.hom_functors:
-        blk.fail(f"{icon.what} names a missing hom {blk.key[0]} {blk.key[1]}")
+        blk.fail(f"{icon.what} names a missing hom {a} {b}")
+    hom = icon.source.source.homs[blk.key].objects
+    stray = [x for x in blk.fields["components"] if x not in hom]
+    if stray:
+        blk.fail(f"{blk.what} has a cell at {dump_id(stray[0])}, not a 1-cell of hom {a} {b}")
     return NatTrans(blk.name, icon.source.hom_functors[blk.key],
                     icon.target.hom_functors[blk.key], **blk.fields)
 

@@ -1,38 +1,69 @@
 """Icons: identity-component transformations between lax functors.
 
-An icon from F to G exists only when F and G agree on objects.  It consists
-of one natural transformation per hom-pair, from F's hom functor to G's, with
-no 1-cell components at all — the data lives entirely in 2-cells F(f) => G(f).
-Two compatibility conditions tie the components to the comparison cells of F
-and G: one over composable pairs of 1-cells and one over units.
+An icon from F to G exists only when F and G agree on objects.  It has no
+1-cell components at all: its data is one 2-cell F(f) => G(f) for every
+1-cell f of the source, stored as one flat table `{f: 2-cell}`.  Grouped by
+hom-pair, these cells form one natural transformation between F's and G's
+hom functors; `Icon.components` builds that per-hom view on demand, with
+each family under its own name.  Two compatibility conditions tie the cells
+to the comparison cells of F and G: one over composable pairs of 1-cells
+and one over units.
 
 Icons compose vertically and horizontally on the nose, which is what makes
-the collection of bicategories, lax functors, and icons a *strict* 2-category;
-the tests drive exactly those laws.
+the collection of bicategories, lax functors, and icons a *strict*
+2-category; the tests drive exactly those laws.  They compose componentwise
+(Lack, *Icons*): each composite is one pass over the table, and it builds
+its source and target lax functors and its family names only when they are
+read, so checking a law on cells composes no lax functors.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .bicat import UnsupportedSettingError
-from .catcore import (NatTrans, identity_nat, nat_laws, nat_variables, validate_nat,
-                      vcomp_nat)
-from .laxfun import LaxFunctor, compose_lax
+from .catcore import NatTrans, nat_laws, nat_variables, validate_nat
+from .laxfun import LaxFunctor, Lazy, compose_lax, lazy
 from .report import ValidationReport, sorted_ids
 from .search import constraints, search
 
 
 @dataclass
-class Icon:
+class Icon(Lazy):
     name: str
     source: LaxFunctor
     target: LaxFunctor
-    components: dict     # (A, B) -> NatTrans between the two hom functors
+    cells: dict       # 1-cell f -> 2-cell F(f) => G(f)
+    families: dict    # (A, B) -> name of the component family on hom(A, B)
 
     def at(self, f):
         """The component 2-cell F(f) => G(f) at a 1-cell f."""
-        return self.components[self.source.source.home1(f)].at(f)
+        return self.cells[f]
+
+    @functools.cached_property
+    def bicategory(self):
+        """The bicategory the cells live in, the target of both lax functors.
+        A composite is given it by its factors, so reading it there composes
+        no lax functors."""
+        return self.source.target
+
+    @property
+    def components(self):
+        """The per-hom view: (A, B) -> the natural transformation between the
+        two hom functors whose components are the cells over hom(A, B)."""
+        f, g, cells = self.source, self.target, self.cells
+        return {pair: NatTrans(name, f.hom_functors[pair], g.hom_functors[pair],
+                               {x: cells[x] for x in f.source.homs[pair].objects if x in cells})
+                for pair, name in self.families.items()}
+
+    @classmethod
+    def from_components(cls, name, source, target, components):
+        """The icon whose per-hom view is `components`, whose families each
+        hold cells of their own hom only."""
+        return cls(name, source, target,
+                   {x: c for nt in components.values() for x, c in nt.components.items()},
+                   {pair: nt.name for pair, nt in components.items()})
 
 
 def validate_icon(icon: Icon) -> ValidationReport:
@@ -54,14 +85,12 @@ def validate_icon(icon: Icon) -> ValidationReport:
         return rep
 
     for pair in sorted_ids(f.hom_functors):
-        nt = icon.components.get(pair)
-        if nt is None:
+        if pair not in icon.families:
             rep.add("missing-hom-component", f"no component family at {pair!r}", pair,
                     structural=True)
             continue
-        rebuilt = NatTrans(f"{icon.name}{pair!r}", f.hom_functors[pair],
-                           g.hom_functors[pair], nt.components)
-        sub = validate_nat(rebuilt)
+        sub = validate_nat(NatTrans(icon.families[pair], f.hom_functors[pair],
+                                    g.hom_functors[pair], icon.cells))
         for v in sub.violations:
             rep.add("component:" + v.kind, f"at {pair!r}: {v.message}", v.witness,
                     v.structural)
@@ -87,42 +116,60 @@ def _unit_compatible(icon, a):
 def icon_laws(icon):
     """Compatibility with the comparisons and with the unit comparisons, as
     law instances (see `ValidationReport.check_laws`) of `icon`."""
-    s, comps = icon.source.source, icon.components
+    s, cells = icon.source.source, icon.cells
     homs = sorted_ids(s.homs)
-    cells = {p: sorted_ids(s.homs[p].objects) for p in homs}
+    ones = {p: sorted_ids(s.homs[p].objects) for p in homs}
     for b, c in homs:
-        for x in cells[(b, c)]:
+        for x in ones[(b, c)]:
             for a in [p[0] for p in homs if p[1] == b]:
-                at_x, at_y = comps[(b, c)].components, comps[(a, b)].components
-                for y in cells[(a, b)]:
+                for y in ones[(a, b)]:
                     yield (_composition_compatible, (x, y),
-                           ((at_x, x), (at_y, y), (comps[(a, c)].components, s.compose1(x, y))),
+                           ((cells, x), (cells, y), (cells, s.compose1(x, y))),
                            "composition-compat",
                            "components do not commute with the comparison at ({!r}, {!r})")
     for a in sorted_ids(s.objects):
-        yield (_unit_compatible, (a,), ((comps[(a, a)].components, s.unit[a]),),
+        yield (_unit_compatible, (a,), ((cells, s.unit[a]),),
                "unit-compat", "components do not commute with the unit comparison at {!r}")
 
 
 def identity_icon(fun: LaxFunctor) -> Icon:
+    homs = fun.hom_functors.values()
     return Icon(f"id:{fun.name}", fun, fun,
-                {pair: identity_nat(hf) for pair, hf in fun.hom_functors.items()})
+                {x: hf.target.identity[hf.object_map[x]] for hf in homs for x in hf.source.objects},
+                {pair: f"id:{hf.name}" for pair, hf in fun.hom_functors.items()})
+
+
+# The composites below compute their cells at once; their source, target and
+# family names are built from the two factors when first read (see `Lazy`).
+_VCOMP = {
+    "source": lambda later, earlier: earlier.source,
+    "target": lambda later, earlier: later.target,
+    "families": lambda later, earlier: {pair: f"{later.families[pair]}.{name}"
+                                        for pair, name in earlier.families.items()},
+}
+# A pasted icon runs between the composites of the sources and of the
+# targets of its two factors, where a lax functor stands for its identity.
+_PASTED = {
+    "source": lambda later, earlier: compose_lax(_source(later), _source(earlier)),
+    "target": lambda later, earlier: compose_lax(_target(later), _target(earlier)),
+    "families": lambda later, earlier: {pair: f"h{pair!r}"
+                                        for pair in _source(earlier).hom_functors},
+}
+
+
+def _source(x):
+    return x if isinstance(x, LaxFunctor) else x.source
+
+
+def _target(x):
+    return x if isinstance(x, LaxFunctor) else x.target
 
 
 def vcomp_icons(later: Icon, earlier: Icon) -> Icon:
     """Componentwise vertical composite ("later" runs second)."""
-    comps = {pair: vcomp_nat(later.components[pair], earlier.components[pair])
-             for pair in earlier.components}
-    return Icon(f"{later.name}.{earlier.name}", earlier.source, later.target, comps)
-
-
-def _pasted(name, src: LaxFunctor, tgt: LaxFunctor, cell) -> Icon:
-    """The icon src => tgt, between two composites, whose component at each
-    1-cell f of their source is `cell(f)`."""
-    return Icon(name, src, tgt, {
-        pair: NatTrans(f"h{pair!r}", hf, tgt.hom_functors[pair],
-                       {f: cell(f) for f in hf.object_map})
-        for pair, hf in src.hom_functors.items()})
+    t, cells = later.bicategory, later.cells
+    return lazy(Icon, _VCOMP, (later, earlier), name=f"{later.name}.{earlier.name}",
+                cells={x: t.vcomp(cells[x], c) for x, c in earlier.cells.items()}, bicategory=t)
 
 
 def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
@@ -131,12 +178,10 @@ def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
     The two pastings (act on the component, then shift, or the other way
     round) agree by naturality; this builds the shift-after-act order.
     """
-    t = later.source.target
-    return _pasted(f"{later.name}*{earlier.name}",
-                   compose_lax(later.source, earlier.source),
-                   compose_lax(later.target, earlier.target),
-                   lambda f: t.vcomp(later.at(earlier.target.on_1(f)),
-                                     later.source.on_2(earlier.at(f))))
+    t, cells, on_1, on_2 = later.bicategory, later.cells, earlier.target.on_1, later.source.on_2
+    return lazy(Icon, _PASTED, (later, earlier), name=f"{later.name}*{earlier.name}",
+                cells={x: t.vcomp(cells[on_1(x)], on_2(c)) for x, c in earlier.cells.items()},
+                bicategory=t)
 
 
 def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
@@ -144,8 +189,9 @@ def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
     `fun` applied to the component of `icon` at f.  This is
     `hcomp_icons(identity_icon(fun), icon)`, whose pasting composes that
     cell with an identity."""
-    return _pasted(f"id:{fun.name}*{icon.name}", compose_lax(fun, icon.source),
-                   compose_lax(fun, icon.target), lambda f: fun.on_2(icon.at(f)))
+    on_2 = fun.on_2
+    return lazy(Icon, _PASTED, (fun, icon), name=f"id:{fun.name}*{icon.name}",
+                cells={x: on_2(c) for x, c in icon.cells.items()}, bicategory=fun.target)
 
 
 def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
@@ -153,26 +199,21 @@ def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
     the component of `icon` at fun(f), a pure reindexing.  This is
     `hcomp_icons(icon, identity_icon(fun))`, whose pasting composes that
     cell with the image of an identity."""
-    return _pasted(f"{icon.name}*id:{fun.name}", compose_lax(icon.source, fun),
-                   compose_lax(icon.target, fun), lambda f: icon.at(fun.on_1(f)))
+    cells = icon.cells
+    return lazy(Icon, _PASTED, (icon, fun), name=f"{icon.name}*id:{fun.name}",
+                cells={x: cells[y] for hf in fun.hom_functors.values()
+                       for x, y in hf.object_map.items()}, bicategory=icon.bicategory)
 
 
 def is_invertible_icon(icon: Icon):
     """Return (flag, inverse).  An icon is invertible exactly when every
     component 2-cell is; the inverse is built cellwise and validated."""
-    f, g = icon.source, icon.target
-    t = f.target
-    comps = {}
-    for pair, nt in icon.components.items():
-        inv_cells = {}
-        for x, cell in nt.components.items():
-            inv = t.inv2(cell)
-            if inv is None:
-                return False, None
-            inv_cells[x] = inv
-        comps[pair] = NatTrans(f"inv{pair!r}", g.hom_functors[pair],
-                               f.hom_functors[pair], inv_cells)
-    inverse = Icon(f"{icon.name}^-1", g, f, comps)
+    t = icon.bicategory
+    cells = {x: t.inv2(c) for x, c in icon.cells.items()}
+    if None in cells.values():
+        return False, None
+    inverse = Icon(f"{icon.name}^-1", icon.target, icon.source, cells,
+                   {pair: f"inv{pair!r}" for pair in icon.families})
     if not validate_icon(inverse).ok:
         return False, None
     return True, inverse
@@ -188,15 +229,15 @@ def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
         return
     if any(f.object_map[a] != g.object_map[a] for a in f.source.objects):
         return
-    draft = Icon("enum", f, g, {p: NatTrans("enum", f.hom_functors[p], g.hom_functors[p], {})
-                                for p in sorted_ids(f.hom_functors)})
+    pairs = sorted_ids(f.hom_functors)
+    draft = Icon("enum", f, g, {}, dict.fromkeys(pairs, "enum"))
     variables, laws = [], constraints(draft, icon_laws(draft))
-    for nt in draft.components.values():
+    for p in pairs:
+        nt = NatTrans("enum", f.hom_functors[p], g.hom_functors[p], draft.cells)
         variables += nat_variables(nt)
         laws += constraints(nt, nat_laws(nt))
     for _ in search(variables, laws):
-        cand = Icon("enum", f, g, {p: NatTrans("enum", nt.source, nt.target, dict(nt.components))
-                                   for p, nt in draft.components.items()})
+        cand = Icon("enum", f, g, dict(draft.cells), dict(draft.families))
         if validate_icon(cand).ok:
             yield cand
 
@@ -210,14 +251,11 @@ def monoidal_to_icon(name, components, f: LaxFunctor, g: LaxFunctor) -> Icon:
     if len(f.source.objects) != 1:
         raise UnsupportedSettingError("only defined for one-object sources")
     star = f.source.objects[0]
-    pair = (star, star)
-    nt = NatTrans(name, f.hom_functors[pair], g.hom_functors[pair], dict(components))
-    return Icon(name, f, g, {pair: nt})
+    return Icon(name, f, g, dict(components), {(star, star): name})
 
 
 def icon_to_monoidal(icon: Icon) -> dict:
     """The underlying {object -> morphism} family of a one-object icon."""
     if len(icon.source.source.objects) != 1:
         raise UnsupportedSettingError("only defined for one-object sources")
-    star = icon.source.source.objects[0]
-    return dict(icon.components[(star, star)].components)
+    return dict(icon.cells)

@@ -10,7 +10,6 @@ a given functor actually is.
 
 from __future__ import annotations
 
-import collections
 import functools
 from dataclasses import dataclass
 
@@ -20,8 +19,31 @@ from .report import ValidationReport, sorted_ids
 from .search import constraints, search
 
 
+class Lazy:
+    """Lets a dataclass instance leave fields unset until they are first
+    read: with ``_lazy = (builders, args)`` set, a missing field ``attr``
+    is built as ``builders[attr](*args)`` and then kept."""
+
+    def __getattr__(self, attr):
+        # reached only for an attribute that is not set
+        lazy = self.__dict__.get("_lazy")
+        if lazy is None or attr not in lazy[0]:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        value = self.__dict__[attr] = lazy[0][attr](*lazy[1])
+        return value
+
+
+def lazy(cls, builders, args, **fields):
+    """An instance of the `Lazy` dataclass `cls` with `fields` set and the
+    fields named in `builders` left to be built from `args` when read."""
+    obj = cls.__new__(cls)
+    fields["_lazy"] = (builders, args)
+    obj.__dict__ = fields
+    return obj
+
+
 @dataclass
-class LaxFunctor:
+class LaxFunctor(Lazy):
     name: str
     source: FiniteBicategory
     target: FiniteBicategory
@@ -250,51 +272,41 @@ def identity_lax(b: FiniteBicategory) -> LaxFunctor:
                       {a: a for a in b.objects}, homs, comp, unit)
 
 
-# The law checks compose the same few pairs of functors over and over, mostly
-# within one law instance; composites over the larger bicategories are big,
-# so only the most recent few are kept.
-COMPOSITE_MEMO_SIZE = 8
-# (id(later), id(earlier)) -> (later, earlier, composite); an entry holds both
-# functors, so neither id can be reused while the entry lives
-_composites = collections.OrderedDict()
-
-
 def compose_lax(later: LaxFunctor, earlier: LaxFunctor) -> LaxFunctor:
     """The composite "later after earlier"; comparisons are pasted, and the
     result of pasting two lax functors is again lax on the nose.
 
-    The most recent composites are remembered by the identity of both
-    functors, so a repeated call returns the same object: the composite is
-    shared and must not be mutated, and neither may a functor once composed."""
-    key = (id(later), id(earlier))
-    entry = _composites.get(key)
-    if entry is not None and entry[0] is later and entry[1] is earlier:
-        _composites.move_to_end(key)
-        return entry[2]
-    composite = _compose_lax(later, earlier)
-    _composites[key] = (later, earlier, composite)
-    if len(_composites) > COMPOSITE_MEMO_SIZE:
-        _composites.popitem(last=False)
-    return composite
+    Only the name and the object map are built here.  The hom functors, the
+    comparisons and the unit comparisons are each built from the two
+    functors the first time they are read, so the composite shares those
+    functors: neither may be mutated while the composite is in use."""
+    return lazy(LaxFunctor, _COMPOSITE_FIELDS, (later, earlier),
+                name=f"{later.name}.{earlier.name}", source=earlier.source, target=later.target,
+                object_map={a: later.object_map[earlier.object_map[a]]
+                            for a in earlier.source.objects})
 
 
-def _compose_lax(later, earlier):
-    f, g = earlier, later
+def _composite_homs(g, f):
+    return {(a, b): compose_functors(g.hom_functors[(f.object_map[a], f.object_map[b])], hf)
+            for (a, b), hf in f.hom_functors.items()}
+
+
+def _composite_comparisons(g, f):
     t = g.target
-    omap = {a: g.object_map[f.object_map[a]] for a in f.source.objects}
-    homs = {}
-    for (a, b_) in f.hom_functors:
-        inner = f.hom_functors[(a, b_)]
-        outer = g.hom_functors[(f.object_map[a], f.object_map[b_])]
-        homs[(a, b_)] = compose_functors(outer, inner)
-    comp = {}
-    for (x, y), cell in f.comp_constraints.items():
-        comp[(x, y)] = t.vcomp(g.on_2(cell),
-                               g.comp_constraints[(f.on_1(x), f.on_1(y))])
-    unit = {}
-    for a, cell in f.unit_constraints.items():
-        unit[a] = t.vcomp(g.on_2(cell), g.unit_constraints[f.object_map[a]])
-    return LaxFunctor(f"{g.name}.{f.name}", f.source, g.target, omap, homs, comp, unit)
+    return {(x, y): t.vcomp(g.on_2(cell), g.comp_constraints[(f.on_1(x), f.on_1(y))])
+            for (x, y), cell in f.comp_constraints.items()}
+
+
+def _composite_units(g, f):
+    t = g.target
+    return {a: t.vcomp(g.on_2(cell), g.unit_constraints[f.object_map[a]])
+            for a, cell in f.unit_constraints.items()}
+
+
+# the fields of a composite that are built on first access, and their builders
+_COMPOSITE_FIELDS = {"hom_functors": _composite_homs,
+                     "comp_constraints": _composite_comparisons,
+                     "unit_constraints": _composite_units}
 
 
 def two_functor(name, s: FiniteBicategory, t: FiniteBicategory,

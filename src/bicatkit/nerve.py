@@ -163,11 +163,6 @@ def reindex_simplex(s: SimplexData, theta) -> SimplexData:
                                         ordinal_map_functor(theta, s.n)))
 
 
-def enumerate_nerve_morphisms(s1: SimplexData, s2: SimplexData):
-    """All simplex morphisms s1 -> s2: icons between the homomorphisms."""
-    yield from enumerate_icons(as_lax_functor(s1), as_lax_functor(s2))
-
-
 # ---------------------------------------------------------------------------
 # the truncated 2-nerve
 
@@ -308,34 +303,3 @@ def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
                                 f"d{i} s{j} != s{j} d{i - 1}", (k, i, j))
     nerve.report = rep
     return nerve
-
-
-def ordinal_inclusion_check(max_n: int = 3) -> ValidationReport:
-    """The embedding of the linear orders into 2-categories is as faithful as
-    it looks: strict functors between ordinals are exactly the monotone maps,
-    and there are no simplex morphisms between distinct ones."""
-    import math
-
-    from .laxfun import enumerate_two_functors
-
-    rep = ValidationReport(f"ordinal inclusion to [{max_n}]")
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            src, tgt = ordinal_as_bicategory(m), ordinal_as_bicategory(n)
-            found = list(enumerate_two_functors(src, tgt))
-            want = math.comb(n + m + 1, m + 1)
-            if len(found) != want:
-                rep.add("functor-count",
-                        f"[{m}] -> [{n}]: {len(found)} functors, "
-                        f"expected {want}", (m, n))
-            for f in found:
-                for g in found:
-                    icons = list(enumerate_icons(f, g))
-                    same = f.object_map == g.object_map and all(
-                        f.on_1(w) == g.on_1(w) for w in src.one_cells())
-                    want_icons = 1 if same else 0
-                    if len(icons) != want_icons:
-                        rep.add("icon-count",
-                                f"[{m}] -> [{n}]: unexpected icon count "
-                                f"between {f.name} and {g.name}", (m, n))
-    return rep

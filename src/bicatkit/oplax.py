@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass, field
 
 from .bicat import FiniteBicategory, UnsupportedSettingError
-from .catcore import NatTrans
 from .icon import Icon, validate_icon
 from .laxfun import LaxFunctor, classify, compose_lax, two_functor
 from .report import ValidationReport, sorted_ids
@@ -357,14 +356,10 @@ def oplax_is_icon(u: OplaxNat):
     t = f.target
     if not classify_oplax(u).icon:
         return None
-    comps = {}
-    for pair, hf in f.hom_functors.items():
-        cells = {}
-        for w in hf.object_map:
-            fw, gw = f.on_1(w), g.on_1(w)
-            cells[w] = t.vcomp(t.runit(gw), t.vcomp(u.constraints[w], t.lunit_inv(fw)))
-        comps[pair] = NatTrans(f"strip{pair!r}", hf, g.hom_functors[pair], cells)
-    return Icon(f"icon[{u.name}]", f, g, comps)
+    cells = {w: t.vcomp(t.runit(g.on_1(w)), t.vcomp(u.constraints[w], t.lunit_inv(f.on_1(w))))
+             for hf in f.hom_functors.values() for w in hf.object_map}
+    return Icon(f"icon[{u.name}]", f, g, cells,
+                {pair: f"strip{pair!r}" for pair in f.hom_functors})
 
 
 # ---------------------------------------------------------------------------

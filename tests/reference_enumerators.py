@@ -172,7 +172,7 @@ def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
     if any(not opts for opts in per_pair):
         return
     for combo in itertools.product(*per_pair):
-        cand = Icon("enum", f, g, dict(zip(pairs, combo)))
+        cand = Icon.from_components("enum", f, g, dict(zip(pairs, combo)))
         if validate_icon(cand).ok:
             yield cand
 

@@ -1,4 +1,8 @@
+import collections
+import copy
+import dataclasses
 import pathlib
+import random
 import runpy
 
 import pytest
@@ -265,3 +269,97 @@ def test_bundled_files_reserialize_cleanly():
     again = ff.parse(text)
     assert sorted(again.bicategories) == sorted(sf.bicategories)
     assert again.bicategories["codiscrete3"] == sf.bicategories["codiscrete3"]
+
+
+def test_icon_cell_outside_its_hom_is_refused():
+    text = ff.serialize(ff.document_for(corpus.idem_icon_k()))
+    bad = text.replace('    cell "s" = "k"\n', '    cell "s" = "k"\n    cell "q" = "k"\n')
+    assert bad != text
+    with pytest.raises(ff.StructureError,
+                       match=r"nat 'k-family' in icon 'idem-icon-k' has a cell at \"q\", "
+                             r"not a 1-cell of hom \* \*"):
+        ff.parse(bad)
+
+
+# ---------------------------------------------------------------------------
+# a seeded mutation fuzzer over the bundled files
+
+FUZZ_SEED, FUZZ_MUTANTS = 20261018, 400
+
+
+def _block_starts(lines):
+    """The indexes of the lines that open a top-level definition."""
+    return [i for i, line in enumerate(lines) if line[:1].isalpha() and line != "end"]
+
+
+def _is_id(word):
+    return word[0] in '"[-' or word[0].isdigit()
+
+
+def _mutate(rng, lines, site, tokens):
+    """One mutation at line `site`: a dropped or swapped token, an id
+    replaced by one from elsewhere in the file (`tokens`), a deleted or
+    duplicated line, or the text cut short."""
+    line = lines[site]
+    indent, words = line[:len(line) - len(line.lstrip())], line.split()
+    kind = rng.choice(("drop", "swap", "foreign", "delete", "duplicate", "truncate"))
+    out = list(lines)
+    if kind == "drop" and len(words) > 1:
+        del words[rng.randrange(len(words))]
+        out[site] = indent + " ".join(words)
+    elif kind == "swap" and len(words) > 1:
+        i = rng.randrange(len(words) - 1)
+        words[i], words[i + 1] = words[i + 1], words[i]
+        out[site] = indent + " ".join(words)
+    elif kind == "foreign" and any(map(_is_id, words)):
+        words[rng.choice([i for i, w in enumerate(words) if _is_id(w)])] = rng.choice(tokens)
+        out[site] = indent + " ".join(words)
+    elif kind == "duplicate":
+        out.insert(site, lines[site])
+    elif kind == "truncate":
+        out = out[:site] + [lines[site][:rng.randrange(len(lines[site]) + 1)]]
+    else:
+        del out[site]
+    return out
+
+
+def test_bundled_file_mutants_parse_or_are_refused():
+    """Mutants of the bundled files, three in four at a line of an icon
+    block, must parse or raise StructureError, never anything else.  The
+    unchanged definitions before a mutation are parsed once and each mutant
+    parses only the rest, into a copy of what they define."""
+    rng = random.Random(FUZZ_SEED)
+    files = {}
+    for path in sorted(DATA.glob("*.bc")):
+        lines = path.read_text(encoding="utf-8").split("\n")
+        starts = _block_starts(lines)
+        icon_lines = [i for s, e in zip(starts, starts[1:] + [len(lines)])
+                      if lines[s].startswith("icon ") for i in range(s, e)]
+        tokens = [w for line in lines for w in line.split() if _is_id(w)]
+        files[path.name] = lines, starts, icon_lines, tokens
+    prefixes = {}
+
+    def prefix(name, start):
+        if (name, start) not in prefixes:
+            prefixes[(name, start)] = ff.parse("\n".join(files[name][0][:start]))
+        return prefixes[(name, start)]
+
+    kinds = collections.Counter()
+    for _ in range(FUZZ_MUTANTS):
+        name = rng.choice(sorted(files))
+        lines, starts, icon_lines, tokens = files[name]
+        site = rng.choice(icon_lines if rng.random() < 0.75 else range(len(lines)))
+        start = max(s for s in starts if s <= site) if starts[0] <= site else 0
+        mutant = _mutate(rng, lines[start:], site - start, tokens)
+        done = prefix(name, start)
+        into = ff.StructureFile(**{f.name: copy.copy(getattr(done, f.name))
+                                   for f in dataclasses.fields(done)})
+        try:
+            ff.parse("\n".join(mutant), into=into)
+            kinds["parsed"] += 1
+        except ff.StructureError:
+            kinds["refused"] += 1
+        except Exception as e:
+            pytest.fail(f"{type(e).__name__}: {e} on a mutant of {name} at line {site + 1}:\n"
+                        + "\n".join(mutant[max(0, site - start - 3):site - start + 4]))
+    assert kinds["parsed"] + kinds["refused"] == FUZZ_MUTANTS and kinds["refused"] > 0

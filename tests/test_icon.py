@@ -3,6 +3,7 @@ and the one-object dictionary with monoidal natural transformations."""
 
 import pytest
 
+import reference_icons as ref
 from bicatkit import corpus
 from bicatkit.acceptance import _law_universe
 from bicatkit.bicat import UnsupportedSettingError
@@ -19,7 +20,7 @@ from bicatkit.icon import (
     whisker_icon_left,
     whisker_icon_right,
 )
-from bicatkit.laxfun import identity_lax, validate_lax_functor
+from bicatkit.laxfun import identity_lax, two_functor, validate_lax_functor
 
 
 def icon_cells(icon):
@@ -88,12 +89,21 @@ def test_icon_compat_violations_detected():
     assert "unit-compat" in kinds
 
 
+def collapse_to_start(b):
+    """Strict endofunctor of the walking arrow sending everything to the
+    start object (a different object map from the identity)."""
+    u0 = ("le", 0, 0)
+    cell1 = {f: u0 for f in b.one_cells()}
+    cell2 = {c: ("id", u0) for c in b.two_cells()}
+    return two_functor("collapse-to-start", b, b, {0: 0, 1: 0}, cell1, cell2)
+
+
 def test_object_map_mismatch_is_structural():
     b = corpus.walking_arrow()
     f = identity_lax(b)
-    g = corpus.collapse_to_start(b)
+    g = collapse_to_start(b)
     assert validate_lax_functor(g).ok
-    rep = validate_icon(Icon("bad", f, g, {}))
+    rep = validate_icon(Icon("bad", f, g, {}, {}))
     assert rep.structural_failure
     assert rep.first("object-maps-differ") is not None
     assert list(enumerate_icons(f, g)) == []
@@ -133,6 +143,78 @@ def test_whiskers_equal_hcomp_with_identity_icons():
                 assert whisker_icon_right(alpha, k) == hcomp_icons(alpha, identity_icon(k))
                 checked += 1
     assert checked == 182203
+
+
+def _agree(new, old, one_cells):
+    """Same name, the same cell at every one of `one_cells` and at no other,
+    the same family names."""
+    assert new.name == old.name
+    assert new.cells == {f: c for nt in old.components.values()
+                         for f, c in nt.components.items()}
+    assert new.cells.keys() == one_cells
+    assert new.families == {pair: nt.name for pair, nt in old.components.items()}
+
+
+def test_icon_algebra_matches_the_reference():
+    """The flat algebra against the per-hom reference, over every icon of
+    the `_law_universe` families with at most 81 icons: identities, every
+    composable pair and the composites with identities, every whisker by a
+    composable functor, and every horizontal composite after an icon of a
+    family with at most 9 icons.  Each composite lax functor met is
+    compared, field by field, with the eager one the first time its factors
+    come up."""
+    bics, fams, icons = _law_universe()
+    small = {key: [ic for _, _, ic in fam] for key, fam in icons.items() if len(fam) <= 81}
+    old = {id(ic): ref.Icon(ic.name, ic.source, ic.target, ic.components)
+           for fam in small.values() for ic in fam}
+    one_cells = {name: set(b.one_cells()) for name, b in bics.items()}
+    seen = set()
+
+    def agree_pasted(new, old_icon, s, later, earlier):
+        """`later` and `earlier` are the factors' (source, target) pairs."""
+        _agree(new, old_icon, one_cells[s])
+        for side, pair in (("source", 0), ("target", 1)):
+            key = (id(later[pair]), id(earlier[pair]))
+            if key not in seen:
+                seen.add(key)
+                assert getattr(new, side) == getattr(old_icon, side)
+
+    counts = dict.fromkeys(("identity", "vcomp", "left", "right", "hcomp"), 0)
+    for (s, t), fam in small.items():
+        for f in fams[(s, t)]:
+            _agree(identity_icon(f), ref.identity_icon(f), one_cells[s])
+            counts["identity"] += 1
+        for a in fam:
+            # composites with identities tell the order of the family names
+            _agree(vcomp_icons(identity_icon(a.target), a),
+                   ref.vcomp_icons(ref.identity_icon(a.target), old[id(a)]), one_cells[s])
+            _agree(vcomp_icons(a, identity_icon(a.source)),
+                   ref.vcomp_icons(old[id(a)], ref.identity_icon(a.source)), one_cells[s])
+            for b in fam:
+                if b.source is a.target:
+                    _agree(vcomp_icons(b, a), ref.vcomp_icons(old[id(b)], old[id(a)]),
+                           one_cells[s])
+                    counts["vcomp"] += 1
+        # the factor pairs change slowly in these loops, so the reference
+        # mostly finds its composites among the recent ones
+        for h in [h for d in bics for h in fams[(t, d)]]:
+            for a in fam:
+                agree_pasted(whisker_icon_left(h, a), ref.whisker_icon_left(h, old[id(a)]), s,
+                             (h, h), (a.source, a.target))
+                counts["left"] += 1
+        for c in bics:
+            for k in fams[(c, s)]:
+                for a in fam:
+                    agree_pasted(whisker_icon_right(a, k), ref.whisker_icon_right(old[id(a)], k),
+                                 c, (a.source, a.target), (k, k))
+                    counts["right"] += 1
+        for b in [b for d in bics if len(icons[(t, d)]) <= 9 for b in small[(t, d)]]:
+            for a in fam:
+                agree_pasted(hcomp_icons(b, a), ref.hcomp_icons(old[id(b)], old[id(a)]), s,
+                             (b.source, b.target), (a.source, a.target))
+                counts["hcomp"] += 1
+    assert counts == {"identity": 371, "vcomp": 7606, "left": 75407, "right": 106796,
+                      "hcomp": 20508}
 
 
 def test_icon_interchange_on_idem_pair():

@@ -76,25 +76,30 @@ def test_compose_with_identity_preserves_everything():
         assert g.unit_constraints == f.unit_constraints
 
 
-def test_compose_lax_reuses_recent_composites():
+def test_composite_fields_are_built_once_on_first_access(monkeypatch):
+    built = []
+    for attr, build in list(laxfun._COMPOSITE_FIELDS.items()):
+        def counted(g, f, attr=attr, build=build):
+            built.append(attr)
+            return build(g, f)
+        monkeypatch.setitem(laxfun._COMPOSITE_FIELDS, attr, counted)
+
     lax = corpus.idem_laxonly()
-    first = compose_lax(lax, lax)
-    assert compose_lax(lax, lax) is first
-    for _ in range(laxfun.COMPOSITE_MEMO_SIZE):
-        tw = corpus.twisted_identity()
-        compose_lax(tw, tw)
-    again = compose_lax(lax, lax)
-    assert again is not first and again == first
-    assert len(laxfun._composites) <= laxfun.COMPOSITE_MEMO_SIZE
-
-
-def test_composite_memo_stays_bounded():
-    funs = [corpus.twisted_identity() for _ in range(3 * laxfun.COMPOSITE_MEMO_SIZE)]
-    for g in funs:
-        for f in funs:
-            compose_lax(g, f)
-            assert len(laxfun._composites) <= laxfun.COMPOSITE_MEMO_SIZE
-    assert len(laxfun._composites) == laxfun.COMPOSITE_MEMO_SIZE
+    square = compose_lax(lax, lax)
+    assert (square.name, square.source, square.target) == \
+        ("idem-laxonly.idem-laxonly", lax.source, lax.target)
+    assert square.object_map == {"*": "*"}
+    assert built == []
+    assert square.comp_constraints[("s", "s")] == "k"
+    assert built == ["comp_constraints"]
+    assert square.on_1("s") == "s"
+    assert square.comp_constraints is square.comp_constraints
+    assert built == ["comp_constraints", "hom_functors"]
+    assert square == compose_lax(lax, lax)
+    assert sorted(built) == ["comp_constraints", "comp_constraints", "hom_functors",
+                             "hom_functors", "unit_constraints", "unit_constraints"]
+    with pytest.raises(AttributeError):
+        square.no_such_field
 
 
 def test_two_functor_rejects_nonstrict_maps():

@@ -1,18 +1,18 @@
 """Simplices, reindexing, and the truncated 2-nerve."""
 
+import math
+
 import pytest
 
 from bicatkit.bicat import from_category
 from bicatkit.catcore import chain_category, validate_category, validate_functor
 from bicatkit.corpus import get_bicategory
-from bicatkit.icon import hcomp_icons, identity_icon
-from bicatkit.laxfun import classify
+from bicatkit.icon import enumerate_icons, hcomp_icons, identity_icon
+from bicatkit.laxfun import classify, enumerate_two_functors
 from bicatkit.nerve import (
     as_lax_functor,
-    enumerate_nerve_morphisms,
     enumerate_simplices,
     ordinal_as_bicategory,
-    ordinal_inclusion_check,
     ordinal_map_functor,
     reindex_simplex,
     simplex_from_lax,
@@ -25,6 +25,7 @@ from bicatkit.oracles import (
     classical_degeneracy,
     classical_face,
 )
+from bicatkit.report import ValidationReport
 
 
 def test_ordinal_is_strict_and_locally_discrete():
@@ -125,8 +126,40 @@ def test_truncation_bound():
         two_nerve(get_bicategory("terminal"), 5)
 
 
+def ordinal_inclusion_check(max_n: int = 3) -> ValidationReport:
+    """The embedding of the linear orders into 2-categories is as faithful as
+    it looks: strict functors between ordinals are exactly the monotone maps,
+    and there are no simplex morphisms between distinct ones."""
+    rep = ValidationReport(f"ordinal inclusion to [{max_n}]")
+    for m in range(max_n + 1):
+        for n in range(max_n + 1):
+            src, tgt = ordinal_as_bicategory(m), ordinal_as_bicategory(n)
+            found = list(enumerate_two_functors(src, tgt))
+            want = math.comb(n + m + 1, m + 1)
+            if len(found) != want:
+                rep.add("functor-count",
+                        f"[{m}] -> [{n}]: {len(found)} functors, "
+                        f"expected {want}", (m, n))
+            for f in found:
+                for g in found:
+                    icons = list(enumerate_icons(f, g))
+                    same = f.object_map == g.object_map and all(
+                        f.on_1(w) == g.on_1(w) for w in src.one_cells())
+                    want_icons = 1 if same else 0
+                    if len(icons) != want_icons:
+                        rep.add("icon-count",
+                                f"[{m}] -> [{n}]: unexpected icon count "
+                                f"between {f.name} and {g.name}", (m, n))
+    return rep
+
+
 def test_ordinal_inclusion_check():
     assert ordinal_inclusion_check(3).ok
+
+
+def enumerate_nerve_morphisms(s1, s2):
+    """All simplex morphisms s1 -> s2: icons between the homomorphisms."""
+    yield from enumerate_icons(as_lax_functor(s1), as_lax_functor(s2))
 
 
 def _flat(icon, n):
