@@ -1,7 +1,10 @@
-"""Regenerate the bundled corpus files under src/bicatkit/data/.
+"""Regenerate the bundled corpus files under src/bicatkit/data/ from
+bicatkit.corpus.
 
 Small structures with builders are written as directives; everything else is
-serialized in full.  Output is deterministic, so reruns are diff-stable.
+serialized in full.  Output is deterministic, so reruns are diff-stable.  The
+CLI does not read these files (its bundled names come from bicatkit.corpus);
+the tests and the benchmark do, and `--file` loads them.
 """
 
 import pathlib
@@ -97,12 +100,12 @@ build "ordinal-3" = ordinal 3
 def build_cocycle_file():
     sf = ff.parse(COCYCLE_HEADER, source="cocycle-header")
     n0 = len(sf.order)
-    mf, _, _ = corpus.get_monoidal_pair("twisted-pair")
+    mf, _, _ = corpus.get("monoidal-pair", "twisted-pair")
     ff._include(sf, mf.source)
     for key in ("id-cocycle-twisted", "twisted-identity"):
-        ff._include(sf, corpus.get_lax_functor(key))
+        ff._include(sf, corpus.get("laxfunctor", key))
     for key in ("twisted-icon-0", "twisted-icon-1"):
-        ff._include(sf, corpus.get_icon(key))
+        ff._include(sf, corpus.get("icon", key))
     tail = _tail(sf, n0)
     return COCYCLE_HEADER + "\n" + ff.serialize(tail)
 
@@ -119,17 +122,17 @@ def build_corpus_file():
     for key in ("terminal", "walking-two-cell", "thickened-arrow",
                 "parallel-pair", "collapsed-two-cell", "sigma-idem",
                 "sigma-maxposet"):
-        ff._include(sf, corpus.get_bicategory(key))
-    mf, _, _ = corpus.get_monoidal_pair("idem-pair")
+        ff._include(sf, corpus.get("bicategory", key))
+    mf, _, _ = corpus.get("monoidal-pair", "idem-pair")
     ff._include(sf, mf.source)
     for key in sorted(corpus.LAX_FUNCTORS):
         if key in ("id-cocycle-twisted", "twisted-identity"):
             continue
-        ff._include(sf, corpus.get_lax_functor(key))
+        ff._include(sf, corpus.get("laxfunctor", key))
     for key in ("id-on-id-idem", "idem-icon-k"):
-        ff._include(sf, corpus.get_icon(key))
+        ff._include(sf, corpus.get("icon", key))
     for key in sorted(corpus.OPLAX):
-        ff._include(sf, corpus.get_oplax(key))
+        ff._include(sf, corpus.get("oplax", key))
     tail = _tail(sf, n0)
     return text + "\n" + ff.serialize(tail)
 

@@ -58,15 +58,6 @@ SAMPLE_SIZE = 1_500
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _strict_bicat(b) -> bool:
-    def is_id(c):
-        return c == b.id2(b.src2(c))
-
-    return (all(map(is_id, b.associator.values()))
-            and all(map(is_id, b.left_unitor.values()))
-            and all(map(is_id, b.right_unitor.values())))
-
-
 def _take(universe_size, exhaustive, sampler, rng):
     """All instances when the space is small, a fixed-seed sample otherwise."""
     if universe_size <= EXHAUSTIVE_CAP:
@@ -80,7 +71,7 @@ def _take(universe_size, exhaustive, sampler, rng):
 def criterion_1():
     good = []
     for name in sorted(corpus.BICATEGORIES):
-        rep = validate_bicategory(corpus.get_bicategory(name))
+        rep = validate_bicategory(corpus.get("bicategory", name))
         if not rep.ok:
             return False, f"corpus structure {name} failed validation: {rep.summary()}"
         good.append(name)
@@ -113,7 +104,7 @@ def _law_universe():
     bicategories (at most 2 objects and at most 6 one-cells per hom)."""
     bics = {}
     for name in sorted(corpus.BICATEGORIES):
-        b = corpus.get_bicategory(name)
+        b = corpus.get("bicategory", name)
         if len(b.objects) <= 2 and all(len(h.objects) <= 6
                                        for h in b.homs.values()):
             bics[name] = b
@@ -341,7 +332,7 @@ def criterion_4():
 
     details = []
     for pname in sorted(corpus.MONOIDAL_PAIRS):
-        mf, mg, b = corpus.get_monoidal_pair(pname)
+        mf, mg, b = corpus.get("monoidal-pair", pname)
         delooped = {0: sigma_functor(mf, b, b), 1: sigma_functor(mg, b, b)}
         monoidal = {0: mf, 1: mg}
         cat = mf.target.cat
@@ -402,7 +393,7 @@ def criterion_5():
     from .oracles import equivalence_by_inverse_search, icon_inverse_by_search
 
     for name in sorted(corpus.ICONS):
-        ic = corpus.get_icon(name)
+        ic = corpus.get("icon", name)
         ok, inv = is_invertible_icon(ic)
         found = icon_inverse_by_search(ic)
         if ok != (found is not None):
@@ -411,13 +402,13 @@ def criterion_5():
             return False, f"inverse mismatch on icon {name}"
 
     for name in EQUIVALENCE_POSITIVES:
-        fun = corpus.get_lax_functor(name)
+        fun = corpus.get("laxfunctor", name)
         if not is_equivalence_in_bicat2(fun):
             return False, f"{name} should be an equivalence"
         if equivalence_by_inverse_search(fun) is None:
             return False, f"oracle found no weak inverse for {name}"
     for name, failing in EQUIVALENCE_NEGATIVES:
-        fun = corpus.get_lax_functor(name)
+        fun = corpus.get("laxfunctor", name)
         verdict = is_equivalence_in_bicat2(fun)
         if verdict or verdict.failing != failing:
             return False, (f"{name} should fail the {failing} check, "
@@ -437,10 +428,10 @@ BATTERY_BASES = ("walking-arrow", "walking-two-cell", "sigma-idem")
 def _corpus_battery():
     betas = []
     for base in BATTERY_BASES:
-        betas.extend(battery_transformations(corpus.get_bicategory(base)))
+        betas.extend(battery_transformations(corpus.get("bicategory", base)))
     for name in sorted(corpus.OPLAX):
-        u = corpus.get_oplax(name)
-        if _strict_bicat(u.source.source) and _strict_bicat(u.source.target):
+        u = corpus.get("oplax", name)
+        if u.source.source.is_strict() and u.source.target.is_strict():
             betas.append(u)
     return betas
 
@@ -467,7 +458,7 @@ def criterion_6():
 def criterion_7():
     passed, gated = [], []
     for name in sorted(corpus.ICONS):
-        u = icon_as_oplax(corpus.get_icon(name))
+        u = icon_as_oplax(corpus.get("icon", name))
         try:
             verdict = is_costrict(u)
         except UnsupportedSettingError:
@@ -480,7 +471,7 @@ def criterion_7():
 
     refuted = []
     for name in ("arrow-shift", "idem-general"):
-        verdict = is_costrict(corpus.get_oplax(name))
+        verdict = is_costrict(corpus.get("oplax", name))
         if verdict.costrict or verdict.refutation is None:
             return False, f"{name} should be refuted"
         if verdict.refutation.replay().ok:
@@ -499,7 +490,7 @@ def criterion_8():
 
     details = []
     for name in ("walking-arrow", "walking-two-cell"):
-        b = corpus.get_bicategory(name)
+        b = corpus.get("bicategory", name)
         cyl = lax_cylinder(b)
         homs = cells = 0
         for x in b.objects:
@@ -573,8 +564,8 @@ def criterion_10():
 
     n_objects = 0
     for name in sorted(corpus.BICATEGORIES):
-        b = corpus.get_bicategory(name)
-        if not _strict_bicat(b):
+        b = corpus.get("bicategory", name)
+        if not b.is_strict():
             continue
         for x in b.objects:
             if not is_fibration(b, b.unit[x]):

@@ -375,7 +375,7 @@ def strict_bicategory(name, objects, homs, unit, comp1, comp2) -> FiniteBicatego
     return b
 
 
-def locally_discrete_bicategory(c: FiniteCategory, name=None) -> FiniteBicategory:
+def from_category(c: FiniteCategory, name=None) -> FiniteBicategory:
     """View an ordinary category as a strict 2-category with only identity 2-cells."""
     homs = {}
     for a in c.objects:
@@ -537,11 +537,3 @@ def cocycle_bicategory(name, g_elements, g_op, g_unit,
                                           a_elements, a_op, a_unit, twist))
     b.name = name
     return b
-
-
-# constructor names used by the file format and the CLI
-def from_category(c: FiniteCategory, name=None) -> FiniteBicategory:
-    return locally_discrete_bicategory(c, name)
-
-
-sigma = sigma_bicategory

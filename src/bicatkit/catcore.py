@@ -196,9 +196,6 @@ class Functor:
     def on_obj(self, a):
         return self.object_map[a]
 
-    def on_mor(self, f):
-        return self.morphism_map[f]
-
 
 def validate_functor(fun: Functor) -> ValidationReport:
     rep = ValidationReport(f"functor {fun.name}")

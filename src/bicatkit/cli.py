@@ -1,11 +1,11 @@
 """Batch front end: run validators and constructions over named structures.
 
-Names are resolved in layers — files given with --file first, then any *.bc
-files in the directory named by BICATKIT_CORPUS, then the bundled corpus
-files, and finally the registry of built-in examples.  Reports go to standard
-output (and, with --out, to a file): a version line, the command echo, one
-line per check with witnesses, and a timing section kept last so that
-everything above it is byte-reproducible.
+Names are resolved in three layers — files given with --file first, then any
+*.bc files in the directory named by BICATKIT_CORPUS, then the built-in
+examples of `bicatkit.corpus`.  Reports go to standard output (and, with
+--out, to a file): a version line, the command echo, one line per check with
+witnesses, and a timing section kept last so that everything above it is
+byte-reproducible.
 
 Exit codes: 0 all checks pass; 1 a mathematical check failed (the report
 carries a witness); 2 structural trouble — unknown verb or name, unparsable
@@ -53,8 +53,8 @@ _VALIDATORS = {
 
 
 class Resolver:
-    """Layered name lookup: --file documents, BICATKIT_CORPUS documents,
-    bundled documents, built-in registry.  File layers load lazily."""
+    """Layered name lookup: --file documents, BICATKIT_CORPUS documents, then
+    `bicatkit.corpus`.  The file layers load on first use."""
 
     def __init__(self, file_paths=()):
         self._loaders = [lambda: self._load_paths([pathlib.Path(p) for p in file_paths])]
@@ -62,9 +62,6 @@ class Resolver:
         if env:
             self._loaders.append(
                 lambda: self._load_paths(sorted(pathlib.Path(env).glob("*.bc"))))
-        bundle = pathlib.Path(__file__).parent / "data"
-        self._loaders.append(
-            lambda: self._load_paths(sorted(bundle.glob("*.bc"))))
         self._layers = []
 
     @staticmethod
@@ -82,31 +79,18 @@ class Resolver:
     def find(self, name, kinds=None):
         """(kind, structure) for the first layer that knows the name."""
         for i in range(len(self._loaders)):
-            layer = self._layer(i)
-            for kind in kinds or KINDS:
-                reg = layer._registry(kind)
-                if name in reg:
-                    return kind, reg[name]
-        hit = _registry_find(name, kinds)
-        if hit is not None:
-            return hit
+            hit = self._layer(i).lookup(name, kinds)
+            if hit is not None:
+                return hit
+        from . import corpus
+        for kind in kinds or KINDS:
+            if name in corpus.TABLES.get(kind, ()):
+                return kind, corpus.get(kind, name)
         wanted = " or ".join(kinds) if kinds else "structure"
         raise StructureError(f"unknown {wanted} name {name!r}")
 
     def one(self, name, kind):
         return self.find(name, (kind,))[1]
-
-
-def _registry_find(name, kinds):
-    from . import corpus
-    tables = (("bicategory", corpus.BICATEGORIES, corpus.get_bicategory),
-              ("laxfunctor", corpus.LAX_FUNCTORS, corpus.get_lax_functor),
-              ("icon", corpus.ICONS, corpus.get_icon),
-              ("oplax", corpus.OPLAX, corpus.get_oplax))
-    for kind, table, get in tables:
-        if (kinds is None or kind in kinds) and name in table:
-            return kind, get(name)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +198,12 @@ def _do_check_oplax(args, res, body):
 def _do_interchange(args, res, body):
     beta = res.one(args.beta, "oplax")
     alpha = res.one(args.alpha, "oplax")
+    h, f = beta.source, alpha.source
+    if h.source is not f.target and h.source != f.target:
+        raise StructureError(
+            f"cannot interchange: {dump_id(beta.name)} starts at "
+            f"{dump_id(h.source.name)} but {dump_id(alpha.name)} ends at "
+            f"{dump_id(f.target.name)}")
     report = interchange_check(beta, alpha)
     label = f"interchange {dump_id(beta.name)} with {dump_id(alpha.name)}"
     return 0 if body.check(label, report) else 1

@@ -1,9 +1,9 @@
 """A small zoo of named finite structures used by the tests and the CLI.
 
 Every builder returns a fresh, hand-checkable instance.  The zoo is the
-package's common ground: unit tests, the acceptance suite, and `corpus
-run-all` all draw from here, so each structure is built once, by name, in one
-place.
+package's common ground: unit tests, the acceptance suite, `corpus run-all`
+and the CLI's bundled names all draw from here, so each structure is built
+once, by name, in one place: `get(kind, name)` over the tables of `TABLES`.
 """
 
 from __future__ import annotations
@@ -337,14 +337,6 @@ LAX_FUNCTORS = {
 }
 
 
-def get_lax_functor(name: str) -> LaxFunctor:
-    try:
-        return LAX_FUNCTORS[name]()
-    except KeyError:
-        raise KeyError(f"unknown corpus lax functor {name!r}; "
-                       f"choose from {sorted(LAX_FUNCTORS)}") from None
-
-
 # ---------------------------------------------------------------------------
 # icons
 
@@ -373,14 +365,6 @@ ICONS = {
     "twisted-icon-0": lambda: twisted_icon(0),
     "twisted-icon-1": lambda: twisted_icon(1),
 }
-
-
-def get_icon(name: str) -> Icon:
-    try:
-        return ICONS[name]()
-    except KeyError:
-        raise KeyError(f"unknown corpus icon {name!r}; "
-                       f"choose from {sorted(ICONS)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +438,6 @@ MONOIDAL_PAIRS = {
 }
 
 
-def get_monoidal_pair(name: str):
-    try:
-        return MONOIDAL_PAIRS[name]()
-    except KeyError:
-        raise KeyError(f"unknown corpus monoidal pair {name!r}; "
-                       f"choose from {sorted(MONOIDAL_PAIRS)}") from None
-
-
 # ---------------------------------------------------------------------------
 # oplax transformations
 
@@ -510,14 +486,6 @@ OPLAX = {
 }
 
 
-def get_oplax(name: str) -> OplaxNat:
-    try:
-        return OPLAX[name]()
-    except KeyError:
-        raise KeyError(f"unknown corpus transformation {name!r}; "
-                       f"choose from {sorted(OPLAX)}") from None
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -538,10 +506,21 @@ BICATEGORIES = {
     "ordinal-3": lambda: ordinal(3),
 }
 
+# the one registry: kind -> name -> builder.  The CLI looks a name up in the
+# tables of the kinds it shares with the file format.
+TABLES = {
+    "bicategory": BICATEGORIES,
+    "laxfunctor": LAX_FUNCTORS,
+    "icon": ICONS,
+    "oplax": OPLAX,
+    "monoidal-pair": MONOIDAL_PAIRS,
+}
 
-def get_bicategory(name: str) -> FiniteBicategory:
-    try:
-        return BICATEGORIES[name]()
-    except KeyError:
-        raise KeyError(f"unknown corpus bicategory {name!r}; "
-                       f"choose from {sorted(BICATEGORIES)}") from None
+
+def get(kind: str, name: str):
+    """A fresh instance of the corpus structure `name` of the given kind (a
+    monoidal pair is a tuple: two monoidal functors and their bicategory)."""
+    table = TABLES[kind]
+    if name not in table:
+        raise KeyError(f"unknown corpus {kind} {name!r}; choose from {sorted(table)}")
+    return table[name]()

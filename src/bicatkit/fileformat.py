@@ -193,13 +193,14 @@ class StructureFile:
             raise StructureError(f"unknown {kind} {name!r}")
         return reg[name]
 
-    def lookup(self, name):
-        """(kind, structure) for a name of any kind."""
-        for kind in KINDS:
+    def lookup(self, name, kinds=None):
+        """(kind, structure) for a name of one of `kinds` (default: any
+        kind), or None when the document defines no such name."""
+        for kind in kinds or KINDS:
             reg = self._registry(kind)
             if name in reg:
                 return kind, reg[name]
-        raise StructureError(f"unknown name {name!r}")
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -402,7 +402,7 @@ def battery_transformations(b: FiniteBicategory, target_names=None):
     names = target_names or DEFAULT_BATTERY_TARGET_NAMES
     out = []
     for name in names:
-        tgt = corpus.get_bicategory(name)
+        tgt = corpus.get("bicategory", name)
         funs = list(enumerate_two_functors(b, tgt))
         for h in funs:
             for k in funs:

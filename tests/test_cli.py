@@ -4,9 +4,8 @@ import sys
 
 import pytest
 
-from bicatkit import cli
-
-DATA = pathlib.Path(cli.__file__).parent / "data"
+from bicatkit import cli, corpus
+from bicatkit.fileformat import KINDS, dump_id
 
 
 def run(capsys, *argv):
@@ -82,6 +81,15 @@ def test_interchange_witness_pair_fails_with_witness(capsys):
 def test_interchange_with_icon_on_the_right_passes(capsys):
     code, out = run(capsys, "interchange", "idem-general", "icon-as-oplax-k")
     assert code == 0
+
+
+@pytest.mark.parametrize("beta,alpha", [("arrow-shift", "codiscrete-shift-a"),
+                                        ("probe-at-s", "probe-at-s")])
+def test_interchange_of_transformations_that_do_not_compose_is_structural(
+        capsys, beta, alpha):
+    code, out = run(capsys, "interchange", beta, alpha)
+    assert code == 2
+    assert "error: cannot interchange: " in out
 
 
 def test_classify_reports_flags(capsys):
@@ -179,6 +187,32 @@ def test_out_flag_writes_the_report(capsys, tmp_path):
     code, out = run(capsys, "--out", str(target), "validate", "terminal")
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_every_corpus_name_validates(capsys):
+    for kind in KINDS:
+        for name in sorted(corpus.TABLES.get(kind, ())):
+            code, out = run(capsys, "validate", name)
+            assert code == 0, out
+            assert f"check {kind} {dump_id(name)}: ok" in out.splitlines(), out
+
+
+def test_bundled_names_resolve_without_reading_a_document(capsys, monkeypatch):
+    def refuse(path, into=None):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "parse_path", refuse)
+    monkeypatch.delenv("BICATKIT_CORPUS", raising=False)
+    for argv, want, line in [
+            (["validate", "cocycle-twisted"], 0, 'check bicategory "cocycle-twisted": ok'),
+            (["classify", "twisted-identity"], 0, "classification: homomorphism"),
+            (["compose", "const-at-unit", "const-at-unit"], 0,
+             'check laxfunctor "const-at-unit.const-at-unit": ok'),
+            (["costrict", "arrow-shift"], 1,
+             'costrictness of "witness[(\'le\', 0, 1)]": not-costrict')]:
+        code, out = run(capsys, *argv)
+        assert code == want, out
+        assert line in out.splitlines(), out
 
 
 def test_corpus_env_var_layer(capsys, monkeypatch, tmp_path):

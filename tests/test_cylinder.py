@@ -15,7 +15,7 @@ BASES = ("walking-arrow", "sigma-idem", "walking-two-cell")
 
 @pytest.mark.parametrize("name", BASES)
 def test_cylinder_total_validates(name):
-    cyl = lax_cylinder(corpus.get_bicategory(name))
+    cyl = lax_cylinder(corpus.get("bicategory", name))
     rep = validate_bicategory(cyl.total)
     assert rep.ok, str(rep)
     assert cyl.total.is_strict()
@@ -27,7 +27,7 @@ def test_cylinder_total_validates(name):
 
 @pytest.mark.parametrize("name", BASES)
 def test_cross_cell_counts(name):
-    b = corpus.get_bicategory(name)
+    b = corpus.get("bicategory", name)
     cyl = lax_cylinder(b)
     for x in b.objects:
         for y in b.objects:
@@ -80,7 +80,7 @@ def test_weak_base_rejected():
 
 @pytest.mark.parametrize("name", ("walking-arrow", "walking-two-cell"))
 def test_free_model_agrees_with_closed_form(name):
-    b = corpus.get_bicategory(name)
+    b = corpus.get("bicategory", name)
     cyl = lax_cylinder(b)
     for x in b.objects:
         for y in b.objects:
@@ -93,22 +93,22 @@ def test_free_model_agrees_with_closed_form(name):
 
 
 def test_costrict_verdicts():
-    v = is_costrict(corpus.get_oplax("icon-as-oplax-k"))
+    v = is_costrict(corpus.get("oplax", "icon-as-oplax-k"))
     assert v.costrict and v.battery_checked > 20 and not v.battery_failures
-    v = is_costrict(corpus.get_oplax("id-oplax-idem"))
+    v = is_costrict(corpus.get("oplax", "id-oplax-idem"))
     assert v.costrict
 
-    v = is_costrict(corpus.get_oplax("idem-general"))
+    v = is_costrict(corpus.get("oplax", "idem-general"))
     assert not v.costrict
     assert v.refutation is not None
     assert not v.refutation.replay().ok
 
-    v = is_costrict(corpus.get_oplax("arrow-shift"))
+    v = is_costrict(corpus.get("oplax", "arrow-shift"))
     assert not v.costrict
     assert v.refutation.witness == 1  # the object whose component is the arrow
 
 
 def test_refutation_pinpoints_the_component():
-    ref = costrict_refutation(corpus.get_oplax("arrow-shift"))
+    ref = costrict_refutation(corpus.get("oplax", "arrow-shift"))
     assert ref.report.first("interchange-component") is not None
-    assert costrict_refutation(corpus.get_oplax("icon-as-oplax-k")) is None
+    assert costrict_refutation(corpus.get("oplax", "icon-as-oplax-k")) is None

@@ -23,41 +23,41 @@ def roundtrip(obj, name=None):
 
 @pytest.mark.parametrize("name", sorted(corpus.BICATEGORIES))
 def test_bicategory_roundtrip(name):
-    b = corpus.get_bicategory(name)
+    b = corpus.get("bicategory", name)
     back = roundtrip(b)
     assert back.bicategories[b.name] == b
 
 
 @pytest.mark.parametrize("name", sorted(corpus.LAX_FUNCTORS))
 def test_laxfunctor_roundtrip(name):
-    fun = corpus.get_lax_functor(name)
+    fun = corpus.get("laxfunctor", name)
     back = roundtrip(fun)
     assert back.laxfunctors[fun.name] == fun
 
 
 @pytest.mark.parametrize("name", sorted(corpus.ICONS))
 def test_icon_roundtrip(name):
-    icon = corpus.get_icon(name)
+    icon = corpus.get("icon", name)
     back = roundtrip(icon)
     assert back.icons[icon.name] == icon
 
 
 @pytest.mark.parametrize("name", sorted(corpus.OPLAX))
 def test_oplax_roundtrip(name):
-    u = corpus.get_oplax(name)
+    u = corpus.get("oplax", name)
     back = roundtrip(u)
     assert back.oplaxes[u.name] == u
 
 
 @pytest.mark.parametrize("pair", sorted(corpus.MONOIDAL_PAIRS))
 def test_monoidal_roundtrip(pair):
-    m = corpus.get_monoidal_pair(pair)[0].source
+    m = corpus.get("monoidal-pair", pair)[0].source
     back = roundtrip(m)
     assert back.monoidals[m.name] == m
 
 
 def test_category_roundtrip_with_tuple_ids():
-    cat = corpus.get_bicategory("walking-two-cell").homs[("a", "b")]
+    cat = corpus.get("bicategory", "walking-two-cell").homs[("a", "b")]
     back = roundtrip(cat)
     assert back.categories[cat.name] == cat
     chain = chain_category(2)  # morphism ids are tuples ("le", i, j)
@@ -66,7 +66,7 @@ def test_category_roundtrip_with_tuple_ids():
 
 
 def test_cylinder_total_roundtrip():
-    cyl = lax_cylinder(corpus.get_bicategory("walking-two-cell"))
+    cyl = lax_cylinder(corpus.get("bicategory", "walking-two-cell"))
     back = roundtrip(cyl.total)
     assert back.bicategories[cyl.total.name] == cyl.total
     back = roundtrip(cyl.crossing)
@@ -74,7 +74,7 @@ def test_cylinder_total_roundtrip():
 
 
 def test_serialization_is_deterministic():
-    b = corpus.get_bicategory("codiscrete3")
+    b = corpus.get("bicategory", "codiscrete3")
     once = ff.serialize(ff.document_for(b))
     again = ff.serialize(ff.document_for(b))
     assert once == again
@@ -110,7 +110,7 @@ build "cocycle-twisted" = cocycle "z2"
 
 def test_cocycle_directive_matches_builder():
     sf = ff.parse(COCYCLE_DOC)
-    assert sf.bicategories["cocycle-twisted"] == corpus.get_bicategory("cocycle-twisted")
+    assert sf.bicategories["cocycle-twisted"] == corpus.get("bicategory", "cocycle-twisted")
 
 
 def test_from_category_and_cylinder_directives():
@@ -119,7 +119,7 @@ def test_from_category_and_cylinder_directives():
             + '\n\nbuild "walking-arrow" = from_category ' + ff.dump_id(base.name)
             + '\nbuild "cyl" = cylinder "walking-arrow"\n')
     sf = ff.parse(text)
-    assert sf.bicategories["walking-arrow"] == corpus.get_bicategory("walking-arrow")
+    assert sf.bicategories["walking-arrow"] == corpus.get("bicategory", "walking-arrow")
     assert set(sf.laxfunctors) == {"cyl-bottom", "cyl-top"}
     assert "cyl-crossing" in sf.oplaxes
     assert sf.oplaxes["cyl-crossing"].source is sf.laxfunctors["cyl-bottom"]
@@ -141,11 +141,11 @@ def test_built_names_survive_a_round_trip():
 
 def test_ordinal_directive():
     sf = ff.parse('build "ordinal-2" = ordinal 2\n')
-    assert sf.bicategories["ordinal-2"] == corpus.get_bicategory("ordinal-2")
+    assert sf.bicategories["ordinal-2"] == corpus.get("bicategory", "ordinal-2")
 
 
 def test_sigma_directive_renames():
-    m = corpus.get_monoidal_pair("idem-pair")[0].source
+    m = corpus.get("monoidal-pair", "idem-pair")[0].source
     text = ff.serialize(ff.document_for(m)) + '\nbuild "sig" = sigma ' + ff.dump_id(m.name)
     sf = ff.parse(text)
     assert sf.bicategories["sig"].name == "sig"
@@ -243,16 +243,16 @@ def bundled():
 def test_bundled_files_cover_the_corpus():
     sf = bundled()
     for key in sorted(corpus.BICATEGORIES):
-        b = corpus.get_bicategory(key)
+        b = corpus.get("bicategory", key)
         assert sf.bicategories[b.name] == b
     for key in sorted(corpus.LAX_FUNCTORS):
-        fun = corpus.get_lax_functor(key)
+        fun = corpus.get("laxfunctor", key)
         assert sf.laxfunctors[fun.name] == fun
     for key in sorted(corpus.ICONS):
-        icon = corpus.get_icon(key)
+        icon = corpus.get("icon", key)
         assert sf.icons[icon.name] == icon
     for key in sorted(corpus.OPLAX):
-        u = corpus.get_oplax(key)
+        u = corpus.get("oplax", key)
         assert sf.oplaxes[u.name] == u
 
 

@@ -62,7 +62,7 @@ def test_icon_counts_match_hand_computation():
 
 
 def test_invertibility():
-    ok, inv = is_invertible_icon(corpus.get_icon("id-on-id-idem"))
+    ok, inv = is_invertible_icon(corpus.get("icon", "id-on-id-idem"))
     assert ok and validate_icon(inv).ok
 
     ok, inv = is_invertible_icon(corpus.idem_icon_k())
@@ -129,18 +129,38 @@ def test_whiskering_by_identity_functor_keeps_cells():
 
 
 def test_whiskers_equal_hcomp_with_identity_icons():
+    """A whisker equals the horizontal composite with an identity icon: the
+    same name, cells and families at every pair.  Both sides run between the
+    composites of the same two lax functors, so their source and target are
+    compared the first time that factor pair comes up."""
     bics, fams, icons = _law_universe()
     checked = 0
+    seen = set()
+
+    def agree(whiskered, pasted, sources, targets):
+        """`sources` and `targets` are the factor pairs of the composite
+        source and target."""
+        assert whiskered.name == pasted.name
+        assert whiskered.cells == pasted.cells
+        assert whiskered.families == pasted.families
+        for side, pair in (("source", sources), ("target", targets)):
+            key = (id(pair[0]), id(pair[1]))
+            if key not in seen:
+                seen.add(key)
+                assert getattr(whiskered, side) == getattr(pasted, side)
+
     for (s, t), fam in icons.items():
         if len(fam) > 81:
             continue
         for h in [h for d in bics for h in fams[(t, d)]]:
             for _, _, alpha in fam:
-                assert whisker_icon_left(h, alpha) == hcomp_icons(identity_icon(h), alpha)
+                agree(whisker_icon_left(h, alpha), hcomp_icons(identity_icon(h), alpha),
+                      (h, alpha.source), (h, alpha.target))
                 checked += 1
         for k in [k for c in bics for k in fams[(c, s)]]:
             for _, _, alpha in fam:
-                assert whisker_icon_right(alpha, k) == hcomp_icons(alpha, identity_icon(k))
+                agree(whisker_icon_right(alpha, k), hcomp_icons(alpha, identity_icon(k)),
+                      (alpha.source, k), (alpha.target, k))
                 checked += 1
     assert checked == 182203
 
@@ -251,7 +271,7 @@ def test_monoidal_nats_count_as_icons_on_corpus_pairs():
     from bicatkit.oracles import enumerate_monoidal_nats
 
     for pname in corpus.MONOIDAL_PAIRS:
-        mf, mg, b = corpus.get_monoidal_pair(pname)
+        mf, mg, b = corpus.get("monoidal-pair", pname)
         sf, sg = sigma_functor(mf, b, b), sigma_functor(mg, b, b)
         nats = list(enumerate_monoidal_nats(mf, mg))
         icons = list(enumerate_icons(sf, sg))
@@ -273,7 +293,7 @@ def test_monoidal_identity_nat_deloops_to_identity_icon():
     from bicatkit.laxfun import sigma_functor
     from bicatkit.oracles import enumerate_monoidal_nats
 
-    mf, _, b = corpus.get_monoidal_pair("idem-pair")
+    mf, _, b = corpus.get("monoidal-pair", "idem-pair")
     sf = sigma_functor(mf, b, b)
     idnat = {x: mf.source.cat.identity[x] for x in mf.source.cat.objects}
     assert idnat in list(enumerate_monoidal_nats(mf, mf))

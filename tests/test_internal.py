@@ -2,9 +2,9 @@
 
 import pytest
 
+from bicatkit import corpus
 from bicatkit.bicat import UnsupportedSettingError, from_category
 from bicatkit.catcore import chain_category, product_category
-from bicatkit.corpus import get_bicategory, get_lax_functor
 from bicatkit.internal import (
     CartesianQuery,
     cartesian_report,
@@ -24,7 +24,7 @@ NON_EQUIVALENCES = [("collapse-walking-two-cell", "bijective-on-objects"),
 
 @pytest.mark.parametrize("name", EQUIVALENCES)
 def test_equivalence_positive(name):
-    v = is_equivalence_in_bicat2(get_lax_functor(name))
+    v = is_equivalence_in_bicat2(corpus.get("laxfunctor", name))
     assert v.verdict
     assert v.certified == ("bijective-on-objects", "hom-equivalences",
                            "homomorphism")
@@ -32,7 +32,7 @@ def test_equivalence_positive(name):
 
 @pytest.mark.parametrize("name,failing", NON_EQUIVALENCES)
 def test_equivalence_negative_names_first_failure(name, failing):
-    v = is_equivalence_in_bicat2(get_lax_functor(name))
+    v = is_equivalence_in_bicat2(corpus.get("laxfunctor", name))
     assert not v.verdict
     assert v.failing == failing
     assert v.witness
@@ -40,11 +40,11 @@ def test_equivalence_negative_names_first_failure(name, failing):
 
 def test_inverse_search_oracle_spot_checks():
     found = equivalence_by_inverse_search(
-        get_lax_functor("arrow-thickening-inclusion"))
+        corpus.get("laxfunctor", "arrow-thickening-inclusion"))
     assert found is not None
     g, back, fore = found
     assert g.object_map == {"a": 0, "b": 1}
-    assert equivalence_by_inverse_search(get_lax_functor("idem-laxonly")) is None
+    assert equivalence_by_inverse_search(corpus.get("laxfunctor", "idem-laxonly")) is None
 
 
 def _all_queries(b):
@@ -57,7 +57,7 @@ def _all_queries(b):
 
 @pytest.mark.parametrize("name", ["walking-two-cell", "collapsed-two-cell"])
 def test_cartesian_agrees_with_definition_oracle(name):
-    b = get_bicategory(name)
+    b = corpus.get("bicategory", name)
     queries = list(_all_queries(b))
     assert queries
     for q in queries:
@@ -65,14 +65,14 @@ def test_cartesian_agrees_with_definition_oracle(name):
 
 
 def test_everything_is_cartesian_over_an_identity():
-    b = get_bicategory("walking-two-cell")
+    b = corpus.get("bicategory", "walking-two-cell")
     for x in b.objects:
         for alpha in b.homs[(x, "b")].morphisms:
             assert is_p_cartesian(CartesianQuery(b, b.unit["b"], alpha))
 
 
 def test_collapsing_the_two_cell_breaks_cartesianness():
-    b = get_bicategory("collapsed-two-cell")
+    b = corpus.get("bicategory", "collapsed-two-cell")
     q = CartesianQuery(b, "q", "up")
     assert not is_p_cartesian(q)
     rep = cartesian_report(q)
@@ -80,7 +80,7 @@ def test_collapsing_the_two_cell_breaks_cartesianness():
 
 
 def test_cartesian_stable_under_invertible_reshaping():
-    b = get_bicategory("thickened-arrow")
+    b = corpus.get("bicategory", "thickened-arrow")
     for q in _all_queries(b):
         if not is_p_cartesian(q):
             continue
@@ -94,13 +94,13 @@ def test_cartesian_stable_under_invertible_reshaping():
 
 
 def test_boundary_mismatch_raises():
-    b = get_bicategory("walking-two-cell")
+    b = corpus.get("bicategory", "walking-two-cell")
     with pytest.raises(ValueError):
         is_p_cartesian(CartesianQuery(b, "1a", "up"))
 
 
 def test_weak_ambient_rejected():
-    b = get_bicategory("codiscrete3")
+    b = corpus.get("bicategory", "codiscrete3")
     with pytest.raises(UnsupportedSettingError):
         is_p_cartesian(CartesianQuery(b, "e", ("to", "e", "e")))
     with pytest.raises(UnsupportedSettingError):
@@ -110,13 +110,13 @@ def test_weak_ambient_rejected():
 @pytest.mark.parametrize("name", ["walking-two-cell", "sigma-idem",
                                   "thickened-arrow", "cocycle-trivial"])
 def test_identity_one_cells_are_fibrations(name):
-    b = get_bicategory(name)
+    b = corpus.get("bicategory", name)
     for a in b.objects:
         assert is_fibration(b, b.unit[a])
 
 
 def test_collapsing_projection_fails_the_lifting_clause():
-    b = get_bicategory("walking-two-cell")
+    b = corpus.get("bicategory", "walking-two-cell")
     rep = fibration_report(b, "f1")
     assert not rep.ok
     violation = rep.first("no-cartesian-lift")

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+from bicatkit import corpus
 from bicatkit.bicat import from_category
 from bicatkit.catcore import chain_category, validate_category, validate_functor
-from bicatkit.corpus import get_bicategory
 from bicatkit.icon import enumerate_icons, hcomp_icons, identity_icon
 from bicatkit.laxfun import classify, enumerate_two_functors
 from bicatkit.nerve import (
@@ -37,7 +37,7 @@ def test_ordinal_is_strict_and_locally_discrete():
 
 
 def test_simplices_validate_and_round_trip():
-    b = get_bicategory("walking-two-cell")
+    b = corpus.get("bicategory", "walking-two-cell")
     sims = list(enumerate_simplices(b, 2))
     assert sims
     for s in sims:
@@ -49,13 +49,13 @@ def test_simplices_validate_and_round_trip():
 
 @pytest.mark.parametrize("name", ["walking-two-cell", "sigma-idem"])
 def test_low_level_counts(name):
-    b = get_bicategory(name)
+    b = corpus.get("bicategory", name)
     assert len(list(enumerate_simplices(b, 0))) == len(b.objects)
     assert len(list(enumerate_simplices(b, 1))) == len(list(b.one_cells()))
 
 
 def test_level_one_is_the_disjoint_union_of_the_homs():
-    b = get_bicategory("walking-two-cell")
+    b = corpus.get("bicategory", "walking-two-cell")
     nerve = two_nerve(b, 1)
     lvl = nerve.levels[1]
     assert len(lvl.objects) == len(list(b.one_cells()))
@@ -63,7 +63,7 @@ def test_level_one_is_the_disjoint_union_of_the_homs():
 
 
 def test_reindexing():
-    b = get_bicategory("walking-two-cell")
+    b = corpus.get("bicategory", "walking-two-cell")
     s = next(s for s in enumerate_simplices(b, 1)
              if s.objects == {0: "a", 1: "b"})
     assert reindex_simplex(s, (0, 1)).key() == s.key()
@@ -101,7 +101,7 @@ def test_nerve_matches_the_classical_nerve_on_a_chain():
 
 @pytest.mark.parametrize("builder", [
     lambda: from_category(chain_category(2)),
-    lambda: get_bicategory("walking-two-cell"),
+    lambda: corpus.get("bicategory", "walking-two-cell"),
 ])
 def test_simplicial_identities_to_level_four(builder):
     nerve = two_nerve(builder(), 4)
@@ -109,7 +109,7 @@ def test_simplicial_identities_to_level_four(builder):
 
 
 def test_levels_and_structure_maps_are_well_formed():
-    nerve = two_nerve(get_bicategory("walking-two-cell"), 2)
+    nerve = two_nerve(corpus.get("bicategory", "walking-two-cell"), 2)
     for lvl in nerve.levels.values():
         assert validate_category(lvl).ok
     for fun in list(nerve.face.values()) + list(nerve.degeneracy.values()):
@@ -117,13 +117,13 @@ def test_levels_and_structure_maps_are_well_formed():
 
 
 def test_cocycle_two_simplices_count_group_squared_times_coefficients():
-    nerve = two_nerve(get_bicategory("cocycle-twisted"), 2)
+    nerve = two_nerve(corpus.get("bicategory", "cocycle-twisted"), 2)
     assert len(nerve.levels[2].objects) == 8
 
 
 def test_truncation_bound():
     with pytest.raises(ValueError):
-        two_nerve(get_bicategory("terminal"), 5)
+        two_nerve(corpus.get("bicategory", "terminal"), 5)
 
 
 def ordinal_inclusion_check(max_n: int = 3) -> ValidationReport:
@@ -182,9 +182,9 @@ def _whiskered_morphism_map(nerve, k, k2, theta, omap):
 
 @pytest.mark.parametrize("builder, truncation", [
     (lambda: from_category(chain_category(2)), 3),
-    (lambda: get_bicategory("walking-two-cell"), 3),
-    (lambda: get_bicategory("cocycle-twisted"), 2),
-    (lambda: get_bicategory("sigma-idem"), 2),
+    (lambda: corpus.get("bicategory", "walking-two-cell"), 3),
+    (lambda: corpus.get("bicategory", "cocycle-twisted"), 2),
+    (lambda: corpus.get("bicategory", "sigma-idem"), 2),
 ], ids=["chain2", "walking-two-cell", "cocycle-twisted", "sigma-idem"])
 def test_level_functors_reindex_like_whiskering(builder, truncation):
     nerve = two_nerve(builder(), truncation)

@@ -25,27 +25,27 @@ from bicatkit.oplax import (
 
 def test_corpus_transformations_validate():
     for name in corpus.OPLAX:
-        rep = validate_oplax(corpus.get_oplax(name))
+        rep = validate_oplax(corpus.get("oplax", name))
         assert rep.ok, f"{name}: {rep}"
 
 
 def test_identity_oplax_is_valid_on_every_corpus_functor():
     # the unit transformation exists on any lax functor, weak ambients included
     for name in corpus.LAX_FUNCTORS:
-        fun = corpus.get_lax_functor(name)
+        fun = corpus.get("laxfunctor", name)
         rep = validate_oplax(identity_oplax(fun))
         assert rep.ok, f"{name}: {rep}"
 
 
 def test_classification_labels():
-    assert classify_oplax(corpus.get_oplax("id-oplax-idem")).label == \
+    assert classify_oplax(corpus.get("oplax", "id-oplax-idem")).label == \
         "strict+pseudonatural+icon"
-    assert classify_oplax(corpus.get_oplax("idem-general")).label == "general"
-    assert classify_oplax(corpus.get_oplax("arrow-shift")).label == \
+    assert classify_oplax(corpus.get("oplax", "idem-general")).label == "general"
+    assert classify_oplax(corpus.get("oplax", "arrow-shift")).label == \
         "strict+pseudonatural"
-    assert classify_oplax(corpus.get_oplax("icon-as-oplax-k")).label == "icon"
+    assert classify_oplax(corpus.get("oplax", "icon-as-oplax-k")).label == "icon"
     # identity constraints even though the ambient is weak
-    assert classify_oplax(corpus.get_oplax("codiscrete-shift-a")).label == \
+    assert classify_oplax(corpus.get("oplax", "codiscrete-shift-a")).label == \
         "strict+pseudonatural"
 
 
@@ -93,7 +93,7 @@ def test_whiskering_requires_the_strict_setting():
     collapse = corpus.collapse_to_terminal(shift.source.source)
     with pytest.raises(UnsupportedSettingError):
         whisker_oplax_left(collapse, shift)
-    u = corpus.get_oplax("id-oplax-idem")
+    u = corpus.get("oplax", "id-oplax-idem")
     with pytest.raises(UnsupportedSettingError):
         whisker_oplax_right(u, corpus.idem_laxonly())
 
@@ -125,7 +125,7 @@ def test_interchange_requires_the_strict_setting():
 
 
 def test_interchange_passes_for_icon_and_for_strict():
-    alpha = corpus.get_oplax("icon-as-oplax-k")     # icon components
+    alpha = corpus.get("oplax", "icon-as-oplax-k")     # icon components
     beta = corpus.idem_general_oplax()
     assert interchange_check(beta, alpha).ok
     # ... and with a strict later transformation, any earlier one works
@@ -142,13 +142,13 @@ def test_strictness_by_witness_finds_the_failing_cell():
 def test_strictness_verdict_matches_the_constraint_flag():
     for name in ("id-oplax-idem", "idem-general", "arrow-shift",
                  "icon-as-oplax-k"):
-        beta = corpus.get_oplax(name)
+        beta = corpus.get("oplax", name)
         verdict = strictness_by_witness(beta)
         assert verdict.strict == classify_oplax(beta).strict, name
 
 
 def test_witness_replays_as_a_failing_interchange():
-    beta = corpus.get_oplax("icon-as-oplax-k")
+    beta = corpus.get("oplax", "icon-as-oplax-k")
     verdict = strictness_by_witness(beta)
     assert verdict.witnesses == ["s"]
     probe = arrow_witness(beta.source.source, "s")
@@ -165,7 +165,7 @@ def test_icon_oplax_round_trip():
     assert back is not None
     assert back.components[("*", "*")].components == \
         icon.components[("*", "*")].components
-    assert oplax_is_icon(corpus.get_oplax("arrow-shift")) is None
+    assert oplax_is_icon(corpus.get("oplax", "arrow-shift")) is None
 
 
 def test_validation_catches_incompatible_constraints():

@@ -76,7 +76,7 @@ def test_lax_functors_and_icons_of_the_law_universe():
 
 
 def _strict_corpus():
-    return [b for b in map(corpus.get_bicategory, sorted(corpus.BICATEGORIES))
+    return [b for b in (corpus.get("bicategory", name) for name in sorted(corpus.BICATEGORIES))
             if b.is_strict()]
 
 
@@ -91,7 +91,7 @@ def test_two_functors_between_strict_corpus_structures_and_ordinals():
 
 def test_functors_and_nats_between_corpus_hom_categories():
     cats = [h for name in sorted(corpus.BICATEGORIES)
-            for h in corpus.get_bicategory(name).homs.values()]
+            for h in corpus.get("bicategory", name).homs.values()]
     checked = 0
     for s in cats:
         for t in cats:
@@ -107,7 +107,7 @@ def test_functors_and_nats_between_corpus_hom_categories():
 @pytest.mark.parametrize("name", ["ordinal-2", "walking-two-cell", "cocycle-twisted",
                                   "sigma-idem"])
 def test_simplices(name):
-    b = corpus.get_bicategory(name)
+    b = corpus.get("bicategory", name)
     for k in range(4):
         assert list(enumerate_simplices(b, k)) == list(ref.enumerate_simplices(b, k))
 
@@ -121,7 +121,7 @@ def test_oplax_over_the_battery_pairs():
     found = 0
     for b in bases:
         for name in DEFAULT_BATTERY_TARGET_NAMES:
-            funs = list(enumerate_two_functors(b, corpus.get_bicategory(name)))
+            funs = list(enumerate_two_functors(b, corpus.get("bicategory", name)))
             for h in funs:
                 for k in funs:
                     got = list(enumerate_oplax(h, k))
