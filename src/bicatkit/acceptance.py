@@ -304,7 +304,7 @@ def criterion_3():
     right = vcomp_oplax(shift, vcomp_oplax(shift, shift))
     if not (validate_oplax(left).ok and validate_oplax(right).ok):
         return False, "a triple composite of the codiscrete shift fails validation"
-    got = (left.component("*"), right.component("*"))
+    got = (left.components["*"], right.components["*"])
     if set(got) != {"e", "a"}:
         return False, f"triple composites have components {got}, expected e and a"
 

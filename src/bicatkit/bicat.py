@@ -15,18 +15,26 @@ One strengthening beyond the bare shape of the data: 1-cell ids must be
 globally unique across hom-categories, and likewise 2-cell ids.  All builders
 in this package produce such ids, and the validator enforces it; it is what
 lets every operation take bare cell ids instead of (hom, id) pairs.
+
+A bicategory hands out its cells, homs and composable pairs and triples of
+1-cells in canonical order (`sorted_ids`), computed once, on first read, from
+its cell sets: ``objects`` and ``homs`` with their objects and morphisms.  So
+the cell sets are fixed once it is built; the hom tables, ``comp``, ``unit``
+and the coherence tables may still be filled in or edited in place.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .catcore import (
     FiniteCategory,
     Functor,
     codiscrete_category,
     discrete_category,
+    grouped,
     product_category,
     validate_category,
     validate_functor,
@@ -50,69 +58,98 @@ class FiniteBicategory:
     associator: dict     # (h, g, f) -> 2-cell: (h.g).f => h.(g.f)
     left_unitor: dict    # f -> 2-cell: unit.f => f
     right_unitor: dict   # f -> 2-cell: f.unit => f
-    _home1: dict = field(default_factory=dict, repr=False, compare=False)
-    _home2: dict = field(default_factory=dict, repr=False, compare=False)
-    # (earlier, later) -> vertical composite, over every hom-category
-    _vcomp: dict = field(default_factory=dict, repr=False, compare=False)
 
-    # -- indexes -----------------------------------------------------------
-    def _build_indexes(self):
-        for pair, cat in self.homs.items():
-            for f in cat.objects:
-                self._home1[f] = pair
-            for c in cat.morphisms:
-                self._home2[c] = pair
-            self._vcomp.update(cat.table)
+    # -- canonical views ---------------------------------------------------
+    @cached_property
+    def sorted_objects(self):
+        """The objects, each once, in canonical order."""
+        return tuple(sorted_ids(dict.fromkeys(self.objects)))
+
+    @cached_property
+    def sorted_homs(self):
+        """The (source, target) pairs of the hom-categories, in canonical order."""
+        return tuple(sorted_ids(self.homs))
+
+    @cached_property
+    def _home1(self):
+        """1-cell -> (source, target), in the order of `one_cells`."""
+        return {f: pair for pair in self.sorted_homs for f in self.homs[pair].sorted_objects}
+
+    @cached_property
+    def _home2(self):
+        """2-cell -> (source, target), in the order of `two_cells`."""
+        return {c: pair for pair in self.sorted_homs for c in self.homs[pair].sorted_morphisms}
+
+    @cached_property
+    def _out(self):
+        return grouped(self._home1, lambda f: self._home1[f][0])
+
+    @cached_property
+    def _into(self):
+        return grouped(self._home1, lambda f: self._home1[f][1])
 
     def home1(self, f):
         """The (source object, target object) pair of a 1-cell."""
-        if not self._home1:
-            self._build_indexes()
         return self._home1[f]
 
     def home2(self, c):
-        if not self._home2:
-            self._build_indexes()
         return self._home2[c]
 
     def one_cells(self):
-        for pair in sorted_ids(self.homs):
-            yield from sorted_ids(self.homs[pair].objects)
+        """The 1-cells, hom by hom, in canonical order."""
+        return tuple(self._home1)
 
     def two_cells(self):
-        for pair in sorted_ids(self.homs):
-            yield from sorted_ids(self.homs[pair].morphisms)
+        """The 2-cells, hom by hom, in canonical order."""
+        return tuple(self._home2)
+
+    def composable_pairs(self):
+        """The pairs (g, f) of 1-cells with g after f defined, f slowest."""
+        for f in self._home1:
+            for g in self._out.get(self._home1[f][1], ()):
+                yield g, f
+
+    def composable_pairs_by_later(self):
+        """The same pairs (g, f), g slowest."""
+        for g in self._home1:
+            for f in self._into.get(self._home1[g][0], ()):
+                yield g, f
+
+    def composable_triples(self):
+        """The triples (h, g, f) with h after g after f defined, f slowest,
+        then g."""
+        for g, f in self.composable_pairs():
+            for h in self._out.get(self._home1[g][1], ()):
+                yield h, g, f
 
     # -- cell operations ---------------------------------------------------
     def src2(self, c):
-        return self.homs[self.home2(c)].src(c)
+        return self.homs[self._home2[c]].morphisms[c][0]
 
     def tgt2(self, c):
-        return self.homs[self.home2(c)].tgt(c)
+        return self.homs[self._home2[c]].morphisms[c][1]
 
     def id2(self, f):
-        return self.homs[self.home1(f)].identity[f]
+        return self.homs[self._home1[f]].identity[f]
 
     def inv2(self, c):
-        return self.homs[self.home2(c)].iso_inverse(c)
+        return self.homs[self._home2[c]].iso_inverse(c)
 
     def vcomp(self, later, earlier):
         """Vertical composite inside one hom-category ("later" runs second)."""
-        if not self._vcomp:
-            self._build_indexes()
-        return self._vcomp[(earlier, later)]
+        return self.homs[self._home2[earlier]].table[(earlier, later)]
 
     def compose1(self, g, f):
-        a, b = self.home1(f)
-        b2, c = self.home1(g)
+        a, b = self._home1[f]
+        b2, c = self._home1[g]
         if b != b2:
             raise ValueError(f"1-cells {g!r} after {f!r} are not composable")
         return self.comp[(a, b, c)].object_map[(g, f)]
 
     def hcomp(self, d, c):
         """Horizontal composite of 2-cells: d (over the later 1-cells) beside c."""
-        a, b = self.home2(c)
-        b2, cc = self.home2(d)
+        a, b = self._home2[c]
+        b2, cc = self._home2[d]
         if b != b2:
             raise ValueError(f"2-cells {d!r} beside {c!r} are not composable")
         return self.comp[(a, b, cc)].morphism_map[(d, c)]
@@ -158,40 +195,40 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
     if len(objset) != len(b.objects):
         rep.add("duplicate-object", "object list has repeats", structural=True)
 
-    pairs = [(x, y) for x in sorted_ids(objset) for y in sorted_ids(objset)]
+    objs = b.sorted_objects
+    pairs = [(x, y) for x in objs for y in objs]
     for pair in pairs:
         if pair not in b.homs:
             rep.add("missing-hom", f"no hom-category for {pair!r}", pair, structural=True)
-    for pair in sorted_ids(set(b.homs) - set(pairs)):
-        rep.add("spurious-hom", f"hom-category at {pair!r} has unknown endpoints",
-                pair, structural=True)
+    for pair in b.sorted_homs:
+        if pair not in pairs:
+            rep.add("spurious-hom", f"hom-category at {pair!r} has unknown endpoints",
+                    pair, structural=True)
     if rep.structural_failure:
         return rep
 
     for pair in pairs:
-        sub = validate_category(b.homs[pair])
-        for v in sub.violations:
-            rep.add("hom:" + v.kind, f"hom{pair!r}: {v.message}", v.witness, v.structural)
+        rep.include(validate_category(b.homs[pair]), "hom:", f"hom{pair!r}: ")
     if rep.violations:
         return rep
 
     seen1, seen2 = {}, {}
     for pair in pairs:
         cat = b.homs[pair]
-        for f in sorted_ids(cat.objects):
+        for f in cat.sorted_objects:
             if f in seen1:
                 rep.add("1-cell-clash",
                         f"1-cell id {f!r} appears in hom{seen1[f]!r} and hom{pair!r}",
                         (f,), structural=True)
             seen1[f] = pair
-        for c in sorted_ids(cat.morphisms):
+        for c in cat.sorted_morphisms:
             if c in seen2:
                 rep.add("2-cell-clash",
                         f"2-cell id {c!r} appears in hom{seen2[c]!r} and hom{pair!r}",
                         (c,), structural=True)
             seen2[c] = pair
 
-    for a in sorted_ids(objset):
+    for a in objs:
         j = b.unit.get(a)
         if j is None:
             rep.add("missing-unit", f"object {a!r} has no unit 1-cell", (a,), structural=True)
@@ -203,7 +240,7 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
 
     # composition functors, rebuilt over the expected product so we never
     # trust a stored source category
-    for x, y, z in itertools.product(sorted_ids(objset), repeat=3):
+    for x, y, z in itertools.product(objs, repeat=3):
         key = (x, y, z)
         fun = b.comp.get(key)
         if fun is None:
@@ -213,16 +250,12 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
         expected = product_category(b.homs[(y, z)], b.homs[(x, y)])
         rebuilt = Functor(f"comp{key!r}", expected, b.homs[(x, z)],
                           fun.object_map, fun.morphism_map)
-        sub = validate_functor(rebuilt)
-        for v in sub.violations:
-            rep.add("comp:" + v.kind, f"comp{key!r}: {v.message}", v.witness, v.structural)
+        rep.include(validate_functor(rebuilt), "comp:", f"comp{key!r}: ")
     if rep.violations:
         return rep
 
     # coherence cells: presence, endpoints, invertibility
-    triples = [(h, g, f)
-               for f in b.one_cells() for g in b.one_cells() for h in b.one_cells()
-               if b.home1(f)[1] == b.home1(g)[0] and b.home1(g)[1] == b.home1(h)[0]]
+    triples = list(b.composable_triples())
     for t in triples:
         h, g, f = t
         cell = b.associator.get(t)
@@ -266,36 +299,18 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
 
     # naturality, one variable at a time (joint naturality follows because the
     # composition functors were already checked to be functorial)
-    for h, g, f in triples:
-        hpair, gpair, fpair = b.home1(h), b.home1(g), b.home1(f)
-        for slot, cells in (("later", b.homs[hpair].morphisms),
-                            ("middle", b.homs[gpair].morphisms),
-                            ("earlier", b.homs[fpair].morphisms)):
-            for c in sorted_ids(cells):
-                if slot == "later":
-                    if b.src2(c) != h:
-                        continue
-                    h2, g2, f2 = b.tgt2(c), g, f
-                    top = b.hcomp(b.hcomp(c, b.id2(g)), b.id2(f))
-                    bot = b.hcomp(c, b.id2(b.compose1(g, f)))
-                elif slot == "middle":
-                    if b.src2(c) != g:
-                        continue
-                    h2, g2, f2 = h, b.tgt2(c), f
-                    top = b.hcomp(b.hcomp(b.id2(h), c), b.id2(f))
-                    bot = b.hcomp(b.id2(h), b.hcomp(c, b.id2(f)))
-                else:
-                    if b.src2(c) != f:
-                        continue
-                    h2, g2, f2 = h, g, b.tgt2(c)
-                    top = b.hcomp(b.hcomp(b.id2(h), b.id2(g)), c)
-                    bot = b.hcomp(b.id2(h), b.hcomp(b.id2(g), c))
-                lhs = b.vcomp(b.associator[(h2, g2, f2)], top)
-                rhs = b.vcomp(bot, b.associator[(h, g, f)])
+    for t in triples:
+        for i, slot in enumerate(("later", "middle", "earlier")):
+            for c in b.homs[b.home1(t[i])].out_of(t[i]):
+                # c in slot i and identity 2-cells in the other two
+                ch, cg, cf = (c if j == i else b.id2(x) for j, x in enumerate(t))
+                moved = tuple(b.tgt2(c) if j == i else x for j, x in enumerate(t))
+                lhs = b.vcomp(b.associator[moved], b.hcomp(b.hcomp(ch, cg), cf))
+                rhs = b.vcomp(b.hcomp(ch, b.hcomp(cg, cf)), b.associator[t])
                 if lhs != rhs:
                     rep.add("associator-naturality",
                             f"associator is not natural in the {slot} slot at "
-                            f"({h!r}, {g!r}, {f!r}) under {c!r}", (h, g, f, c))
+                            f"({t[0]!r}, {t[1]!r}, {t[2]!r}) under {c!r}", t + (c,))
 
     for c in b.two_cells():
         f, f2 = b.src2(c), b.tgt2(c)
@@ -309,10 +324,9 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
         if lhs != rhs:
             rep.add("right-unitor-naturality", f"right unitor is not natural under {c!r}", (c,))
 
+    ending = grouped(triples, lambda t: b.home1(t[0])[1])
     for k in b.one_cells():
-        for h, g, f in triples:
-            if b.home1(h)[1] != b.home1(k)[0]:
-                continue
+        for h, g, f in ending.get(b.home1(k)[0], ()):
             lhs = b.vcomp(b.associator[(k, h, b.compose1(g, f))],
                           b.associator[(b.compose1(k, h), g, f)])
             rhs = b.vcomp(b.whisker_left(k, b.associator[(h, g, f)]),
@@ -322,16 +336,13 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
                 rep.add("pentagon", f"pentagon fails at ({k!r}, {h!r}, {g!r}, {f!r})",
                         (k, h, g, f))
 
-    for g in b.one_cells():
-        for f in b.one_cells():
-            if b.home1(f)[1] != b.home1(g)[0]:
-                continue
-            mid = b.home1(g)[0]
-            lhs = b.vcomp(b.whisker_left(g, b.left_unitor[f]),
-                          b.associator[(g, b.unit[mid], f)])
-            rhs = b.whisker_right(b.right_unitor[g], f)
-            if lhs != rhs:
-                rep.add("triangle", f"triangle fails at ({g!r}, {f!r})", (g, f))
+    for g, f in b.composable_pairs_by_later():
+        mid = b.home1(g)[0]
+        lhs = b.vcomp(b.whisker_left(g, b.left_unitor[f]),
+                      b.associator[(g, b.unit[mid], f)])
+        rhs = b.whisker_right(b.right_unitor[g], f)
+        if lhs != rhs:
+            rep.add("triangle", f"triangle fails at ({g!r}, {f!r})", (g, f))
     return rep
 
 
@@ -347,27 +358,19 @@ def strict_bicategory(name, objects, homs, unit, comp1, comp2) -> FiniteBicatego
     strictly unital — that is asserted while the coherence cells are built.
     """
     b = FiniteBicategory(name, list(objects), dict(homs), {}, dict(unit), {}, {}, {})
-    objs = list(objects)
-    for x, y, z in itertools.product(objs, repeat=3):
+    for x, y, z in itertools.product(b.objects, repeat=3):
         left, right = homs[(y, z)], homs[(x, y)]
         prod = product_category(left, right)
         omap = {(g, f): comp1(g, f) for g in left.objects for f in right.objects}
         mmap = {(d, c): comp2(d, c) for d in left.morphisms for c in right.morphisms}
         b.comp[(x, y, z)] = Functor(f"comp({x},{y},{z})", prod, homs[(x, z)], omap, mmap)
+    for h, g, f in b.composable_triples():
+        lhs = comp1(comp1(h, g), f)
+        if lhs != comp1(h, comp1(g, f)):
+            raise ValueError(f"comp1 is not strictly associative at ({h!r}, {g!r}, {f!r})")
+        b.associator[(h, g, f)] = b.id2(lhs)
     for f in b.one_cells():
         a, bb = b.home1(f)
-        for g in b.one_cells():
-            if b.home1(g)[0] != bb:
-                continue
-            for h in b.one_cells():
-                if b.home1(h)[0] != b.home1(g)[1]:
-                    continue
-                lhs = comp1(comp1(h, g), f)
-                rhs = comp1(h, comp1(g, f))
-                if lhs != rhs:
-                    raise ValueError(f"comp1 is not strictly associative at "
-                                     f"({h!r}, {g!r}, {f!r})")
-                b.associator[(h, g, f)] = b.id2(lhs)
         if comp1(unit[bb], f) != f or comp1(f, unit[a]) != f:
             raise ValueError(f"comp1 is not strictly unital at {f!r}")
         b.left_unitor[f] = b.id2(f)
@@ -404,8 +407,7 @@ class Magma:
     basepoint: object    # element used as the unit 1-cell of the delooping
 
     def is_associative(self):
-        return all(self.table[(self.table[(x, y)], z)] == self.table[(x, self.table[(y, z)])]
-                   for x in self.elements for y in self.elements for z in self.elements)
+        return self.associativity_failure() is None
 
     def associativity_failure(self):
         for x in self.elements:
@@ -446,11 +448,10 @@ def codiscrete_bicategory(name, magma: Magma) -> FiniteBicategory:
     for f in magma.elements:
         b.left_unitor[f] = ("to", magma.table[(e, f)], f)
         b.right_unitor[f] = ("to", magma.table[(f, e)], f)
-        for g in magma.elements:
-            for h in magma.elements:
-                b.associator[(h, g, f)] = ("to",
-                                           magma.table[(magma.table[(h, g)], f)],
-                                           magma.table[(h, magma.table[(g, f)])])
+    for h, g, f in b.composable_triples():
+        b.associator[(h, g, f)] = ("to",
+                                   magma.table[(magma.table[(h, g)], f)],
+                                   magma.table[(h, magma.table[(g, f)])])
     return b
 
 

@@ -10,12 +10,18 @@ Ids (for objects and morphisms alike) are arbitrary hashable values — strings
 in hand-written structures, nested tuples in the products and quotients built
 by the rest of the package.  Validators never raise on bad data; they return a
 ValidationReport with the smallest witness they found.
+
+A category hands out its objects, morphisms, hom sets and composable pairs in
+canonical order (`sorted_ids`), computed once, on first read, from its cell
+sets ``objects`` and ``morphisms``.  So the cell sets are fixed once it is
+built; ``identity`` and ``table`` may still be edited in place.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .report import ValidationReport, sorted_ids
 from .search import constraints, search
@@ -28,22 +34,44 @@ class FiniteCategory:
     morphisms: dict        # mid -> (src, tgt)
     identity: dict         # obj -> mid
     table: dict            # (f, g) -> composite "g after f", for tgt(f) == src(g)
-    _homs: dict = field(default_factory=dict, repr=False, compare=False)
+
+    # -- canonical views ---------------------------------------------------
+    @cached_property
+    def sorted_objects(self):
+        """The objects, each once, in canonical order."""
+        return tuple(sorted_ids(dict.fromkeys(self.objects)))
+
+    @cached_property
+    def sorted_morphisms(self):
+        return tuple(sorted_ids(self.morphisms))
+
+    @cached_property
+    def _hom_sets(self):
+        return grouped(self.sorted_morphisms, self.morphisms.__getitem__)
+
+    @cached_property
+    def _out(self):
+        return grouped(self.sorted_morphisms, self.src)
+
+    def hom(self, a, b):
+        """The morphisms from a to b, in canonical order."""
+        return self._hom_sets.get((a, b), ())
+
+    def out_of(self, a):
+        """The morphisms with source a, in canonical order."""
+        return self._out.get(a, ())
+
+    def composable_pairs(self):
+        """The pairs (f, g) with g after f defined, f slowest."""
+        for f in self.sorted_morphisms:
+            for g in self.out_of(self.tgt(f)):
+                yield f, g
 
     def src(self, f):
         return self.morphisms[f][0]
 
     def tgt(self, f):
         return self.morphisms[f][1]
-
-    def hom(self, a, b):
-        """Sorted list of morphism ids from a to b."""
-        key = (a, b)
-        if key not in self._homs:
-            self._homs[key] = sorted_ids(
-                m for m, (s, t) in self.morphisms.items() if s == a and t == b
-            )
-        return self._homs[key]
 
     def compose(self, g, f):
         """The composite "g after f" (f acts first)."""
@@ -64,12 +92,13 @@ class FiniteCategory:
     def is_iso(self, f):
         return self.iso_inverse(f) is not None
 
-    def composable_pairs(self):
-        morphisms = sorted_ids(self.morphisms)
-        for f in morphisms:
-            for g in morphisms:
-                if self.tgt(f) == self.src(g):
-                    yield f, g
+
+def grouped(cells, key):
+    """{key(x): the cells x with that key, as a tuple in the given order}."""
+    groups = {}
+    for x in cells:
+        groups.setdefault(key(x), []).append(x)
+    return {k: tuple(xs) for k, xs in groups.items()}
 
 
 def validate_category(c: FiniteCategory) -> ValidationReport:
@@ -78,7 +107,7 @@ def validate_category(c: FiniteCategory) -> ValidationReport:
     objset = set(c.objects)
     if len(objset) != len(c.objects):
         rep.add("duplicate-object", "object list has repeats", structural=True)
-    for m in sorted_ids(c.morphisms):
+    for m in c.sorted_morphisms:
         s, t = c.morphisms[m]
         if s not in objset:
             rep.add("dangling-source", f"morphism {m!r} has source {s!r} not in objects",
@@ -86,7 +115,7 @@ def validate_category(c: FiniteCategory) -> ValidationReport:
         if t not in objset:
             rep.add("dangling-target", f"morphism {m!r} has target {t!r} not in objects",
                     (m,), structural=True)
-    for a in sorted_ids(objset):
+    for a in c.sorted_objects:
         i = c.identity.get(a)
         if i is None:
             rep.add("missing-identity", f"object {a!r} has no identity", (a,), structural=True)
@@ -96,15 +125,15 @@ def validate_category(c: FiniteCategory) -> ValidationReport:
         elif c.morphisms[i] != (a, a):
             rep.add("bad-identity", f"identity of {a!r} is not an endomorphism of it",
                     (a, i), structural=True)
-    expected = {(f, g) for f in c.morphisms for g in c.morphisms
-                if c.morphisms[f][1] == c.morphisms[g][0]}
-    for key in sorted_ids(set(c.table) - expected):
+    pairs = list(c.composable_pairs())
+    for key in sorted_ids(set(c.table).difference(pairs)):
         rep.add("spurious-composite", f"table entry {key!r} is not a composable pair",
                 key, structural=True)
-    for key in sorted_ids(expected - set(c.table)):
-        rep.add("missing-composite", f"no composite for composable pair {key!r}",
-                key, structural=True)
-    for key in sorted_ids(expected & set(c.table)):
+    for key in pairs:
+        if key not in c.table:
+            rep.add("missing-composite", f"no composite for composable pair {key!r}",
+                    key, structural=True)
+    for key in [k for k in pairs if k in c.table]:
         f, g = key
         h = c.table[key]
         if h not in c.morphisms:
@@ -117,16 +146,14 @@ def validate_category(c: FiniteCategory) -> ValidationReport:
     if rep.structural_failure:
         return rep
 
-    for f in sorted_ids(c.morphisms):
+    for f in c.sorted_morphisms:
         s, t = c.morphisms[f]
         if c.table[(c.identity[s], f)] != f:
             rep.add("left-identity", f"composing {f!r} after id_{s!r} is not {f!r}", (f,))
         if c.table[(f, c.identity[t])] != f:
             rep.add("right-identity", f"composing id_{t!r} after {f!r} is not {f!r}", (f,))
-    for f, g in c.composable_pairs():
-        for h in sorted_ids(c.morphisms):
-            if c.src(h) != c.tgt(g):
-                continue
+    for f, g in pairs:
+        for h in c.out_of(c.tgt(g)):
             if c.table[(c.table[(f, g)], h)] != c.table[(f, c.table[(g, h)])]:
                 rep.add("associativity",
                         f"(h.g).f and h.(g.f) disagree for f={f!r} g={g!r} h={h!r}",
@@ -175,10 +202,8 @@ def product_category(c: FiniteCategory, d: FiniteCategory) -> FiniteCategory:
                           (c.morphisms[f][1], d.morphisms[g][1]))
                  for f in c.morphisms for g in d.morphisms}
     identity = {(a, b): (c.identity[a], d.identity[b]) for a, b in objects}
-    table = {}
-    for (f1, g1), (f2, g2) in itertools.product(morphisms, repeat=2):
-        if c.morphisms[f1][1] == c.morphisms[f2][0] and d.morphisms[g1][1] == d.morphisms[g2][0]:
-            table[((f1, g1), (f2, g2))] = (c.table[(f1, f2)], d.table[(g1, g2)])
+    table = {((f1, g1), (f2, g2)): (c.table[(f1, f2)], d.table[(g1, g2)])
+             for f1, f2 in c.composable_pairs() for g1, g2 in d.composable_pairs()}
     return FiniteCategory(f"({c.name})x({d.name})", objects, morphisms, identity, table)
 
 
@@ -193,20 +218,17 @@ class Functor:
     object_map: dict
     morphism_map: dict
 
-    def on_obj(self, a):
-        return self.object_map[a]
-
 
 def validate_functor(fun: Functor) -> ValidationReport:
     rep = ValidationReport(f"functor {fun.name}")
     s, t = fun.source, fun.target
-    for a in sorted_ids(s.objects):
+    for a in s.sorted_objects:
         if a not in fun.object_map:
             rep.add("missing-object-image", f"no image for object {a!r}", (a,), structural=True)
         elif fun.object_map[a] not in set(t.objects):
             rep.add("dangling-object-image", f"image of {a!r} is not a target object",
                     (a,), structural=True)
-    for f in sorted_ids(s.morphisms):
+    for f in s.sorted_morphisms:
         if f not in fun.morphism_map:
             rep.add("missing-morphism-image", f"no image for morphism {f!r}", (f,),
                     structural=True)
@@ -216,13 +238,13 @@ def validate_functor(fun: Functor) -> ValidationReport:
     if rep.structural_failure:
         return rep
 
-    for f in sorted_ids(s.morphisms):
+    for f in s.sorted_morphisms:
         a, b = s.morphisms[f]
         if t.morphisms[fun.morphism_map[f]] != (fun.object_map[a], fun.object_map[b]):
             rep.add("endpoints", f"image of {f!r} has the wrong endpoints", (f,))
     if rep.violations:
         return rep
-    for a in sorted_ids(s.objects):
+    for a in s.sorted_objects:
         if fun.morphism_map[s.identity[a]] != t.identity[fun.object_map[a]]:
             rep.add("identity", f"identity of {a!r} is not sent to an identity", (a,))
     rep.check_laws(fun, functor_laws(fun))
@@ -253,8 +275,8 @@ def compose_functors(g: Functor, f: Functor) -> Functor:
 def is_fully_faithful(fun: Functor):
     """(ok, witness): each hom map must be a bijection onto the image hom set."""
     s, t = fun.source, fun.target
-    for a in sorted_ids(s.objects):
-        for b in sorted_ids(s.objects):
+    for a in s.sorted_objects:
+        for b in s.sorted_objects:
             dom = s.hom(a, b)
             images = [fun.morphism_map[f] for f in dom]
             if len(set(images)) != len(images):
@@ -269,16 +291,12 @@ def is_essentially_surjective(fun: Functor):
     """(ok, witness): every target object isomorphic to an object in the image."""
     t = fun.target
     image = {fun.object_map[a] for a in fun.source.objects}
-    for x in sorted_ids(t.objects):
+    for x in t.sorted_objects:
         if x in image:
             continue
-        if not any(_isomorphic(t, y, x) for y in sorted_ids(image)):
+        if not any(t.is_iso(f) for y in sorted_ids(image) for f in t.hom(y, x)):
             return False, ("not-essentially-surjective", x)
     return True, ()
-
-
-def _isomorphic(c: FiniteCategory, a, b):
-    return any(c.is_iso(f) for f in c.hom(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +323,7 @@ def validate_nat(nt: NatTrans) -> ValidationReport:
         rep.add("parallel", "source functors do not share a target category", structural=True)
         return rep
     cat, tcat = f.source, f.target
-    for a in sorted_ids(cat.objects):
+    for a in cat.sorted_objects:
         m = nt.components.get(a)
         if m is None:
             rep.add("missing-component", f"no component at {a!r}", (a,), structural=True)
@@ -330,9 +348,9 @@ def _natural_at(nt, m):
 
 def nat_laws(nt):
     """Naturality at each morphism, as law instances of `nt`."""
-    comp, morphisms = nt.components, nt.source.source.morphisms
-    for m in sorted_ids(morphisms):
-        a, b = morphisms[m]
+    comp, cat = nt.components, nt.source.source
+    for m in cat.sorted_morphisms:
+        a, b = cat.morphisms[m]
         yield (_natural_at, (m,), ((comp, a), (comp, b)),
                "naturality", "naturality square at {!r} does not commute")
 
@@ -356,13 +374,13 @@ def vcomp_nat(later: NatTrans, earlier: NatTrans) -> NatTrans:
 def enumerate_functors(s: FiniteCategory, t: FiniteCategory):
     """All functors s -> t, in deterministic order: by the images of the
     objects, then of the non-identity morphisms, each in sorted order."""
-    objs, targets = sorted_ids(s.objects), sorted_ids(t.objects)
+    objs, targets = s.sorted_objects, t.sorted_objects
     draft = Functor("enum", s, t, {}, {})
     omap, mmap = draft.object_map, draft.morphism_map
     variables = [(omap, a, (), lambda: targets) for a in objs]
     variables += [(mmap, m, ((omap, s.src(m)), (omap, s.tgt(m))),
                    lambda m=m: t.hom(omap[s.src(m)], omap[s.tgt(m)]))
-                  for m in sorted_ids(s.morphisms) if not s.is_identity(m)]
+                  for m in s.sorted_morphisms if not s.is_identity(m)]
     variables += [(mmap, s.identity[a], ((omap, a),),
                    lambda a=a: (t.identity[omap[a]],)) for a in objs]
     for _ in search(variables, constraints(draft, functor_laws(draft))):
@@ -374,7 +392,7 @@ def nat_variables(nt: NatTrans):
     object in sorted order, each ranging over its hom in order."""
     f, g = nt.source, nt.target
     return [(nt.components, a, (), lambda a=a: f.target.hom(f.object_map[a], g.object_map[a]))
-            for a in sorted_ids(f.source.objects)]
+            for a in f.source.sorted_objects]
 
 
 def enumerate_nats(f: Functor, g: Functor):

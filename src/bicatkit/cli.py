@@ -28,6 +28,7 @@ from .fileformat import (
     KINDS,
     StructureError,
     StructureFile,
+    _tuplify,
     dump_id,
     parse_path,
     serialize_laxfunctor,
@@ -130,12 +131,6 @@ def _cell_arg(text):
         return _tuplify(json.loads(text))
     except ValueError:
         return text
-
-
-def _tuplify(x):
-    if isinstance(x, list):
-        return tuple(_tuplify(v) for v in x)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +289,7 @@ def _do_fibration(args, res, body):
     from .internal import fibration_report
     b = res.one(args.two_category, "bicategory")
     p = _cell_arg(args.one_cell)
-    found = any(p in c.objects for c in b.homs.values())
-    if not found:
+    if p not in b.one_cells():
         raise StructureError(f"{dump_id(b.name)} has no 1-cell {dump_id(p)}")
     report = fibration_report(b, p)
     label = f"fibration over {dump_id(p)} in {dump_id(b.name)}"
@@ -401,7 +395,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     body = Body()
+    out = None
     try:
+        if args.out:  # fail before the run when the report cannot be written
+            open(args.out, "a").close()
+            out = args.out
         res = Resolver(args.file)
         code = args.run(args, res, body)
     except StructureError as e:
@@ -410,7 +408,7 @@ def main(argv=None) -> int:
     except UnsupportedSettingError as e:
         body.append(f"error: not applicable in this setting: {e}")
         code = 2
-    except FileNotFoundError as e:
+    except OSError as e:
         body.append(f"error: {e}")
         code = 2
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -423,8 +421,8 @@ def main(argv=None) -> int:
              f"  total_ms: {elapsed_ms:.1f}"]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        pathlib.Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        pathlib.Path(out).write_text(text, encoding="utf-8")
     return code
 
 

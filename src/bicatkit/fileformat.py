@@ -474,7 +474,11 @@ def parse(text: str, source: str = "<string>", into: StructureFile = None) -> St
 
 def parse_path(path, into: StructureFile = None) -> StructureFile:
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read(), source=str(path), into=into)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise StructureError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    return parse(text, source=str(path), into=into)
 
 
 def _check(report, what, lines, lineno):

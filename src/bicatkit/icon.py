@@ -75,8 +75,7 @@ def validate_icon(icon: Icon) -> ValidationReport:
     if f.target is not g.target and f.target != g.target:
         rep.add("parallel", "the two lax functors do not share a target", structural=True)
         return rep
-    s, t = f.source, f.target
-    for a in sorted_ids(s.objects):
+    for a in f.source.sorted_objects:
         if f.object_map[a] != g.object_map[a]:
             rep.add("object-maps-differ",
                     f"an icon needs equal object maps; they differ at {a!r}", (a,),
@@ -89,11 +88,8 @@ def validate_icon(icon: Icon) -> ValidationReport:
             rep.add("missing-hom-component", f"no component family at {pair!r}", pair,
                     structural=True)
             continue
-        sub = validate_nat(NatTrans(icon.families[pair], f.hom_functors[pair],
-                                    g.hom_functors[pair], icon.cells))
-        for v in sub.violations:
-            rep.add("component:" + v.kind, f"at {pair!r}: {v.message}", v.witness,
-                    v.structural)
+        nt = NatTrans(icon.families[pair], f.hom_functors[pair], g.hom_functors[pair], icon.cells)
+        rep.include(validate_nat(nt), "component:", f"at {pair!r}: ")
     if rep.violations:
         return rep
 
@@ -117,17 +113,12 @@ def icon_laws(icon):
     """Compatibility with the comparisons and with the unit comparisons, as
     law instances (see `ValidationReport.check_laws`) of `icon`."""
     s, cells = icon.source.source, icon.cells
-    homs = sorted_ids(s.homs)
-    ones = {p: sorted_ids(s.homs[p].objects) for p in homs}
-    for b, c in homs:
-        for x in ones[(b, c)]:
-            for a in [p[0] for p in homs if p[1] == b]:
-                for y in ones[(a, b)]:
-                    yield (_composition_compatible, (x, y),
-                           ((cells, x), (cells, y), (cells, s.compose1(x, y))),
-                           "composition-compat",
-                           "components do not commute with the comparison at ({!r}, {!r})")
-    for a in sorted_ids(s.objects):
+    for x, y in s.composable_pairs_by_later():
+        yield (_composition_compatible, (x, y),
+               ((cells, x), (cells, y), (cells, s.compose1(x, y))),
+               "composition-compat",
+               "components do not commute with the comparison at ({!r}, {!r})")
+    for a in s.sorted_objects:
         yield (_unit_compatible, (a,), ((cells, s.unit[a]),),
                "unit-compat", "components do not commute with the unit comparison at {!r}")
 

@@ -33,7 +33,7 @@ def is_equivalence_in_bicat2(fun: LaxFunctor) -> EquivalenceVerdict:
     """Decide invertibility up to invertible icons by the three-part
     characterization; the verdict names the first failing part, if any."""
     done = []
-    images = [fun.object_map[a] for a in sorted_ids(fun.source.objects)]
+    images = [fun.object_map[a] for a in fun.source.sorted_objects]
     if len(set(images)) != len(images) or set(images) != set(fun.target.objects):
         return EquivalenceVerdict(False, tuple(done), "bijective-on-objects",
                                   tuple(images))
@@ -92,7 +92,7 @@ def cartesian_report(q: CartesianQuery) -> ValidationReport:
     rep = ValidationReport(f"cartesianness of {q.alpha!r} over {q.p!r}")
     up, down = b.homs[(x, pa)], b.homs[(x, pb)]
     p_alpha = b.whisker_left(q.p, q.alpha)
-    for c in sorted_ids(up.objects):
+    for c in up.sorted_objects:
         for gamma in down.hom(b.compose1(q.p, c), b.compose1(q.p, a_prime)):
             for delta in up.hom(c, a):
                 if b.vcomp(p_alpha, gamma) != b.whisker_left(q.p, delta):
@@ -124,23 +124,23 @@ def fibration_report(b: FiniteBicategory, p) -> ValidationReport:
             "fibrations are only decided over a strict ambient")
     pa, pb = b.home1(p)
     rep = ValidationReport(f"fibration clauses for {p!r} in {b.name}")
-    for x in sorted_ids(b.objects):
+    for x in b.sorted_objects:
         up, down = b.homs[(x, pa)], b.homs[(x, pb)]
-        for a in sorted_ids(up.objects):
-            for b1 in sorted_ids(down.objects):
+        for a in up.sorted_objects:
+            for b1 in down.sorted_objects:
                 for beta in down.hom(b1, b.compose1(p, a)):
                     if not _has_cartesian_lift(b, p, x, a, b1, beta):
                         rep.add("no-cartesian-lift",
                                 f"no cartesian 2-cell over {beta!r} "
                                 f"(from {b1!r} to the composite through {a!r})",
                                 (x, a, b1, beta))
-    for x in sorted_ids(b.objects):
+    for x in b.sorted_objects:
         up = b.homs[(x, pa)]
-        for alpha in sorted_ids(up.morphisms):
+        for alpha in up.sorted_morphisms:
             if not is_p_cartesian(CartesianQuery(b, p, alpha)):
                 continue
-            for y in sorted_ids(b.objects):
-                for w in sorted_ids(b.homs[(y, x)].objects):
+            for y in b.sorted_objects:
+                for w in b.homs[(y, x)].sorted_objects:
                     moved = CartesianQuery(b, p, b.whisker_right(alpha, w))
                     if not is_p_cartesian(moved):
                         rep.add("whisker-unstable",
@@ -151,7 +151,7 @@ def fibration_report(b: FiniteBicategory, p) -> ValidationReport:
 
 def _has_cartesian_lift(b, p, x, a, b1, beta):
     up = b.homs[(x, b.home1(p)[0])]
-    for a_prime in sorted_ids(up.objects):
+    for a_prime in up.sorted_objects:
         if b.compose1(p, a_prime) != b1:
             continue
         for alpha in up.hom(a_prime, a):

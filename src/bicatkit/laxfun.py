@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bicat import FiniteBicategory, MonoidalCategory, sigma_bicategory
 from .catcore import Functor, compose_functors, enumerate_functors, validate_functor
-from .report import ValidationReport, sorted_ids
+from .report import ValidationReport
 from .search import constraints, search
 
 
@@ -66,7 +66,7 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     rep = ValidationReport(f"lax functor {fun.name}")
     s, t = fun.source, fun.target
     tobj = set(t.objects)
-    for a in sorted_ids(s.objects):
+    for a in s.sorted_objects:
         x = fun.object_map.get(a)
         if x is None:
             rep.add("missing-object-image", f"no image for object {a!r}", (a,),
@@ -77,8 +77,8 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     if rep.structural_failure:
         return rep
 
-    for a in sorted_ids(s.objects):
-        for b in sorted_ids(s.objects):
+    for a in s.sorted_objects:
+        for b in s.sorted_objects:
             hf = fun.hom_functors.get((a, b))
             if hf is None:
                 rep.add("missing-hom-functor", f"no hom functor at {(a, b)!r}", (a, b),
@@ -87,14 +87,11 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
             rebuilt = Functor(f"{fun.name}({a},{b})", s.homs[(a, b)],
                               t.homs[(fun.object_map[a], fun.object_map[b])],
                               hf.object_map, hf.morphism_map)
-            sub = validate_functor(rebuilt)
-            for v in sub.violations:
-                rep.add("hom-functor:" + v.kind, f"hom functor {(a, b)!r}: {v.message}",
-                        v.witness, v.structural)
+            rep.include(validate_functor(rebuilt), "hom-functor:", f"hom functor {(a, b)!r}: ")
     if rep.violations:
         return rep
 
-    for g, f in _composable_pairs(s):
+    for g, f in s.composable_pairs():
         cat = t.homs[(fun.object_map[s.home1(f)[0]], fun.object_map[s.home1(g)[1]])]
         cell = fun.comp_constraints.get((g, f))
         if cell is None:
@@ -108,7 +105,7 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
             rep.add("comp-constraint-endpoints",
                     f"comparison at ({g!r}, {f!r}) must run F{g!r}.F{f!r} => F(g.f)",
                     (g, f))
-    for a in sorted_ids(s.objects):
+    for a in s.sorted_objects:
         fa = fun.object_map[a]
         cat = t.homs[(fa, fa)]
         cell = fun.unit_constraints.get(a)
@@ -128,12 +125,6 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
 
     rep.check_laws(fun, lax_laws(fun))
     return rep
-
-
-def _composable_pairs(s):
-    """The pairs (g, f) of 1-cells with g after f defined, f slowest."""
-    cells = list(s.one_cells())
-    return [(g, f) for f in cells for g in cells if s.home1(f)[1] == s.home1(g)[0]]
 
 
 def _natural(fun, d, c):
@@ -177,28 +168,24 @@ def lax_laws(fun):
     axioms, as law instances (see `ValidationReport.check_laws`) of `fun`."""
     s = fun.source
     homs, comp, unit = fun.hom_functors, fun.comp_constraints, fun.unit_constraints
-    cells1, cells2 = list(s.one_cells()), list(s.two_cells())
-    for d in cells2:
-        for c in cells2:
-            (a, b), (b2, e) = s.home2(c), s.home2(d)
-            if b == b2:
+    for d in s.two_cells():
+        b, e = s.home2(d)
+        for a in s.sorted_objects:
+            for c in s.homs[(a, b)].sorted_morphisms:
                 yield (_natural, (d, c), ((homs, (a, b)), (homs, (b, e)), (homs, (a, e)),
                                           (comp, (s.tgt2(d), s.tgt2(c))),
                                           (comp, (s.src2(d), s.src2(c)))),
                        "comp-constraint-naturality",
                        "comparison is not natural under ({!r}, {!r})")
-    for g, f in _composable_pairs(s):
-        for h in cells1:
-            a, b = s.home1(f)
-            c, (c2, e) = s.home1(g)[1], s.home1(h)
-            if c2 == c:
-                yield (_coherent, (h, g, f),
-                       ((homs, (a, b)), (homs, (b, c)), (homs, (c, e)), (homs, (a, e)),
-                        (comp, (h, s.compose1(g, f))), (comp, (g, f)),
-                        (comp, (s.compose1(h, g), f)), (comp, (h, g))),
-                       "comp-coherence",
-                       "the two comparison pastings disagree at ({!r}, {!r}, {!r})")
-    for f in cells1:
+    for h, g, f in s.composable_triples():
+        (a, b), (c, e) = s.home1(f), s.home1(h)
+        yield (_coherent, (h, g, f),
+               ((homs, (a, b)), (homs, (b, c)), (homs, (c, e)), (homs, (a, e)),
+                (comp, (h, s.compose1(g, f))), (comp, (g, f)),
+                (comp, (s.compose1(h, g), f)), (comp, (h, g))),
+               "comp-coherence",
+               "the two comparison pastings disagree at ({!r}, {!r}, {!r})")
+    for f in s.one_cells():
         a, b = s.home1(f)
         yield (_left_unital, (f,), ((homs, (a, b)), (comp, (s.unit[b], f)), (unit, b)),
                "left-unit-coherence", "left unit axiom fails at {!r}")
@@ -266,7 +253,7 @@ def identity_lax(b: FiniteBicategory) -> LaxFunctor:
         homs[pair] = Functor(f"1{pair!r}", cat, cat,
                              {x: x for x in cat.objects},
                              {m: m for m in cat.morphisms})
-    comp = {(g, f): b.id2(b.compose1(g, f)) for g, f in _composable_pairs(b)}
+    comp = {(g, f): b.id2(b.compose1(g, f)) for g, f in b.composable_pairs()}
     unit = {a: b.id2(b.unit[a]) for a in b.objects}
     return LaxFunctor(f"1_{b.name}", b, b,
                       {a: a for a in b.objects}, homs, comp, unit)
@@ -324,7 +311,7 @@ def two_functor(name, s: FiniteBicategory, t: FiniteBicategory,
                 {x: cell1_map[x] for x in cat.objects},
                 {m: cell2_map[m] for m in cat.morphisms})
     fun = LaxFunctor(name, s, t, dict(object_map), homs, {}, {})
-    for g, f in _composable_pairs(s):
+    for g, f in s.composable_pairs():
         if not _preserves_composite(fun, g, f):
             raise ValueError(f"{name} does not strictly preserve the composite "
                              f"of ({g!r}, {f!r})")
@@ -352,7 +339,7 @@ def lax_variables(fun, comparisons, units):
     order.  `comparisons(g, f)` and `units(a)` list the candidate 2-cells."""
     s, t = fun.source, fun.target
     omap, homs = fun.object_map, fun.hom_functors
-    objs, targets = sorted_ids(s.objects), sorted_ids(t.objects)
+    objs, targets = s.sorted_objects, t.sorted_objects
 
     def hom_functors(a, b):
         cat, tcat = s.homs[(a, b)], t.homs[(omap[a], omap[b])]
@@ -363,7 +350,7 @@ def lax_variables(fun, comparisons, units):
     variables = [(omap, a, (), lambda: targets) for a in objs]
     variables += [(homs, (a, b), ((omap, a), (omap, b)), functools.partial(hom_functors, a, b))
                   for a in objs for b in objs]
-    for g, f in _composable_pairs(s):
+    for g, f in s.composable_pairs():
         (a, b), c = s.home1(f), s.home1(g)[1]
         variables.append((fun.comp_constraints, (g, f),
                           ((homs, (a, b)), (homs, (b, c)), (homs, (a, c))),

@@ -102,8 +102,7 @@ def validate_simplex(s: SimplexData) -> ValidationReport:
     rep = ValidationReport(f"simplex over {s.base.name}")
     fun = as_lax_functor(s)
     inner = validate_lax_functor(fun)
-    for v in inner.violations:
-        rep.add(v.kind, v.message, v.witness, v.structural)
+    rep.include(inner)
     if inner.ok:
         cls = classify(fun)
         if not cls.is_normal:

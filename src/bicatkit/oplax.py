@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .bicat import FiniteBicategory, UnsupportedSettingError
 from .icon import Icon, validate_icon
 from .laxfun import LaxFunctor, classify, compose_lax, two_functor
-from .report import ValidationReport, sorted_ids
+from .report import ValidationReport
 from .search import constraints, search
 
 
@@ -34,12 +34,6 @@ class OplaxNat:
     components: dict     # object A -> 1-cell F(A) -> G(A)
     constraints: dict    # 1-cell f -> 2-cell comp[B].F(f) => G(f).comp[A]
 
-    def component(self, a):
-        return self.components[a]
-
-    def constraint(self, f):
-        return self.constraints[f]
-
 
 def validate_oplax(u: OplaxNat) -> ValidationReport:
     rep = ValidationReport(f"oplax transformation {u.name}")
@@ -50,7 +44,7 @@ def validate_oplax(u: OplaxNat) -> ValidationReport:
         return rep
     s, t = f.source, f.target
 
-    for a in sorted_ids(s.objects):
+    for a in s.sorted_objects:
         cell = u.components.get(a)
         if cell is None:
             rep.add("missing-component", f"no component at {a!r}", (a,), structural=True)
@@ -130,22 +124,19 @@ def oplax_laws(u):
     """Naturality (ON0), compatibility with composition, fully padded (ON1),
     and with units (ON2), as law instances of `u` (see `ValidationReport.check_laws`)."""
     s, comps, cons = u.source.source, u.components, u.constraints
-    cells1 = list(s.one_cells())
     for c in s.two_cells():
         a, b = s.home2(c)
         yield (_natural, (c,),
                ((comps, a), (comps, b), (cons, s.src2(c)), (cons, s.tgt2(c))),
                "naturality", "constraint family is not natural under {!r}")
-    for x in cells1:
-        for y in cells1:
-            (a, b), (b2, c) = s.home1(y), s.home1(x)
-            if b == b2:
-                yield (_composition_compatible, (x, y),
-                       ((comps, a), (comps, b), (comps, c),
-                        (cons, x), (cons, y), (cons, s.compose1(x, y))),
-                       "composition-compat",
-                       "constraint pasting disagrees at the pair ({!r}, {!r})")
-    for a in sorted_ids(s.objects):
+    for x, y in s.composable_pairs_by_later():
+        (a, b), c = s.home1(y), s.home1(x)[1]
+        yield (_composition_compatible, (x, y),
+               ((comps, a), (comps, b), (comps, c),
+                (cons, x), (cons, y), (cons, s.compose1(x, y))),
+               "composition-compat",
+               "constraint pasting disagrees at the pair ({!r}, {!r})")
+    for a in s.sorted_objects:
         yield (_unit_compatible, (a,), ((comps, a), (cons, s.unit[a])),
                "unit-compat", "unit constraint pasting disagrees at {!r}")
 
@@ -276,7 +267,7 @@ def interchange_check(beta: OplaxNat, alpha: OplaxNat) -> ValidationReport:
     rep = ValidationReport(f"interchange of {beta.name} with {alpha.name}")
     one = vcomp_oplax(whisker_oplax_left(k, alpha), whisker_oplax_right(beta, f))
     two = vcomp_oplax(whisker_oplax_right(beta, g), whisker_oplax_left(h, alpha))
-    for a in sorted_ids(f.source.objects):
+    for a in f.source.sorted_objects:
         if one.components[a] != two.components[a]:
             rep.add("interchange-component",
                     f"the two composites have different components at {a!r}", (a,))
@@ -378,8 +369,9 @@ def enumerate_oplax(f: LaxFunctor, g: LaxFunctor):
         src = t.compose1(comps[b], f.on_1(w))
         return t.homs[t.home1(src)].hom(src, t.compose1(g.on_1(w), comps[a]))
 
-    variables = [(comps, a, (), lambda a=a: sorted_ids(
-        t.homs[(f.object_map[a], g.object_map[a])].objects)) for a in sorted_ids(s.objects)]
+    variables = [(comps, a, (),
+                  lambda a=a: t.homs[(f.object_map[a], g.object_map[a])].sorted_objects)
+                 for a in s.sorted_objects]
     variables += [(cons, w, tuple((comps, a) for a in s.home1(w)),
                    functools.partial(constraint_cells, w)) for w in s.one_cells()]
     for _ in search(variables, constraints(draft, oplax_laws(draft))):

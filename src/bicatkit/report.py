@@ -40,6 +40,12 @@ class ValidationReport:
     def structural_failure(self) -> bool:
         return any(v.structural for v in self.violations)
 
+    def include(self, sub, kind="", where=""):
+        """Add the violations of the report `sub`, each with `kind` before its
+        kind and `where` before its message."""
+        for v in sub.violations:
+            self.add(kind + v.kind, where + v.message, v.witness, v.structural)
+
     def check_laws(self, subject, laws):
         """Report each law instance ``(holds, cells, reads, kind, message)``
         with ``holds(subject, *cells)`` false: its kind, the message

@@ -189,6 +189,31 @@ def test_out_flag_writes_the_report(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_file_that_is_a_directory_is_structural(capsys, tmp_path):
+    code, out = run(capsys, "--file", str(tmp_path), "validate", "terminal")
+    assert code == 2
+    assert "\nerror: " in out
+    assert "result: error (exit 2)" in out
+
+
+def test_file_that_is_not_utf8_is_structural(capsys, tmp_path):
+    doc = tmp_path / "latin1.bc"
+    doc.write_bytes('build "caf\xe9" = ordinal 1\n'.encode("latin-1"))
+    code, out = run(capsys, "--file", str(doc), "validate", "terminal")
+    assert code == 2
+    assert f"error: {doc}: not UTF-8 text" in out
+    assert "result: error (exit 2)" in out
+
+
+def test_out_path_in_a_missing_directory_is_structural(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.txt"
+    code, out = run(capsys, "--out", str(target), "validate", "terminal")
+    assert code == 2
+    assert f"error: [Errno 2] No such file or directory: '{target}'" in out
+    assert "result: error (exit 2)" in out
+    assert "exit 0" not in out
+
+
 def test_every_corpus_name_validates(capsys):
     for kind in KINDS:
         for name in sorted(corpus.TABLES.get(kind, ())):

@@ -1,0 +1,180 @@
+"""Witness order under corruption.
+
+The full reports of the seven validators over seeded corruptions of corpus
+structures, byte for byte against `tests/golden/violations.txt`.  Each
+corruption changes or drops one entry of one table (a composition table, an
+identity, a functor's map, a coherence or comparison cell, a component) and
+never edits a cell set, so the report shows in which order a validator meets
+the cells and which witness it names first.
+
+    PYTHONPATH=src python tests/test_violations.py > tests/golden/violations.txt
+
+rewrites the golden file; a change that means to alter reports does that in
+a change of its own.
+"""
+
+import pathlib
+import random
+import sys
+
+from bicatkit import corpus
+from bicatkit.bicat import validate_bicategory
+from bicatkit.catcore import identity_nat, validate_category, validate_functor, validate_nat
+from bicatkit.icon import identity_icon, validate_icon
+from bicatkit.laxfun import identity_lax, validate_lax_functor
+from bicatkit.oplax import identity_oplax, validate_oplax
+from bicatkit.report import sorted_ids
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "violations.txt"
+SEED = 20071130
+PER_VALIDATOR = 90
+
+
+# the identities on the corpus bicategories, most of them with several
+# objects, next to the corpus's own lax functors, icons and transformations
+_IDENTITIES = {"laxfunctor": identity_lax,
+               "icon": lambda b: identity_icon(identity_lax(b)),
+               "oplax": lambda b: identity_oplax(identity_lax(b))}
+
+
+def _pick(rng, kind):
+    if kind in _IDENTITIES and rng.random() < 0.5:
+        name = rng.choice(sorted(corpus.BICATEGORIES))
+        return f"identity on {name}", _IDENTITIES[kind](corpus.get("bicategory", name))
+    name = rng.choice(sorted(corpus.TABLES[kind]))
+    return name, corpus.get(kind, name)
+
+
+def _cells(b):
+    """The 1-cells and the 2-cells of a bicategory, read off its homs, each
+    with its ends: its hom for a 1-cell, its hom and endpoints for a 2-cell."""
+    ones = {f: pair for pair, cat in b.homs.items() for f in cat.objects}
+    twos = {c: (pair, ends) for pair, cat in b.homs.items() for c, ends in cat.morphisms.items()}
+    return ones, twos
+
+
+# Each subject builder returns (label, subject, families), where a family is
+# a list of (table label, table, pool), the pool mapping each replacement value
+# to its ends.
+
+def _category(rng):
+    name, b = _pick(rng, "bicategory")
+    pair = rng.choice(sorted_ids(b.homs))
+    c = b.homs[pair]
+    return f"{name} hom{pair!r}", c, [[("table", c.table, c.morphisms)],
+                                     [("identity", c.identity, c.morphisms)]]
+
+
+def _functor(rng):
+    name, fun = _pick(rng, "laxfunctor")
+    pair = rng.choice(sorted_ids(fun.hom_functors))
+    hf = fun.hom_functors[pair]
+    return f"{name} hom functor {pair!r}", hf, [
+        [("object_map", hf.object_map, dict.fromkeys(hf.target.objects))],
+        [("morphism_map", hf.morphism_map, hf.target.morphisms)]]
+
+
+def _nat(rng):
+    if rng.random() < 0.5:
+        name, icon = _pick(rng, "icon")
+        pair = rng.choice(sorted_ids(icon.families))
+        nt, label = icon.components[pair], f"{name} family {pair!r}"
+    else:
+        name, fun = _pick(rng, "laxfunctor")
+        pair = rng.choice(sorted_ids(fun.hom_functors))
+        nt, label = identity_nat(fun.hom_functors[pair]), f"identity on {name} {pair!r}"
+    return label, nt, [[("components", nt.components, nt.source.target.morphisms)]]
+
+
+def _bicategory(rng):
+    name, b = _pick(rng, "bicategory")
+    ones, twos = _cells(b)
+    return name, b, [
+        [("unit", b.unit, ones)],
+        [("associator", b.associator, twos)],
+        [("left_unitor", b.left_unitor, twos)],
+        [("right_unitor", b.right_unitor, twos)],
+        [(f"comp{k!r}.object_map", b.comp[k].object_map, ones) for k in sorted_ids(b.comp)],
+        [(f"comp{k!r}.morphism_map", b.comp[k].morphism_map, twos) for k in sorted_ids(b.comp)],
+        [(f"hom{p!r}.table", b.homs[p].table, twos) for p in sorted_ids(b.homs)],
+        [(f"hom{p!r}.identity", b.homs[p].identity, twos) for p in sorted_ids(b.homs)]]
+
+
+def _lax_functor(rng):
+    name, fun = _pick(rng, "laxfunctor")
+    ones, twos = _cells(fun.target)
+    pairs = sorted_ids(fun.hom_functors)
+    return name, fun, [
+        [("object_map", fun.object_map, dict.fromkeys(fun.target.objects))],
+        [(f"hom{p!r}.object_map", fun.hom_functors[p].object_map, ones) for p in pairs],
+        [(f"hom{p!r}.morphism_map", fun.hom_functors[p].morphism_map, twos) for p in pairs],
+        [("comp_constraints", fun.comp_constraints, twos)],
+        [("unit_constraints", fun.unit_constraints, twos)]]
+
+
+def _icon(rng):
+    name, icon = _pick(rng, "icon")
+    _, twos = _cells(icon.source.target)
+    return name, icon, [
+        [("cells", icon.cells, twos)],
+        [("families", icon.families, dict.fromkeys([*icon.families.values(), "renamed"]))]]
+
+
+def _oplax(rng):
+    name, u = _pick(rng, "oplax")
+    ones, twos = _cells(u.source.target)
+    return name, u, [[("components", u.components, ones)],
+                     [("constraints", u.constraints, twos)]]
+
+
+VALIDATORS = [
+    (validate_category, _category),
+    (validate_functor, _functor),
+    (validate_nat, _nat),
+    (validate_bicategory, _bicategory),
+    (validate_lax_functor, _lax_functor),
+    (validate_icon, _icon),
+    (validate_oplax, _oplax),
+]
+
+
+def _corrupt(rng, families):
+    """Change or drop one entry of one table; a description of the edit."""
+    label, table, pool = rng.choice(rng.choice(families))
+    key = rng.choice(sorted_ids(table))
+    old = table[key]
+    others = [v for v in sorted_ids(pool) if v != old]
+    # a value with the same ends as the old one passes the structural checks
+    # and reaches the laws
+    parallel = [v for v in others if old in pool and pool[v] == pool[old]]
+    if rng.random() < 0.25 or not others:
+        del table[key]
+        return f"{label}: drop {key!r}"
+    table[key] = rng.choice(parallel if parallel and rng.random() < 0.6 else others)
+    return f"{label}: {key!r} := {table[key]!r}"
+
+
+def violation_reports():
+    rng = random.Random(SEED)
+    out = []
+    for validate, build in VALIDATORS:
+        for i in range(PER_VALIDATOR):
+            families = []
+            while not families:  # a subject with some non-empty table
+                label, subject, families = build(rng)
+                families = [f for f in ([e for e in f if e[1]] for f in families) if f]
+            edit = _corrupt(rng, families)
+            try:
+                text = str(validate(subject))
+            except Exception as e:  # a crash is recorded, so that it shows too
+                text = f"raises {type(e).__name__}: {e}"
+            out.append(f"== {validate.__name__} {i}: {label}; {edit}\n{text}\n")
+    return "".join(out)
+
+
+def test_violation_reports_match_the_golden_file():
+    assert violation_reports() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.stdout.write(violation_reports())
