@@ -20,7 +20,11 @@ A bicategory hands out its cells, homs and composable pairs and triples of
 1-cells in canonical order (`sorted_ids`), computed once, on first read, from
 its cell sets: ``objects`` and ``homs`` with their objects and morphisms.  So
 the cell sets are fixed once it is built; the hom tables, ``comp``, ``unit``
-and the coherence tables may still be filled in or edited in place.
+and the coherence tables may still be filled in or edited in place.  One
+exception: its ``icon_plan``, compiled on first read, holds the composite of
+every composable pair of 1-cells and the unit at every object.  So the
+object maps of ``comp`` and ``unit`` are fixed too once an icon search or an
+icon validation has run out of the bicategory.
 """
 
 from __future__ import annotations
@@ -121,6 +125,13 @@ class FiniteBicategory:
         for g, f in self.composable_pairs():
             for h in self._out.get(self._home1[g][1], ()):
                 yield h, g, f
+
+    @cached_property
+    def icon_plan(self):
+        """The icon search out of this bicategory, compiled on first read
+        (see `bicatkit.icon.icon_plan`)."""
+        from .icon import icon_plan
+        return icon_plan(self)
 
     # -- cell operations ---------------------------------------------------
     def src2(self, c):

@@ -340,7 +340,12 @@ def validate_nat(nt: NatTrans) -> ValidationReport:
 
 
 def _natural_at(nt, m):
-    f, g, comp = nt.source, nt.target, nt.components
+    return natural_square(nt.source, nt.target, nt.components, m)
+
+
+def natural_square(f, g, comp, m):
+    """Whether the components `comp` of a transformation f => g make the
+    naturality square at the morphism m commute."""
     a, b = f.source.morphisms[m]
     return (f.target.compose(comp[b], f.morphism_map[m])
             == f.target.compose(g.morphism_map[m], comp[a]))
@@ -387,16 +392,12 @@ def enumerate_functors(s: FiniteCategory, t: FiniteCategory):
         yield Functor("enum", s, t, dict(omap), dict(mmap))
 
 
-def nat_variables(nt: NatTrans):
-    """Search variables for the components of the draft `nt`, one per
-    object in sorted order, each ranging over its hom in order."""
-    f, g = nt.source, nt.target
-    return [(nt.components, a, (), lambda a=a: f.target.hom(f.object_map[a], g.object_map[a]))
-            for a in f.source.sorted_objects]
-
-
 def enumerate_nats(f: Functor, g: Functor):
-    """All natural transformations f => g, in deterministic order."""
+    """All natural transformations f => g, in deterministic order: one
+    component per object in sorted order, each ranging over its hom."""
     draft = NatTrans("enum", f, g, {})
-    for _ in search(nat_variables(draft), constraints(draft, nat_laws(draft))):
+    variables = [(draft.components, a, (),
+                  lambda a=a: f.target.hom(f.object_map[a], g.object_map[a]))
+                 for a in f.source.sorted_objects]
+    for _ in search(variables, constraints(draft, nat_laws(draft))):
         yield NatTrans("enum", f, g, dict(draft.components))

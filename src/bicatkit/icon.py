@@ -15,18 +15,27 @@ the collection of bicategories, lax functors, and icons a *strict*
 (Lack, *Icons*): each composite is one pass over the table, and it builds
 its source and target lax functors and its family names only when they are
 read, so checking a law on cells composes no lax functors.
+
+The search for icons depends on the source bicategory alone: one variable
+per 1-cell, hom by hom, the naturality squares of each hom and the instances
+of the two compatibility laws, each checked at the first stage where all its
+cells are bound.  `icon_plan` compiles it once, and the source keeps it as
+its ``icon_plan``; each `enumerate_icons` call runs it on a fresh draft icon
+of its own pair of lax functors, and still validates every icon it finds
+with `validate_icon`, which reads the law instances off the same plan.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bicat import UnsupportedSettingError
-from .catcore import NatTrans, nat_laws, nat_variables, validate_nat
+from .catcore import NatTrans, natural_square, validate_nat
 from .laxfun import LaxFunctor, Lazy, compose_lax, lazy
 from .report import ValidationReport, sorted_ids
-from .search import constraints, search
+from .search import Plan, compile, run
 
 
 @dataclass
@@ -83,7 +92,7 @@ def validate_icon(icon: Icon) -> ValidationReport:
     if rep.structural_failure:
         return rep
 
-    for pair in sorted_ids(f.hom_functors):
+    for pair in _families(f):
         if pair not in icon.families:
             rep.add("missing-hom-component", f"no component family at {pair!r}", pair,
                     structural=True)
@@ -93,26 +102,26 @@ def validate_icon(icon: Icon) -> ValidationReport:
     if rep.violations:
         return rep
 
-    rep.check_laws(icon, icon_laws(icon))
+    rep.check_laws(icon, f.source.icon_plan.laws)
     return rep
 
 
 def _composition_compatible(icon, x, y):
-    f, g, t = icon.source, icon.target, icon.source.target
-    lhs = t.vcomp(g.comp_constraints[(x, y)], t.hcomp(icon.at(x), icon.at(y)))
-    return lhs == t.vcomp(icon.at(f.source.compose1(x, y)), f.comp_constraints[(x, y)])
+    f, g, t, cells = icon.source, icon.target, icon.source.target, icon.cells
+    lhs = t.vcomp(g.comp_constraints[(x, y)], t.hcomp(cells[x], cells[y]))
+    return lhs == t.vcomp(cells[f.source.compose1(x, y)], f.comp_constraints[(x, y)])
 
 
 def _unit_compatible(icon, a):
     f, t = icon.source, icon.source.target
-    lhs = t.vcomp(icon.at(f.source.unit[a]), f.unit_constraints[a])
+    lhs = t.vcomp(icon.cells[f.source.unit[a]], f.unit_constraints[a])
     return lhs == icon.target.unit_constraints[a]
 
 
-def icon_laws(icon):
+def icon_laws(s, cells):
     """Compatibility with the comparisons and with the unit comparisons, as
-    law instances (see `ValidationReport.check_laws`) of `icon`."""
-    s, cells = icon.source.source, icon.cells
+    law instances (see `ValidationReport.check_laws`) of an icon out of `s`
+    whose cells are `cells`."""
     for x, y in s.composable_pairs_by_later():
         yield (_composition_compatible, (x, y),
                ((cells, x), (cells, y), (cells, s.compose1(x, y))),
@@ -210,24 +219,71 @@ def is_invertible_icon(icon: Icon):
     return True, inverse
 
 
+def _families(f: LaxFunctor):
+    """The hom pairs of f's hom functors, in canonical order: its source's
+    `sorted_homs` when they are exactly the source's homs."""
+    s = f.source
+    return s.sorted_homs if f.hom_functors.keys() == s.homs.keys() else sorted_ids(f.hom_functors)
+
+
+class IconPlan(NamedTuple):
+    laws: tuple   # the instances of `icon_laws`, in order
+    search: Plan  # binds the cells family by family
+
+
+# The draft icon of a run comes last, so that a partial of each is a domain
+# or a constraint of the icon plan.
+
+def _component_cells(pair, x, icon):
+    """The candidate components at the 1-cell x: the 2-cells F(x) => G(x)."""
+    f, g = icon.source.hom_functors[pair], icon.target.hom_functors[pair]
+    return f.target.hom(f.object_map[x], g.object_map[x])
+
+
+def _natural_in_family(pair, m, icon):
+    f, g = icon.source.hom_functors[pair], icon.target.hom_functors[pair]
+    return natural_square(f, g, icon.cells, m)
+
+
+def icon_plan(s, families=None) -> IconPlan:
+    """The icon search out of `s`, for any pair of lax functors: one
+    component per 1-cell, family by family, where `families` lists (hom
+    pair, category of its 1-cells and 2-cells), by default the homs of `s`."""
+    if families is None:
+        families = [(pair, s.homs[pair]) for pair in s.sorted_homs]
+    cells = {}  # a placeholder: each run binds a fresh table of its own
+    laws = tuple(icon_laws(s, cells))
+    checks = [(reads, lambda icon, holds=holds, args=args: holds(icon, *args))
+              for holds, args, reads, _, _ in laws]
+    variables = []
+    for pair, cat in families:
+        variables += [(cells, x, (), functools.partial(_component_cells, pair, x))
+                      for x in cat.sorted_objects]
+        for m in cat.sorted_morphisms:
+            a, b = cat.morphisms[m]
+            checks.append((((cells, a), (cells, b)), functools.partial(_natural_in_family, pair, m)))
+    return IconPlan(laws, compile(variables, checks))
+
+
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
     """All icons f => g, in deterministic order; empty when the object maps
-    differ.  One search binds every component 2-cell, hom pair by hom pair,
-    under the naturality of each family and the icon laws; it meets the
-    icons in the order of their families, each in `enumerate_nats` order."""
+    differ.  One run of the source's `icon_plan` binds every component
+    2-cell, hom pair by hom pair, under the naturality of each family and
+    the icon laws; it meets the icons in the order of their families, each
+    in `enumerate_nats` order.  Every icon it finds is still validated."""
     if (f.source is not g.source and f.source != g.source) or \
             (f.target is not g.target and f.target != g.target):
         return
-    if any(f.object_map[a] != g.object_map[a] for a in f.source.objects):
+    s = f.source
+    if any(f.object_map[a] != g.object_map[a] for a in s.objects):
         return
-    pairs = sorted_ids(f.hom_functors)
+    pairs = _families(f)
+    if pairs is s.sorted_homs:
+        plan = s.icon_plan
+    else:  # hom functors keyed otherwise: a plan for their own categories
+        plan = icon_plan(s, [(p, f.hom_functors[p].source) for p in pairs])
     draft = Icon("enum", f, g, {}, dict.fromkeys(pairs, "enum"))
-    variables, laws = [], constraints(draft, icon_laws(draft))
-    for p in pairs:
-        nt = NatTrans("enum", f.hom_functors[p], g.hom_functors[p], draft.cells)
-        variables += nat_variables(nt)
-        laws += constraints(nt, nat_laws(nt))
-    for _ in search(variables, laws):
+    for _ in run(plan.search, (draft.cells,), (draft,)):
         cand = Icon("enum", f, g, dict(draft.cells), dict(draft.families))
         if validate_icon(cand).ok:
             yield cand

@@ -1,40 +1,74 @@
-"""One backtracking search behind every enumerator.
+"""One backtracking search behind every enumerator, compiled once and run as
+often as needed.
 
-A variable ``(slot, key, reads, domain)`` is bound by setting ``slot[key]``
-to each value of the sequence ``domain()`` in turn; the domain may look at
+A declaration is a list of variables and a list of constraints.  A variable
+``(slot, key, reads, domain)`` is bound by setting ``slot[key]`` to each
+value of the sequence ``domain(*subjects)`` in turn; the domain may look at
 the earlier ``(slot, key)`` variables listed in ``reads``.  A constraint
-``(reads, holds)`` is checked by calling ``holds()`` as soon as the last
-variable it reads is bound.  A domain is computed as soon as the last of
-its reads is bound, so an empty one prunes like a failing constraint.
+``(reads, holds)`` is checked by calling ``holds(*subjects)`` as soon as the
+last variable it reads is bound.  A domain is computed as soon as the last
+of its reads is bound, so an empty one prunes like a failing constraint.
+
+`compile` turns a declaration into a `Plan` of stage tables: the variable
+order, and for each stage the constraints to check and the domains to
+compute there, where stage i + 1 is reached when variable i is bound.
+`run` walks a plan.  It binds into ``slots``, which stand position by
+position for the distinct slots of the declaration (by default those slots
+themselves), and hands ``subjects`` (none by default) to every domain and
+constraint.  So a declaration whose slots are placeholders, and whose
+domains and constraints read everything else off the subjects, compiles
+once and serves any number of runs, each with fresh slots and subjects of
+its own.  `search` compiles a declaration and runs it once.
 
 Order contract: complete bindings come out in lexicographic order of the
 declared variable list (first variable slowest, each domain in its own
-order), the order of the nested loops the list describes.
+order), the order of the nested loops the list describes, on every run of
+a plan.
 """
 
 import functools
+from typing import NamedTuple
 
 
-def search(variables, constraints=()):
-    """Yield once for each complete binding that satisfies every constraint,
-    to be read off the slots before the search resumes."""
-    stage = {(id(slot), key): i + 1 for i, (slot, key, _, _) in enumerate(variables)}
-    # constraints to check and domains to compute at each stage, where stage
-    # i + 1 is reached when variable i is bound
+class Plan(NamedTuple):
+    slots: tuple      # the distinct declared slots, in order of first use
+    variables: tuple  # (position of the slot, key, domain), in declared order
+    checks: tuple     # stage -> the constraints to check there
+    opens: tuple      # stage -> the variables whose domains are computed there
+
+
+def compile(variables, constraints=()):
+    """The stage tables of a declaration."""
+    slots, position, stage = [], {}, {}
+    for i, (slot, key, _, _) in enumerate(variables):
+        if id(slot) not in position:
+            position[id(slot)] = len(slots)
+            slots.append(slot)
+        stage[id(slot), key] = i + 1
     checks = [[] for _ in range(len(variables) + 1)]
     opens = [[] for _ in range(len(variables) + 1)]
     for reads, holds in constraints:
         checks[max([stage[id(slot), key] for slot, key in reads], default=0)].append(holds)
     for i, (_, _, reads, _) in enumerate(variables):
         opens[max([stage[id(slot), key] for slot, key in reads], default=0)].append(i)
+    return Plan(tuple(slots),
+                tuple((position[id(slot)], key, domain) for slot, key, _, domain in variables),
+                tuple(map(tuple, checks)), tuple(map(tuple, opens)))
+
+
+def run(plan, slots=None, subjects=()):
+    """Yield once for each complete binding that satisfies every constraint,
+    to be read off the slots before the run resumes."""
+    slots = plan.slots if slots is None else slots
+    variables, checks, opens = plan.variables, plan.checks, plan.opens
     domains = [None] * len(variables)
 
     def passes(step):
         for holds in checks[step]:
-            if not holds():
+            if not holds(*subjects):
                 return False
         for i in opens[step]:
-            domains[i] = variables[i][3]()
+            domains[i] = variables[i][2](*subjects)
             if not domains[i]:
                 return False
         return True
@@ -43,13 +77,18 @@ def search(variables, constraints=()):
         if i == len(variables):
             yield
             return
-        slot, key = variables[i][:2]
+        slot, key = slots[variables[i][0]], variables[i][1]
         for slot[key] in domains[i]:
             if passes(i + 1):
                 yield from extend(i + 1)
 
     if passes(0):
         yield from extend(0)
+
+
+def search(variables, constraints=()):
+    """Compile a declaration and run it once, on its own slots."""
+    return run(compile(variables, constraints))
 
 
 def constraints(draft, laws):

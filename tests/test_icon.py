@@ -3,6 +3,7 @@ and the one-object dictionary with monoidal natural transformations."""
 
 import pytest
 
+import reference_enumerators
 import reference_icons as ref
 from bicatkit import corpus
 from bicatkit.acceptance import _law_universe
@@ -20,7 +21,13 @@ from bicatkit.icon import (
     whisker_icon_left,
     whisker_icon_right,
 )
-from bicatkit.laxfun import identity_lax, two_functor, validate_lax_functor
+from bicatkit.laxfun import (
+    LaxFunctor,
+    enumerate_lax_functors,
+    identity_lax,
+    two_functor,
+    validate_lax_functor,
+)
 
 
 def icon_cells(icon):
@@ -235,6 +242,50 @@ def test_icon_algebra_matches_the_reference():
                 counts["hcomp"] += 1
     assert counts == {"identity": 371, "vcomp": 7606, "left": 75407, "right": 106796,
                       "hcomp": 20508}
+
+
+def _rekeyed(fun, drop=(), extra=None):
+    """`fun` with the hom functors at `drop` left out and those of `extra`
+    added under their own keys."""
+    homs = {p: hf for p, hf in fun.hom_functors.items() if p not in drop}
+    homs.update(extra or {})
+    return LaxFunctor(fun.name, fun.source, fun.target, fun.object_map, homs,
+                      fun.comp_constraints, fun.unit_constraints)
+
+
+_MISSING = "  [missing-hom-component] no component family at "
+
+
+def test_hom_functors_keyed_otherwise_report_and_enumerate_as_before():
+    """Lax functors whose hom functors lack the empty hom ('b', 'a') of the
+    walking 2-cell, or carry it once more under the key ('a', 'z'), which no
+    hom of the source has: both validation and enumeration go by the keys
+    of the hom functors, sorted, as for any other lax functor."""
+    s, t = corpus.get("bicategory", "walking-two-cell"), corpus.get("bicategory", "sigma-idem")
+    f = list(enumerate_lax_functors(s, t))[0]
+    icons = list(enumerate_icons(f, f))
+    assert len(icons) == 4
+    missing = _rekeyed(f, drop=[("b", "a")])
+    extra = _rekeyed(f, extra={("a", "z"): f.hom_functors[("b", "a")]})
+    for g in (missing, extra):
+        got = list(enumerate_icons(g, g))
+        assert got == list(reference_enumerators.enumerate_icons(g, g))
+        assert [ic.cells for ic in got] == [ic.cells for ic in icons]
+        assert [sorted(ic.families) for ic in got] == [sorted(g.hom_functors)] * 4
+
+    for ic in icons:
+        assert str(validate_icon(Icon("k", missing, missing, ic.cells, dict(ic.families)))) \
+            == "icon k: ok"
+        assert str(validate_icon(Icon("k", missing, missing, ic.cells, {}))) == "\n".join([
+            "icon k: FAIL [missing-hom-component] no component family at ('a', 'a') (+2 more)",
+            _MISSING + "('a', 'a')", _MISSING + "('a', 'b')", _MISSING + "('b', 'b')"])
+        assert str(validate_icon(Icon("k", extra, extra, ic.cells, dict(ic.families)))) == \
+            "icon k: FAIL [missing-hom-component] no component family at ('a', 'z')\n" \
+            + _MISSING + "('a', 'z')"
+        assert str(validate_icon(Icon("k", extra, extra, ic.cells, {}))) == "\n".join([
+            "icon k: FAIL [missing-hom-component] no component family at ('a', 'a') (+4 more)",
+            *(_MISSING + repr(pair) for pair in
+              [("a", "a"), ("a", "b"), ("a", "z"), ("b", "a"), ("b", "b")])])
 
 
 def test_icon_interchange_on_idem_pair():

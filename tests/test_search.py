@@ -17,46 +17,84 @@ from bicatkit import corpus
 from bicatkit.acceptance import BATTERY_BASES, _law_universe
 from bicatkit.bicat import Magma, codiscrete_bicategory, from_category
 from bicatkit.catcore import FiniteCategory, enumerate_functors, enumerate_nats
+from bicatkit import icon
 from bicatkit.icon import enumerate_icons
 from bicatkit.laxfun import enumerate_lax_functors, enumerate_two_functors
 from bicatkit.nerve import enumerate_simplices, ordinal_as_bicategory
 from bicatkit.oplax import DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax
-from bicatkit.search import search
+from bicatkit.search import compile, run, search
 
 
 # ---------------------------------------------------------------------------
 # the kernel
 
+def _runs(variables, laws=()):
+    """The bindings that `search` yields for a declaration over one slot,
+    and those of two runs of the declaration compiled once.  Each run binds
+    a fresh slot and hands it to the domains and constraints as their
+    subject; under `search` they get no subject and read the declared slot."""
+    slot = variables[0][0]
+    once = [dict(slot) for _ in search(variables, laws)]
+    plan = compile(variables, laws)
+    runs = []
+    for _ in range(2):
+        fresh = {}
+        runs.append([dict(fresh) for _ in run(plan, (fresh,), (fresh,))])
+    return once, runs
+
+
 def test_search_runs_in_lexicographic_order_of_the_variables():
     slot = {}
-    variables = [(slot, "x", (), lambda: [2, 0, 1]),
-                 (slot, "y", (), lambda: "ba")]
-    got = [dict(slot) for _ in search(variables)]
-    assert got == [{"x": x, "y": y} for x in [2, 0, 1] for y in "ba"]
+    variables = [(slot, "x", (), lambda *_: [2, 0, 1]),
+                 (slot, "y", (), lambda *_: "ba")]
+    want = [{"x": x, "y": y} for x in [2, 0, 1] for y in "ba"]
+    assert _runs(variables) == (want, [want, want])
 
 
 def test_search_prunes_on_constraints_and_empty_domains():
     slot, calls = {}, []
 
-    def below_x():
-        calls.append(slot["x"])
-        return list(range(slot["x"]))
+    def below_x(subject=slot):
+        calls.append(subject["x"])
+        return list(range(subject["x"]))
 
-    variables = [(slot, "x", (), lambda: [0, 1, 2, 3]),
+    variables = [(slot, "x", (), lambda *_: [0, 1, 2, 3]),
                  (slot, "y", ((slot, "x"),), below_x),
-                 (slot, "z", (), lambda: [0, 1])]
-    laws = [(((slot, "x"),), lambda: slot["x"] != 2),
-            (((slot, "y"), (slot, "z")), lambda: slot["y"] + slot["z"] != 1)]
-    got = [(slot["x"], slot["y"], slot["z"]) for _ in search(variables, laws)]
-    assert got == [(1, 0, 0), (3, 0, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1)]
+                 (slot, "z", (), lambda *_: [0, 1])]
+    laws = [(((slot, "x"),), lambda subject=slot: subject["x"] != 2),
+            (((slot, "y"), (slot, "z")), lambda subject=slot: subject["y"] + subject["z"] != 1)]
+    want = [{"x": x, "y": y, "z": z}
+            for x, y, z in [(1, 0, 0), (3, 0, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1)]]
+    assert _runs(variables, laws) == (want, [want, want])
     # each domain is computed once per binding of what it reads, and never
-    # for a value a constraint on x has already refused
-    assert calls == [0, 1, 3]
+    # for a value a constraint on x has already refused: in the search and
+    # again in each run
+    assert calls == [0, 1, 3] * 3
 
 
 def test_search_with_no_variables_yields_once():
     assert len(list(search([]))) == 1
     assert list(search([], [((), lambda: False)])) == []
+
+
+def test_a_compiled_plan_runs_on_fresh_slots_each_time():
+    """Two runs of one plan advanced in alternation keep their bindings
+    apart, and leave the declared slot alone."""
+    slot = {}
+    variables = [(slot, "x", (), lambda _: [0, 1]), (slot, "y", (), lambda _: "ab")]
+    plan = compile(variables, [(((slot, "x"), (slot, "y")),
+                                lambda subject: subject["y"] != "ab"[subject["x"]])])
+    first, second = {}, {}
+    a, b = run(plan, (first,), (first,)), run(plan, (second,), (second,))
+    seen = []
+    for _ in range(2):
+        next(a)
+        seen.append(dict(first))
+        next(b)
+        seen.append(dict(second))
+    assert seen == [{"x": 0, "y": "b"}, {"x": 0, "y": "b"},
+                    {"x": 1, "y": "a"}, {"x": 1, "y": "a"}]
+    assert slot == {}
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +111,51 @@ def test_lax_functors_and_icons_of_the_law_universe():
         for i, f in enumerate(funs):
             for j, g in enumerate(funs):
                 assert by_pair.get((i, j), []) == list(ref.enumerate_icons(f, g))
+
+
+def test_icon_plan_is_compiled_once_per_source(monkeypatch):
+    """Every pair of lax functors of a family runs the one plan cached on
+    their source, which no other source shares."""
+    compiled = []
+
+    def counted(s, families=None):
+        compiled.append((s.name, families))
+        return real(s, families)
+
+    real = icon.icon_plan
+    monkeypatch.setattr(icon, "icon_plan", counted)
+    s, t = corpus.get("bicategory", "parallel-pair"), corpus.get("bicategory", "cocycle-twisted")
+    funs = list(enumerate_lax_functors(s, t))
+    found = sum(len(list(enumerate_icons(f, g))) for f in funs for g in funs)
+    assert (len(funs), found) == (16, 256)
+    assert compiled == [("parallel-pair", None)]
+    plan = s.icon_plan
+    assert plan is s.icon_plan
+    assert corpus.get("bicategory", "parallel-pair").icon_plan is not plan
+    assert compiled == [("parallel-pair", None)] * 2
+
+
+def test_icon_searches_on_one_plan_advanced_in_alternation():
+    """Every pair of a family, each search advanced one icon at a time in
+    turn: each finds the reference's list, and no icon found earlier has
+    its cells changed by the searches that run on after it."""
+    s, t = corpus.get("bicategory", "parallel-pair"), corpus.get("bicategory", "cocycle-twisted")
+    funs = list(enumerate_lax_functors(s, t))
+    pairs = [(f, g) for f in funs for g in funs]
+    searches = [enumerate_icons(f, g) for f, g in pairs]
+    found = [[] for _ in pairs]
+    live = list(range(len(pairs)))
+    while live:
+        for i in list(live):
+            ic = next(searches[i], None)
+            if ic is None:
+                live.remove(i)
+            else:
+                found[i].append((ic, dict(ic.cells)))
+    assert sum(map(len, found)) == 256
+    for (f, g), got in zip(pairs, found):
+        assert [ic for ic, _ in got] == list(ref.enumerate_icons(f, g))
+        assert all(ic.cells == cells for ic, cells in got)
 
 
 def _strict_corpus():
