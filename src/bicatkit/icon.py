@@ -16,26 +16,25 @@ the collection of bicategories, lax functors, and icons a *strict*
 its source and target lax functors and its family names only when they are
 read, so checking a law on cells composes no lax functors.
 
-The search for icons depends on the source bicategory alone: one variable
-per 1-cell, hom by hom, the naturality squares of each hom and the instances
-of the two compatibility laws, each checked at the first stage where all its
-cells are bound.  `icon_plan` compiles it once, and the source keeps it as
-its ``icon_plan``; each `enumerate_icons` call runs it on a fresh draft icon
-of its own pair of lax functors, and still validates every icon it finds
-with `validate_icon`, which reads the law instances off the same plan.
+The icon search depends on the source bicategory alone: one variable per
+1-cell, hom by hom, under the naturality squares of each hom and the two
+compatibility laws.  The source compiles it once, as its ``icon_plan``;
+`enumerate_icons` runs it on a fresh draft icon per pair of lax functors and
+still validates every icon it finds with `validate_icon`, which reads its
+law instances off the same plan.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import SimpleNamespace
 
 from .bicat import UnsupportedSettingError
 from .catcore import NatTrans, natural_square, validate_nat
 from .laxfun import LaxFunctor, Lazy, compose_lax, lazy
 from .report import ValidationReport, sorted_ids
-from .search import Plan, compile, run
+from .search import compile_plan, run
 
 
 @dataclass
@@ -226,11 +225,6 @@ def _families(f: LaxFunctor):
     return s.sorted_homs if f.hom_functors.keys() == s.homs.keys() else sorted_ids(f.hom_functors)
 
 
-class IconPlan(NamedTuple):
-    laws: tuple   # the instances of `icon_laws`, in order
-    search: Plan  # binds the cells family by family
-
-
 # The draft icon of a run comes last, so that a partial of each is a domain
 # or a constraint of the icon plan.
 
@@ -245,24 +239,23 @@ def _natural_in_family(pair, m, icon):
     return natural_square(f, g, icon.cells, m)
 
 
-def icon_plan(s, families=None) -> IconPlan:
-    """The icon search out of `s`, for any pair of lax functors: one
-    component per 1-cell, family by family, where `families` lists (hom
-    pair, category of its 1-cells and 2-cells), by default the homs of `s`."""
-    if families is None:
-        families = [(pair, s.homs[pair]) for pair in s.sorted_homs]
+def icon_plan(s):
+    """The icon search out of `s`, for any pair of lax functors: ``laws``,
+    the instances of `icon_laws` in order, and ``search``, the plan that
+    binds one component per 1-cell, hom by hom."""
     cells = {}  # a placeholder: each run binds a fresh table of its own
     laws = tuple(icon_laws(s, cells))
     checks = [(reads, lambda icon, holds=holds, args=args: holds(icon, *args))
               for holds, args, reads, _, _ in laws]
     variables = []
-    for pair, cat in families:
+    for pair in s.sorted_homs:
+        cat = s.homs[pair]
         variables += [(cells, x, (), functools.partial(_component_cells, pair, x))
                       for x in cat.sorted_objects]
         for m in cat.sorted_morphisms:
             a, b = cat.morphisms[m]
             checks.append((((cells, a), (cells, b)), functools.partial(_natural_in_family, pair, m)))
-    return IconPlan(laws, compile(variables, checks))
+    return SimpleNamespace(laws=laws, search=compile_plan(variables, checks))
 
 
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
@@ -270,20 +263,15 @@ def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
     differ.  One run of the source's `icon_plan` binds every component
     2-cell, hom pair by hom pair, under the naturality of each family and
     the icon laws; it meets the icons in the order of their families, each
-    in `enumerate_nats` order.  Every icon it finds is still validated."""
+    in `enumerate_nats` order."""
     if (f.source is not g.source and f.source != g.source) or \
             (f.target is not g.target and f.target != g.target):
         return
     s = f.source
     if any(f.object_map[a] != g.object_map[a] for a in s.objects):
         return
-    pairs = _families(f)
-    if pairs is s.sorted_homs:
-        plan = s.icon_plan
-    else:  # hom functors keyed otherwise: a plan for their own categories
-        plan = icon_plan(s, [(p, f.hom_functors[p].source) for p in pairs])
-    draft = Icon("enum", f, g, {}, dict.fromkeys(pairs, "enum"))
-    for _ in run(plan.search, (draft.cells,), (draft,)):
+    draft = Icon("enum", f, g, {}, dict.fromkeys(_families(f), "enum"))
+    for _ in run(s.icon_plan.search, (draft.cells,), draft):
         cand = Icon("enum", f, g, dict(draft.cells), dict(draft.families))
         if validate_icon(cand).ok:
             yield cand

@@ -1,24 +1,18 @@
 """One backtracking search behind every enumerator, compiled once and run as
 often as needed.
 
-A declaration is a list of variables and a list of constraints.  A variable
-``(slot, key, reads, domain)`` is bound by setting ``slot[key]`` to each
-value of the sequence ``domain(*subjects)`` in turn; the domain may look at
+A variable ``(slot, key, reads, domain)`` is bound by setting ``slot[key]``
+to each value of the sequence ``domain()`` in turn; the domain may look at
 the earlier ``(slot, key)`` variables listed in ``reads``.  A constraint
-``(reads, holds)`` is checked by calling ``holds(*subjects)`` as soon as the
-last variable it reads is bound.  A domain is computed as soon as the last
-of its reads is bound, so an empty one prunes like a failing constraint.
+``(reads, holds)`` is checked by calling ``holds()`` as soon as the last
+variable it reads is bound.  A domain is computed as soon as the last of
+its reads is bound, so an empty one prunes like a failing constraint.
 
-`compile` turns a declaration into a `Plan` of stage tables: the variable
-order, and for each stage the constraints to check and the domains to
-compute there, where stage i + 1 is reached when variable i is bound.
-`run` walks a plan.  It binds into ``slots``, which stand position by
-position for the distinct slots of the declaration (by default those slots
-themselves), and hands ``subjects`` (none by default) to every domain and
-constraint.  So a declaration whose slots are placeholders, and whose
-domains and constraints read everything else off the subjects, compiles
-once and serves any number of runs, each with fresh slots and subjects of
-its own.  `search` compiles a declaration and runs it once.
+`compile_plan` turns these declarations into stage tables, and `run` walks
+them, binding into ``slots`` that stand position by position for the
+declared ones (by default those themselves), and calling ``domain(subject)``
+and ``holds(subject)`` when given a ``subject``.  So a declaration over placeholder slots, which reads
+all else off the subject, compiles once and serves many runs.
 
 Order contract: complete bindings come out in lexicographic order of the
 declared variable list (first variable slowest, each domain in its own
@@ -27,18 +21,14 @@ a plan.
 """
 
 import functools
-from typing import NamedTuple
+from types import SimpleNamespace
 
 
-class Plan(NamedTuple):
-    slots: tuple      # the distinct declared slots, in order of first use
-    variables: tuple  # (position of the slot, key, domain), in declared order
-    checks: tuple     # stage -> the constraints to check there
-    opens: tuple      # stage -> the variables whose domains are computed there
-
-
-def compile(variables, constraints=()):
-    """The stage tables of a declaration."""
+def compile_plan(variables, constraints=()):
+    """The stage tables of a declaration: the distinct slots, the variables
+    as (position of the slot, key, domain), and for each stage the
+    constraints to check and the domains to compute there, where stage
+    i + 1 is reached when variable i is bound."""
     slots, position, stage = [], {}, {}
     for i, (slot, key, _, _) in enumerate(variables):
         if id(slot) not in position:
@@ -51,15 +41,16 @@ def compile(variables, constraints=()):
         checks[max([stage[id(slot), key] for slot, key in reads], default=0)].append(holds)
     for i, (_, _, reads, _) in enumerate(variables):
         opens[max([stage[id(slot), key] for slot, key in reads], default=0)].append(i)
-    return Plan(tuple(slots),
-                tuple((position[id(slot)], key, domain) for slot, key, _, domain in variables),
-                tuple(map(tuple, checks)), tuple(map(tuple, opens)))
+    return SimpleNamespace(
+        slots=tuple(slots), checks=tuple(map(tuple, checks)), opens=tuple(map(tuple, opens)),
+        variables=tuple((position[id(slot)], key, domain) for slot, key, _, domain in variables))
 
 
-def run(plan, slots=None, subjects=()):
+def run(plan, slots=None, subject=None):
     """Yield once for each complete binding that satisfies every constraint,
     to be read off the slots before the run resumes."""
     slots = plan.slots if slots is None else slots
+    subjects = () if subject is None else (subject,)
     variables, checks, opens = plan.variables, plan.checks, plan.opens
     domains = [None] * len(variables)
 
@@ -88,7 +79,7 @@ def run(plan, slots=None, subjects=()):
 
 def search(variables, constraints=()):
     """Compile a declaration and run it once, on its own slots."""
-    return run(compile(variables, constraints))
+    return run(compile_plan(variables, constraints))
 
 
 def constraints(draft, laws):

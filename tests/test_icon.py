@@ -259,8 +259,10 @@ _MISSING = "  [missing-hom-component] no component family at "
 def test_hom_functors_keyed_otherwise_report_and_enumerate_as_before():
     """Lax functors whose hom functors lack the empty hom ('b', 'a') of the
     walking 2-cell, or carry it once more under the key ('a', 'z'), which no
-    hom of the source has: both validation and enumeration go by the keys
-    of the hom functors, sorted, as for any other lax functor."""
+    hom of the source has: validation and the family names of the icons
+    found go by the keys of the hom functors, sorted, as for any other lax
+    functor, and the search, which binds no cell of an empty hom, finds the
+    icons it finds for the lax functor keyed by the source's homs."""
     s, t = corpus.get("bicategory", "walking-two-cell"), corpus.get("bicategory", "sigma-idem")
     f = list(enumerate_lax_functors(s, t))[0]
     icons = list(enumerate_icons(f, f))

@@ -22,50 +22,44 @@ from bicatkit.icon import enumerate_icons
 from bicatkit.laxfun import enumerate_lax_functors, enumerate_two_functors
 from bicatkit.nerve import enumerate_simplices, ordinal_as_bicategory
 from bicatkit.oplax import DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax
-from bicatkit.search import compile, run, search
+from bicatkit.search import compile_plan, run, search
 
 
 # ---------------------------------------------------------------------------
 # the kernel
 
-def _runs(variables, laws=()):
-    """The bindings that `search` yields for a declaration over one slot,
-    and those of two runs of the declaration compiled once.  Each run binds
-    a fresh slot and hands it to the domains and constraints as their
-    subject; under `search` they get no subject and read the declared slot."""
-    slot = variables[0][0]
-    once = [dict(slot) for _ in search(variables, laws)]
-    plan = compile(variables, laws)
-    runs = []
-    for _ in range(2):
-        fresh = {}
-        runs.append([dict(fresh) for _ in run(plan, (fresh,), (fresh,))])
-    return once, runs
-
-
 def test_search_runs_in_lexicographic_order_of_the_variables():
+    """The same under `search` and under each of two runs of one compiled
+    plan that bind fresh slots."""
     slot = {}
-    variables = [(slot, "x", (), lambda *_: [2, 0, 1]),
-                 (slot, "y", (), lambda *_: "ba")]
+    variables = [(slot, "x", (), lambda: [2, 0, 1]),
+                 (slot, "y", (), lambda: "ba")]
     want = [{"x": x, "y": y} for x in [2, 0, 1] for y in "ba"]
-    assert _runs(variables) == (want, [want, want])
+    assert [dict(slot) for _ in search(variables)] == want
+    plan = compile_plan(variables)
+    for fresh in ({}, {}):
+        assert [dict(fresh) for _ in run(plan, (fresh,))] == want
 
 
 def test_search_prunes_on_constraints_and_empty_domains():
+    """The same under `search` and under each of two runs of one compiled
+    plan."""
     slot, calls = {}, []
 
-    def below_x(subject=slot):
-        calls.append(subject["x"])
-        return list(range(subject["x"]))
+    def below_x():
+        calls.append(slot["x"])
+        return list(range(slot["x"]))
 
-    variables = [(slot, "x", (), lambda *_: [0, 1, 2, 3]),
+    variables = [(slot, "x", (), lambda: [0, 1, 2, 3]),
                  (slot, "y", ((slot, "x"),), below_x),
-                 (slot, "z", (), lambda *_: [0, 1])]
-    laws = [(((slot, "x"),), lambda subject=slot: subject["x"] != 2),
-            (((slot, "y"), (slot, "z")), lambda subject=slot: subject["y"] + subject["z"] != 1)]
-    want = [{"x": x, "y": y, "z": z}
-            for x, y, z in [(1, 0, 0), (3, 0, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1)]]
-    assert _runs(variables, laws) == (want, [want, want])
+                 (slot, "z", (), lambda: [0, 1])]
+    laws = [(((slot, "x"),), lambda: slot["x"] != 2),
+            (((slot, "y"), (slot, "z")), lambda: slot["y"] + slot["z"] != 1)]
+    want = [(1, 0, 0), (3, 0, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1)]
+    assert [(slot["x"], slot["y"], slot["z"]) for _ in search(variables, laws)] == want
+    plan = compile_plan(variables, laws)
+    for _ in range(2):
+        assert [(slot["x"], slot["y"], slot["z"]) for _ in run(plan)] == want
     # each domain is computed once per binding of what it reads, and never
     # for a value a constraint on x has already refused: in the search and
     # again in each run
@@ -82,10 +76,10 @@ def test_a_compiled_plan_runs_on_fresh_slots_each_time():
     apart, and leave the declared slot alone."""
     slot = {}
     variables = [(slot, "x", (), lambda _: [0, 1]), (slot, "y", (), lambda _: "ab")]
-    plan = compile(variables, [(((slot, "x"), (slot, "y")),
-                                lambda subject: subject["y"] != "ab"[subject["x"]])])
+    plan = compile_plan(variables, [(((slot, "x"), (slot, "y")),
+                                     lambda subject: subject["y"] != "ab"[subject["x"]])])
     first, second = {}, {}
-    a, b = run(plan, (first,), (first,)), run(plan, (second,), (second,))
+    a, b = run(plan, (first,), first), run(plan, (second,), second)
     seen = []
     for _ in range(2):
         next(a)
@@ -118,9 +112,9 @@ def test_icon_plan_is_compiled_once_per_source(monkeypatch):
     their source, which no other source shares."""
     compiled = []
 
-    def counted(s, families=None):
-        compiled.append((s.name, families))
-        return real(s, families)
+    def counted(s):
+        compiled.append(s.name)
+        return real(s)
 
     real = icon.icon_plan
     monkeypatch.setattr(icon, "icon_plan", counted)
@@ -128,11 +122,11 @@ def test_icon_plan_is_compiled_once_per_source(monkeypatch):
     funs = list(enumerate_lax_functors(s, t))
     found = sum(len(list(enumerate_icons(f, g))) for f in funs for g in funs)
     assert (len(funs), found) == (16, 256)
-    assert compiled == [("parallel-pair", None)]
+    assert compiled == ["parallel-pair"]
     plan = s.icon_plan
     assert plan is s.icon_plan
     assert corpus.get("bicategory", "parallel-pair").icon_plan is not plan
-    assert compiled == [("parallel-pair", None)] * 2
+    assert compiled == ["parallel-pair"] * 2
 
 
 def test_icon_searches_on_one_plan_advanced_in_alternation():
