@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .report import ValidationReport, sorted_ids
-from .search import constraints, search
+from .search import compile_plan, run
 
 
 @dataclass
@@ -247,7 +247,7 @@ def validate_functor(fun: Functor) -> ValidationReport:
     for a in s.sorted_objects:
         if fun.morphism_map[s.identity[a]] != t.identity[fun.object_map[a]]:
             rep.add("identity", f"identity of {a!r} is not sent to an identity", (a,))
-    rep.check_laws(fun, functor_laws(fun))
+    rep.check_laws(fun, functor_laws(s))
     return rep
 
 
@@ -256,12 +256,12 @@ def _preserves_composite(fun, f, g):
     return mm[fun.source.table[(f, g)]] == fun.target.table[(mm[f], mm[g])]
 
 
-def functor_laws(fun):
+def functor_laws(s):
     """Preservation of composites, as law instances (see
-    `ValidationReport.check_laws`) of `fun`."""
-    mm, table = fun.morphism_map, fun.source.table
-    for f, g in fun.source.composable_pairs():
-        yield (_preserves_composite, (f, g), ((mm, f), (mm, g), (mm, table[(f, g)])),
+    `ValidationReport.check_laws`) of a functor out of `s`."""
+    mm = "morphism_map"
+    for f, g in s.composable_pairs():
+        yield (_preserves_composite, (f, g), ((mm, f), (mm, g), (mm, s.table[(f, g)])),
                "composition", "images of {1!r}.{0!r} disagree")
 
 
@@ -335,7 +335,7 @@ def validate_nat(nt: NatTrans) -> ValidationReport:
                     f"component at {a!r} must run from the first image to the second", (a,))
     if rep.violations:
         return rep
-    rep.check_laws(nt, nat_laws(nt))
+    rep.check_laws(nt, nat_laws(cat))
     return rep
 
 
@@ -351,12 +351,11 @@ def natural_square(f, g, comp, m):
             == f.target.compose(g.morphism_map[m], comp[a]))
 
 
-def nat_laws(nt):
-    """Naturality at each morphism, as law instances of `nt`."""
-    comp, cat = nt.components, nt.source.source
+def nat_laws(cat):
+    """Naturality at each morphism of `cat`, as law instances of a transformation."""
     for m in cat.sorted_morphisms:
         a, b = cat.morphisms[m]
-        yield (_natural_at, (m,), ((comp, a), (comp, b)),
+        yield (_natural_at, (m,), (("components", a), ("components", b)),
                "naturality", "naturality square at {!r} does not commute")
 
 
@@ -380,24 +379,24 @@ def enumerate_functors(s: FiniteCategory, t: FiniteCategory):
     """All functors s -> t, in deterministic order: by the images of the
     objects, then of the non-identity morphisms, each in sorted order."""
     objs, targets = s.sorted_objects, t.sorted_objects
-    draft = Functor("enum", s, t, {}, {})
-    omap, mmap = draft.object_map, draft.morphism_map
-    variables = [(omap, a, (), lambda: targets) for a in objs]
+    omap, mmap = "object_map", "morphism_map"
+    variables = [(omap, a, (), lambda fun: targets) for a in objs]
     variables += [(mmap, m, ((omap, s.src(m)), (omap, s.tgt(m))),
-                   lambda m=m: t.hom(omap[s.src(m)], omap[s.tgt(m)]))
+                   lambda fun, m=m: t.hom(fun.object_map[s.src(m)], fun.object_map[s.tgt(m)]))
                   for m in s.sorted_morphisms if not s.is_identity(m)]
     variables += [(mmap, s.identity[a], ((omap, a),),
-                   lambda a=a: (t.identity[omap[a]],)) for a in objs]
-    for _ in search(variables, constraints(draft, functor_laws(draft))):
-        yield Functor("enum", s, t, dict(omap), dict(mmap))
+                   lambda fun, a=a: (t.identity[fun.object_map[a]],)) for a in objs]
+    draft = Functor("enum", s, t, {}, {})
+    for _ in run(compile_plan(variables, functor_laws(s)), draft):
+        yield Functor("enum", s, t, dict(draft.object_map), dict(draft.morphism_map))
 
 
 def enumerate_nats(f: Functor, g: Functor):
     """All natural transformations f => g, in deterministic order: one
     component per object in sorted order, each ranging over its hom."""
-    draft = NatTrans("enum", f, g, {})
-    variables = [(draft.components, a, (),
-                  lambda a=a: f.target.hom(f.object_map[a], g.object_map[a]))
+    variables = [("components", a, (),
+                  lambda nt, a=a: f.target.hom(f.object_map[a], g.object_map[a]))
                  for a in f.source.sorted_objects]
-    for _ in search(variables, constraints(draft, nat_laws(draft))):
+    draft = NatTrans("enum", f, g, {})
+    for _ in run(compile_plan(variables, nat_laws(f.source)), draft):
         yield NatTrans("enum", f, g, dict(draft.components))

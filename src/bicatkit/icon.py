@@ -17,11 +17,11 @@ its source and target lax functors and its family names only when they are
 read, so checking a law on cells composes no lax functors.
 
 The icon search depends on the source bicategory alone: one variable per
-1-cell, hom by hom, under the naturality squares of each hom and the two
-compatibility laws.  The source compiles it once, as its ``icon_plan``;
-`enumerate_icons` runs it on a fresh draft icon per pair of lax functors and
-still validates every icon it finds with `validate_icon`, which reads its
-law instances off the same plan.
+1-cell, hom by hom, names a cell of the draft icon, under the naturality
+squares of each hom and the compatibility laws of `icon_laws`.  The source
+compiles it once, as its ``icon_plan``; `enumerate_icons` runs it on a fresh
+draft icon per pair of lax functors and still validates every icon it finds
+with `validate_icon`, which checks the same law listing, kept on the plan.
 """
 
 from __future__ import annotations
@@ -90,6 +90,12 @@ def validate_icon(icon: Icon) -> ValidationReport:
                     structural=True)
     if rep.structural_failure:
         return rep
+    for pair in f.source.sorted_homs:
+        if f.source.homs[pair].objects and not (pair in f.hom_functors and pair in g.hom_functors):
+            rep.add("missing-hom-functor", f"no hom functor at {pair!r}, whose hom has 1-cells",
+                    pair, structural=True)
+    if rep.violations:
+        return rep
 
     for pair in _families(f):
         if pair not in icon.families:
@@ -117,17 +123,16 @@ def _unit_compatible(icon, a):
     return lhs == icon.target.unit_constraints[a]
 
 
-def icon_laws(s, cells):
+def icon_laws(s):
     """Compatibility with the comparisons and with the unit comparisons, as
-    law instances (see `ValidationReport.check_laws`) of an icon out of `s`
-    whose cells are `cells`."""
+    law instances (see `ValidationReport.check_laws`) of an icon out of `s`."""
     for x, y in s.composable_pairs_by_later():
         yield (_composition_compatible, (x, y),
-               ((cells, x), (cells, y), (cells, s.compose1(x, y))),
+               (("cells", x), ("cells", y), ("cells", s.compose1(x, y))),
                "composition-compat",
                "components do not commute with the comparison at ({!r}, {!r})")
     for a in s.sorted_objects:
-        yield (_unit_compatible, (a,), ((cells, s.unit[a]),),
+        yield (_unit_compatible, (a,), (("cells", s.unit[a]),),
                "unit-compat", "components do not commute with the unit comparison at {!r}")
 
 
@@ -225,16 +230,18 @@ def _families(f: LaxFunctor):
     return s.sorted_homs if f.hom_functors.keys() == s.homs.keys() else sorted_ids(f.hom_functors)
 
 
-# The draft icon of a run comes last, so that a partial of each is a domain
-# or a constraint of the icon plan.
+# The domains of the icon plan are partials that take the draft icon last.
 
 def _component_cells(pair, x, icon):
-    """The candidate components at the 1-cell x: the 2-cells F(x) => G(x)."""
-    f, g = icon.source.hom_functors[pair], icon.target.hom_functors[pair]
+    """The candidate components at the 1-cell x: the 2-cells F(x) => G(x),
+    none when F or G has no hom functor there."""
+    f, g = icon.source.hom_functors.get(pair), icon.target.hom_functors.get(pair)
+    if f is None or g is None:
+        return ()
     return f.target.hom(f.object_map[x], g.object_map[x])
 
 
-def _natural_in_family(pair, m, icon):
+def _natural_in_family(icon, pair, m):
     f, g = icon.source.hom_functors[pair], icon.target.hom_functors[pair]
     return natural_square(f, g, icon.cells, m)
 
@@ -242,28 +249,27 @@ def _natural_in_family(pair, m, icon):
 def icon_plan(s):
     """The icon search out of `s`, for any pair of lax functors: ``laws``,
     the instances of `icon_laws` in order, and ``search``, the plan that
-    binds one component per 1-cell, hom by hom."""
-    cells = {}  # a placeholder: each run binds a fresh table of its own
-    laws = tuple(icon_laws(s, cells))
-    checks = [(reads, lambda icon, holds=holds, args=args: holds(icon, *args))
-              for holds, args, reads, _, _ in laws]
-    variables = []
+    binds the draft's ``cells``, one component per 1-cell, hom by hom,
+    under the naturality squares of each hom and the ``laws``."""
+    laws = tuple(icon_laws(s))
+    variables, squares = [], []
     for pair in s.sorted_homs:
         cat = s.homs[pair]
-        variables += [(cells, x, (), functools.partial(_component_cells, pair, x))
+        variables += [("cells", x, (), functools.partial(_component_cells, pair, x))
                       for x in cat.sorted_objects]
         for m in cat.sorted_morphisms:
             a, b = cat.morphisms[m]
-            checks.append((((cells, a), (cells, b)), functools.partial(_natural_in_family, pair, m)))
-    return SimpleNamespace(laws=laws, search=compile_plan(variables, checks))
+            squares.append((_natural_in_family, (pair, m), (("cells", a), ("cells", b)),
+                            "naturality", "naturality square at {1!r} does not commute"))
+    return SimpleNamespace(laws=laws, search=compile_plan(variables, laws + tuple(squares)))
 
 
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
     """All icons f => g, in deterministic order; empty when the object maps
-    differ.  One run of the source's `icon_plan` binds every component
-    2-cell, hom pair by hom pair, under the naturality of each family and
-    the icon laws; it meets the icons in the order of their families, each
-    in `enumerate_nats` order."""
+    differ or f or g lacks a hom functor over 1-cells.  One run of the
+    source's `icon_plan` binds every component 2-cell, hom pair by hom pair,
+    under the naturality of each family and the icon laws; it meets the
+    icons in the order of their families, each in `enumerate_nats` order."""
     if (f.source is not g.source and f.source != g.source) or \
             (f.target is not g.target and f.target != g.target):
         return
@@ -271,7 +277,7 @@ def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
     if any(f.object_map[a] != g.object_map[a] for a in s.objects):
         return
     draft = Icon("enum", f, g, {}, dict.fromkeys(_families(f), "enum"))
-    for _ in run(s.icon_plan.search, (draft.cells,), draft):
+    for _ in run(s.icon_plan.search, draft):
         cand = Icon("enum", f, g, dict(draft.cells), dict(draft.families))
         if validate_icon(cand).ok:
             yield cand

@@ -10,13 +10,12 @@ a given functor actually is.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .bicat import FiniteBicategory, MonoidalCategory, sigma_bicategory
 from .catcore import Functor, compose_functors, enumerate_functors, validate_functor
 from .report import ValidationReport
-from .search import constraints, search
+from .search import compile_plan, run
 
 
 class Lazy:
@@ -123,7 +122,7 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     if rep.violations:
         return rep
 
-    rep.check_laws(fun, lax_laws(fun))
+    rep.check_laws(fun, lax_laws(s))
     return rep
 
 
@@ -163,11 +162,10 @@ def _right_unital(fun, f):
                 t.whisker_left(ff, fun.unit_constraints[a])))
 
 
-def lax_laws(fun):
+def lax_laws(s):
     """Naturality and associativity of the comparison and the two unit
-    axioms, as law instances (see `ValidationReport.check_laws`) of `fun`."""
-    s = fun.source
-    homs, comp, unit = fun.hom_functors, fun.comp_constraints, fun.unit_constraints
+    axioms out of `s`, as law instances (see `ValidationReport.check_laws`)."""
+    homs, comp, unit = "hom_functors", "comp_constraints", "unit_constraints"
     for d in s.two_cells():
         b, e = s.home2(d)
         for a in s.sorted_objects:
@@ -332,31 +330,31 @@ def _preserves_unit(fun, a):
     return fun.on_1(fun.source.unit[a]) == fun.target.unit[fun.object_map[a]]
 
 
-def lax_variables(fun, comparisons, units):
-    """The search variables of a lax functor, bound into the draft `fun`
-    (empty dicts to start with): object images, hom functors, comparisons
-    at the composable pairs and unit comparisons, each family in sorted
-    order.  `comparisons(g, f)` and `units(a)` list the candidate 2-cells."""
-    s, t = fun.source, fun.target
-    omap, homs = fun.object_map, fun.hom_functors
+def lax_variables(s, t, comparisons, units):
+    """The search variables of a lax functor s -> t: object images, hom
+    functors, comparisons at the composable pairs and unit comparisons,
+    each family in sorted order.  `comparisons(fun, g, f)` and
+    `units(fun, a)` list the candidate 2-cells of the draft `fun`."""
     objs, targets = s.sorted_objects, t.sorted_objects
 
-    def hom_functors(a, b):
-        cat, tcat = s.homs[(a, b)], t.homs[(omap[a], omap[b])]
+    def hom_functors(fun, a, b):
+        cat, tcat = s.homs[(a, b)], t.homs[(fun.object_map[a], fun.object_map[b])]
         if not cat.objects:
             return [Functor("empty", cat, tcat, {}, {})]
         return list(enumerate_functors(cat, tcat))
 
-    variables = [(omap, a, (), lambda: targets) for a in objs]
-    variables += [(homs, (a, b), ((omap, a), (omap, b)), functools.partial(hom_functors, a, b))
+    omap, homs = "object_map", "hom_functors"
+    variables = [(omap, a, (), lambda fun: targets) for a in objs]
+    variables += [(homs, (a, b), ((omap, a), (omap, b)),
+                   lambda fun, a=a, b=b: hom_functors(fun, a, b))
                   for a in objs for b in objs]
     for g, f in s.composable_pairs():
         (a, b), c = s.home1(f), s.home1(g)[1]
-        variables.append((fun.comp_constraints, (g, f),
+        variables.append(("comp_constraints", (g, f),
                           ((homs, (a, b)), (homs, (b, c)), (homs, (a, c))),
-                          functools.partial(comparisons, g, f)))
-    variables += [(fun.unit_constraints, a, ((omap, a), (homs, (a, a))),
-                   functools.partial(units, a)) for a in objs]
+                          lambda fun, g=g, f=f: comparisons(fun, g, f)))
+    variables += [("unit_constraints", a, ((omap, a), (homs, (a, a))),
+                   lambda fun, a=a: units(fun, a)) for a in objs]
     return variables
 
 
@@ -372,18 +370,17 @@ def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
     lax functors whose comparisons are identities, so that units and
     composites are preserved on the nose, checked for naturality, which
     then says that horizontal composites are preserved too."""
+    def identity_comparison(fun, g, f):
+        ok = _preserves_composite(fun, g, f)
+        return [t.id2(fun.on_1(s.compose1(g, f)))] if ok else []
+
+    def identity_unit(fun, a):
+        return [t.id2(t.unit[fun.object_map[a]])] if _preserves_unit(fun, a) else []
+
+    natural = [law for law in lax_laws(s) if law[0] is _natural]
+    plan = compile_plan(lax_variables(s, t, identity_comparison, identity_unit), natural)
     draft = LaxFunctor("enum", s, t, {}, {}, {}, {})
-
-    def identity_comparison(g, f):
-        ok = _preserves_composite(draft, g, f)
-        return [t.id2(draft.on_1(s.compose1(g, f)))] if ok else []
-
-    def identity_unit(a):
-        return [t.id2(t.unit[draft.object_map[a]])] if _preserves_unit(draft, a) else []
-
-    natural = [law for law in lax_laws(draft) if law[0] is _natural]
-    variables = lax_variables(draft, identity_comparison, identity_unit)
-    for _ in search(variables, constraints(draft, natural)):
+    for _ in run(plan, draft):
         cell1, cell2 = {}, {}
         for hf in draft.hom_functors.values():
             cell1.update(hf.object_map)
@@ -393,14 +390,13 @@ def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
 
 def enumerate_lax_functors(s: FiniteBicategory, t: FiniteBicategory):
     """All lax functors s -> t.  Exhaustive; meant for very small instances."""
+    def unit_cells(fun, a):
+        x = fun.object_map[a]
+        return t.homs[(x, x)].hom(t.unit[x], fun.on_1(s.unit[a]))
+
+    plan = compile_plan(lax_variables(s, t, comparison_cells, unit_cells), lax_laws(s))
     draft = LaxFunctor("enum", s, t, {}, {}, {}, {})
-
-    def unit_cells(a):
-        x = draft.object_map[a]
-        return t.homs[(x, x)].hom(t.unit[x], draft.on_1(s.unit[a]))
-
-    variables = lax_variables(draft, functools.partial(comparison_cells, draft), unit_cells)
-    for _ in search(variables, constraints(draft, lax_laws(draft))):
+    for _ in run(plan, draft):
         cand = LaxFunctor("enum", s, t, dict(draft.object_map), dict(draft.hom_functors),
                           dict(draft.comp_constraints), dict(draft.unit_constraints))
         if validate_lax_functor(cand).ok:

@@ -21,7 +21,7 @@ from .icon import Icon, enumerate_icons, identity_icon
 from .laxfun import (LaxFunctor, classify, comparison_cells, compose_lax, lax_laws,
                      lax_variables, two_functor, validate_lax_functor)
 from .report import ValidationReport, sorted_ids
-from .search import constraints, search
+from .search import compile_plan, run
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,23 +119,21 @@ def enumerate_simplices(b: FiniteBicategory, n: int):
     invertible comparisons, searched as lax functors whose units are
     identities and whose degenerate triangles carry unitors.  Ordered by
     vertices, then edges, then triangle comparisons."""
-    draft = LaxFunctor("simplex", ordinal_as_bicategory(n), b, {}, {}, {}, {})
+    src = ordinal_as_bicategory(n)
 
-    def cell(i, j):
-        return draft.on_1(("le", i, j))
-
-    def comparisons(g, f):
+    def comparisons(fun, g, f):
         (_, i, j), k = f, g[2]
         if i < j < k:
-            return [c for c in comparison_cells(draft, g, f) if b.inv2(c) is not None]
-        return [_degenerate_comparison(b, cell, i, j, k)]
+            return [c for c in comparison_cells(fun, g, f) if b.inv2(c) is not None]
+        return [_degenerate_comparison(b, lambda i, j: fun.on_1(("le", i, j)), i, j, k)]
 
-    def units(i):
-        unit = b.unit[draft.object_map[i]]
-        return [b.id2(unit)] if cell(i, i) == unit else []
+    def units(fun, i):
+        unit = b.unit[fun.object_map[i]]
+        return [b.id2(unit)] if fun.on_1(("le", i, i)) == unit else []
 
-    variables = lax_variables(draft, comparisons, units)
-    for _ in search(variables, constraints(draft, lax_laws(draft))):
+    plan = compile_plan(lax_variables(src, b, comparisons, units), lax_laws(src))
+    draft = LaxFunctor("simplex", src, b, {}, {}, {}, {})
+    for _ in run(plan, draft):
         s = simplex_from_lax(draft)
         if validate_simplex(s).ok:
             yield s

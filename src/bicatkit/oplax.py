@@ -23,7 +23,7 @@ from .bicat import FiniteBicategory, UnsupportedSettingError
 from .icon import Icon, validate_icon
 from .laxfun import LaxFunctor, classify, compose_lax, two_functor
 from .report import ValidationReport
-from .search import constraints, search
+from .search import compile_plan, run
 
 
 @dataclass
@@ -79,7 +79,7 @@ def validate_oplax(u: OplaxNat) -> ValidationReport:
     if rep.violations:
         return rep
 
-    rep.check_laws(u, oplax_laws(u))
+    rep.check_laws(u, oplax_laws(s))
     return rep
 
 
@@ -120,10 +120,10 @@ def _unit_compatible(u, a):
                           t.whisker_left(ca, f.unit_constraints[a]))
 
 
-def oplax_laws(u):
+def oplax_laws(s):
     """Naturality (ON0), compatibility with composition, fully padded (ON1),
-    and with units (ON2), as law instances of `u` (see `ValidationReport.check_laws`)."""
-    s, comps, cons = u.source.source, u.components, u.constraints
+    and with units (ON2) out of `s`, as law instances (see `ValidationReport.check_laws`)."""
+    comps, cons = "components", "constraints"
     for c in s.two_cells():
         a, b = s.home2(c)
         yield (_natural, (c,),
@@ -361,21 +361,20 @@ def enumerate_oplax(f: LaxFunctor, g: LaxFunctor):
     if f.source != g.source or f.target != g.target:
         return
     s, t = f.source, f.target
-    draft = OplaxNat("enum", f, g, {}, {})
-    comps, cons = draft.components, draft.constraints
 
-    def constraint_cells(w):
+    def constraint_cells(w, u):
         a, b = s.home1(w)
-        src = t.compose1(comps[b], f.on_1(w))
-        return t.homs[t.home1(src)].hom(src, t.compose1(g.on_1(w), comps[a]))
+        src = t.compose1(u.components[b], f.on_1(w))
+        return t.homs[t.home1(src)].hom(src, t.compose1(g.on_1(w), u.components[a]))
 
-    variables = [(comps, a, (),
-                  lambda a=a: t.homs[(f.object_map[a], g.object_map[a])].sorted_objects)
+    variables = [("components", a, (),
+                  lambda u, a=a: t.homs[(f.object_map[a], g.object_map[a])].sorted_objects)
                  for a in s.sorted_objects]
-    variables += [(cons, w, tuple((comps, a) for a in s.home1(w)),
+    variables += [("constraints", w, tuple(("components", a) for a in s.home1(w)),
                    functools.partial(constraint_cells, w)) for w in s.one_cells()]
-    for _ in search(variables, constraints(draft, oplax_laws(draft))):
-        cand = OplaxNat("enum", f, g, dict(comps), dict(cons))
+    draft = OplaxNat("enum", f, g, {}, {})
+    for _ in run(compile_plan(variables, oplax_laws(s)), draft):
+        cand = OplaxNat("enum", f, g, dict(draft.components), dict(draft.constraints))
         if validate_oplax(cand).ok:
             yield cand
 

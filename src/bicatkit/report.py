@@ -50,7 +50,7 @@ class ValidationReport:
         """Report each law instance ``(holds, cells, reads, kind, message)``
         with ``holds(subject, *cells)`` false: its kind, the message
         formatted with the cells, and the cells as witness.  ``reads`` lists
-        the ``(slot, key)`` entries of the subject it looks at."""
+        the ``(field, key)`` entries of the subject's dict fields it looks at."""
         for holds, cells, _, kind, message in laws:
             if not holds(subject, *cells):
                 self.add(kind, message.format(*cells), cells)

@@ -290,6 +290,26 @@ def test_hom_functors_keyed_otherwise_report_and_enumerate_as_before():
               [("a", "a"), ("a", "b"), ("a", "z"), ("b", "a"), ("b", "b")])])
 
 
+def test_a_missing_hom_functor_over_1_cells_is_reported_not_raised():
+    """A lax functor without the hom functor at ('a', 'b'), a hom of the
+    walking 2-cell with 1-cells: the search finds no icon into or out of it,
+    as for differing object maps, and validation refuses each icon with a
+    structural violation that names the hom."""
+    s, t = corpus.get("bicategory", "walking-two-cell"), corpus.get("bicategory", "sigma-idem")
+    f = list(enumerate_lax_functors(s, t))[0]
+    g = _rekeyed(f, drop=[("a", "b")])
+    assert [str(v) for v in validate_lax_functor(g).violations] == \
+        ["[missing-hom-functor] no hom functor at ('a', 'b')"]
+    missing = "[missing-hom-functor] no hom functor at ('a', 'b'), whose hom has 1-cells"
+    want = f"icon k: FAIL {missing}\n  {missing}"
+    for one, two in ((g, g), (f, g), (g, f)):
+        assert list(enumerate_icons(one, two)) == []
+        for ic in enumerate_icons(f, f):
+            rep = validate_icon(Icon("k", one, two, ic.cells, dict(ic.families)))
+            assert str(rep) == want
+            assert rep.violations[0].witness == ("a", "b") and rep.structural_failure
+
+
 def test_icon_interchange_on_idem_pair():
     idem = corpus.sigma_idem()
     one = identity_lax(idem)

@@ -7,6 +7,7 @@ acceptance suite index into these lists.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,73 +23,73 @@ from bicatkit.icon import enumerate_icons
 from bicatkit.laxfun import enumerate_lax_functors, enumerate_two_functors
 from bicatkit.nerve import enumerate_simplices, ordinal_as_bicategory
 from bicatkit.oplax import DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax
-from bicatkit.search import compile_plan, run, search
+from bicatkit.search import compile_plan, run
 
 
 # ---------------------------------------------------------------------------
 # the kernel
 
+def _draft():
+    """A fresh subject with one dict field, as a search fills it in."""
+    return SimpleNamespace(slot={})
+
+
 def test_search_runs_in_lexicographic_order_of_the_variables():
-    """The same under `search` and under each of two runs of one compiled
-    plan that bind fresh slots."""
-    slot = {}
-    variables = [(slot, "x", (), lambda: [2, 0, 1]),
-                 (slot, "y", (), lambda: "ba")]
+    """The same on each of two fresh subjects run on one compiled plan."""
+    plan = compile_plan([("slot", "x", (), lambda _: [2, 0, 1]),
+                         ("slot", "y", (), lambda _: "ba")])
     want = [{"x": x, "y": y} for x in [2, 0, 1] for y in "ba"]
-    assert [dict(slot) for _ in search(variables)] == want
-    plan = compile_plan(variables)
-    for fresh in ({}, {}):
-        assert [dict(fresh) for _ in run(plan, (fresh,))] == want
+    for draft in (_draft(), _draft()):
+        assert [dict(draft.slot) for _ in run(plan, draft)] == want
 
 
 def test_search_prunes_on_constraints_and_empty_domains():
-    """The same under `search` and under each of two runs of one compiled
-    plan."""
-    slot, calls = {}, []
+    """The same bindings and the same domain calls on each of two runs of
+    one compiled plan, each on a fresh subject."""
+    calls = []
 
-    def below_x():
-        calls.append(slot["x"])
-        return list(range(slot["x"]))
+    def below_x(draft):
+        calls.append(draft.slot["x"])
+        return list(range(draft.slot["x"]))
 
-    variables = [(slot, "x", (), lambda: [0, 1, 2, 3]),
-                 (slot, "y", ((slot, "x"),), below_x),
-                 (slot, "z", (), lambda: [0, 1])]
-    laws = [(((slot, "x"),), lambda: slot["x"] != 2),
-            (((slot, "y"), (slot, "z")), lambda: slot["y"] + slot["z"] != 1)]
+    plan = compile_plan(
+        [("slot", "x", (), lambda _: [0, 1, 2, 3]),
+         ("slot", "y", (("slot", "x"),), below_x),
+         ("slot", "z", (), lambda _: [0, 1])],
+        [(lambda draft: draft.slot["x"] != 2, (), (("slot", "x"),), "x", "x is 2"),
+         (lambda draft, total: draft.slot["y"] + draft.slot["z"] != total, (1,),
+          (("slot", "y"), ("slot", "z")), "sum", "y + z is {}")])
     want = [(1, 0, 0), (3, 0, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1)]
-    assert [(slot["x"], slot["y"], slot["z"]) for _ in search(variables, laws)] == want
-    plan = compile_plan(variables, laws)
-    for _ in range(2):
-        assert [(slot["x"], slot["y"], slot["z"]) for _ in run(plan)] == want
+    for draft in (_draft(), _draft()):
+        assert [(draft.slot["x"], draft.slot["y"], draft.slot["z"])
+                for _ in run(plan, draft)] == want
     # each domain is computed once per binding of what it reads, and never
-    # for a value a constraint on x has already refused: in the search and
-    # again in each run
-    assert calls == [0, 1, 3] * 3
+    # for a value a constraint on x has already refused, on each run
+    assert calls == [0, 1, 3] * 2
 
 
 def test_search_with_no_variables_yields_once():
-    assert len(list(search([]))) == 1
-    assert list(search([], [((), lambda: False)])) == []
+    assert len(list(run(compile_plan([]), _draft()))) == 1
+    never = (lambda draft: False, (), (), "never", "never holds")
+    assert list(run(compile_plan([], [never]), _draft())) == []
 
 
 def test_a_compiled_plan_runs_on_fresh_slots_each_time():
     """Two runs of one plan advanced in alternation keep their bindings
-    apart, and leave the declared slot alone."""
-    slot = {}
-    variables = [(slot, "x", (), lambda _: [0, 1]), (slot, "y", (), lambda _: "ab")]
-    plan = compile_plan(variables, [(((slot, "x"), (slot, "y")),
-                                     lambda subject: subject["y"] != "ab"[subject["x"]])])
-    first, second = {}, {}
-    a, b = run(plan, (first,), first), run(plan, (second,), second)
+    apart, each in the fields of its own subject."""
+    plan = compile_plan([("slot", "x", (), lambda _: [0, 1]), ("slot", "y", (), lambda _: "ab")],
+                        [(lambda draft: draft.slot["y"] != "ab"[draft.slot["x"]], (),
+                          (("slot", "x"), ("slot", "y")), "diagonal", "y is the x-th letter")])
+    first, second = _draft(), _draft()
+    a, b = run(plan, first), run(plan, second)
     seen = []
     for _ in range(2):
         next(a)
-        seen.append(dict(first))
+        seen.append(dict(first.slot))
         next(b)
-        seen.append(dict(second))
+        seen.append(dict(second.slot))
     assert seen == [{"x": 0, "y": "b"}, {"x": 0, "y": "b"},
                     {"x": 1, "y": "a"}, {"x": 1, "y": "a"}]
-    assert slot == {}
 
 
 # ---------------------------------------------------------------------------
