@@ -20,8 +20,8 @@ The icon search depends on the source bicategory alone: one variable per
 1-cell, hom by hom, names a cell of the draft icon, under the naturality
 squares of each hom and the compatibility laws of `icon_laws`.  The source
 compiles it once, as its ``icon_plan``; `enumerate_icons` runs it on a fresh
-draft icon per pair of lax functors and still validates every icon it finds
-with `validate_icon`, which checks the same law listing, kept on the plan.
+draft icon per pair of lax functors.  The icons it finds pass `validate_icon`
+by construction (see `enumerate_icons`), so none is validated again.
 """
 
 from __future__ import annotations
@@ -77,6 +77,31 @@ class Icon(Lazy):
 def validate_icon(icon: Icon) -> ValidationReport:
     rep = ValidationReport(f"icon {icon.name}")
     f, g = icon.source, icon.target
+    rep.include(validate_icon_pair(f, g))
+    if rep.violations:
+        return rep
+
+    for pair in _families(f):
+        if pair not in icon.families:
+            rep.add("missing-hom-component", f"no component family at {pair!r}", pair,
+                    structural=True)
+            continue
+        nt = NatTrans(icon.families[pair], f.hom_functors[pair], g.hom_functors[pair], icon.cells)
+        rep.include(validate_nat(nt), "component:", f"at {pair!r}: ")
+    if rep.violations:
+        return rep
+
+    rep.check_laws(icon, f.source.icon_plan.laws)
+    return rep
+
+
+def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
+    """The checks of `validate_icon` that read no cell, so hold or fail for
+    every icon f => g alike, all structural: parallel lax functors, equal
+    object maps, a hom functor of each at every hom with 1-cells, and hom
+    functors keyed alike, the witness of a difference being the first key
+    of one that the other lacks."""
+    rep = ValidationReport(f"icons {f.name} => {g.name}")
     if f.source is not g.source and f.source != g.source:
         rep.add("parallel", "the two lax functors do not share a source", structural=True)
         return rep
@@ -96,18 +121,11 @@ def validate_icon(icon: Icon) -> ValidationReport:
                     pair, structural=True)
     if rep.violations:
         return rep
-
-    for pair in _families(f):
-        if pair not in icon.families:
-            rep.add("missing-hom-component", f"no component family at {pair!r}", pair,
-                    structural=True)
-            continue
-        nt = NatTrans(icon.families[pair], f.hom_functors[pair], g.hom_functors[pair], icon.cells)
-        rep.include(validate_nat(nt), "component:", f"at {pair!r}: ")
-    if rep.violations:
-        return rep
-
-    rep.check_laws(icon, f.source.icon_plan.laws)
+    if f.hom_functors.keys() != g.hom_functors.keys():
+        pair = sorted_ids(f.hom_functors.keys() ^ g.hom_functors.keys())[0]
+        rep.add("hom-functor-keys-differ",
+                f"only one of the two lax functors has a hom functor at {pair!r}", pair,
+                structural=True)
     return rep
 
 
@@ -264,23 +282,44 @@ def icon_plan(s):
     return SimpleNamespace(laws=laws, search=compile_plan(variables, laws + tuple(squares)))
 
 
+def _families_fit(f: LaxFunctor, g: LaxFunctor):
+    """Whether each family of an icon f => g (f and g keyed alike) runs
+    between parallel hom functors out of the source's hom at its key, or
+    out of an empty category at a key that is no source hom: then
+    `validate_nat` reads the cells and squares the icon plan binds and
+    checks for that hom, and no others."""
+    homs = f.source.homs
+    for pair, one in f.hom_functors.items():
+        two, cat = g.hom_functors[pair], homs.get(pair)
+        if cat is None:
+            if one.source.objects or one.source.morphisms:
+                return False
+        elif one.source is not cat and one.source != cat:
+            return False
+        if (two.source is not one.source and two.source != one.source) or \
+                (two.target is not one.target and two.target != one.target):
+            return False
+    return True
+
+
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
-    """All icons f => g, in deterministic order; empty when the object maps
-    differ or f or g lacks a hom functor over 1-cells.  One run of the
+    """All icons f => g, in deterministic order; none when `validate_icon_pair`
+    fails or a component family does not fit its hom.  One run of the
     source's `icon_plan` binds every component 2-cell, hom pair by hom pair,
     under the naturality of each family and the icon laws; it meets the
-    icons in the order of their families, each in `enumerate_nats` order."""
-    if (f.source is not g.source and f.source != g.source) or \
-            (f.target is not g.target and f.target != g.target):
-        return
-    s = f.source
-    if any(f.object_map[a] != g.object_map[a] for a in s.objects):
+    icons in the order of their families, each in `enumerate_nats` order.
+
+    Every icon found passes `validate_icon`, which is not run on it: the
+    pair passed `validate_icon_pair`; every key of f names a family, which
+    fits its hom; each component is a 2-cell F(x) => G(x) of the family's
+    target hom (`_component_cells`); and the plan's constraints are the
+    validator's naturality squares and `icon_laws`, each checked on every
+    cell it reads."""
+    if not (validate_icon_pair(f, g).ok and _families_fit(f, g)):
         return
     draft = Icon("enum", f, g, {}, dict.fromkeys(_families(f), "enum"))
-    for _ in run(s.icon_plan.search, draft):
-        cand = Icon("enum", f, g, dict(draft.cells), dict(draft.families))
-        if validate_icon(cand).ok:
-            yield cand
+    for _ in run(f.source.icon_plan.search, draft):
+        yield Icon("enum", f, g, dict(draft.cells), dict(draft.families))
 
 
 # ---------------------------------------------------------------------------

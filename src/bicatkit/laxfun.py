@@ -389,7 +389,16 @@ def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
 
 
 def enumerate_lax_functors(s: FiniteBicategory, t: FiniteBicategory):
-    """All lax functors s -> t.  Exhaustive; meant for very small instances."""
+    """All lax functors s -> t.  Exhaustive; meant for very small instances.
+
+    Every one found passes `validate_lax_functor`, which is not run on it:
+    the variables bind an image in t for every object, a functor between
+    the right homs at every pair of objects (`enumerate_functors`, whose
+    results are functors), a comparison F(g).F(f) => F(g.f) at every
+    composable pair (`comparison_cells`) and a unit comparison from the
+    target's unit to F of the source's (`unit_cells`), all cells of their
+    homs; and the plan's constraints are `lax_laws(s)`, the validator's
+    own law listing, each checked on every entry it reads."""
     def unit_cells(fun, a):
         x = fun.object_map[a]
         return t.homs[(x, x)].hom(t.unit[x], fun.on_1(s.unit[a]))
@@ -397,10 +406,8 @@ def enumerate_lax_functors(s: FiniteBicategory, t: FiniteBicategory):
     plan = compile_plan(lax_variables(s, t, comparison_cells, unit_cells), lax_laws(s))
     draft = LaxFunctor("enum", s, t, {}, {}, {}, {})
     for _ in run(plan, draft):
-        cand = LaxFunctor("enum", s, t, dict(draft.object_map), dict(draft.hom_functors),
-                          dict(draft.comp_constraints), dict(draft.unit_constraints))
-        if validate_lax_functor(cand).ok:
-            yield cand
+        yield LaxFunctor("enum", s, t, dict(draft.object_map), dict(draft.hom_functors),
+                         dict(draft.comp_constraints), dict(draft.unit_constraints))
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,27 @@ def test_a_missing_hom_functor_over_1_cells_is_reported_not_raised():
             assert rep.violations[0].witness == ("a", "b") and rep.structural_failure
 
 
+def test_hom_functors_keyed_differently_give_no_icon_either_way():
+    """f is the first lax functor walking-two-cell -> sigma-idem and g is f
+    without its hom functor at the empty hom ('b', 'a').  The two lax
+    functors of an icon must key their hom functors alike: the search finds
+    no icon f => g and none g => f, and validation refuses each with one
+    structural violation at the first key that only one of them has."""
+    s, t = corpus.get("bicategory", "walking-two-cell"), corpus.get("bicategory", "sigma-idem")
+    f = list(enumerate_lax_functors(s, t))[0]
+    g = _rekeyed(f, drop=[("b", "a")])
+    h = _rekeyed(g, extra={("a", "z"): f.hom_functors[("b", "a")]})
+    cases = [(f, g, ("b", "a")), (g, f, ("b", "a")), (f, h, ("a", "z")), (h, f, ("a", "z"))]
+    for one, two, key in cases:
+        assert list(enumerate_icons(one, two)) == []
+        differ = ("[hom-functor-keys-differ] only one of the two lax functors has a "
+                  f"hom functor at {key!r}")
+        for ic in enumerate_icons(f, f):
+            rep = validate_icon(Icon("k", one, two, ic.cells, dict(ic.families)))
+            assert str(rep) == f"icon k: FAIL {differ}\n  {differ}"
+            assert rep.violations[0].witness == key and rep.structural_failure
+
+
 def test_icon_interchange_on_idem_pair():
     idem = corpus.sigma_idem()
     one = identity_lax(idem)

@@ -1,6 +1,7 @@
 """Simplices, reindexing, and the truncated 2-nerve."""
 
 import math
+import random
 
 import pytest
 
@@ -74,6 +75,34 @@ def test_reindexing():
         ordinal_map_functor((1, 0), 1)
     with pytest.raises(ValueError):
         ordinal_map_functor((0, 5), 1)
+
+
+def _monotone_map(rng, m, n):
+    """A random monotone map [m] -> [n], as the tuple of its values."""
+    return tuple(sorted(rng.choices(range(n + 1), k=m + 1)))
+
+
+@pytest.mark.parametrize("name", ["ordinal-2", "walking-two-cell", "cocycle-twisted",
+                                  "sigma-idem"])
+def test_reindexing_is_functorial(name):
+    """Reindexing along theta: [m] -> [n] and then along phi: [k] -> [m]
+    gives the simplex reindexed along theta.phi, and every simplex met on
+    the way validates: up to 24 simplices of each level up to 3, four
+    random pairs of maps each."""
+    rng = random.Random(20261019)
+    b = corpus.get("bicategory", name)
+    for n in range(4):
+        sims = list(enumerate_simplices(b, n))
+        for s in rng.sample(sims, min(len(sims), 24)):
+            for _ in range(4):
+                m, k = rng.randrange(4), rng.randrange(4)
+                theta, phi = _monotone_map(rng, m, n), _monotone_map(rng, k, m)
+                once = reindex_simplex(s, theta)
+                twice = reindex_simplex(once, phi)
+                along = reindex_simplex(s, tuple(theta[i] for i in phi))
+                assert twice.key() == along.key(), (s.key(), theta, phi)
+                for r in (once, twice, along):
+                    assert validate_simplex(r).ok, (s.key(), theta, phi)
 
 
 def test_nerve_matches_the_classical_nerve_on_a_chain():

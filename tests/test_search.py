@@ -3,7 +3,8 @@
 Every enumerator must return exactly what the generate-and-test loops in
 `reference_enumerators` return: the same structures (dataclass equality, so
 names and maps too) in the same order, because the seeded samplers of the
-acceptance suite index into these lists.
+acceptance suite index into these lists.  The enumerators validate none of
+their results, so the corpus tests also run the full validator on each.
 """
 
 import itertools
@@ -19,10 +20,11 @@ from bicatkit.acceptance import BATTERY_BASES, _law_universe
 from bicatkit.bicat import Magma, codiscrete_bicategory, from_category
 from bicatkit.catcore import FiniteCategory, enumerate_functors, enumerate_nats
 from bicatkit import icon
-from bicatkit.icon import enumerate_icons
-from bicatkit.laxfun import enumerate_lax_functors, enumerate_two_functors
-from bicatkit.nerve import enumerate_simplices, ordinal_as_bicategory
-from bicatkit.oplax import DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax
+from bicatkit.icon import enumerate_icons, validate_icon
+from bicatkit.laxfun import (enumerate_lax_functors, enumerate_two_functors,
+                             validate_lax_functor)
+from bicatkit.nerve import enumerate_simplices, ordinal_as_bicategory, validate_simplex
+from bicatkit.oplax import DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax, validate_oplax
 from bicatkit.search import compile_plan, run
 
 
@@ -99,6 +101,8 @@ def test_lax_functors_and_icons_of_the_law_universe():
     bics, fams, icons = _law_universe()
     assert len(fams) == 121
     for (s, t), funs in fams.items():
+        assert all(validate_lax_functor(f).ok for f in funs), (s, t)
+        assert all(validate_icon(ic).ok for _, _, ic in icons[(s, t)]), (s, t)
         assert funs == list(ref.enumerate_lax_functors(bics[s], bics[t])), (s, t)
         by_pair = {}
         for i, j, ic in icons[(s, t)]:
@@ -187,7 +191,9 @@ def test_functors_and_nats_between_corpus_hom_categories():
 def test_simplices(name):
     b = corpus.get("bicategory", name)
     for k in range(4):
-        assert list(enumerate_simplices(b, k)) == list(ref.enumerate_simplices(b, k))
+        sims = list(enumerate_simplices(b, k))
+        assert all(validate_simplex(s).ok for s in sims), (name, k)
+        assert sims == list(ref.enumerate_simplices(b, k))
 
 
 def test_oplax_over_the_battery_pairs():
@@ -203,6 +209,7 @@ def test_oplax_over_the_battery_pairs():
             for h in funs:
                 for k in funs:
                     got = list(enumerate_oplax(h, k))
+                    assert all(validate_oplax(u).ok for u in got), (b.name, name)
                     assert got == list(ref.enumerate_oplax(h, k)), (b.name, name)
                     found += len(got)
     assert found > 500
