@@ -8,9 +8,12 @@ never edits a cell set, so the report shows in which order a validator meets
 the cells and which witness it names first.
 
     PYTHONPATH=src python tests/test_violations.py > tests/golden/violations.txt
+    PYTHONPATH=src python tests/test_violations.py --double > tests/golden/violations_double.txt
 
-rewrites the golden file; a change that means to alter reports does that in
-a change of its own.
+rewrite the golden files; a change that means to alter reports does that in
+a change of its own.  The second file holds the reports of subjects corrupted
+twice over: a single fault stops a validator at the step that finds it, so it
+takes two faults to show the order of a validator's steps.
 """
 
 import pathlib
@@ -26,8 +29,11 @@ from bicatkit.oplax import identity_oplax, validate_oplax
 from bicatkit.report import sorted_ids
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "violations.txt"
+DOUBLE_GOLDEN = GOLDEN.with_name("violations_double.txt")
 SEED = 20071130
 PER_VALIDATOR = 90
+DOUBLE_SEED = 4657
+PER_VALIDATOR_DOUBLE = 60
 
 
 # the identities on the corpus bicategories, most of them with several
@@ -154,27 +160,46 @@ def _corrupt(rng, families):
     return f"{label}: {key!r} := {table[key]!r}"
 
 
-def violation_reports():
-    rng = random.Random(SEED)
+def _nonempty(families):
+    """The families with their empty tables left out, and the empty ones."""
+    return [f for f in ([e for e in f if e[1]] for f in families) if f]
+
+
+def violation_reports(seed=SEED, per_validator=PER_VALIDATOR, faults=1):
+    """The report of each validator on `per_validator` subjects, each with
+    up to `faults` corruptions (fewer when an edit empties the last table)."""
+    rng = random.Random(seed)
     out = []
     for validate, build in VALIDATORS:
-        for i in range(PER_VALIDATOR):
+        for i in range(per_validator):
             families = []
             while not families:  # a subject with some non-empty table
                 label, subject, families = build(rng)
-                families = [f for f in ([e for e in f if e[1]] for f in families) if f]
-            edit = _corrupt(rng, families)
+                families = _nonempty(families)
+            edits = []
+            while families and len(edits) < faults:
+                edits.append(_corrupt(rng, families))
+                families = _nonempty(families)  # an edit can empty a table
             try:
                 text = str(validate(subject))
             except Exception as e:  # a crash is recorded, so that it shows too
                 text = f"raises {type(e).__name__}: {e}"
-            out.append(f"== {validate.__name__} {i}: {label}; {edit}\n{text}\n")
+            out.append(f"== {validate.__name__} {i}: {label}; {'; '.join(edits)}\n{text}\n")
     return "".join(out)
+
+
+def double_fault_reports():
+    return violation_reports(DOUBLE_SEED, PER_VALIDATOR_DOUBLE, faults=2)
 
 
 def test_violation_reports_match_the_golden_file():
     assert violation_reports() == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_double_fault_reports_match_the_golden_file():
+    assert double_fault_reports() == DOUBLE_GOLDEN.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
-    sys.stdout.write(violation_reports())
+    sys.stdout.write(double_fault_reports() if sys.argv[1:] == ["--double"]
+                     else violation_reports())
