@@ -221,34 +221,38 @@ class Functor:
 
 def validate_functor(fun: Functor) -> ValidationReport:
     rep = ValidationReport(f"functor {fun.name}")
-    s, t = fun.source, fun.target
-    for a in s.sorted_objects:
-        if a not in fun.object_map:
-            rep.add("missing-object-image", f"no image for object {a!r}", (a,), structural=True)
-        elif fun.object_map[a] not in set(t.objects):
-            rep.add("dangling-object-image", f"image of {a!r} is not a target object",
-                    (a,), structural=True)
-    for f in s.sorted_morphisms:
-        if f not in fun.morphism_map:
-            rep.add("missing-morphism-image", f"no image for morphism {f!r}", (f,),
-                    structural=True)
-        elif fun.morphism_map[f] not in t.morphisms:
-            rep.add("dangling-morphism-image", f"image of {f!r} is not a target morphism",
-                    (f,), structural=True)
-    if rep.structural_failure:
-        return rep
-
-    for f in s.sorted_morphisms:
-        a, b = s.morphisms[f]
-        if t.morphisms[fun.morphism_map[f]] != (fun.object_map[a], fun.object_map[b]):
-            rep.add("endpoints", f"image of {f!r} has the wrong endpoints", (f,))
-    if rep.violations:
-        return rep
-    for a in s.sorted_objects:
-        if fun.morphism_map[s.identity[a]] != t.identity[fun.object_map[a]]:
-            rep.add("identity", f"identity of {a!r} is not sent to an identity", (a,))
-    rep.check_laws(fun, functor_laws(s))
+    variables = functor_variables(fun.source, fun.target)
+    for domains in (False, True):  # images present and cells, then their endpoints
+        rep.check_values(fun, variables, domains)
+        if rep.violations:
+            return rep
+    rep.check_laws(fun, functor_laws(fun.source))
     return rep
+
+
+# The checks of a functor's images; None may be an id, so only an absent key is missing.
+OBJECT_IMAGE = (("missing-object-image", "no image for object {!r}", True),
+                lambda fun, a: fun.target.objects,
+                ("dangling-object-image", "image of {!r} is not a target object"), None)
+_MORPHISM_IMAGE = (("missing-morphism-image", "no image for morphism {!r}", True),
+                   lambda fun, m: fun.target.morphisms,
+                   ("dangling-morphism-image", "image of {!r} is not a target morphism"),
+                   ("endpoints", "image of {!r} has the wrong endpoints", False))
+
+
+def functor_variables(s, t):
+    """The search variables of a functor s -> t: the image of each object,
+    then of each morphism, each in sorted order, a morphism's ranging over
+    the hom between the images of its ends."""
+    omap, targets = "object_map", t.sorted_objects
+    return [(omap, a, (), lambda fun: targets, (a,), OBJECT_IMAGE) for a in s.sorted_objects] + [
+        ("morphism_map", m, ((omap, s.src(m)), (omap, s.tgt(m))),
+         lambda fun, m=m: t.hom(fun.object_map[s.src(m)], fun.object_map[s.tgt(m)]),
+         (m,), _MORPHISM_IMAGE) for m in s.sorted_morphisms]
+
+
+def _preserves_identity(fun, a):
+    return fun.morphism_map[fun.source.identity[a]] == fun.target.identity[fun.object_map[a]]
 
 
 def _preserves_composite(fun, f, g):
@@ -257,9 +261,12 @@ def _preserves_composite(fun, f, g):
 
 
 def functor_laws(s):
-    """Preservation of composites, as law instances (see
-    `ValidationReport.check_laws`) of a functor out of `s`."""
-    mm = "morphism_map"
+    """Preservation of identities, then of composites, as law instances
+    (see `ValidationReport.check_laws`) of a functor out of `s`."""
+    omap, mm = "object_map", "morphism_map"
+    for a in s.sorted_objects:
+        yield (_preserves_identity, (a,), ((omap, a), (mm, s.identity[a])),
+               "identity", "identity of {!r} is not sent to an identity")
     for f, g in s.composable_pairs():
         yield (_preserves_composite, (f, g), ((mm, f), (mm, g), (mm, s.table[(f, g)])),
                "composition", "images of {1!r}.{0!r} disagree")
@@ -322,21 +329,25 @@ def validate_nat(nt: NatTrans) -> ValidationReport:
     if f.target is not g.target and f.target != g.target:
         rep.add("parallel", "source functors do not share a target category", structural=True)
         return rep
-    cat, tcat = f.source, f.target
-    for a in cat.sorted_objects:
-        m = nt.components.get(a)
-        if m is None:
-            rep.add("missing-component", f"no component at {a!r}", (a,), structural=True)
-        elif m not in tcat.morphisms:
-            rep.add("dangling-component", f"component at {a!r} is not a target morphism",
-                    (a,), structural=True)
-        elif tcat.morphisms[m] != (f.object_map[a], g.object_map[a]):
-            rep.add("component-endpoints",
-                    f"component at {a!r} must run from the first image to the second", (a,))
+    rep.check_values(nt, nat_variables(f, g))
     if rep.violations:
         return rep
-    rep.check_laws(nt, nat_laws(cat))
+    rep.check_laws(nt, nat_laws(f.source))
     return rep
+
+
+_COMPONENT = (("missing-component", "no component at {!r}"),
+              lambda nt, a: nt.source.target.morphisms,
+              ("dangling-component", "component at {!r} is not a target morphism"),
+              ("component-endpoints",
+               "component at {!r} must run from the first image to the second", False))
+
+
+def nat_variables(f, g):
+    """The search variables of a transformation f => g: one component per
+    object in sorted order, each ranging over its hom."""
+    return [("components", a, (), lambda nt, a=a: f.target.hom(f.object_map[a], g.object_map[a]),
+             (a,), _COMPONENT) for a in f.source.sorted_objects]
 
 
 def _natural_at(nt, m):
@@ -377,26 +388,16 @@ def vcomp_nat(later: NatTrans, earlier: NatTrans) -> NatTrans:
 
 def enumerate_functors(s: FiniteCategory, t: FiniteCategory):
     """All functors s -> t, in deterministic order: by the images of the
-    objects, then of the non-identity morphisms, each in sorted order."""
-    objs, targets = s.sorted_objects, t.sorted_objects
-    omap, mmap = "object_map", "morphism_map"
-    variables = [(omap, a, (), lambda fun: targets) for a in objs]
-    variables += [(mmap, m, ((omap, s.src(m)), (omap, s.tgt(m))),
-                   lambda fun, m=m: t.hom(fun.object_map[s.src(m)], fun.object_map[s.tgt(m)]))
-                  for m in s.sorted_morphisms if not s.is_identity(m)]
-    variables += [(mmap, s.identity[a], ((omap, a),),
-                   lambda fun, a=a: (t.identity[fun.object_map[a]],)) for a in objs]
+    objects, then of the morphisms, each in sorted order (an identity's
+    image is fixed by its object's)."""
     draft = Functor("enum", s, t, {}, {})
-    for _ in run(compile_plan(variables, functor_laws(s)), draft):
+    for _ in run(compile_plan(functor_variables(s, t), functor_laws(s)), draft):
         yield Functor("enum", s, t, dict(draft.object_map), dict(draft.morphism_map))
 
 
 def enumerate_nats(f: Functor, g: Functor):
     """All natural transformations f => g, in deterministic order: one
     component per object in sorted order, each ranging over its hom."""
-    variables = [("components", a, (),
-                  lambda nt, a=a: f.target.hom(f.object_map[a], g.object_map[a]))
-                 for a in f.source.sorted_objects]
     draft = NatTrans("enum", f, g, {})
-    for _ in run(compile_plan(variables, nat_laws(f.source)), draft):
+    for _ in run(compile_plan(nat_variables(f, g), nat_laws(f.source)), draft):
         yield NatTrans("enum", f, g, dict(draft.components))

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bicat import FiniteBicategory, MonoidalCategory, sigma_bicategory
-from .catcore import Functor, compose_functors, enumerate_functors, validate_functor
+from .catcore import (OBJECT_IMAGE, Functor, compose_functors, enumerate_functors,
+                      validate_functor)
 from .report import ValidationReport
 from .search import compile_plan, run
 
@@ -64,25 +65,16 @@ class LaxFunctor(Lazy):
 def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     rep = ValidationReport(f"lax functor {fun.name}")
     s, t = fun.source, fun.target
-    tobj = set(t.objects)
-    for a in s.sorted_objects:
-        x = fun.object_map.get(a)
-        if x is None:
-            rep.add("missing-object-image", f"no image for object {a!r}", (a,),
-                    structural=True)
-        elif x not in tobj:
-            rep.add("dangling-object-image", f"image of {a!r} is not a target object",
-                    (a,), structural=True)
+    n = len(s.sorted_objects)
+    variables = lax_variables(s, t, comparison_cells, unit_cells)
+    rep.check_values(fun, variables[:n])
     if rep.structural_failure:
         return rep
 
-    for a in s.sorted_objects:
-        for b in s.sorted_objects:
-            hf = fun.hom_functors.get((a, b))
-            if hf is None:
-                rep.add("missing-hom-functor", f"no hom functor at {(a, b)!r}", (a, b),
-                        structural=True)
-                continue
+    for var in variables[n:n + n * n]:
+        rep.check_values(fun, [var])
+        (a, b), hf = var[1], fun.hom_functors.get(var[1])
+        if hf is not None:
             rebuilt = Functor(f"{fun.name}({a},{b})", s.homs[(a, b)],
                               t.homs[(fun.object_map[a], fun.object_map[b])],
                               hf.object_map, hf.morphism_map)
@@ -90,38 +82,9 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     if rep.violations:
         return rep
 
-    for g, f in s.composable_pairs():
-        cat = t.homs[(fun.object_map[s.home1(f)[0]], fun.object_map[s.home1(g)[1]])]
-        cell = fun.comp_constraints.get((g, f))
-        if cell is None:
-            rep.add("missing-comp-constraint", f"no comparison for the pair ({g!r}, {f!r})",
-                    (g, f), structural=True)
-        elif cell not in cat.morphisms:
-            rep.add("dangling-comp-constraint",
-                    f"comparison at ({g!r}, {f!r}) is not a 2-cell of its hom", (g, f),
-                    structural=True)
-        elif cell not in comparison_cells(fun, g, f):
-            rep.add("comp-constraint-endpoints",
-                    f"comparison at ({g!r}, {f!r}) must run F{g!r}.F{f!r} => F(g.f)",
-                    (g, f))
-    for a in s.sorted_objects:
-        fa = fun.object_map[a]
-        cat = t.homs[(fa, fa)]
-        cell = fun.unit_constraints.get(a)
-        if cell is None:
-            rep.add("missing-unit-constraint", f"no unit comparison at {a!r}", (a,),
-                    structural=True)
-        elif cell not in cat.morphisms:
-            rep.add("dangling-unit-constraint",
-                    f"unit comparison at {a!r} is not a 2-cell of its hom", (a,),
-                    structural=True)
-        elif cat.morphisms[cell] != (t.unit[fa], fun.on_1(s.unit[a])):
-            rep.add("unit-constraint-endpoints",
-                    f"unit comparison at {a!r} must run from the target unit to the "
-                    f"image of the source unit", (a,))
+    rep.check_values(fun, variables[n + n * n:])
     if rep.violations:
         return rep
-
     rep.check_laws(fun, lax_laws(s))
     return rep
 
@@ -330,6 +293,23 @@ def _preserves_unit(fun, a):
     return fun.on_1(fun.source.unit[a]) == fun.target.unit[fun.object_map[a]]
 
 
+# The checks of a lax functor's entries; a None object image is missing.
+_OBJECT_IMAGE = (OBJECT_IMAGE[0][:2], *OBJECT_IMAGE[1:])
+_HOM_FUNCTOR = (("missing-hom-functor", "no hom functor at ({!r}, {!r})"), None, None, None)
+_COMPARISON = (("missing-comp-constraint", "no comparison for the pair ({!r}, {!r})"),
+               lambda fun, g, f: _comparison_hom(fun, g, f).morphisms,
+               ("dangling-comp-constraint",
+                "comparison at ({!r}, {!r}) is not a 2-cell of its hom"),
+               ("comp-constraint-endpoints",
+                "comparison at ({0!r}, {1!r}) must run F{0!r}.F{1!r} => F(g.f)", False))
+_UNIT = (("missing-unit-constraint", "no unit comparison at {!r}"),
+         lambda fun, a: fun.target.homs[(fun.object_map[a], fun.object_map[a])].morphisms,
+         ("dangling-unit-constraint", "unit comparison at {!r} is not a 2-cell of its hom"),
+         ("unit-constraint-endpoints",
+          "unit comparison at {!r} must run from the target unit to the image of the "
+          "source unit", False))
+
+
 def lax_variables(s, t, comparisons, units):
     """The search variables of a lax functor s -> t: object images, hom
     functors, comparisons at the composable pairs and unit comparisons,
@@ -344,25 +324,38 @@ def lax_variables(s, t, comparisons, units):
         return list(enumerate_functors(cat, tcat))
 
     omap, homs = "object_map", "hom_functors"
-    variables = [(omap, a, (), lambda fun: targets) for a in objs]
+    variables = [(omap, a, (), lambda fun: targets, (a,), _OBJECT_IMAGE) for a in objs]
     variables += [(homs, (a, b), ((omap, a), (omap, b)),
-                   lambda fun, a=a, b=b: hom_functors(fun, a, b))
+                   lambda fun, a=a, b=b: hom_functors(fun, a, b), (a, b), _HOM_FUNCTOR)
                   for a in objs for b in objs]
     for g, f in s.composable_pairs():
         (a, b), c = s.home1(f), s.home1(g)[1]
         variables.append(("comp_constraints", (g, f),
                           ((homs, (a, b)), (homs, (b, c)), (homs, (a, c))),
-                          lambda fun, g=g, f=f: comparisons(fun, g, f)))
+                          lambda fun, g=g, f=f: comparisons(fun, g, f), (g, f), _COMPARISON))
     variables += [("unit_constraints", a, ((omap, a), (homs, (a, a))),
-                   lambda fun, a=a: units(fun, a)) for a in objs]
+                   lambda fun, a=a: units(fun, a), (a,), _UNIT) for a in objs]
     return variables
+
+
+def _comparison_hom(fun, g, f):
+    """The hom of F's comparison at (g, f)."""
+    s = fun.source
+    return fun.target.homs[(fun.object_map[s.home1(f)[0]], fun.object_map[s.home1(g)[1]])]
 
 
 def comparison_cells(fun, g, f):
     """The 2-cells F(g).F(f) => F(g.f), candidates for a comparison."""
     s, t = fun.source, fun.target
-    cat = t.homs[(fun.object_map[s.home1(f)[0]], fun.object_map[s.home1(g)[1]])]
-    return cat.hom(t.compose1(fun.on_1(g), fun.on_1(f)), fun.on_1(s.compose1(g, f)))
+    return _comparison_hom(fun, g, f).hom(t.compose1(fun.on_1(g), fun.on_1(f)),
+                                          fun.on_1(s.compose1(g, f)))
+
+
+def unit_cells(fun, a):
+    """The 2-cells from the target's unit at F(a) to F of the source's unit
+    at a, candidates for a unit comparison."""
+    t, x = fun.target, fun.object_map[a]
+    return t.homs[(x, x)].hom(t.unit[x], fun.on_1(fun.source.unit[a]))
 
 
 def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
@@ -391,18 +384,8 @@ def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
 def enumerate_lax_functors(s: FiniteBicategory, t: FiniteBicategory):
     """All lax functors s -> t.  Exhaustive; meant for very small instances.
 
-    Every one found passes `validate_lax_functor`, which is not run on it:
-    the variables bind an image in t for every object, a functor between
-    the right homs at every pair of objects (`enumerate_functors`, whose
-    results are functors), a comparison F(g).F(f) => F(g.f) at every
-    composable pair (`comparison_cells`) and a unit comparison from the
-    target's unit to F of the source's (`unit_cells`), all cells of their
-    homs; and the plan's constraints are `lax_laws(s)`, the validator's
-    own law listing, each checked on every entry it reads."""
-    def unit_cells(fun, a):
-        x = fun.object_map[a]
-        return t.homs[(x, x)].hom(t.unit[x], fun.on_1(s.unit[a]))
-
+    Every one found passes `validate_lax_functor`, which checks the same
+    declaration."""
     plan = compile_plan(lax_variables(s, t, comparison_cells, unit_cells), lax_laws(s))
     draft = LaxFunctor("enum", s, t, {}, {}, {}, {})
     for _ in run(plan, draft):

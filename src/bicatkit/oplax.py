@@ -42,45 +42,55 @@ def validate_oplax(u: OplaxNat) -> ValidationReport:
        (f.target is not g.target and f.target != g.target):
         rep.add("parallel", "the two lax functors are not parallel", structural=True)
         return rep
+    n = len(f.source.sorted_objects)
+    variables = oplax_variables(f, g)
+    for step in (variables[:n], variables[n:]):  # components, then constraints
+        rep.check_values(u, step)
+        if rep.violations:
+            return rep
+    rep.check_laws(u, oplax_laws(f.source))
+    return rep
+
+
+# The checks of an oplax transformation's entries; a component with the
+# wrong ends is structural, as the constraints' ends are composed from it.
+_COMPONENT = (("missing-component", "no component at {!r}"),
+              lambda u, a: u.source.target.one_cells(),
+              ("dangling-component", "component at {!r} is not a 1-cell"),
+              ("component-endpoints",
+               "component at {!r} must run from the first image to the second", True))
+_CONSTRAINT = (("missing-constraint", "no constraint at {!r}"),
+               lambda u, w: _constraint_hom(u, w).morphisms,
+               ("dangling-constraint", "constraint at {!r} is not a 2-cell of its hom"),
+               ("constraint-endpoints",
+                "constraint at {0!r} must run comp.F{0!r} => G{0!r}.comp", False))
+
+
+def oplax_variables(f, g):
+    """The search variables of an oplax transformation f => g: a component
+    1-cell F(A) -> G(A) at every object A, from its hom, then a constraint at
+    every 1-cell w, from the hom of 2-cells comp[B].F(w) => G(w).comp[A],
+    each family in sorted order."""
     s, t = f.source, f.target
 
-    for a in s.sorted_objects:
-        cell = u.components.get(a)
-        if cell is None:
-            rep.add("missing-component", f"no component at {a!r}", (a,), structural=True)
-            continue
-        try:
-            pair = t.home1(cell)
-        except KeyError:
-            rep.add("dangling-component", f"component at {a!r} is not a 1-cell", (a,),
-                    structural=True)
-            continue
-        if pair != (f.object_map[a], g.object_map[a]):
-            rep.add("component-endpoints",
-                    f"component at {a!r} must run from the first image to the second",
-                    (a,), structural=True)
-    if rep.violations:
-        return rep
-
-    for w in s.one_cells():
+    def constraint_cells(w, u):
         a, b = s.home1(w)
-        cell = u.constraints.get(w)
-        want_src = t.compose1(u.components[b], f.on_1(w))
-        want_tgt = t.compose1(g.on_1(w), u.components[a])
-        cat = t.homs[t.home1(want_src)]
-        if cell is None:
-            rep.add("missing-constraint", f"no constraint at {w!r}", (w,), structural=True)
-        elif cell not in cat.morphisms:
-            rep.add("dangling-constraint",
-                    f"constraint at {w!r} is not a 2-cell of its hom", (w,), structural=True)
-        elif cat.morphisms[cell] != (want_src, want_tgt):
-            rep.add("constraint-endpoints",
-                    f"constraint at {w!r} must run comp.F{w!r} => G{w!r}.comp", (w,))
-    if rep.violations:
-        return rep
+        return _constraint_hom(u, w).hom(t.compose1(u.components[b], f.on_1(w)),
+                                         t.compose1(g.on_1(w), u.components[a]))
 
-    rep.check_laws(u, oplax_laws(s))
-    return rep
+    variables = [("components", a, (),
+                  lambda u, a=a: t.homs[(f.object_map[a], g.object_map[a])].sorted_objects,
+                  (a,), _COMPONENT) for a in s.sorted_objects]
+    variables += [("constraints", w, tuple(("components", a) for a in s.home1(w)),
+                   functools.partial(constraint_cells, w), (w,), _CONSTRAINT)
+                  for w in s.one_cells()]
+    return variables
+
+
+def _constraint_hom(u, w):
+    """The hom of u's constraint at the 1-cell w: A -> B, from F(A) to G(B)."""
+    a, b = u.source.source.home1(w)
+    return u.source.target.homs[(u.source.object_map[a], u.target.object_map[b])]
 
 
 def _natural(u, c):
@@ -359,28 +369,12 @@ def oplax_is_icon(u: OplaxNat):
 def enumerate_oplax(f: LaxFunctor, g: LaxFunctor):
     """All oplax transformations f => g, exhaustively; tiny inputs only.
 
-    Every one found passes `validate_oplax`, which is not run on it: f and
-    g are parallel; the variables bind a component 1-cell F(A) -> G(A) at
-    every object A, from its hom, and a constraint at every 1-cell w from
-    the hom of 2-cells comp[B].F(w) => G(w).comp[A] (`constraint_cells`);
-    and the plan's constraints are `oplax_laws(s)`, the validator's own law
-    listing, each checked on every entry it reads."""
+    Every one found passes `validate_oplax`, which checks the same
+    declaration."""
     if f.source != g.source or f.target != g.target:
         return
-    s, t = f.source, f.target
-
-    def constraint_cells(w, u):
-        a, b = s.home1(w)
-        src = t.compose1(u.components[b], f.on_1(w))
-        return t.homs[t.home1(src)].hom(src, t.compose1(g.on_1(w), u.components[a]))
-
-    variables = [("components", a, (),
-                  lambda u, a=a: t.homs[(f.object_map[a], g.object_map[a])].sorted_objects)
-                 for a in s.sorted_objects]
-    variables += [("constraints", w, tuple(("components", a) for a in s.home1(w)),
-                   functools.partial(constraint_cells, w)) for w in s.one_cells()]
     draft = OplaxNat("enum", f, g, {}, {})
-    for _ in run(compile_plan(variables, oplax_laws(s)), draft):
+    for _ in run(compile_plan(oplax_variables(f, g), oplax_laws(f.source)), draft):
         yield OplaxNat("enum", f, g, dict(draft.components), dict(draft.constraints))
 
 

@@ -11,20 +11,21 @@ from __future__ import annotations
 import itertools
 
 
-def brute_z2_twist_ok(twist) -> bool:
-    """Decide, by direct mod-2 arithmetic, whether a twist table over the
-    group of order two gives a valid delooping: the five-term alternating sum
-    vanishes on every quadruple and the twist vanishes whenever the middle
-    argument is the group unit."""
+def brute_z2_twist_ok(twist, n=2) -> bool:
+    """Decide, by direct mod-n arithmetic, whether a twist table over the
+    cyclic group of order n (two by default), with coefficients in the same
+    group, gives a valid delooping: the five-term alternating sum vanishes on
+    every quadruple and the twist vanishes whenever the middle argument is
+    the group unit.  Missing entries are 0."""
 
     def tw(x, y, z):
-        return twist.get((x, y, z), 0) & 1
+        return twist.get((x, y, z), 0) % n
 
-    els = (0, 1)
+    els = range(n)
     for k, h, g, f in itertools.product(els, repeat=4):
-        lhs = (tw(k, h, g ^ f) + tw(k ^ h, g, f)) % 2
-        rhs = (tw(h, g, f) + tw(k, h ^ g, f) + tw(k, h, g)) % 2
-        if lhs != rhs:
+        lhs = tw(k, h, (g + f) % n) + tw((k + h) % n, g, f)
+        rhs = tw(h, g, f) + tw(k, (h + g) % n, f) + tw(k, h, g)
+        if (lhs - rhs) % n:
             return False
     for g, f in itertools.product(els, repeat=2):
         if tw(g, 0, f):

@@ -46,11 +46,30 @@ class ValidationReport:
         for v in sub.violations:
             self.add(kind + v.kind, where + v.message, v.witness, v.structural)
 
+    def check_values(self, subject, variables, domains=True):
+        """Report each search variable ``(field, key, reads, domain, cells,
+        (missing, within, dangling, outside))`` at the first check its value
+        fails, as a law instance is reported: ``missing`` if absent or None
+        (only if absent, for ``(kind, message, True)``), ``dangling`` if not in
+        ``within(subject, *cells)``, and, with `domains`, ``outside`` if not in
+        ``domain(subject)``.  ``missing`` and ``dangling`` are structural
+        ``(kind, message)``, ``outside`` is ``(kind, message, structural)``,
+        and a check that is None is not made."""
+        for field, key, _, domain, cells, (missing, within, dangling, outside) in variables:
+            table = getattr(subject, field)
+            if (key not in table) if missing[2:] else (table.get(key) is None):
+                self.add(missing[0], missing[1].format(*cells), cells, True)
+            elif within and table[key] not in within(subject, *cells):
+                self.add(dangling[0], dangling[1].format(*cells), cells, True)
+            elif domains and outside and table[key] not in domain(subject):
+                self.add(outside[0], outside[1].format(*cells), cells, outside[2])
+
     def check_laws(self, subject, laws):
         """Report each law instance ``(holds, cells, reads, kind, message)``
         with ``holds(subject, *cells)`` false: its kind, the message
         formatted with the cells, and the cells as witness.  ``reads`` lists
-        the ``(field, key)`` entries of the subject's dict fields it looks at."""
+        the ``(field, key)`` entries of the subject's dict fields it looks at,
+        which `check_values` has passed before the laws are checked."""
         for holds, cells, _, kind, message in laws:
             if not holds(subject, *cells):
                 self.add(kind, message.format(*cells), cells)

@@ -2,14 +2,16 @@
 often as needed.
 
 A search fills in the dict fields of a draft structure, its subject.  A
-variable ``(field, key, reads, domain)`` is bound by setting
+variable ``(field, key, reads, domain, cells, checks)`` is bound by setting
 ``subject.<field>[key]`` to each value of ``domain(subject)`` in turn; the
 domain may look at the earlier variables, named ``(field, key)``, listed in
 ``reads``.  A constraint is a law instance ``(holds, cells, reads, kind,
 message)`` (see `ValidationReport.check_laws`), checked as
 ``holds(subject, *cells)`` as soon as the last variable it reads is bound.
 A domain is computed as soon as the last of its reads is bound, so an empty
-one prunes like a failing constraint.
+one prunes like a failing constraint.  The search ignores ``cells`` and
+``checks``, which `ValidationReport.check_values` reads when it runs the
+same listing as a validator on a given subject.
 
 `compile_plan` turns a declaration into stage tables and `run` walks them
 on one subject, so a plan serves any number of runs, each on its own draft.
@@ -27,16 +29,16 @@ def compile_plan(variables, laws=()):
     """Stage tables: the variables as (field, key, domain), and for each
     stage, reached when as many variables are bound, the constraints to
     check there, as (holds, cells), and the domains to compute there."""
-    stage = {(field, key): i + 1 for i, (field, key, _, _) in enumerate(variables)}
+    stage = {(field, key): i + 1 for i, (field, key, *_) in enumerate(variables)}
     checks = [[] for _ in range(len(variables) + 1)]
     opens = [[] for _ in range(len(variables) + 1)]
     for holds, cells, reads, _, _ in laws:
         checks[max(map(stage.__getitem__, reads), default=0)].append((holds, cells))
-    for i, (_, _, reads, _) in enumerate(variables):
+    for i, (_, _, reads, *_) in enumerate(variables):
         opens[max(map(stage.__getitem__, reads), default=0)].append(i)
     return SimpleNamespace(
         checks=tuple(map(tuple, checks)), opens=tuple(map(tuple, opens)),
-        variables=tuple((field, key, domain) for field, key, _, domain in variables))
+        variables=tuple((field, key, domain) for field, key, _, domain, *_ in variables))
 
 
 def run(plan, subject):

@@ -1,13 +1,15 @@
 """Bicategory validation: builders, laws, and corruption detection."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicatkit import corpus
-from bicatkit.bicat import Magma, codiscrete_bicategory, strict_bicategory, validate_bicategory
+from bicatkit.bicat import (Magma, cocycle_bicategory, codiscrete_bicategory, strict_bicategory,
+                            validate_bicategory)
 from bicatkit.oracles import brute_z2_twist_ok
 
 
@@ -86,7 +88,39 @@ def test_twist_validity_matches_direct_arithmetic(bits):
     triples = sorted(itertools.product((0, 1), repeat=3))
     twist = dict(zip(triples, bits))
     rep = validate_bicategory(corpus.z2_twist_instance("rand", twist))
-    assert rep.ok == brute_z2_twist_ok(twist)
+    assert rep.ok == brute_z2_twist_ok(twist, n=2)
+
+
+def _z3_twists(rng, count):
+    """Seeded Z/3 twist tables of three sorts in turn: a cocycle class
+    (a * x * carry(y + z)) plus the coboundary of a random normalised
+    2-cochain, which is valid; the same with one entry moved, which may not
+    be; and a random table, which rarely is."""
+    els = range(3)
+    triples = list(itertools.product(els, repeat=3))
+    for i in range(count):
+        beta = {(x, y): rng.randrange(3) if x and y else 0 for x in els for y in els}
+        a = rng.randrange(3)
+        twist = {(x, y, z): (a * x * ((y + z) // 3) + beta[(y, z)] - beta[((x + y) % 3, z)]
+                             + beta[(x, (y + z) % 3)] - beta[(x, y)]) % 3
+                 for x, y, z in triples}
+        if i % 3 == 1:
+            site = rng.choice(triples)
+            twist[site] = (twist[site] + rng.randrange(1, 3)) % 3
+        elif i % 3 == 2:
+            twist = {t: rng.randrange(3) for t in triples}
+        yield twist
+
+
+def test_z3_twist_validity_matches_direct_arithmetic():
+    op = {(x, y): (x + y) % 3 for x in range(3) for y in range(3)}
+    verdicts = []
+    for twist in _z3_twists(random.Random(20071130), 60):
+        b = cocycle_bicategory("z3", [0, 1, 2], op, 0, [0, 1, 2], dict(op), 0, twist)
+        verdicts.append(brute_z2_twist_ok(twist, n=3))
+        assert validate_bicategory(b).ok == verdicts[-1], twist
+    assert sum(verdicts) >= len(verdicts) / 3
+    assert not all(verdicts)
 
 
 def test_middle_four_interchange():

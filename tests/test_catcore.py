@@ -132,6 +132,25 @@ def test_functor_composition_law_is_checked():
     assert validate_functor(good).ok
 
 
+def test_a_none_image_is_an_id_but_a_none_component_is_missing():
+    """Ids may be None: a functor's maps hold ids, so a None image is checked
+    as an id, while a transformation's None component counts as absent."""
+    c = chain_category(1)
+    one = identity_functor(c)
+    one.object_map[0] = None
+    assert [str(v) for v in validate_functor(one).violations] == [
+        "[dangling-object-image] image of 0 is not a target object"]
+    pointed = FiniteCategory("pointed", [None], {"i": (None, None)}, {None: "i"},
+                             {("i", "i"): "i"})
+    to_none = Functor("to-none", c, pointed, {0: None, 1: None},
+                      {m: "i" for m in c.morphisms})
+    assert validate_functor(to_none).ok
+    nt = NatTrans("n", identity_functor(c), identity_functor(c),
+                  {0: ("le", 0, 0), 1: None})
+    assert [str(v) for v in validate_nat(nt).violations] == [
+        "[missing-component] no component at 1"]
+
+
 def test_equivalence_detection():
     inc = Functor("inc", terminal_category(), iso_pair(),
                   {"*": "X"}, {("id", "*"): "1x"})

@@ -25,6 +25,7 @@ from bicatkit.laxfun import (enumerate_lax_functors, enumerate_two_functors,
                              validate_lax_functor)
 from bicatkit.nerve import enumerate_simplices, ordinal_as_bicategory, validate_simplex
 from bicatkit.oplax import DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax, validate_oplax
+from bicatkit.report import ValidationReport
 from bicatkit.search import compile_plan, run
 
 
@@ -92,6 +93,52 @@ def test_a_compiled_plan_runs_on_fresh_slots_each_time():
         seen.append(dict(second.slot))
     assert seen == [{"x": 0, "y": "b"}, {"x": 0, "y": "b"},
                     {"x": 1, "y": "a"}, {"x": 1, "y": "a"}]
+
+
+# A declared slot: its value must lie in 0..9 (else dangling) and in the
+# variable's domain (else outside).  Its cells, the witness that the
+# messages name, are the key written twice.
+_CHECKS = (("missing", "no value at {!r}"), lambda draft, c: range(10),
+           ("dangling", "value at {!r} is not a digit"),
+           ("outside", "value at {0!r} is not in the domain of {0!r}", False))
+
+
+def _declared(key, domain, checks=_CHECKS):
+    return ("slot", key, (), lambda draft: domain, (key * 2,), checks)
+
+
+def test_check_values_reports_the_first_failing_check_in_listing_order():
+    """missing before dangling before outside, each once per variable, in
+    the order of the listing, not of the subject's dict."""
+    variables = [_declared("d", [1]), _declared("c", [1]), _declared("b", [1]),
+                 _declared("a", [1])]
+    draft = SimpleNamespace(slot={"a": 1, "b": 2, "c": 11})  # "d" has no value
+    rep = ValidationReport("draft")
+    rep.check_values(draft, variables)
+    assert [(v.kind, v.witness, v.structural) for v in rep.violations] == [
+        ("missing", ("dd",), True), ("dangling", ("cc",), True), ("outside", ("bb",), False)]
+    assert [v.message for v in rep.violations] == [
+        "no value at 'dd'", "value at 'cc' is not a digit",
+        "value at 'bb' is not in the domain of 'bb'"]
+
+
+def test_check_values_without_domains_skips_the_outside_check():
+    draft = SimpleNamespace(slot={"a": 2, "b": None})
+    rep = ValidationReport("draft")
+    rep.check_values(draft, [_declared("a", [1]), _declared("b", [1])], domains=False)
+    assert [(v.kind, v.witness) for v in rep.violations] == [("missing", ("bb",))]
+
+
+def test_check_values_counts_none_as_a_value_only_where_the_table_holds_ids():
+    """A None value is missing, unless ``missing`` is ``(kind, message,
+    True)``; then only an absent key is, and None is checked like any value."""
+    keyed = (_CHECKS[0] + (True,), lambda draft, c: {None}, *_CHECKS[2:])
+    draft = SimpleNamespace(slot={"a": None, "b": None})
+    rep = ValidationReport("draft")
+    rep.check_values(draft, [_declared("a", [None]), _declared("b", [None], keyed),
+                             _declared("c", [None], keyed)])
+    assert [(v.kind, v.witness) for v in rep.violations] == [("missing", ("aa",)),
+                                                             ("missing", ("cc",))]
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def _corrupt(rng, families):
 
 
 def _nonempty(families):
-    """The families with their empty tables left out, and the empty ones."""
+    """The families without their empty tables, less any family left empty."""
     return [f for f in ([e for e in f if e[1]] for f in families) if f]
 
 
