@@ -241,7 +241,7 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
 
     for a in objs:
         j = b.unit.get(a)
-        if j is None:
+        if a not in b.unit:
             rep.add("missing-unit", f"object {a!r} has no unit 1-cell", (a,), structural=True)
         elif j not in set(b.homs[(a, a)].objects):
             rep.add("dangling-unit", f"unit of {a!r} is not an endo-1-cell of it",
@@ -270,7 +270,7 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
     for t in triples:
         h, g, f = t
         cell = b.associator.get(t)
-        if cell is None:
+        if t not in b.associator:
             rep.add("missing-associator", f"no associator at {t!r}", t, structural=True)
             continue
         a, _ = b.home1(f)
@@ -295,7 +295,7 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
             (b.right_unitor, "right-unitor", lambda: b.compose1(f, b.unit[a])),
         ):
             cell = store.get(f)
-            if cell is None:
+            if f not in store:
                 rep.add(f"missing-{label}", f"no {label} at {f!r}", (f,), structural=True)
             elif cell not in cat.morphisms:
                 rep.add(f"dangling-{label}", f"{label} at {f!r} is not a 2-cell of its hom",

@@ -117,7 +117,7 @@ def validate_category(c: FiniteCategory) -> ValidationReport:
                     (m,), structural=True)
     for a in c.sorted_objects:
         i = c.identity.get(a)
-        if i is None:
+        if a not in c.identity:
             rep.add("missing-identity", f"object {a!r} has no identity", (a,), structural=True)
         elif i not in c.morphisms:
             rep.add("missing-identity", f"identity of {a!r} is unknown morphism {i!r}",
@@ -230,11 +230,11 @@ def validate_functor(fun: Functor) -> ValidationReport:
     return rep
 
 
-# The checks of a functor's images; None may be an id, so only an absent key is missing.
-OBJECT_IMAGE = (("missing-object-image", "no image for object {!r}", True),
+# The checks of a functor's images.
+OBJECT_IMAGE = (("missing-object-image", "no image for object {!r}"),
                 lambda fun, a: fun.target.objects,
                 ("dangling-object-image", "image of {!r} is not a target object"), None)
-_MORPHISM_IMAGE = (("missing-morphism-image", "no image for morphism {!r}", True),
+_MORPHISM_IMAGE = (("missing-morphism-image", "no image for morphism {!r}"),
                    lambda fun, m: fun.target.morphisms,
                    ("dangling-morphism-image", "image of {!r} is not a target morphism"),
                    ("endpoints", "image of {!r} has the wrong endpoints", False))

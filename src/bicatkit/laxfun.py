@@ -74,7 +74,7 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     for var in variables[n:n + n * n]:
         rep.check_values(fun, [var])
         (a, b), hf = var[1], fun.hom_functors.get(var[1])
-        if hf is not None:
+        if isinstance(hf, Functor):
             rebuilt = Functor(f"{fun.name}({a},{b})", s.homs[(a, b)],
                               t.homs[(fun.object_map[a], fun.object_map[b])],
                               hf.object_map, hf.morphism_map)
@@ -293,9 +293,16 @@ def _preserves_unit(fun, a):
     return fun.on_1(fun.source.unit[a]) == fun.target.unit[fun.object_map[a]]
 
 
-# The checks of a lax functor's entries; a None object image is missing.
-_OBJECT_IMAGE = (OBJECT_IMAGE[0][:2], *OBJECT_IMAGE[1:])
-_HOM_FUNCTOR = (("missing-hom-functor", "no hom functor at ({!r}, {!r})"), None, None, None)
+def _functor_at(fun, a, b):
+    """The hom functor of `fun` at (a, b), alone in a list, if it is a functor."""
+    hf = fun.hom_functors[(a, b)]
+    return [hf] if isinstance(hf, Functor) else []
+
+
+# The checks of a lax functor's entries.
+_HOM_FUNCTOR = (("missing-hom-functor", "no hom functor at ({!r}, {!r})"),
+                _functor_at,
+                ("dangling-hom-functor", "hom functor at ({!r}, {!r}) is not a functor"), None)
 _COMPARISON = (("missing-comp-constraint", "no comparison for the pair ({!r}, {!r})"),
                lambda fun, g, f: _comparison_hom(fun, g, f).morphisms,
                ("dangling-comp-constraint",
@@ -314,17 +321,25 @@ def lax_variables(s, t, comparisons, units):
     """The search variables of a lax functor s -> t: object images, hom
     functors, comparisons at the composable pairs and unit comparisons,
     each family in sorted order.  `comparisons(fun, g, f)` and
-    `units(fun, a)` list the candidate 2-cells of the draft `fun`."""
+    `units(fun, a)` list the candidate 2-cells of the draft `fun`.
+
+    The hom functors at (a, b) range over the functors between s's hom
+    there and t's hom at (F a, F b), enumerated once per listing for each
+    such key, so the lax functors that a search over one listing yields
+    share hom functors: none of them may be mutated."""
     objs, targets = s.sorted_objects, t.sorted_objects
+    found = {}  # (a, b, F a, F b) -> the functors between the two homs
 
     def hom_functors(fun, a, b):
-        cat, tcat = s.homs[(a, b)], t.homs[(fun.object_map[a], fun.object_map[b])]
-        if not cat.objects:
-            return [Functor("empty", cat, tcat, {}, {})]
-        return list(enumerate_functors(cat, tcat))
+        key = (a, b, fun.object_map[a], fun.object_map[b])
+        if key not in found:
+            cat, tcat = s.homs[(a, b)], t.homs[key[2:]]
+            found[key] = [Functor("empty", cat, tcat, {}, {})] if not cat.objects \
+                else list(enumerate_functors(cat, tcat))
+        return found[key]
 
     omap, homs = "object_map", "hom_functors"
-    variables = [(omap, a, (), lambda fun: targets, (a,), _OBJECT_IMAGE) for a in objs]
+    variables = [(omap, a, (), lambda fun: targets, (a,), OBJECT_IMAGE) for a in objs]
     variables += [(homs, (a, b), ((omap, a), (omap, b)),
                    lambda fun, a=a, b=b: hom_functors(fun, a, b), (a, b), _HOM_FUNCTOR)
                   for a in objs for b in objs]
@@ -362,7 +377,11 @@ def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
     """All strict functors s -> t, for finite strict search settings: the
     lax functors whose comparisons are identities, so that units and
     composites are preserved on the nose, checked for naturality, which
-    then says that horizontal composites are preserved too."""
+    then says that horizontal composites are preserved too.
+
+    The search shares hom functors between its candidates (see
+    `lax_variables`), which must not be mutated; each functor yielded is
+    rebuilt by `two_functor` with hom functors of its own."""
     def identity_comparison(fun, g, f):
         ok = _preserves_composite(fun, g, f)
         return [t.id2(fun.on_1(s.compose1(g, f)))] if ok else []
@@ -385,7 +404,8 @@ def enumerate_lax_functors(s: FiniteBicategory, t: FiniteBicategory):
     """All lax functors s -> t.  Exhaustive; meant for very small instances.
 
     Every one found passes `validate_lax_functor`, which checks the same
-    declaration."""
+    declaration.  The lax functors yielded share hom functors (see
+    `lax_variables`), so none of them may be mutated."""
     plan = compile_plan(lax_variables(s, t, comparison_cells, unit_cells), lax_laws(s))
     draft = LaxFunctor("enum", s, t, {}, {}, {}, {})
     for _ in run(plan, draft):

@@ -130,6 +130,10 @@ def enumerate_simplices(b: FiniteBicategory, n: int):
     gives the leaf back as its lax functor, which passes
     `validate_lax_functor` by the argument there, with every comparison
     invertible by construction, whatever b: the simplex is normal.
+
+    The lax functors the search runs through share hom functors (see
+    `lax_variables`), which must not be mutated; a simplex holds only the
+    cells read off them.
     """
     src = ordinal_as_bicategory(n)
 
@@ -150,9 +154,12 @@ def enumerate_simplices(b: FiniteBicategory, n: int):
         yield simplex_from_lax(draft)
 
 
+@functools.lru_cache(maxsize=None)
 def ordinal_map_functor(theta, n: int) -> LaxFunctor:
     """A monotone map [m] -> [n], given as the tuple of its values, as a
-    strict functor between the ordinal 2-categories."""
+    strict functor between the ordinal 2-categories.  Built once per
+    process for each (theta, n) and shared by every caller, so it must not
+    be mutated."""
     m = len(theta) - 1
     if any(theta[i] > theta[i + 1] for i in range(m)) or \
             any(not 0 <= v <= n for v in theta):

@@ -49,17 +49,18 @@ class ValidationReport:
     def check_values(self, subject, variables, domains=True):
         """Report each search variable ``(field, key, reads, domain, cells,
         (missing, within, dangling, outside))`` at the first check its value
-        fails, as a law instance is reported: ``missing`` if absent or None
-        (only if absent, for ``(kind, message, True)``), ``dangling`` if not in
-        ``within(subject, *cells)``, and, with `domains`, ``outside`` if not in
-        ``domain(subject)``.  ``missing`` and ``dangling`` are structural
-        ``(kind, message)``, ``outside`` is ``(kind, message, structural)``,
-        and a check that is None is not made."""
+        fails, as a law instance is reported: ``missing`` if its key is absent
+        (ids may be None, so a None value is checked like any other),
+        ``dangling`` if not in ``within(subject, *cells)``, and, with
+        `domains`, ``outside`` if not in ``domain(subject)``.  ``missing``
+        and ``dangling`` are structural ``(kind, message)``, ``outside`` is
+        ``(kind, message, structural)``, and an ``outside`` that is None is
+        not checked."""
         for field, key, _, domain, cells, (missing, within, dangling, outside) in variables:
             table = getattr(subject, field)
-            if (key not in table) if missing[2:] else (table.get(key) is None):
+            if key not in table:
                 self.add(missing[0], missing[1].format(*cells), cells, True)
-            elif within and table[key] not in within(subject, *cells):
+            elif table[key] not in within(subject, *cells):
                 self.add(dangling[0], dangling[1].format(*cells), cells, True)
             elif domains and outside and table[key] not in domain(subject):
                 self.add(outside[0], outside[1].format(*cells), cells, outside[2])

@@ -35,6 +35,33 @@ def test_ordinal_composition():
         b.compose1(("le", 0, 1), ("le", 1, 2))
 
 
+# Two law failures of one kind, in a report that lists nothing else: their
+# order pins the order in which validate_bicategory walks that law.
+
+def test_triangle_failures_come_in_order_of_the_later_cell():
+    b = corpus.cocycle_twisted()
+    b.left_unitor[0] = b.right_unitor[0] = (0, 1)  # the two flips cancel at (0, 0)
+    assert [str(v) for v in validate_bicategory(b).violations] == [
+        "[triangle] triangle fails at (0, 1)", "[triangle] triangle fails at (1, 0)"]
+
+
+def test_associator_naturality_failures_come_triple_by_triple_then_slot_by_slot():
+    b = corpus.cocycle_trivial()
+    # swap the composites of (0, 1) beside the two 2-cells on 1; composition
+    # stays a functor
+    mm = b.comp[("*", "*", "*")].morphism_map
+    mm[((0, 1), (1, 0))], mm[((0, 1), (1, 1))] = mm[((0, 1), (1, 1))], mm[((0, 1), (1, 0))]
+    assert [str(v) for v in validate_bicategory(b).violations] == [
+        "[associator-naturality] associator is not natural in the middle slot at (1, 0, 1) "
+        "under (0, 1)",
+        "[associator-naturality] associator is not natural in the later slot at (0, 1, 1) "
+        "under (0, 1)",
+        "[associator-naturality] associator is not natural in the later slot at (1, 1, 1) "
+        "under (1, 1)",
+        "[associator-naturality] associator is not natural in the middle slot at (1, 1, 1) "
+        "under (1, 1)"]
+
+
 def test_magma3_is_not_associative():
     m = corpus.magma3()
     assert not m.is_associative()

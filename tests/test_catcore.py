@@ -132,9 +132,9 @@ def test_functor_composition_law_is_checked():
     assert validate_functor(good).ok
 
 
-def test_a_none_image_is_an_id_but_a_none_component_is_missing():
-    """Ids may be None: a functor's maps hold ids, so a None image is checked
-    as an id, while a transformation's None component counts as absent."""
+def test_a_none_value_is_an_id_and_only_an_absent_key_is_missing():
+    """Ids may be None, so a None image or component is checked as an id
+    like any other value, and only an absent key counts as missing."""
     c = chain_category(1)
     one = identity_functor(c)
     one.object_map[0] = None
@@ -148,7 +148,39 @@ def test_a_none_image_is_an_id_but_a_none_component_is_missing():
     nt = NatTrans("n", identity_functor(c), identity_functor(c),
                   {0: ("le", 0, 0), 1: None})
     assert [str(v) for v in validate_nat(nt).violations] == [
+        "[dangling-component] component at 1 is not a target morphism"]
+    del nt.components[1]
+    assert [str(v) for v in validate_nat(nt).violations] == [
         "[missing-component] no component at 1"]
+
+
+def _arrow_with_none_id():
+    """Objects a, b and one morphism a -> b besides the identities, whose id is None."""
+    return FiniteCategory("none-arrow", ["a", "b"],
+                          {"1a": ("a", "a"), "1b": ("b", "b"), None: ("a", "b")},
+                          {"a": "1a", "b": "1b"},
+                          {("1a", "1a"): "1a", ("1b", "1b"): "1b",
+                           ("1a", None): None, (None, "1b"): None})
+
+
+def test_enumerated_transformations_with_a_none_component_pass_validate_nat():
+    c = _arrow_with_none_id()
+    assert validate_category(c).ok
+    funs = list(enumerate_functors(terminal_category(), c))
+    assert [f.object_map["*"] for f in funs] == ["a", "b"]
+    found = [nt for f in funs for g in funs for nt in enumerate_nats(f, g)]
+    assert [nt.components["*"] for nt in found] == ["1a", None, "1b"]
+    assert all(validate_nat(nt).ok for nt in found)
+
+
+def test_a_none_identity_is_an_id_and_only_an_absent_one_is_missing():
+    c = _arrow_with_none_id()
+    c.identity["a"] = None
+    assert [str(v) for v in validate_category(c).violations] == [
+        "[bad-identity] identity of 'a' is not an endomorphism of it"]
+    del c.identity["a"]
+    assert [str(v) for v in validate_category(c).violations] == [
+        "[missing-identity] object 'a' has no identity"]
 
 
 def test_equivalence_detection():

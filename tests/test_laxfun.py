@@ -3,6 +3,7 @@
 import pytest
 
 from bicatkit import corpus, laxfun
+from bicatkit.bicat import strict_bicategory, validate_bicategory
 from bicatkit.laxfun import (
     classify,
     compose_lax,
@@ -170,12 +171,64 @@ def test_comp_coherence_violation_detected():
     assert "comp-coherence" in kinds
 
 
+def _whiskered_two_cell():
+    """Objects x, y, z, a 1-cell h: x -> y, a 2-cell d: g0 => g1 between
+    1-cells y -> z, and its whiskering dh: g0h => g1h."""
+    homs = {("x", "y"): corpus.hom_category("xy", ["h"]),
+            ("y", "z"): corpus.hom_category("yz", ["g0", "g1"], {"d": ("g0", "g1")}),
+            ("x", "z"): corpus.hom_category("xz", ["g0h", "g1h"], {"dh": ("g0h", "g1h")})}
+    for a, b in [("x", "x"), ("y", "y"), ("z", "z"), ("y", "x"), ("z", "x"), ("z", "y")]:
+        homs[(a, b)] = corpus.hom_category(a + b, [f"1{a}"] if a == b else [])
+    units = {"1x", "1y", "1z"}
+
+    def comp1(g, f):
+        return g if f in units else f if g in units else g + f
+
+    def comp2(d, c):
+        if c in {("i", u) for u in units}:
+            return d
+        if d in {("i", u) for u in units}:
+            return c
+        return "dh" if d == "d" else ("i", d[1] + "h")
+
+    return strict_bicategory("whiskered-two-cell", ["x", "y", "z"], homs,
+                             {"x": "1x", "y": "1y", "z": "1z"}, comp1, comp2)
+
+
+def test_naturality_failures_under_one_2_cell_come_hom_by_hom():
+    """Under d, naturality fails at h's identity, in the hom (x, y), before
+    the unit's, in (y, y): the homs of the second cell are met in order of
+    their source object."""
+    s = _whiskered_two_cell()
+    assert validate_bicategory(s).ok
+    f = next(enumerate_lax_functors(s, corpus.cocycle_twisted()))
+    for pair in [("g0", "h"), ("g0", "1y")]:
+        one_cell, coefficient = f.comp_constraints[pair]
+        f.comp_constraints[pair] = (one_cell, 1 - coefficient)
+    assert [str(v) for v in validate_lax_functor(f).violations
+            if v.kind == "comp-constraint-naturality"] == [
+        "[comp-constraint-naturality] comparison is not natural under ('d', ('i', 'h'))",
+        "[comp-constraint-naturality] comparison is not natural under ('d', ('i', '1y'))"]
+
+
 def test_missing_constraint_is_structural():
     f = corpus.idem_laxonly()
     del f.comp_constraints[("s", "s")]
     rep = validate_lax_functor(f)
     assert rep.structural_failure
     assert rep.first("missing-comp-constraint") is not None
+
+
+def test_a_hom_functor_that_is_none_dangles():
+    """Only an absent key is missing; a None where a hom functor belongs is
+    not a functor."""
+    f = corpus.idem_laxonly()
+    f.hom_functors[("*", "*")] = None
+    assert [str(v) for v in validate_lax_functor(f).violations] == [
+        "[dangling-hom-functor] hom functor at ('*', '*') is not a functor"]
+    del f.hom_functors[("*", "*")]
+    assert [str(v) for v in validate_lax_functor(f).violations] == [
+        "[missing-hom-functor] no hom functor at ('*', '*')"]
 
 
 def test_hom_functor_errors_are_reported_with_context():

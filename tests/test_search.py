@@ -7,6 +7,7 @@ acceptance suite index into these lists.  The enumerators validate none of
 their results, so the corpus tests also run the full validator on each.
 """
 
+import collections
 import itertools
 from types import SimpleNamespace
 
@@ -19,11 +20,12 @@ from bicatkit import corpus
 from bicatkit.acceptance import BATTERY_BASES, _law_universe
 from bicatkit.bicat import Magma, codiscrete_bicategory, from_category
 from bicatkit.catcore import FiniteCategory, enumerate_functors, enumerate_nats
-from bicatkit import icon
+from bicatkit import icon, laxfun
 from bicatkit.icon import enumerate_icons, validate_icon
 from bicatkit.laxfun import (enumerate_lax_functors, enumerate_two_functors,
                              validate_lax_functor)
-from bicatkit.nerve import enumerate_simplices, ordinal_as_bicategory, validate_simplex
+from bicatkit.nerve import (enumerate_simplices, ordinal_as_bicategory, ordinal_map_functor,
+                            validate_simplex)
 from bicatkit.oplax import DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax, validate_oplax
 from bicatkit.report import ValidationReport
 from bicatkit.search import compile_plan, run
@@ -123,21 +125,21 @@ def test_check_values_reports_the_first_failing_check_in_listing_order():
 
 
 def test_check_values_without_domains_skips_the_outside_check():
-    draft = SimpleNamespace(slot={"a": 2, "b": None})
+    draft = SimpleNamespace(slot={"a": 2})
     rep = ValidationReport("draft")
     rep.check_values(draft, [_declared("a", [1]), _declared("b", [1])], domains=False)
     assert [(v.kind, v.witness) for v in rep.violations] == [("missing", ("bb",))]
 
 
-def test_check_values_counts_none_as_a_value_only_where_the_table_holds_ids():
-    """A None value is missing, unless ``missing`` is ``(kind, message,
-    True)``; then only an absent key is, and None is checked like any value."""
-    keyed = (_CHECKS[0] + (True,), lambda draft, c: {None}, *_CHECKS[2:])
+def test_check_values_counts_only_an_absent_key_as_missing():
+    """Ids may be None, so a None value is checked like any value: it
+    passes where the cells hold None and dangles where they do not."""
+    holds_none = (_CHECKS[0], lambda draft, c: {None}, *_CHECKS[2:])
     draft = SimpleNamespace(slot={"a": None, "b": None})
     rep = ValidationReport("draft")
-    rep.check_values(draft, [_declared("a", [None]), _declared("b", [None], keyed),
-                             _declared("c", [None], keyed)])
-    assert [(v.kind, v.witness) for v in rep.violations] == [("missing", ("aa",)),
+    rep.check_values(draft, [_declared("a", [None]), _declared("b", [None], holds_none),
+                             _declared("c", [None], holds_none)])
+    assert [(v.kind, v.witness) for v in rep.violations] == [("dangling", ("aa",)),
                                                              ("missing", ("cc",))]
 
 
@@ -179,6 +181,41 @@ def test_icon_plan_is_compiled_once_per_source(monkeypatch):
     assert plan is s.icon_plan
     assert corpus.get("bicategory", "parallel-pair").icon_plan is not plan
     assert compiled == ["parallel-pair"] * 2
+
+
+def _count_hom_functor_searches(monkeypatch, s, t):
+    """Count the calls of `laxfun.enumerate_functors` by key (a, b, x, y):
+    the hom of `s` at (a, b) mapped into the hom of `t` at (x, y)."""
+    homs = {id(cat): pair for b in (s, t) for pair, cat in b.homs.items()}
+    assert len(homs) == len(s.homs) + len(t.homs)
+    calls = collections.Counter()
+
+    def counted(cat, tcat):
+        calls[homs[id(cat)] + homs[id(tcat)]] += 1
+        return enumerate_functors(cat, tcat)
+
+    monkeypatch.setattr(laxfun, "enumerate_functors", counted)
+    return calls
+
+
+def test_hom_functors_are_enumerated_once_per_key_and_search(monkeypatch):
+    """A search over lax functors lists the functors between two homs once
+    for each (a, b, F a, F b) it reaches, and the next search lists them
+    afresh; the same holds for the simplex search, and each ordinal map is
+    built once per process."""
+    s, t = corpus.get("bicategory", "collapsed-two-cell"), corpus.get("bicategory", "walking-two-cell")
+    calls = _count_hom_functor_searches(monkeypatch, s, t)
+    assert len(list(enumerate_lax_functors(s, t))) == 9
+    assert len(calls) == 18 and set(calls.values()) == {1}
+    assert len(list(enumerate_lax_functors(s, t))) == 9
+    assert len(calls) == 18 and set(calls.values()) == {2}
+
+    b = corpus.get("bicategory", "thickened-arrow")
+    calls = _count_hom_functor_searches(monkeypatch, ordinal_as_bicategory(2), b)
+    assert len(list(enumerate_simplices(b, 2))) == 10
+    assert len(calls) == 18 and set(calls.values()) == {1}
+
+    assert ordinal_map_functor((0, 0), 1) is ordinal_map_functor((0, 0), 1)
 
 
 def test_icon_searches_on_one_plan_advanced_in_alternation():
