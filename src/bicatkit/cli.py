@@ -7,6 +7,10 @@ examples of `bicatkit.corpus`.  Reports go to standard output (and, with
 witnesses, and a timing section kept last so that everything above it is
 byte-reproducible.
 
+A command imports only what its verb and its document's kinds need: each
+verb imports the modules it calls, and `bicatkit.fileformat` loads the
+module of a kind when a document defines a structure of that kind.
+
 Exit codes: 0 all checks pass; 1 a mathematical check failed (the report
 carries a witness); 2 structural trouble — unknown verb or name, unparsable
 file, or a query that does not apply in the given setting.
@@ -15,6 +19,7 @@ file, or a query that does not apply in the given setting.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import pathlib
@@ -33,23 +38,21 @@ from .fileformat import (
     parse_path,
     serialize_laxfunctor,
 )
-from .icon import validate_icon
-from .laxfun import classify, compose_lax, validate_lax_functor
-from .oplax import (
-    classify_oplax,
-    interchange_check,
-    is_costrict,
-    strictness_by_witness,
-    validate_oplax,
-)
+
+
+def _validator(module, name):
+    """The validator `name` of the module `module`, looked up when it is
+    called, so that validating a bicategory loads no lax-side module."""
+    return lambda obj: getattr(importlib.import_module(f"{__package__}.{module}"), name)(obj)
+
 
 _VALIDATORS = {
     "category": validate_category,
     "bicategory": validate_bicategory,
     "monoidal": validate_monoidal,
-    "laxfunctor": validate_lax_functor,
-    "icon": validate_icon,
-    "oplax": validate_oplax,
+    "laxfunctor": _validator("laxfun", "validate_lax_functor"),
+    "icon": _validator("icon", "validate_icon"),
+    "oplax": _validator("oplax", "validate_oplax"),
 }
 
 
@@ -146,6 +149,7 @@ def _do_validate(args, res, body):
 
 
 def _do_classify(args, res, body):
+    from .laxfun import classify, validate_lax_functor
     fun = res.one(args.functor, "laxfunctor")
     if not body.check(f"laxfunctor {dump_id(fun.name)}",
                       validate_lax_functor(fun)):
@@ -160,6 +164,7 @@ def _do_classify(args, res, body):
 
 
 def _do_compose(args, res, body):
+    from .laxfun import compose_lax, validate_lax_functor
     g = res.one(args.g, "laxfunctor")
     f = res.one(args.f, "laxfunctor")
     if f.target is not g.source and f.target != g.source:
@@ -176,12 +181,14 @@ def _do_compose(args, res, body):
 
 
 def _do_check_icon(args, res, body):
+    from .icon import validate_icon
     icon = res.one(args.icon, "icon")
     return 0 if body.check(f"icon {dump_id(icon.name)}",
                            validate_icon(icon)) else 1
 
 
 def _do_check_oplax(args, res, body):
+    from .oplax import classify_oplax, validate_oplax
     u = res.one(args.transformation, "oplax")
     if not body.check(f"oplax {dump_id(u.name)}", validate_oplax(u)):
         return 1
@@ -191,6 +198,7 @@ def _do_check_oplax(args, res, body):
 
 
 def _do_interchange(args, res, body):
+    from .oplax import interchange_check
     beta = res.one(args.beta, "oplax")
     alpha = res.one(args.alpha, "oplax")
     h, f = beta.source, alpha.source
@@ -205,6 +213,7 @@ def _do_interchange(args, res, body):
 
 
 def _do_strictness(args, res, body):
+    from .oplax import strictness_by_witness
     u = res.one(args.transformation, "oplax")
     verdict = strictness_by_witness(u)
     body.append(f"strictness of {dump_id(u.name)}: {verdict.verdict}")
@@ -214,6 +223,7 @@ def _do_strictness(args, res, body):
 
 
 def _do_costrict(args, res, body):
+    from .oplax import is_costrict
     u = res.one(args.transformation, "oplax")
     verdict = is_costrict(u)
     body.append(f"costrictness of {dump_id(u.name)}: {verdict.verdict}")
@@ -234,6 +244,8 @@ def _do_costrict(args, res, body):
 
 def _do_cylinder(args, res, body):
     from .cylinder import lax_cylinder
+    from .laxfun import validate_lax_functor
+    from .oplax import validate_oplax
     b = res.one(args.two_category, "bicategory")
     cyl = lax_cylinder(b)
     t = cyl.total

@@ -21,6 +21,7 @@ parser and the serializer both read it, so a line form is written once.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .bicat import (
@@ -42,10 +43,6 @@ from .catcore import (
     product_category,
     validate_category,
 )
-from .cylinder import lax_cylinder
-from .icon import Icon, validate_icon
-from .laxfun import LaxFunctor, validate_lax_functor
-from .oplax import OplaxNat, validate_oplax
 from .report import sorted_ids
 
 
@@ -233,7 +230,8 @@ class _Schema:
     """The line forms of one block kind, in the order they are written, and
     the finishing step that builds, checks and validates its structure.
     Top-level kinds also have a header line, the StructureFile attribute
-    that registers them, their structure type, and the kind of the
+    that registers them, their structure type, named "module.Type" within
+    the package so that naming it loads no module, and the kind of the
     structures their header names as {source} and {target}."""
 
     def __init__(self, forms, finish, header=None, attr=None, cls=None, refs=None):
@@ -241,6 +239,14 @@ class _Schema:
         self.header = _Form(header) if header else None
         self.attr, self.cls, self.refs = attr, cls, refs
         self.by_shape = {f.shape: f for f in forms}
+
+    def holds(self, obj):
+        """Whether `obj` is of this kind's structure type.  The type is
+        looked up in its module only when that is loaded: no structure of a
+        kind exists before then."""
+        module, name = self.cls.split(".")
+        cls = getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
+        return cls is not None and isinstance(obj, cls)
 
 
 class _Block:
@@ -327,6 +333,7 @@ def _finish_monoidal(blk):
 
 
 def _finish_laxfunctor(blk):
+    from .laxfun import LaxFunctor, validate_lax_functor
     return blk.checked(validate_lax_functor,
                        LaxFunctor(blk.name, blk.source, blk.target, **blk.fields))
 
@@ -347,6 +354,7 @@ def _finish_hom_functor(blk):
 
 
 def _finish_icon(blk):
+    from .icon import Icon, validate_icon
     return blk.checked(validate_icon, Icon.from_components(blk.name, blk.source, blk.target,
                                                            blk.fields["components"]))
 
@@ -365,6 +373,7 @@ def _finish_icon_component(blk):
 
 
 def _finish_oplax(blk):
+    from .oplax import OplaxNat, validate_oplax
     return blk.checked(validate_oplax,
                        OplaxNat(blk.name, blk.source, blk.target, **blk.fields))
 
@@ -377,12 +386,12 @@ _SCHEMAS = {
         _Form("morphism {m} : {s} -> {t}", "morphisms", key="m"),
         _Form("identity {x} = {m}", "identity", key="x"),
         _Form("compose {g} after {f} = {h}", "table", key="f g"),
-    ), _finish_category, "category {name}", "categories", FiniteCategory),
+    ), _finish_category, "category {name}", "categories", "catcore.FiniteCategory"),
     "magma": _Schema((
         _Form("element {x}", "elements", "list"),
         _Form("basepoint {x}", "basepoint", "scalar"),
         _Form("op {x} {y} = {z}", "table", key="x y"),
-    ), _finish_magma, "magma {name}", "magmas", Magma),
+    ), _finish_magma, "magma {name}", "magmas", "bicat.Magma"),
     "cocycledata": _Schema((
         _Form("element {x}", "g_elements", "list"),
         _Form("unit {x}", "g_unit", "scalar"),
@@ -391,7 +400,7 @@ _SCHEMAS = {
         _Form("counit {x}", "a_unit", "scalar"),
         _Form("coop {x} {y} = {z}", "a_op", key="x y"),
         _Form("twist {x} {y} {z} = {a}", "twist", key="x y z"),
-    ), _finish_cocycledata, "cocycledata {name}", "cocycledata", CocycleData),
+    ), _finish_cocycledata, "cocycledata {name}", "cocycledata", "fileformat.CocycleData"),
     "bicategory": _Schema((
         _Form("object {x}", "objects", "list"),
         _Form("unit {x} = {f}", "unit", key="x"),
@@ -401,7 +410,7 @@ _SCHEMAS = {
         _Form("assoc {h} {g} {f} = {c}", "associator", key="h g f"),
         _Form("lunit {f} = {c}", "left_unitor", key="f"),
         _Form("runit {f} = {c}", "right_unitor", key="f"),
-    ), _finish_bicategory, "bicategory {name}", "bicategories", FiniteBicategory),
+    ), _finish_bicategory, "bicategory {name}", "bicategories", "bicat.FiniteBicategory"),
     "compose-functor": _Schema((
         _Form("on1 {g} after {f} = {h}", "object_map", key="g f"),
         _Form("on2 {d} after {c} = {e}", "morphism_map", key="d c"),
@@ -414,7 +423,7 @@ _SCHEMAS = {
         _Form("massoc {x} {y} {z} = {m}", "associator", key="x y z"),
         _Form("mlunit {x} = {m}", "left_unitor", key="x"),
         _Form("mrunit {x} = {m}", "right_unitor", key="x"),
-    ), _finish_monoidal, "monoidal {name}", "monoidals", MonoidalCategory),
+    ), _finish_monoidal, "monoidal {name}", "monoidals", "bicat.MonoidalCategory"),
     "laxfunctor": _Schema((
         _Form("object {a} -> {b}", "object_map", key="a"),
         _Form("hom {a} {b} = functor {name}", "hom_functors", key="a b",
@@ -422,14 +431,14 @@ _SCHEMAS = {
         _Form("comp {g} {f} = {c}", "comp_constraints", key="g f"),
         _Form("unitcell {a} = {c}", "unit_constraints", key="a"),
     ), _finish_laxfunctor, "laxfunctor {name} : {source} -> {target}",
-        "laxfunctors", LaxFunctor, "bicategory"),
+        "laxfunctors", "laxfun.LaxFunctor", "bicategory"),
     "hom-functor": _Schema((
         _Form("on1 {f} -> {g}", "object_map", key="f"),
         _Form("on2 {c} -> {d}", "morphism_map", key="c"),
     ), _finish_hom_functor),
     "icon": _Schema((
         _Form("at {a} {b} = nat {name}", "components", key="a b", block="nat"),
-    ), _finish_icon, "icon {name} : {source} => {target}", "icons", Icon,
+    ), _finish_icon, "icon {name} : {source} => {target}", "icons", "icon.Icon",
         "laxfunctor"),
     "nat": _Schema((
         _Form("cell {f} = {c}", "components", key="f"),
@@ -437,7 +446,7 @@ _SCHEMAS = {
     "oplax": _Schema((
         _Form("component {a} = {c}", "components", key="a"),
         _Form("constraint {f} = {c}", "constraints", key="f"),
-    ), _finish_oplax, "oplax {name} : {source} => {target}", "oplaxes", OplaxNat,
+    ), _finish_oplax, "oplax {name} : {source} => {target}", "oplaxes", "oplax.OplaxNat",
         "laxfunctor"),
 }
 
@@ -562,6 +571,7 @@ def _run_build(toks, lineno, lines, sf):
             lines.fail("ordinal takes a non-negative integer", lineno)
         b = from_category(chain_category(arg), name)
     elif kind == "cylinder":
+        from .cylinder import lax_cylinder
         base = sf.get("bicategory", arg)
         try:
             cyl = lax_cylinder(base)
@@ -618,7 +628,7 @@ def serialize_category(cat: FiniteCategory) -> list:
     return _definition_lines("category", cat, cat.name, {})
 
 
-def serialize_laxfunctor(fun: LaxFunctor) -> list:
+def serialize_laxfunctor(fun) -> list:
     return _definition_lines("laxfunctor", fun, fun.name, {})
 
 
@@ -643,7 +653,7 @@ def document_for(obj, name=None) -> StructureFile:
 
 
 def _include(sf, obj, name=None):
-    kind = next((k for k in KINDS if isinstance(obj, _SCHEMAS[k].cls)), None)
+    kind = next((k for k in KINDS if _SCHEMAS[k].holds(obj)), None)
     if kind is None:
         raise StructureError(f"cannot serialize {type(obj).__name__}")
     if _SCHEMAS[kind].refs:

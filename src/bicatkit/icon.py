@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .bicat import UnsupportedSettingError
-from .catcore import NatTrans, natural_square, validate_nat
-from .laxfun import LaxFunctor, Lazy, compose_lax, lazy
+from .catcore import OBJECT_IMAGE, Functor, NatTrans, natural_square, validate_nat
+from .laxfun import _HOM_FUNCTOR, LaxFunctor, Lazy, compose_lax, lazy
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
 
@@ -97,10 +97,12 @@ def validate_icon(icon: Icon) -> ValidationReport:
 
 def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
     """The checks of `validate_icon` that read no cell, so hold or fail for
-    every icon f => g alike, all structural: parallel lax functors, equal
-    object maps, a hom functor of each at every hom with 1-cells, and hom
-    functors keyed alike, the witness of a difference being the first key
-    of one that the other lacks."""
+    every icon f => g alike, all structural: parallel lax functors, object
+    maps defined and equal on every object, a hom functor of each at every
+    hom with 1-cells, hom functors keyed alike, the witness of a difference
+    being the first key of one that the other lacks, and each of them a
+    functor.  A missing object image and a hom functor that is not a functor
+    are reported as `validate_lax_functor` reports them."""
     rep = ValidationReport(f"icons {f.name} => {g.name}")
     if f.source is not g.source and f.source != g.source:
         rep.add("parallel", "the two lax functors do not share a source", structural=True)
@@ -109,7 +111,10 @@ def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
         rep.add("parallel", "the two lax functors do not share a target", structural=True)
         return rep
     for a in f.source.sorted_objects:
-        if f.object_map[a] != g.object_map[a]:
+        if a not in f.object_map or a not in g.object_map:
+            kind, message = OBJECT_IMAGE[0]
+            rep.add(kind, message.format(a), (a,), structural=True)
+        elif f.object_map[a] != g.object_map[a]:
             rep.add("object-maps-differ",
                     f"an icon needs equal object maps; they differ at {a!r}", (a,),
                     structural=True)
@@ -126,6 +131,12 @@ def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
         rep.add("hom-functor-keys-differ",
                 f"only one of the two lax functors has a hom functor at {pair!r}", pair,
                 structural=True)
+        return rep
+    kind, message = _HOM_FUNCTOR[2]
+    for pair in _families(f):
+        if not (isinstance(f.hom_functors[pair], Functor) and
+                isinstance(g.hom_functors[pair], Functor)):
+            rep.add(kind, message.format(*pair), pair, structural=True)
     return rep
 
 

@@ -1,3 +1,5 @@
+import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -5,7 +7,7 @@ import sys
 import pytest
 
 from bicatkit import cli, corpus
-from bicatkit.fileformat import KINDS, dump_id
+from bicatkit.fileformat import KINDS, document_for, dump_id, serialize
 
 
 def run(capsys, *argv):
@@ -258,3 +260,86 @@ def test_corpus_run_all_passes():
         assert f"criterion {num} (" in proc.stdout
     golden = pathlib.Path(__file__).parents[1] / "perfbench" / "golden" / "run-all.txt"
     assert above_timing(proc.stdout) + "\n" == golden.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# fresh processes: which modules a command imports
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+_FRESH = """import json, sys
+from bicatkit import cli
+code = cli.main(sys.argv[1:])
+print("modules:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "bicatkit")))
+sys.exit(code)
+"""
+CORE = ["bicatkit", "bicatkit.bicat", "bicatkit.catcore", "bicatkit.cli",
+        "bicatkit.fileformat", "bicatkit.report", "bicatkit.search"]
+CORE_DOC = """category "c"
+  object "x"
+  morphism "1x" : "x" -> "x"
+  identity "x" = "1x"
+  compose "1x" after "1x" = "1x"
+end
+magma "m"
+  element "e"
+  basepoint "e"
+  op "e" "e" = "e"
+end
+cocycledata "d"
+  element 0
+  unit 0
+  op 0 0 = 0
+  coelement 0
+  counit 0
+  coop 0 0 = 0
+  twist 0 0 0 = 0
+end
+build "b" = cocycle "d"
+"""
+
+
+def fresh(*argv):
+    """Run `bicatkit ARGV...` in a process of its own: (exit code, report,
+    the bicatkit modules loaded by its end).  Only a fresh process shows an
+    import that a command needs and no other code made first."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FRESH, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    report, _, modules = proc.stdout.rpartition("modules: ")
+    assert modules, proc.stdout + proc.stderr
+    return proc.returncode, report, json.loads(modules)
+
+
+def test_validate_loads_only_the_core_modules(tmp_path):
+    doc = tmp_path / "core.bc"
+    doc.write_text(CORE_DOC, encoding="utf-8")
+    for kind, name in (("category", "c"), ("magma", "m"), ("cocycledata", "d"),
+                       ("bicategory", "b")):
+        code, report, modules = fresh("--file", str(doc), "validate", name)
+        assert code == 0 and f"check {kind} {dump_id(name)}: ok" in report, report
+        assert modules == CORE, kind
+
+
+def test_nerve_adds_only_the_nerve_icon_and_lax_functor_modules(tmp_path):
+    doc = tmp_path / "core.bc"
+    doc.write_text(CORE_DOC, encoding="utf-8")
+    code, report, modules = fresh("--file", str(doc), "nerve", "b", "--level", "1")
+    assert code == 0 and "check simplicial identities up to truncation 1: ok" in report
+    assert modules == sorted(CORE + ["bicatkit.icon", "bicatkit.laxfun", "bicatkit.nerve"])
+
+
+def test_every_lax_side_kind_of_a_document_validates_in_a_fresh_process(tmp_path):
+    """A lax functor, an icon, an oplax transformation and a cylinder build
+    line, in that order, so that each finishing step and the cylinder
+    builder import their module first; each structure is validated in a
+    process of its own."""
+    doc = tmp_path / "lax.bc"
+    doc.write_text(serialize(document_for(corpus.get("icon", "idem-icon-k")))
+                   + serialize(document_for(corpus.get("oplax", "codiscrete-shift-a")))
+                   + 'build "o" = ordinal 1\nbuild "cyl" = cylinder "o"\n', encoding="utf-8")
+    for kind, name in (("laxfunctor", "1_sigma-idem"), ("icon", "idem-icon-k"),
+                       ("oplax", "shift[a]"), ("bicategory", "cyl"),
+                       ("laxfunctor", "cyl-top"), ("oplax", "cyl-crossing")):
+        code, report, _ = fresh("--file", str(doc), "validate", name)
+        assert code == 0 and f"check {kind} {dump_id(name)}: ok" in report, report

@@ -331,6 +331,42 @@ def test_hom_functors_keyed_differently_give_no_icon_either_way():
             assert rep.violations[0].witness == key and rep.structural_failure
 
 
+def test_a_hom_functor_that_is_none_is_reported_not_raised():
+    """idem-icon-k with None as the hom functor at ('*', '*') of its source
+    or of its target: validation refuses the icon with the violation that
+    `validate_lax_functor` gives that lax functor, and the search finds no
+    icon, where both used to raise AttributeError."""
+    kappa = corpus.get("icon", "idem-icon-k")
+    f = kappa.source
+    g = LaxFunctor(f.name, f.source, f.target, f.object_map, {("*", "*"): None},
+                   f.comp_constraints, f.unit_constraints)
+    dangling = "[dangling-hom-functor] hom functor at ('*', '*') is not a functor"
+    assert [str(v) for v in validate_lax_functor(g).violations] == [dangling]
+    for one, two in ((g, kappa.target), (kappa.source, g), (g, g)):
+        rep = validate_icon(Icon("k", one, two, kappa.cells, dict(kappa.families)))
+        assert str(rep) == f"icon k: FAIL {dangling}\n  {dangling}"
+        assert rep.violations[0].witness == ("*", "*") and rep.structural_failure
+        assert list(enumerate_icons(one, two)) == []
+
+
+def test_a_missing_object_image_is_reported_not_raised():
+    """idem-icon-k with the object '*' left out of the object map of its
+    source or of its target: validation refuses the icon with the violation
+    that `validate_lax_functor` gives that lax functor, and the search finds
+    no icon, where both used to raise KeyError."""
+    kappa = corpus.get("icon", "idem-icon-k")
+    f = kappa.source
+    g = LaxFunctor(f.name, f.source, f.target, {}, f.hom_functors,
+                   f.comp_constraints, f.unit_constraints)
+    missing = "[missing-object-image] no image for object '*'"
+    assert str(validate_lax_functor(g).violations[0]) == missing
+    for one, two in ((g, kappa.target), (kappa.source, g), (g, g)):
+        rep = validate_icon(Icon("k", one, two, kappa.cells, dict(kappa.families)))
+        assert str(rep) == f"icon k: FAIL {missing}\n  {missing}"
+        assert rep.violations[0].witness == ("*",) and rep.structural_failure
+        assert list(enumerate_icons(one, two)) == []
+
+
 def test_icon_interchange_on_idem_pair():
     idem = corpus.sigma_idem()
     one = identity_lax(idem)
