@@ -351,13 +351,7 @@ def nat_variables(f, g):
 
 
 def _natural_at(nt, m):
-    return natural_square(nt.source, nt.target, nt.components, m)
-
-
-def natural_square(f, g, comp, m):
-    """Whether the components `comp` of a transformation f => g make the
-    naturality square at the morphism m commute."""
-    a, b = f.source.morphisms[m]
+    f, g, comp, (a, b) = nt.source, nt.target, nt.components, nt.source.source.morphisms[m]
     return (f.target.compose(comp[b], f.morphism_map[m])
             == f.target.compose(g.morphism_map[m], comp[a]))
 

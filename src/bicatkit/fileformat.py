@@ -16,6 +16,10 @@ structure, names included.
 
 The grammar of every block is one entry of the table `_SCHEMAS`; the
 parser and the serializer both read it, so a line form is written once.
+Within a block, a keyed line form takes each key once and a single-valued
+one appears at most once: a repeated line is refused, not overwritten.
+Repeats of a listing line, such as a second `object` line for one object,
+are left to the validator, which reports them.
 """
 
 from __future__ import annotations
@@ -517,6 +521,7 @@ def _read_block(schema, blk):
     fields = blk.fields = {f.field: [] if f.store == "list" else
                            {} if f.store == "dict" else None
                            for f in schema.forms}
+    read = set()  # (field, key) of each line so far
     while True:
         if lines.done():
             blk.fail(f"{blk.what} is missing its end line")
@@ -529,6 +534,10 @@ def _read_block(schema, blk):
             lines.fail(f"unexpected line in {blk.what}", lineno)
         vals = dict(zip(form.slots, _values(toks)))
         key = _pick(vals, form.key) if form.key else ()
+        if form.store != "list" and (form.field, key) in read:
+            keys = "".join(f" {dump_id(vals[s])}" for s in form.key)
+            lines.fail(f"{blk.what} repeats its {form.shape[0]}{keys} line", lineno)
+        read.add((form.field, key))
         if form.block:
             name = vals["name"]
             value = _read_block(_SCHEMAS[form.block], _Block(

@@ -16,12 +16,13 @@ the collection of bicategories, lax functors, and icons a *strict*
 its source and target lax functors and its family names only when they are
 read, so checking a law on cells composes no lax functors.
 
-The icon search depends on the source bicategory alone: one variable per
-1-cell, hom by hom, names a cell of the draft icon, under the naturality
-squares of each hom and the compatibility laws of `icon_laws`.  The source
-compiles it once, as its ``icon_plan``; `enumerate_icons` runs it on a fresh
-draft icon per pair of lax functors.  The icons it finds pass `validate_icon`
-by construction (see `enumerate_icons`), so none is validated again.
+The icon declaration depends on the source bicategory alone: for each hom,
+one variable per 1-cell names a cell of the icon, under the naturality
+squares of that hom, and the compatibility laws of `icon_laws` tie the homs
+together.  The source builds it once, as its ``icon_plan``.  `enumerate_icons`
+runs its compiled search on a fresh draft icon per pair of lax functors, and
+`validate_icon` checks its listing on a given icon, so the icons the search
+finds pass the validator by construction and none is validated again.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .bicat import UnsupportedSettingError
-from .catcore import OBJECT_IMAGE, Functor, NatTrans, natural_square, validate_nat
+from .catcore import _COMPONENT, OBJECT_IMAGE, Functor, NatTrans
 from .laxfun import _HOM_FUNCTOR, LaxFunctor, Lazy, compose_lax, lazy
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
@@ -59,10 +60,12 @@ class Icon(Lazy):
     @property
     def components(self):
         """The per-hom view: (A, B) -> the natural transformation between the
-        two hom functors whose components are the cells over hom(A, B)."""
-        f, g, cells = self.source, self.target, self.cells
+        two hom functors whose components are the cells over hom(A, B); a
+        family at a key that names no hom of the source holds no cells."""
+        f, g, cells, homs = self.source, self.target, self.cells, self.source.source.homs
         return {pair: NatTrans(name, f.hom_functors[pair], g.hom_functors[pair],
-                               {x: cells[x] for x in f.source.homs[pair].objects if x in cells})
+                               {x: cells[x] for x in (homs[pair].objects if pair in homs else ())
+                                if x in cells})
                 for pair, name in self.families.items()}
 
     @classmethod
@@ -75,23 +78,31 @@ class Icon(Lazy):
 
 
 def validate_icon(icon: Icon) -> ValidationReport:
+    """The source's `icon_plan` on a given icon: after `validate_icon_pair`,
+    family by family, the cells of its hom and then, if they are clean, its
+    naturality squares, reported under ``component:``; then `icon_laws`."""
     rep = ValidationReport(f"icon {icon.name}")
     f, g = icon.source, icon.target
     rep.include(validate_icon_pair(f, g))
     if rep.violations:
         return rep
 
+    plan = f.source.icon_plan
     for pair in _families(f):
         if pair not in icon.families:
             rep.add("missing-hom-component", f"no component family at {pair!r}", pair,
                     structural=True)
             continue
-        nt = NatTrans(icon.families[pair], f.hom_functors[pair], g.hom_functors[pair], icon.cells)
-        rep.include(validate_nat(nt), "component:", f"at {pair!r}: ")
+        variables, squares = plan.families.get(pair, ((), ()))
+        family = ValidationReport(f"family {pair!r}")
+        family.check_values(icon, variables)
+        if family.ok:
+            family.check_laws(icon, squares)
+        rep.include(family, "component:", f"at {pair!r}: ")
     if rep.violations:
         return rep
 
-    rep.check_laws(icon, f.source.icon_plan.laws)
+    rep.check_laws(icon, plan.laws)
     return rep
 
 
@@ -259,74 +270,64 @@ def _families(f: LaxFunctor):
     return s.sorted_homs if f.hom_functors.keys() == s.homs.keys() else sorted_ids(f.hom_functors)
 
 
-# The domains of the icon plan are partials that take the draft icon last.
+# The partials of the icon listing take the icon last, and a square's
+# holds takes the 2-cell the square is at after it.  Each reads the hom
+# functors of the icon's lax functors at the family's pair.
 
 def _component_cells(pair, x, icon):
-    """The candidate components at the 1-cell x: the 2-cells F(x) => G(x),
-    none when F or G has no hom functor there."""
-    f, g = icon.source.hom_functors.get(pair), icon.target.hom_functors.get(pair)
-    if f is None or g is None:
-        return ()
+    """The candidate components at the 1-cell x: the 2-cells F(x) => G(x)."""
+    f, g = icon.source.hom_functors[pair], icon.target.hom_functors[pair]
     return f.target.hom(f.object_map[x], g.object_map[x])
 
 
-def _natural_in_family(icon, pair, m):
-    f, g = icon.source.hom_functors[pair], icon.target.hom_functors[pair]
-    return natural_square(f, g, icon.cells, m)
+def _target_cells(pair, icon, x):
+    return icon.source.hom_functors[pair].target.morphisms
+
+
+def _natural_in_family(pair, a, b, icon, m):
+    f, g, cells = icon.source.hom_functors[pair], icon.target.hom_functors[pair], icon.cells
+    return (f.target.compose(cells[b], f.morphism_map[m])
+            == f.target.compose(g.morphism_map[m], cells[a]))
+
+
+def _family(pair, cat):
+    """The listing of the family at `pair` over the hom `cat`: one variable
+    per 1-cell, checked as a natural transformation's component is, and the
+    naturality square at each 2-cell."""
+    checks = (_COMPONENT[0], functools.partial(_target_cells, pair), *_COMPONENT[2:])
+    variables = tuple(("cells", x, (), functools.partial(_component_cells, pair, x), (x,),
+                       checks) for x in cat.sorted_objects)
+    squares = tuple((functools.partial(_natural_in_family, pair, *cat.morphisms[m]), (m,),
+                     tuple(("cells", x) for x in cat.morphisms[m]),
+                     "naturality", "naturality square at {!r} does not commute")
+                    for m in cat.sorted_morphisms)
+    return variables, squares
 
 
 def icon_plan(s):
-    """The icon search out of `s`, for any pair of lax functors: ``laws``,
-    the instances of `icon_laws` in order, and ``search``, the plan that
-    binds the draft's ``cells``, one component per 1-cell, hom by hom,
-    under the naturality squares of each hom and the ``laws``."""
+    """The icon declaration out of `s`, for any pair of lax functors:
+    ``families``, the listing of each hom pair of `s` (`_family`);
+    ``laws``, the instances of `icon_laws` in order; and ``search``, the
+    plan that binds the draft's ``cells`` family by family under the
+    ``laws`` and the naturality squares."""
+    families = {pair: _family(pair, s.homs[pair]) for pair in s.sorted_homs}
     laws = tuple(icon_laws(s))
-    variables, squares = [], []
-    for pair in s.sorted_homs:
-        cat = s.homs[pair]
-        variables += [("cells", x, (), functools.partial(_component_cells, pair, x))
-                      for x in cat.sorted_objects]
-        for m in cat.sorted_morphisms:
-            a, b = cat.morphisms[m]
-            squares.append((_natural_in_family, (pair, m), (("cells", a), ("cells", b)),
-                            "naturality", "naturality square at {1!r} does not commute"))
-    return SimpleNamespace(laws=laws, search=compile_plan(variables, laws + tuple(squares)))
-
-
-def _families_fit(f: LaxFunctor, g: LaxFunctor):
-    """Whether each family of an icon f => g (f and g keyed alike) runs
-    between parallel hom functors out of the source's hom at its key, or
-    out of an empty category at a key that is no source hom: then
-    `validate_nat` reads the cells and squares the icon plan binds and
-    checks for that hom, and no others."""
-    homs = f.source.homs
-    for pair, one in f.hom_functors.items():
-        two, cat = g.hom_functors[pair], homs.get(pair)
-        if cat is None:
-            if one.source.objects or one.source.morphisms:
-                return False
-        elif one.source is not cat and one.source != cat:
-            return False
-        if (two.source is not one.source and two.source != one.source) or \
-                (two.target is not one.target and two.target != one.target):
-            return False
-    return True
+    variables = [v for listed, _ in families.values() for v in listed]
+    squares = tuple(sq for _, listed in families.values() for sq in listed)
+    return SimpleNamespace(families=families, laws=laws,
+                           search=compile_plan(variables, laws + squares))
 
 
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
     """All icons f => g, in deterministic order; none when `validate_icon_pair`
-    fails or a component family does not fit its hom.  One run of the
-    source's `icon_plan` binds every component 2-cell, hom pair by hom pair,
-    under the naturality of each family and the icon laws; it meets the
-    icons in the order of their families, each in `enumerate_nats` order.
+    fails.  One run of the source's `icon_plan` binds every component 2-cell,
+    hom pair by hom pair, under the naturality of each family and the icon
+    laws; it meets the icons in the order of their families, each in
+    `enumerate_nats` order.
 
-    Every icon found passes `validate_icon`, which is not run on it: the
-    pair passed `validate_icon_pair`; every key of f names a family, which
-    fits its hom; each component is a 2-cell F(x) => G(x) of the family's
-    target hom (`_component_cells`); and the plan's constraints are the
-    validator's naturality squares and `icon_laws`, each checked on every
-    cell it reads."""
-    if not (validate_icon_pair(f, g).ok and _families_fit(f, g)):
+    Every icon found passes `validate_icon`, which checks the same
+    declaration."""
+    if not validate_icon_pair(f, g).ok:
         return
     draft = Icon("enum", f, g, {}, dict.fromkeys(_families(f), "enum"))
     for _ in run(f.source.icon_plan.search, draft):

@@ -188,6 +188,10 @@ def test_ordinal_directive_rejects_bad_argument():
         ff.parse('build "b" = ordinal "two"\n')
 
 
+MAGMA = ('magma "m"\n  element "e"\n  element "a"\n  basepoint "e"\n  op "e" "e" = "e"\n'
+         '  op "e" "a" = "a"\n  op "a" "e" = "a"\n  op "a" "a" = "e"\nend\n')
+HOM = ('  hom "x" "x" = category "h"\n    object "1"\n    morphism "i" : "1" -> "1"\n'
+       '    identity "1" = "i"\n    compose "i" after "i" = "i"\n  end\n')
 Z1 = ('cocycledata "d"\n  element 0\n  unit 0\n  op 0 0 = 0\n'
       '  coelement 0\n  counit 0\n  coop 0 0 = 0\n')
 ARROW = 'build "o" = ordinal 1\nlaxfunctor "F" : "o" -> "o"\n'
@@ -221,10 +225,17 @@ ARROW = 'build "o" = ordinal 1\nlaxfunctor "F" : "o" -> "o"\n'
      "<string>:2: malformed category header"),
     ('build b = ordinal 2\n', "<string>:1: malformed build line"),
     ('build "b" = ordinal two\n', "<string>:1: malformed build line"),
+    (MAGMA.replace('  op "a" "a" = "e"\n', '  op "a" "a" = "e"\n  op "a" "a" = "a"\n'),
+     """<string>:9: magma 'm' repeats its op "a" "a" line"""),
+    (MAGMA.replace('  basepoint "e"\n', '  basepoint "e"\n  basepoint "a"\n'),
+     "<string>:5: magma 'm' repeats its basepoint line"),
+    ('bicategory "b"\n  object "x"\n  unit "x" = "1"\n' + HOM + HOM.replace('"h"', '"h2"')
+     + 'end\n', """<string>:10: bicategory 'b' repeats its hom "x" "x" line"""),
 ], ids=["missing-op", "missing-coop", "unit-off-group", "twist-off-group",
         "op-off-group", "magma-op-off-elements", "laxfunctor-object-image",
         "laxfunctor-hom-source", "icon-hom-of-one-side", "header-without-name",
-        "header-at-end", "build-bare-name", "build-bare-argument"])
+        "header-at-end", "build-bare-name", "build-bare-argument", "repeated-dict-line",
+        "repeated-scalar-line", "repeated-block-line"])
 def test_malformed_documents_are_refused(doc, match):
     with pytest.raises(ff.StructureError, match=match):
         ff.parse(doc)

@@ -1,13 +1,17 @@
 """Icons: validation, the two compatibility laws, composition, enumeration,
 and the one-object dictionary with monoidal natural transformations."""
 
+import itertools
+
 import pytest
 
 import reference_enumerators
 import reference_icons as ref
 from bicatkit import corpus
+from bicatkit import fileformat as ff
 from bicatkit.acceptance import _law_universe
 from bicatkit.bicat import UnsupportedSettingError
+from bicatkit.catcore import FiniteCategory, Functor
 from bicatkit.icon import (
     Icon,
     enumerate_icons,
@@ -94,6 +98,22 @@ def test_icon_compat_violations_detected():
     kinds = {v.kind for v in rep.violations}
     assert "composition-compat" in kinds
     assert "unit-compat" in kinds
+
+
+def test_icon_naturality_violation_is_reported_at_its_hom():
+    """The identity icon of the second lax functor walking-two-cell ->
+    sigma-idem with its cell at f0 set to k: the naturality square at the
+    2-cell up: f0 => f1 of hom ('a', 'b') fails, and nothing else does."""
+    s, t = corpus.get("bicategory", "walking-two-cell"), corpus.get("bicategory", "sigma-idem")
+    f = list(enumerate_lax_functors(s, t))[1]
+    ic = identity_icon(f)
+    ic.name = "k"
+    ic.cells["f0"] = "k"
+    rep = validate_icon(ic)
+    line = ("[component:naturality] at ('a', 'b'): "
+            "naturality square at 'up' does not commute")
+    assert str(rep) == f"icon k: FAIL {line}\n  {line}"
+    assert rep.violations[0].witness == ("up",)
 
 
 def collapse_to_start(b):
@@ -274,6 +294,11 @@ def test_hom_functors_keyed_otherwise_report_and_enumerate_as_before():
         assert got == list(reference_enumerators.enumerate_icons(g, g))
         assert [ic.cells for ic in got] == [ic.cells for ic in icons]
         assert [sorted(ic.families) for ic in got] == [sorted(g.hom_functors)] * 4
+    # the per-hom view, and so the document, hold no cell at ('a', 'z'),
+    # which names no hom of the source
+    for ic in enumerate_icons(extra, extra):
+        assert ic.components[("a", "z")].components == {}
+        assert '  at "a" "z" = nat "enum"\n  end\n' in ff.serialize(ff.document_for(ic))
 
     for ic in icons:
         assert str(validate_icon(Icon("k", missing, missing, ic.cells, dict(ic.families)))) \
@@ -329,6 +354,38 @@ def test_hom_functors_keyed_differently_give_no_icon_either_way():
             rep = validate_icon(Icon("k", one, two, ic.cells, dict(ic.families)))
             assert str(rep) == f"icon k: FAIL {differ}\n  {differ}"
             assert rep.violations[0].witness == key and rep.structural_failure
+
+
+def test_hom_functors_with_other_source_fields_enumerate_what_validates():
+    """Lax functors that only code can build, since a document builds each
+    hom functor out of the source's hom at its key: f (the second lax functor
+    walking-two-cell -> sigma-idem) with the hom functor at ('a', 'b') given
+    that hom without the 2-cell up: f0 => f1 as its own source, or with that
+    hom functor once more at ('a', 'z'), which names no hom of the source.
+    Over every choice of a 2-cell of sigma-idem per 1-cell, the search finds
+    exactly the candidates that validation accepts, in order, and they are
+    the icons f => f: both read the source's homs for the cells and squares
+    of a family, so the square at up is checked, and a family at a key that
+    names no source hom holds none."""
+    s, t = corpus.get("bicategory", "walking-two-cell"), corpus.get("bicategory", "sigma-idem")
+    f = list(enumerate_lax_functors(s, t))[1]
+    hf = f.hom_functors[("a", "b")]
+    hom = hf.source
+    narrow = Functor(hf.name, FiniteCategory(
+        "no-up", hom.objects, {m: ends for m, ends in hom.morphisms.items() if m != "up"},
+        hom.identity, {fg: h for fg, h in hom.table.items() if "up" not in fg}),
+        hf.target, hf.object_map, hf.morphism_map)
+    one_cells = [x for pair in s.sorted_homs for x in s.homs[pair].sorted_objects]
+    cells = t.homs[("*", "*")].sorted_morphisms
+    icons = [ic.cells for ic in enumerate_icons(f, f)]
+    assert len(icons) == 2
+    for g in (_rekeyed(f, extra={("a", "b"): narrow}), _rekeyed(f, extra={("a", "z"): hf})):
+        accepted = []
+        for choice in itertools.product(cells, repeat=len(one_cells)):
+            cand = dict(zip(one_cells, choice))
+            if validate_icon(Icon("k", g, g, cand, dict.fromkeys(g.hom_functors, "k"))).ok:
+                accepted.append(cand)
+        assert [ic.cells for ic in enumerate_icons(g, g)] == accepted == icons
 
 
 def test_a_hom_functor_that_is_none_is_reported_not_raised():

@@ -9,8 +9,9 @@ from bicatkit import corpus
 from bicatkit.bicat import from_category
 from bicatkit.catcore import chain_category, validate_category, validate_functor
 from bicatkit.icon import enumerate_icons, hcomp_icons, identity_icon
-from bicatkit.laxfun import classify, enumerate_two_functors
+from bicatkit.laxfun import classify, enumerate_two_functors, validate_lax_functor
 from bicatkit.nerve import (
+    SimplexData,
     as_lax_functor,
     enumerate_simplices,
     ordinal_as_bicategory,
@@ -46,6 +47,21 @@ def test_simplices_validate_and_round_trip():
         fun = as_lax_functor(s)
         assert classify(fun).is_normal
         assert simplex_from_lax(fun).key() == s.key()
+
+
+def test_a_non_invertible_comparison_is_reported_at_its_triangle():
+    """The 2-simplex candidate of sigma-idem with every edge s: with the
+    comparison k: s.s => s, which has no inverse, it is a lax functor out
+    of [2] but not a simplex; with the identity of s it is one."""
+    b = corpus.get("bicategory", "sigma-idem")
+    objects, edges = dict.fromkeys(range(3), "*"), dict.fromkeys([(0, 1), (1, 2), (0, 2)], "s")
+    lax = SimplexData(2, b, objects, edges, {(0, 1, 2): "k"})
+    assert validate_lax_functor(as_lax_functor(lax)).ok
+    rep = validate_simplex(lax)
+    line = "[constraint-not-invertible] comparison at (0, 1, 2) is not invertible"
+    assert str(rep) == f"simplex over sigma-idem: FAIL {line}\n  {line}"
+    assert rep.violations[0].witness == (0, 1, 2)
+    assert validate_simplex(SimplexData(2, b, objects, edges, {(0, 1, 2): ("i", "s")})).ok
 
 
 @pytest.mark.parametrize("name", ["walking-two-cell", "sigma-idem"])
