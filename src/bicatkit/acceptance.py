@@ -65,6 +65,24 @@ def _take(universe_size, exhaustive, sampler, rng):
     return itertools.islice(sampler(rng), SAMPLE_SIZE)
 
 
+def _scoped(fn):
+    """`fn(scope, x)`, built once per `x` while `scope` stays the same and
+    forgotten when it changes (both compared by identity), so the loops of
+    criterion 2 build each composite once per step of their outer loops
+    while holding no more than one step's worth."""
+    current, built = None, {}
+
+    def call(scope, x):
+        nonlocal current, built
+        if scope is not current:
+            current, built = scope, {}
+        got = built.get(id(x))
+        if got is None:
+            got = built[id(x)] = fn(scope, x)
+        return got
+    return call
+
+
 # ---------------------------------------------------------------------------
 # 1. coherence of the corpus, pentagon witnesses under corruption
 
@@ -123,6 +141,8 @@ def _law_universe():
 
 
 def _unit_laws(fams, icons):
+    """Both unit laws for every icon, against the identity icons of its
+    source and target, each built once per lax functor."""
     for key, fam in icons.items():
         ids = [identity_icon(f) for f in fams[key]]
         for i, j, ic in fam:
@@ -134,6 +154,9 @@ def _unit_laws(fams, icons):
 
 
 def _vertical_associativity(icons, rng):
+    """Associativity of vertical composition over the composable triples
+    (a, mid, last) of each family, a outermost; the inner composite
+    ``mid . a`` is built once per (a, mid)."""
     checked = 0
     for key, fam in icons.items():
         out_of = {}
@@ -164,9 +187,10 @@ def _vertical_associativity(icons, rng):
                     continue
                 yield a, mid, rng.choice(fol)[1]
 
+        composite = _scoped(lambda a, mid: vcomp_icons(mid, a))
         for a, mid, last in _take(triples, exhaustive, sampler, rng):
             checked += 1
-            lhs = vcomp_icons(last, vcomp_icons(mid, a))
+            lhs = vcomp_icons(last, composite(a, mid))
             rhs = vcomp_icons(vcomp_icons(last, mid), a)
             if lhs.cells != rhs.cells:
                 return checked, f"vertical associativity fails in {key}"
@@ -174,6 +198,10 @@ def _vertical_associativity(icons, rng):
 
 
 def _whisker_functoriality(bics, fams, icons, rng):
+    """Whiskering by each lax functor h on either side preserves vertical
+    composites of the composable pairs (a, mid), a outermost and h
+    innermost, and identity icons.  ``mid . a`` is built once per (a, mid),
+    and a whiskered once per (a, h), after the composite's whisker."""
     names = list(bics)
     checked = 0
     for (s, t), fam in icons.items():
@@ -187,8 +215,8 @@ def _whisker_functoriality(bics, fams, icons, rng):
         for i, j, ic in fam:
             out_of.setdefault(i, []).append((j, ic))
         pairs = sum(len(out_of.get(j, ())) for _, j, _ in fam)
-        for side, funs, whisker in (("left", lefts, whisker_icon_left),
-                                    ("right", rights, whisker_icon_right)):
+        for side, funs, apply in (("left", lefts, whisker_icon_left),
+                                  ("right", rights, lambda h, ic: whisker_icon_right(ic, h))):
             if not funs or not pairs:
                 continue
 
@@ -206,13 +234,12 @@ def _whisker_functoriality(bics, fams, icons, rng):
                         continue
                     yield a, rng.choice(nxt)[1], rng.choice(funs)
 
-            def apply(h, ic):
-                return whisker(h, ic) if side == "left" else whisker(ic, h)
-
+            composite = _scoped(lambda a, mid: vcomp_icons(mid, a))
+            whiskered = _scoped(lambda a, h: apply(h, a))
             for a, mid, h in _take(pairs * len(funs), exhaustive, sampler, rng):
                 checked += 1
-                lhs = apply(h, vcomp_icons(mid, a))
-                rhs = vcomp_icons(apply(h, mid), apply(h, a))
+                lhs = apply(h, composite(a, mid))
+                rhs = vcomp_icons(apply(h, mid), whiskered(a, h))
                 if lhs.cells != rhs.cells:
                     return checked, f"{side} whiskering not functorial in {s}->{t}"
 
@@ -237,13 +264,18 @@ def _identity_whiskers(funs, lefts, rights, rng):
         while True:
             yield rng.choice(combos)
 
+    ids = _scoped(lambda _, f: identity_icon(f))
     for f, h, side in _take(len(combos), exhaustive, sampler, rng):
-        ident = identity_icon(f)
+        ident = ids(None, f)
         yield f, (whisker_icon_left(h, ident) if side == "left"
                   else whisker_icon_right(ident, h))
 
 
 def _middle_four(bics, fams, icons, rng):
+    """The interchange law over every pair (alpha, beta) of icons meeting
+    at a middle bicategory, alpha outermost: both pastings of the two
+    whiskered icons equal their horizontal composite.  alpha whiskered by
+    a lax functor is built once per (alpha, functor)."""
     names = list(bics)
     checked = 0
     for t in names:
@@ -264,13 +296,12 @@ def _middle_four(bics, fams, icons, rng):
             while True:
                 yield rng.choice(ins), rng.choice(outs)
 
+        left = _scoped(lambda alpha, g: whisker_icon_left(g, alpha))
         for (fi, fj, alpha), (gk, gl, beta) in _take(
                 len(ins) * len(outs), exhaustive, sampler, rng):
             checked += 1
-            side_a = vcomp_icons(whisker_icon_right(beta, fj),
-                                 whisker_icon_left(gk, alpha))
-            side_b = vcomp_icons(whisker_icon_left(gl, alpha),
-                                 whisker_icon_right(beta, fi))
+            side_a = vcomp_icons(whisker_icon_right(beta, fj), left(alpha, gk))
+            side_b = vcomp_icons(left(alpha, gl), whisker_icon_right(beta, fi))
             both = hcomp_icons(beta, alpha)
             if not (side_a.cells == side_b.cells == both.cells):
                 return checked, f"middle-four interchange fails over middle {t}"

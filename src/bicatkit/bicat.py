@@ -24,7 +24,8 @@ and the coherence tables may still be filled in or edited in place.  One
 exception: its ``icon_plan``, compiled on first read, holds the composite of
 every composable pair of 1-cells and the unit at every object.  So the
 object maps of ``comp`` and ``unit`` are fixed too once an icon search or an
-icon validation has run out of the bicategory.
+icon validation has run out of the bicategory.  Likewise the hom tables are
+fixed once an icon has been composed in it, since `vcomp_table` holds them.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ class FiniteBicategory:
         for g, f in self.composable_pairs():
             for h in self._out.get(self._home1[g][1], ()):
                 yield h, g, f
+
+    @cached_property
+    def vcomp_table(self):
+        """``{(earlier, later): composite}``: the tables of every hom in one,
+        built on first read, which 2-cell ids unique across the homs allow.
+        `vcomp` still reads the hom tables; the icon algebra reads this."""
+        return {key: c for hom in self.homs.values() for key, c in hom.table.items()}
 
     @cached_property
     def icon_plan(self):

@@ -16,6 +16,13 @@ the collection of bicategories, lax functors, and icons a *strict*
 its source and target lax functors and its family names only when they are
 read, so checking a law on cells composes no lax functors.
 
+Each pass reads flat tables, one dict lookup per cell: the bicategory's
+`vcomp_table` of every vertical composite, and a lax functor's `cell_maps`,
+its images of all 1-cells and of all 2-cells.  Both are built on first read
+and kept, so a bicategory's hom tables are fixed once an icon has been
+composed in it, and a lax functor is not mutated once it has been whiskered
+or pasted.
+
 The icon declaration depends on the source bicategory alone: for each hom,
 one variable per 1-cell names a cell of the icon, under the naturality
 squares of that hom, and the compatibility laws of `icon_laws` tie the homs
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .bicat import UnsupportedSettingError
-from .catcore import _COMPONENT, OBJECT_IMAGE, Functor, NatTrans
+from .catcore import _COMPONENT, _MORPHISM_IMAGE, OBJECT_IMAGE, Functor, NatTrans
 from .laxfun import _HOM_FUNCTOR, LaxFunctor, Lazy, compose_lax, lazy
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
@@ -111,9 +118,10 @@ def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
     every icon f => g alike, all structural: parallel lax functors, object
     maps defined and equal on every object, a hom functor of each at every
     hom with 1-cells, hom functors keyed alike, the witness of a difference
-    being the first key of one that the other lacks, and each of them a
-    functor.  A missing object image and a hom functor that is not a functor
-    are reported as `validate_lax_functor` reports them."""
+    being the first key of one that the other lacks, each of them a functor,
+    and each giving an image to every cell of its hom.  A missing object
+    image, a hom functor that is not a functor and a hom functor's missing
+    image are reported as `validate_lax_functor` reports them."""
     rep = ValidationReport(f"icons {f.name} => {g.name}")
     if f.source is not g.source and f.source != g.source:
         rep.add("parallel", "the two lax functors do not share a source", structural=True)
@@ -144,11 +152,36 @@ def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
                 structural=True)
         return rep
     kind, message = _HOM_FUNCTOR[2]
+    homs, lacking = f.source.homs, []
     for pair in _families(f):
-        if not (isinstance(f.hom_functors[pair], Functor) and
-                isinstance(g.hom_functors[pair], Functor)):
+        hf, hg = f.hom_functors[pair], g.hom_functors[pair]
+        if not (isinstance(hf, Functor) and isinstance(hg, Functor)):
             rep.add(kind, message.format(*pair), pair, structural=True)
+        elif pair in homs and homs[pair].objects and not (
+                _has_images(homs[pair], hf) and (hg is hf or _has_images(homs[pair], hg))):
+            lacking.append(pair)
+    if rep.violations:
+        return rep
+    for pair in lacking:
+        hom = homs[pair]
+        for side, hf in (("source", f.hom_functors[pair]), ("target", g.hom_functors[pair])):
+            for cells, images, (kind, message) in (
+                    (hom.sorted_objects, hf.object_map, OBJECT_IMAGE[0]),
+                    (hom.sorted_morphisms, hf.morphism_map, _MORPHISM_IMAGE[0])):
+                for x in cells:
+                    if x not in images:
+                        rep.add("hom-functor:" + kind,
+                                f"hom functor {pair!r} of the {side}: " + message.format(x),
+                                (x,), structural=True)
+            if g is f:
+                break
     return rep
+
+
+def _has_images(hom, hf):
+    """Whether the hom functor `hf` gives every cell of `hom` an image."""
+    return (hom.morphisms.keys() <= hf.morphism_map.keys()
+            and all(map(hf.object_map.__contains__, hom.objects)))
 
 
 def _composition_compatible(icon, x, y):
@@ -212,8 +245,9 @@ def _target(x):
 def vcomp_icons(later: Icon, earlier: Icon) -> Icon:
     """Componentwise vertical composite ("later" runs second)."""
     t, cells = later.bicategory, later.cells
+    table = t.vcomp_table
     return lazy(Icon, _VCOMP, (later, earlier), name=f"{later.name}.{earlier.name}",
-                cells={x: t.vcomp(cells[x], c) for x, c in earlier.cells.items()}, bicategory=t)
+                cells={x: table[(c, cells[x])] for x, c in earlier.cells.items()}, bicategory=t)
 
 
 def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
@@ -222,9 +256,10 @@ def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
     The two pastings (act on the component, then shift, or the other way
     round) agree by naturality; this builds the shift-after-act order.
     """
-    t, cells, on_1, on_2 = later.bicategory, later.cells, earlier.target.on_1, later.source.on_2
+    t, cells = later.bicategory, later.cells
+    table, on_1, on_2 = t.vcomp_table, earlier.target.cell_maps[0], later.source.cell_maps[1]
     return lazy(Icon, _PASTED, (later, earlier), name=f"{later.name}*{earlier.name}",
-                cells={x: t.vcomp(cells[on_1(x)], on_2(c)) for x, c in earlier.cells.items()},
+                cells={x: table[(on_2[c], cells[on_1[x]])] for x, c in earlier.cells.items()},
                 bicategory=t)
 
 
@@ -233,9 +268,9 @@ def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
     `fun` applied to the component of `icon` at f.  This is
     `hcomp_icons(identity_icon(fun), icon)`, whose pasting composes that
     cell with an identity."""
-    on_2 = fun.on_2
+    on_2 = fun.cell_maps[1]
     return lazy(Icon, _PASTED, (fun, icon), name=f"id:{fun.name}*{icon.name}",
-                cells={x: on_2(c) for x, c in icon.cells.items()}, bicategory=fun.target)
+                cells={x: on_2[c] for x, c in icon.cells.items()}, bicategory=fun.target)
 
 
 def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
@@ -245,8 +280,8 @@ def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
     cell with the image of an identity."""
     cells = icon.cells
     return lazy(Icon, _PASTED, (icon, fun), name=f"{icon.name}*id:{fun.name}",
-                cells={x: cells[y] for hf in fun.hom_functors.values()
-                       for x, y in hf.object_map.items()}, bicategory=icon.bicategory)
+                cells={x: cells[y] for x, y in fun.cell_maps[0].items()},
+                bicategory=icon.bicategory)
 
 
 def is_invertible_icon(icon: Icon):

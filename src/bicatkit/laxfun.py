@@ -11,6 +11,7 @@ a given functor actually is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bicat import FiniteBicategory, MonoidalCategory, sigma_bicategory
 from .catcore import (OBJECT_IMAGE, Functor, compose_functors, enumerate_functors,
@@ -60,6 +61,17 @@ class LaxFunctor(Lazy):
 
     def on_2(self, c):
         return self.hom_functors[self.source.home2(c)].morphism_map[c]
+
+    @cached_property
+    def cell_maps(self):
+        """``({1-cell: image}, {2-cell: image})``: the maps of every hom
+        functor in one table each, built on first read and read by the icon
+        algebra, so the hom functors are fixed once the lax functor has been
+        whiskered.  `on_1` and `on_2` read the hom functors themselves, which
+        a search rebinds on its draft."""
+        homs = self.hom_functors.values()
+        return ({x: y for hf in homs for x, y in hf.object_map.items()},
+                {c: d for hf in homs for c, d in hf.morphism_map.items()})
 
 
 def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:

@@ -98,11 +98,41 @@ def simplex_from_lax(fun: LaxFunctor) -> SimplexData:
     return SimplexData(n, fun.target, objects, cells, cons)
 
 
+# The checks of a simplex's own data: present, and a cell of its base.
+_VERTEX = (("missing-vertex", "no object at vertex {!r}"),
+           lambda s, i: s.base.objects,
+           ("dangling-vertex", "vertex {!r} is not an object of the base"), None)
+_EDGE = (("missing-edge", "no 1-cell over the edge ({!r}, {!r})"),
+         lambda s, i, j: s.base.one_cells(),
+         ("dangling-edge", "edge ({!r}, {!r}) is not a 1-cell of the base"), None)
+_TRIANGLE = (("missing-comparison", "no comparison over the triangle ({!r}, {!r}, {!r})"),
+             lambda s, i, j, k: s.base.two_cells(),
+             ("dangling-comparison",
+              "comparison over the triangle ({!r}, {!r}, {!r}) is not a 2-cell of the base"),
+             None)
+
+
+def simplex_variables(n: int):
+    """The data of an n-simplex as search variables, each checked for being
+    present and a cell of the base: a vertex per i, an edge per i < j and a
+    comparison per triangle i < j < k, in that order."""
+    idx = range(n + 1)
+    return ([("objects", i, (), None, (i,), _VERTEX) for i in idx]
+            + [("cells", (i, j), (), None, (i, j), _EDGE)
+               for i in idx for j in idx if i < j]
+            + [("constraints", (i, j, k), (), None, (i, j, k), _TRIANGLE)
+               for i in idx for j in idx for k in idx if i < j < k])
+
+
 def validate_simplex(s: SimplexData) -> ValidationReport:
-    """`validate_lax_functor` on the simplex's lax functor, whose unit
-    comparisons are identities, then whether each of its comparisons, over
+    """The simplex's own data (`simplex_variables`), all structural; then
+    `validate_lax_functor` on the simplex's lax functor, whose unit
+    comparisons are identities; then whether each of its comparisons, over
     the triangle i <= j <= k, is invertible."""
     rep = ValidationReport(f"simplex over {s.base.name}")
+    rep.check_values(s, simplex_variables(s.n))
+    if rep.violations:
+        return rep
     fun = as_lax_functor(s)
     rep.include(validate_lax_functor(fun))
     if rep.ok:

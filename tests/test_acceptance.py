@@ -90,3 +90,88 @@ def test_law_checks_catch_one_corrupted_cell(sub_universe, monkeypatch, part, na
     _corrupt_once(monkeypatch, name, call)
     checked, err = _parts(sub_universe)[part]()
     assert err is not None and message in err, (part, name, err)
+
+
+_COUNTED = ("vcomp_icons", "hcomp_icons", "whisker_icon_left", "whisker_icon_right",
+            "identity_icon")
+
+
+def _count_calls(monkeypatch):
+    """Count the acceptance suite's calls of the icon algebra, by name."""
+    calls = dict.fromkeys(_COUNTED, 0)
+    for name in _COUNTED:
+        def counted(*args, real=getattr(acceptance, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(acceptance, name, counted)
+    return calls
+
+
+def _out_of(fam):
+    out = {}
+    for i, j, ic in fam:
+        out.setdefault(i, []).append((j, ic))
+    return out
+
+
+def _expected_calls(part, sub_universe):
+    """The calls each part makes when it builds every composite once per
+    step of its outer loops, counted from the families alone: a part meets
+    each (a, mid) of a family once per loop over it, each (a, h) once per
+    side, each lax functor once in the identity whiskers, and each (alpha,
+    g) once in middle-four; every other call is one per law instance."""
+    bics, fams, icons = sub_universe
+    calls = dict.fromkeys(_COUNTED, 0)
+    instances = 0
+    if part == "vertical":
+        for fam in icons.values():
+            out_of = _out_of(fam)
+            for _, j, _ in fam:
+                for k, _ in out_of.get(j, ()):
+                    if k in out_of:  # mid . a once, then three per triple
+                        calls["vcomp_icons"] += 1 + 3 * len(out_of[k])
+                        instances += len(out_of[k])
+    elif part == "whisker":
+        for (s, t), fam in icons.items():
+            if not fam:
+                continue
+            sides = {"whisker_icon_left": [h for d in bics for h in fams[(t, d)]],
+                     "whisker_icon_right": [e for c in bics for e in fams[(c, s)]]}
+            out_of = _out_of(fam)
+            mids = [len(out_of.get(j, ())) for _, j, _ in fam]
+            pairs, starts = sum(mids), sum(1 for n in mids if n)
+            for name, funs in sides.items():
+                if funs and pairs:
+                    # mid . a once per (a, mid), a whiskered once per (a, h); the
+                    # composite's and mid's whiskers and their composite per instance
+                    calls["vcomp_icons"] += pairs + pairs * len(funs)
+                    calls[name] += starts * len(funs) + 2 * pairs * len(funs)
+                    instances += pairs * len(funs)
+                # the identity whiskers
+                calls[name] += len(fams[(s, t)]) * len(funs)
+                instances += len(fams[(s, t)]) * len(funs)
+            calls["identity_icon"] += len(fams[(s, t)]) if any(sides.values()) else 0
+    else:
+        for t in bics:
+            ins = sum(len(icons[(s, t)]) for s in bics)
+            outs = sum(len(icons[(t, d)]) for d in bics)
+            if ins and outs:
+                n = ins * outs
+                calls["vcomp_icons"] += 2 * n
+                calls["hcomp_icons"] += n
+                calls["whisker_icon_right"] += 2 * n
+                # each alpha whiskered by each lax functor an icon out of t runs between
+                ends = {(d, i) for d in bics for k, ll, _ in icons[(t, d)] for i in (k, ll)}
+                calls["whisker_icon_left"] += ins * len(ends)
+                instances += n
+    return calls, instances
+
+
+@pytest.mark.parametrize("part, instances", [
+    ("vertical", 1270), ("whisker", 5508), ("middle-four", 2398)])
+def test_each_part_builds_each_composite_once_per_loop_step(sub_universe, monkeypatch,
+                                                             part, instances):
+    calls = _count_calls(monkeypatch)
+    checked, err = _parts(sub_universe)[part]()
+    assert err is None and checked == instances
+    assert (calls, checked) == _expected_calls(part, sub_universe)

@@ -19,6 +19,18 @@ def test_corpus_bicategories_all_validate():
         assert rep.ok, f"{name}: {rep.summary()}"
 
 
+def test_the_flat_vertical_composition_table_is_vcomp():
+    """`vcomp_table` holds exactly the composable pairs of 2-cells, hom by
+    hom, each with its `vcomp`."""
+    for name, build in corpus.BICATEGORIES.items():
+        b = build()
+        pairs = [(c, d) for pair in b.sorted_homs
+                 for c, d in b.homs[pair].composable_pairs()]
+        assert len(pairs) == len(b.vcomp_table), name
+        for c, d in pairs:
+            assert b.vcomp_table[(c, d)] == b.vcomp(d, c), (name, c, d)
+
+
 def test_strictness_flags():
     assert corpus.walking_arrow().is_strict()
     assert corpus.ordinal(2).is_strict()

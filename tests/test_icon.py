@@ -424,6 +424,43 @@ def test_a_missing_object_image_is_reported_not_raised():
         assert list(enumerate_icons(one, two)) == []
 
 
+def _without_object_images(f):
+    """The lax functor f with the hom functor at ('*', '*') given no object
+    images, a lax functor `validate_lax_functor` refuses."""
+    hf = f.hom_functors[("*", "*")]
+    bare = Functor(hf.name, hf.source, hf.target, {}, hf.morphism_map)
+    return LaxFunctor(f.name, f.source, f.target, f.object_map, {("*", "*"): bare},
+                      f.comp_constraints, f.unit_constraints)
+
+
+def test_validate_icon_reports_a_hom_functor_without_object_images():
+    """idem-icon-k whose source's or target's hom functor gives no 1-cell an
+    image: validation refuses the icon under the kind that
+    `validate_lax_functor` gives that lax functor, where it used to raise
+    KeyError('s')."""
+    kappa = corpus.get("icon", "idem-icon-k")
+    g = _without_object_images(kappa.source)
+    assert validate_lax_functor(g).violations[0].kind == "hom-functor:missing-object-image"
+    for one, two, side in ((g, kappa.target, "source"), (kappa.source, g, "target"),
+                           (g, g, "source")):
+        rep = validate_icon(Icon("k", one, two, kappa.cells, dict(kappa.families)))
+        lines = [f"[hom-functor:missing-object-image] hom functor ('*', '*') of the {side}: "
+                 f"no image for object {x!r}" for x in ("s", "u")]
+        assert [str(v) for v in rep.violations] == lines
+        assert [v.witness for v in rep.violations] == [("s",), ("u",)]
+        assert rep.structural_failure
+
+
+def test_enumerate_icons_finds_none_for_a_hom_functor_without_object_images():
+    """The search out of the same pairs yields nothing, where it used to
+    raise KeyError('s'); between the intact lax functors it finds kappa."""
+    kappa = corpus.get("icon", "idem-icon-k")
+    g = _without_object_images(kappa.source)
+    for one, two in ((g, kappa.target), (kappa.source, g), (g, g)):
+        assert list(enumerate_icons(one, two)) == []
+    assert kappa.cells in [ic.cells for ic in enumerate_icons(kappa.source, kappa.target)]
+
+
 def test_icon_interchange_on_idem_pair():
     idem = corpus.sigma_idem()
     one = identity_lax(idem)

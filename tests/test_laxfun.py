@@ -3,6 +3,7 @@
 import pytest
 
 from bicatkit import corpus, laxfun
+from bicatkit.acceptance import _law_universe
 from bicatkit.bicat import strict_bicategory, validate_bicategory
 from bicatkit.laxfun import (
     classify,
@@ -101,6 +102,32 @@ def test_composite_fields_are_built_once_on_first_access(monkeypatch):
                              "hom_functors", "unit_constraints", "unit_constraints"]
     with pytest.raises(AttributeError):
         square.no_such_field
+
+
+def _agree_with_on_1_and_on_2(fun):
+    one, two = fun.cell_maps
+    s = fun.source
+    assert one == {f: fun.on_1(f) for f in s.one_cells()}, fun.name
+    assert two == {c: fun.on_2(c) for c in s.two_cells()}, fun.name
+
+
+def test_flat_cell_maps_equal_on_1_and_on_2():
+    """The flat maps of every lax functor of the law universe, and of the
+    lazily built composites of the first three of each family after the
+    first three of each family that composes with it, read what `on_1` and
+    `on_2` read."""
+    bics, fams, _ = _law_universe()
+    for funs in fams.values():
+        for fun in funs:
+            _agree_with_on_1_and_on_2(fun)
+    composed = 0
+    for (s, t), earlier in sorted(fams.items()):
+        for d in sorted(bics):
+            for later in fams[(t, d)][:3]:
+                for fun in earlier[:3]:
+                    _agree_with_on_1_and_on_2(compose_lax(later, fun))
+                    composed += 1
+    assert composed > 100
 
 
 def test_two_functor_rejects_nonstrict_maps():

@@ -64,6 +64,40 @@ def test_a_non_invertible_comparison_is_reported_at_its_triangle():
     assert validate_simplex(SimplexData(2, b, objects, edges, {(0, 1, 2): ("i", "s")})).ok
 
 
+def test_a_missing_comparison_is_reported_not_raised():
+    """The 2-simplex candidate of sigma-idem with every edge s and no
+    comparison over its triangle, where validation used to raise
+    KeyError((0, 1, 2))."""
+    b = corpus.get("bicategory", "sigma-idem")
+    objects, edges = dict.fromkeys(range(3), "*"), dict.fromkeys([(0, 1), (1, 2), (0, 2)], "s")
+    rep = validate_simplex(SimplexData(2, b, objects, edges, {}))
+    line = "[missing-comparison] no comparison over the triangle (0, 1, 2)"
+    assert str(rep) == f"simplex over sigma-idem: FAIL {line}\n  {line}"
+    assert rep.violations[0].witness == (0, 1, 2) and rep.structural_failure
+
+
+def test_a_vertex_that_is_no_object_is_reported_not_raised():
+    """A 1-simplex of sigma-idem with the vertex 'zz', where validation used
+    to raise KeyError(('*', 'zz'))."""
+    b = corpus.get("bicategory", "sigma-idem")
+    rep = validate_simplex(SimplexData(1, b, {0: "*", 1: "zz"}, {(0, 1): "s"}, {}))
+    line = "[dangling-vertex] vertex 1 is not an object of the base"
+    assert str(rep) == f"simplex over sigma-idem: FAIL {line}\n  {line}"
+    assert rep.violations[0].witness == (1,) and rep.structural_failure
+
+
+def test_a_simplex_missing_its_data_reports_each_entry_in_order():
+    """No vertices, edges or comparisons at all: each entry is reported,
+    vertices first, then edges, then triangles; an edge that is no 1-cell
+    dangles."""
+    b = corpus.get("bicategory", "sigma-idem")
+    rep = validate_simplex(SimplexData(2, b, {}, {(0, 1): "zz"}, {}))
+    assert [(v.kind, v.witness) for v in rep.violations] == [
+        ("missing-vertex", (0,)), ("missing-vertex", (1,)), ("missing-vertex", (2,)),
+        ("dangling-edge", (0, 1)), ("missing-edge", (0, 2)), ("missing-edge", (1, 2)),
+        ("missing-comparison", (0, 1, 2))]
+
+
 @pytest.mark.parametrize("name", ["walking-two-cell", "sigma-idem"])
 def test_low_level_counts(name):
     b = corpus.get("bicategory", name)
