@@ -26,6 +26,14 @@ every composable pair of 1-cells and the unit at every object.  So the
 object maps of ``comp`` and ``unit`` are fixed too once an icon search or an
 icon validation has run out of the bicategory.  Likewise the hom tables are
 fixed once an icon has been composed in it, since `vcomp_table` holds them.
+
+Three flat tables, each built on first read and kept, let a law check read
+one dict per composite: `vcomp_table` of every vertical composite,
+`hcomp_table` of every horizontal one and `id2_table` of every identity
+2-cell.  The law checks of lax functors and icons into the bicategory read
+all three, so its hom tables, the morphism maps of ``comp`` and the
+identities are fixed once a lax functor into it has been searched or
+checked.
 """
 
 from __future__ import annotations
@@ -131,8 +139,22 @@ class FiniteBicategory:
     def vcomp_table(self):
         """``{(earlier, later): composite}``: the tables of every hom in one,
         built on first read, which 2-cell ids unique across the homs allow.
-        `vcomp` still reads the hom tables; the icon algebra reads this."""
+        `vcomp` still reads the hom tables; the icon algebra and the law
+        checks read this."""
         return {key: c for hom in self.homs.values() for key, c in hom.table.items()}
+
+    @cached_property
+    def hcomp_table(self):
+        """``{(d, c): composite}``: the morphism maps of every ``comp``
+        functor in one, built on first read, which 2-cell ids unique across
+        the homs allow.  `hcomp` still reads the functors; the law checks of
+        lax functors and icons into this bicategory read this."""
+        return {key: x for fun in self.comp.values() for key, x in fun.morphism_map.items()}
+
+    @cached_property
+    def id2_table(self):
+        """``{1-cell: identity 2-cell}`` over every hom, built on first read."""
+        return {f: i for hom in self.homs.values() for f, i in hom.identity.items()}
 
     @cached_property
     def icon_plan(self):

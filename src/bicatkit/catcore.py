@@ -220,13 +220,22 @@ class Functor:
 
 
 def validate_functor(fun: Functor) -> ValidationReport:
+    rep = validate_images(fun)
+    if rep.ok:
+        rep.check_laws(fun, functor_laws(fun.source))
+    return rep
+
+
+def validate_images(fun: Functor) -> ValidationReport:
+    """The checks of `validate_functor` before its laws: every cell has an
+    image that is a cell of the target, then every morphism's image runs
+    between the images of its ends."""
     rep = ValidationReport(f"functor {fun.name}")
     variables = functor_variables(fun.source, fun.target)
-    for domains in (False, True):  # images present and cells, then their endpoints
+    for domains in (False, True):
         rep.check_values(fun, variables, domains)
         if rep.violations:
-            return rep
-    rep.check_laws(fun, functor_laws(fun.source))
+            break
     return rep
 
 

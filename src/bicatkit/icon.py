@@ -39,8 +39,9 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .bicat import UnsupportedSettingError
-from .catcore import _COMPONENT, _MORPHISM_IMAGE, OBJECT_IMAGE, Functor, NatTrans
-from .laxfun import _HOM_FUNCTOR, LaxFunctor, Lazy, compose_lax, lazy
+from .catcore import _COMPONENT, OBJECT_IMAGE, Functor, NatTrans, validate_images
+from .laxfun import (_HOM_FUNCTOR, LaxFunctor, Lazy, comparison_cells, compose_lax,
+                     constraint_variables, lazy, unit_cells)
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
 
@@ -115,32 +116,40 @@ def validate_icon(icon: Icon) -> ValidationReport:
 
 def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
     """The checks of `validate_icon` that read no cell, so hold or fail for
-    every icon f => g alike, all structural: parallel lax functors, object
-    maps defined and equal on every object, a hom functor of each at every
-    hom with 1-cells, hom functors keyed alike, the witness of a difference
-    being the first key of one that the other lacks, each of them a functor,
-    and each giving an image to every cell of its hom.  A missing object
-    image, a hom functor that is not a functor and a hom functor's missing
-    image are reported as `validate_lax_functor` reports them."""
+    every icon f => g alike: parallel lax functors, object maps defined,
+    equal and into the target's objects on every object, a hom functor of
+    each at every hom with 1-cells, hom functors keyed alike, the witness of
+    a difference being the first key of one that the other lacks, and each
+    of them a functor.  Then what the naturality squares and `icon_laws`
+    read: each hom functor's images of the cells of its hom, and then each
+    lax functor's comparisons and unit comparisons, present and 2-cells of
+    their homs.  A check that `validate_lax_functor` makes too is reported
+    as it reports it, and all but a morphism image with the wrong endpoints
+    are structural."""
     rep = ValidationReport(f"icons {f.name} => {g.name}")
-    if f.source is not g.source and f.source != g.source:
+    s, t = f.source, f.target
+    if s is not g.source and s != g.source:
         rep.add("parallel", "the two lax functors do not share a source", structural=True)
         return rep
-    if f.target is not g.target and f.target != g.target:
+    if t is not g.target and t != g.target:
         rep.add("parallel", "the two lax functors do not share a target", structural=True)
         return rep
-    for a in f.source.sorted_objects:
-        if a not in f.object_map or a not in g.object_map:
+    omap = f.object_map
+    for a in s.sorted_objects:
+        if a not in omap or a not in g.object_map:
             kind, message = OBJECT_IMAGE[0]
             rep.add(kind, message.format(a), (a,), structural=True)
-        elif f.object_map[a] != g.object_map[a]:
+        elif omap[a] != g.object_map[a]:
             rep.add("object-maps-differ",
                     f"an icon needs equal object maps; they differ at {a!r}", (a,),
                     structural=True)
-    if rep.structural_failure:
+        elif omap[a] not in t.objects:
+            kind, message = OBJECT_IMAGE[2]
+            rep.add(kind, message.format(a), (a,), structural=True)
+    if rep.violations:
         return rep
-    for pair in f.source.sorted_homs:
-        if f.source.homs[pair].objects and not (pair in f.hom_functors and pair in g.hom_functors):
+    for pair in s.sorted_homs:
+        if s.homs[pair].objects and not (pair in f.hom_functors and pair in g.hom_functors):
             rep.add("missing-hom-functor", f"no hom functor at {pair!r}, whose hom has 1-cells",
                     pair, structural=True)
     if rep.violations:
@@ -152,60 +161,98 @@ def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
                 structural=True)
         return rep
     kind, message = _HOM_FUNCTOR[2]
-    homs, lacking = f.source.homs, []
+    plan, lacking = s.icon_plan, []
     for pair in _families(f):
         hf, hg = f.hom_functors[pair], g.hom_functors[pair]
         if not (isinstance(hf, Functor) and isinstance(hg, Functor)):
             rep.add(kind, message.format(*pair), pair, structural=True)
-        elif pair in homs and homs[pair].objects and not (
-                _has_images(homs[pair], hf) and (hg is hf or _has_images(homs[pair], hg))):
-            lacking.append(pair)
+        elif pair in plan.reads:
+            read, cells = plan.reads[pair], t.homs[(omap[pair[0]], omap[pair[1]])].morphisms
+            if not (_images_in(cells, hf, read) and (hg is hf or _images_in(cells, hg, read))
+                    and _constraints_in(cells, f, read)
+                    and (g is f or _constraints_in(cells, g, read))):
+                lacking.append(pair)
+    if rep.violations or not lacking:
+        return rep
+    sides = (("source", f), ("target", g))[:1 if g is f else 2]
+    for pair in lacking:
+        for side, fun in sides:
+            hf = fun.hom_functors[pair]
+            rebuilt = Functor(hf.name, s.homs[pair], t.homs[(omap[pair[0]], omap[pair[1]])],
+                              hf.object_map, hf.morphism_map)
+            rep.include(validate_images(rebuilt), "hom-functor:",
+                        f"hom functor {pair!r} of the {side}: ")
     if rep.violations:
         return rep
-    for pair in lacking:
-        hom = homs[pair]
-        for side, hf in (("source", f.hom_functors[pair]), ("target", g.hom_functors[pair])):
-            for cells, images, (kind, message) in (
-                    (hom.sorted_objects, hf.object_map, OBJECT_IMAGE[0]),
-                    (hom.sorted_morphisms, hf.morphism_map, _MORPHISM_IMAGE[0])):
-                for x in cells:
-                    if x not in images:
-                        rep.add("hom-functor:" + kind,
-                                f"hom functor {pair!r} of the {side}: " + message.format(x),
-                                (x,), structural=True)
-            if g is f:
-                break
+    variables = constraint_variables(s, comparison_cells, unit_cells)
+    for side, fun in sides:
+        constraints = ValidationReport(fun.name)
+        constraints.check_values(fun, variables, domains=False)
+        rep.include(constraints, "", f"{side} lax functor: ")
     return rep
 
 
-def _has_images(hom, hf):
-    """Whether the hom functor `hf` gives every cell of `hom` an image."""
-    return (hom.morphisms.keys() <= hf.morphism_map.keys()
-            and all(map(hf.object_map.__contains__, hom.objects)))
+# The checks of `validate_icon_pair` at one hom pair of the source, on the
+# 2-cells `cells` of the target's hom over it and what `_reads` lists there.
+# Each says whether the check passes; `validate_icon_pair` reports only
+# where one fails.
+
+def _images_in(cells, hf, read):
+    """Whether the hom functor hf sends each morphism of the hom to one of
+    `cells` that runs between the images of its ends.  Every 1-cell of the
+    hom is an end of its identity, so each has an image too."""
+    morphisms, sources, targets, _, _ = read
+    om = hf.object_map
+    try:
+        return list(map(cells.get, map(hf.morphism_map.__getitem__, morphisms))) \
+            == list(zip(map(om.__getitem__, sources), map(om.__getitem__, targets)))
+    except KeyError:  # an absent image
+        return False
 
 
-def _composition_compatible(icon, x, y):
+def _constraints_in(cells, fun, read):
+    """Whether the lax functor fun has each comparison and unit comparison
+    that lands in the hom, and has it among `cells`."""
+    _, _, _, comparisons, unit = read
+    try:
+        return (all(map(cells.__contains__, map(fun.comp_constraints.__getitem__, comparisons)))
+                and (unit is None or fun.unit_constraints[unit] in cells))
+    except KeyError:  # an absent comparison or unit comparison
+        return False
+
+
+# Each law below takes the source data that `icon_laws` binds first, then
+# the icon and the cells of the instance, and reads the flat tables of the
+# target bicategory (see `bicatkit.laxfun.lax_laws`).
+
+def _composition_compatible(xy, icon, x, y):
     f, g, t, cells = icon.source, icon.target, icon.source.target, icon.cells
-    lhs = t.vcomp(g.comp_constraints[(x, y)], t.hcomp(cells[x], cells[y]))
-    return lhs == t.vcomp(cells[f.source.compose1(x, y)], f.comp_constraints[(x, y)])
+    vcomp = t.vcomp_table
+    lhs = vcomp[(t.hcomp_table[(cells[x], cells[y])], g.comp_constraints[(x, y)])]
+    return lhs == vcomp[(f.comp_constraints[(x, y)], cells[xy])]
 
 
-def _unit_compatible(icon, a):
-    f, t = icon.source, icon.source.target
-    lhs = t.vcomp(icon.cells[f.source.unit[a]], f.unit_constraints[a])
-    return lhs == icon.target.unit_constraints[a]
+def _unit_compatible(u, icon, a):
+    f = icon.source
+    return f.target.vcomp_table[(f.unit_constraints[a], icon.cells[u])] \
+        == icon.target.unit_constraints[a]
 
 
 def icon_laws(s):
     """Compatibility with the comparisons and with the unit comparisons, as
-    law instances (see `ValidationReport.check_laws`) of an icon out of `s`."""
+    law instances (see `ValidationReport.check_laws`) of an icon out of `s`.
+    Each ``holds`` is a partial that binds what `s` alone fixes: the
+    composite ``s.compose1(x, y)`` at (x, y), and the unit ``s.unit[a]``
+    at a."""
     for x, y in s.composable_pairs_by_later():
-        yield (_composition_compatible, (x, y),
-               (("cells", x), ("cells", y), ("cells", s.compose1(x, y))),
+        xy = s.compose1(x, y)
+        yield (functools.partial(_composition_compatible, xy), (x, y),
+               (("cells", x), ("cells", y), ("cells", xy)),
                "composition-compat",
                "components do not commute with the comparison at ({!r}, {!r})")
     for a in s.sorted_objects:
-        yield (_unit_compatible, (a,), (("cells", s.unit[a]),),
+        u = s.unit[a]
+        yield (functools.partial(_unit_compatible, u), (a,), (("cells", u),),
                "unit-compat", "components do not commute with the unit comparison at {!r}")
 
 
@@ -339,18 +386,34 @@ def _family(pair, cat):
     return variables, squares
 
 
+def _reads(s):
+    """For each hom pair of `s` with 1-cells, what the checks of
+    `validate_icon_pair` read there: the morphisms of the hom (its dict of
+    ends), their sources and their targets in that order, the keys of the
+    comparisons that land in the target's hom over the pair, and the object
+    of the unit comparison that lands there, or None."""
+    reads = {pair: [s.homs[pair].morphisms, *zip(*s.homs[pair].morphisms.values()), [], None]
+             for pair in s.sorted_homs if s.homs[pair].objects}
+    for g, f in s.composable_pairs():
+        reads[(s.home1(f)[0], s.home1(g)[1])][3].append((g, f))
+    for a in s.sorted_objects:
+        reads[(a, a)][4] = a
+    return reads
+
+
 def icon_plan(s):
     """The icon declaration out of `s`, for any pair of lax functors:
     ``families``, the listing of each hom pair of `s` (`_family`);
-    ``laws``, the instances of `icon_laws` in order; and ``search``, the
-    plan that binds the draft's ``cells`` family by family under the
-    ``laws`` and the naturality squares."""
+    ``laws``, the instances of `icon_laws` in order; ``search``, the plan
+    that binds the draft's ``cells`` family by family under the ``laws``
+    and the naturality squares; and ``reads``, what `validate_icon_pair`
+    reads at each hom (`_reads`)."""
     families = {pair: _family(pair, s.homs[pair]) for pair in s.sorted_homs}
     laws = tuple(icon_laws(s))
     variables = [v for listed, _ in families.values() for v in listed]
     squares = tuple(sq for _, listed in families.values() for sq in listed)
     return SimpleNamespace(families=families, laws=laws,
-                           search=compile_plan(variables, laws + squares))
+                           search=compile_plan(variables, laws + squares), reads=_reads(s))
 
 
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):

@@ -11,7 +11,7 @@ a given functor actually is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .bicat import FiniteBicategory, MonoidalCategory, sigma_bicategory
 from .catcore import (OBJECT_IMAGE, Functor, compose_functors, enumerate_functors,
@@ -101,68 +101,88 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     return rep
 
 
-def _natural(fun, d, c):
-    s, t, comp = fun.source, fun.target, fun.comp_constraints
-    lhs = t.vcomp(comp[(s.tgt2(d), s.tgt2(c))], t.hcomp(fun.on_2(d), fun.on_2(c)))
-    rhs = t.vcomp(fun.on_2(s.hcomp(d, c)), comp[(s.src2(d), s.src2(c))])
+# Each law below takes the source data that `lax_laws` binds first, then the
+# lax functor and the cells of the instance.  It reads the hom functors at
+# the bound hom pairs and one entry of the target's `vcomp_table`,
+# `hcomp_table` or `id2_table` per composite; ``vcomp(later, earlier)`` is
+# ``vcomp_table[(earlier, later)]``.
+
+def _natural(ab, be, ae, top, bottom, dc, fun, d, c):
+    homs, comp, t = fun.hom_functors, fun.comp_constraints, fun.target
+    vcomp = t.vcomp_table
+    lhs = vcomp[(t.hcomp_table[(homs[be].morphism_map[d], homs[ab].morphism_map[c])], comp[top])]
+    return lhs == vcomp[(comp[bottom], homs[ae].morphism_map[dc])]
+
+
+def _coherent(ab, bc, ce, ae, h_gf, hg_f, alpha, fun, h, g, f):
+    homs, comp, t = fun.hom_functors, fun.comp_constraints, fun.target
+    vcomp, hcomp, id2 = t.vcomp_table, t.hcomp_table, t.id2_table
+    fh, fg, ff = homs[ce].object_map[h], homs[bc].object_map[g], homs[ab].object_map[f]
+    lhs = vcomp[(vcomp[(t.associator[(fh, fg, ff)], hcomp[(id2[fh], comp[(g, f)])])],
+                 comp[h_gf])]
+    rhs = vcomp[(vcomp[(hcomp[(comp[(h, g)], id2[ff])], comp[hg_f])],
+                 homs[ae].morphism_map[alpha])]
     return lhs == rhs
 
 
-def _coherent(fun, h, g, f):
-    s, t, comp = fun.source, fun.target, fun.comp_constraints
-    fh, fg, ff = fun.on_1(h), fun.on_1(g), fun.on_1(f)
-    lhs = t.vcomp(comp[(h, s.compose1(g, f))],
-                  t.vcomp(t.whisker_left(fh, comp[(g, f)]), t.assoc(fh, fg, ff)))
-    rhs = t.vcomp(fun.on_2(s.assoc(h, g, f)),
-                  t.vcomp(comp[(s.compose1(h, g), f)],
-                          t.whisker_right(comp[(h, g)], ff)))
-    return lhs == rhs
+def _left_unital(ab, ub_f, b, lam, fun, f):
+    hf, t = fun.hom_functors[ab], fun.target
+    ff, vcomp = hf.object_map[f], t.vcomp_table
+    whiskered = t.hcomp_table[(fun.unit_constraints[b], t.id2_table[ff])]
+    return t.left_unitor[ff] == vcomp[(vcomp[(whiskered, fun.comp_constraints[ub_f])],
+                                       hf.morphism_map[lam])]
 
 
-def _left_unital(fun, f):
-    s, t, ff = fun.source, fun.target, fun.on_1(f)
-    b = s.home1(f)[1]
-    return t.lunit(ff) == t.vcomp(
-        fun.on_2(s.lunit(f)),
-        t.vcomp(fun.comp_constraints[(s.unit[b], f)],
-                t.whisker_right(fun.unit_constraints[b], ff)))
-
-
-def _right_unital(fun, f):
-    s, t, ff = fun.source, fun.target, fun.on_1(f)
-    a = s.home1(f)[0]
-    return t.runit(ff) == t.vcomp(
-        fun.on_2(s.runit(f)),
-        t.vcomp(fun.comp_constraints[(f, s.unit[a])],
-                t.whisker_left(ff, fun.unit_constraints[a])))
+def _right_unital(ab, f_ua, a, rho, fun, f):
+    hf, t = fun.hom_functors[ab], fun.target
+    ff, vcomp = hf.object_map[f], t.vcomp_table
+    whiskered = t.hcomp_table[(t.id2_table[ff], fun.unit_constraints[a])]
+    return t.right_unitor[ff] == vcomp[(vcomp[(whiskered, fun.comp_constraints[f_ua])],
+                                        hf.morphism_map[rho])]
 
 
 def lax_laws(s):
     """Naturality and associativity of the comparison and the two unit
-    axioms out of `s`, as law instances (see `ValidationReport.check_laws`)."""
+    axioms out of `s`, as law instances (see `ValidationReport.check_laws`).
+
+    Each ``holds`` is a partial that binds the half of its equation that
+    `s` alone fixes: the hom pairs of the hom functors it reads, and
+    - naturality at (d, c): the keys of the comparisons at the targets and
+      at the sources of d and c, and ``s.hcomp(d, c)``;
+    - coherence at (h, g, f): the keys ``(h, g.f)`` and ``(h.g, f)`` of two
+      of its comparisons, and ``s.assoc(h, g, f)``;
+    - the unit axioms at f: the key of the comparison with the unit, the
+      object of the unit comparison, and ``s.lunit(f)`` or ``s.runit(f)``."""
     homs, comp, unit = "hom_functors", "comp_constraints", "unit_constraints"
     for d in s.two_cells():
         b, e = s.home2(d)
+        d0, d1 = s.src2(d), s.tgt2(d)
         for a in s.sorted_objects:
-            for c in s.homs[(a, b)].sorted_morphisms:
-                yield (_natural, (d, c), ((homs, (a, b)), (homs, (b, e)), (homs, (a, e)),
-                                          (comp, (s.tgt2(d), s.tgt2(c))),
-                                          (comp, (s.src2(d), s.src2(c)))),
+            ab, be, ae = (a, b), (b, e), (a, e)
+            for c in s.homs[ab].sorted_morphisms:
+                top, bottom = (d1, s.tgt2(c)), (d0, s.src2(c))
+                yield (partial(_natural, ab, be, ae, top, bottom, s.hcomp(d, c)),
+                       (d, c), ((homs, ab), (homs, be), (homs, ae), (comp, top), (comp, bottom)),
                        "comp-constraint-naturality",
                        "comparison is not natural under ({!r}, {!r})")
     for h, g, f in s.composable_triples():
         (a, b), (c, e) = s.home1(f), s.home1(h)
-        yield (_coherent, (h, g, f),
-               ((homs, (a, b)), (homs, (b, c)), (homs, (c, e)), (homs, (a, e)),
-                (comp, (h, s.compose1(g, f))), (comp, (g, f)),
-                (comp, (s.compose1(h, g), f)), (comp, (h, g))),
+        ab, bc, ce, ae = (a, b), (b, c), (c, e), (a, e)
+        h_gf, hg_f = (h, s.compose1(g, f)), (s.compose1(h, g), f)
+        yield (partial(_coherent, ab, bc, ce, ae, h_gf, hg_f, s.assoc(h, g, f)),
+               (h, g, f),
+               ((homs, ab), (homs, bc), (homs, ce), (homs, ae),
+                (comp, h_gf), (comp, (g, f)), (comp, hg_f), (comp, (h, g))),
                "comp-coherence",
                "the two comparison pastings disagree at ({!r}, {!r}, {!r})")
     for f in s.one_cells():
-        a, b = s.home1(f)
-        yield (_left_unital, (f,), ((homs, (a, b)), (comp, (s.unit[b], f)), (unit, b)),
+        ab = a, b = s.home1(f)
+        ub_f, f_ua = (s.unit[b], f), (f, s.unit[a])
+        yield (partial(_left_unital, ab, ub_f, b, s.lunit(f)), (f,),
+               ((homs, ab), (comp, ub_f), (unit, b)),
                "left-unit-coherence", "left unit axiom fails at {!r}")
-        yield (_right_unital, (f,), ((homs, (a, b)), (comp, (f, s.unit[a])), (unit, a)),
+        yield (partial(_right_unital, ab, f_ua, a, s.runit(f)), (f,),
+               ((homs, ab), (comp, f_ua), (unit, a)),
                "right-unit-coherence", "right unit axiom fails at {!r}")
 
 
@@ -355,14 +375,21 @@ def lax_variables(s, t, comparisons, units):
     variables += [(homs, (a, b), ((omap, a), (omap, b)),
                    lambda fun, a=a, b=b: hom_functors(fun, a, b), (a, b), _HOM_FUNCTOR)
                   for a in objs for b in objs]
+    return variables + constraint_variables(s, comparisons, units)
+
+
+def constraint_variables(s, comparisons, units):
+    """The last variables of `lax_variables`, which need no target: the
+    comparisons at the composable pairs of `s`, then the unit comparisons."""
+    omap, homs = "object_map", "hom_functors"
+    variables = []
     for g, f in s.composable_pairs():
         (a, b), c = s.home1(f), s.home1(g)[1]
         variables.append(("comp_constraints", (g, f),
                           ((homs, (a, b)), (homs, (b, c)), (homs, (a, c))),
                           lambda fun, g=g, f=f: comparisons(fun, g, f), (g, f), _COMPARISON))
-    variables += [("unit_constraints", a, ((omap, a), (homs, (a, a))),
-                   lambda fun, a=a: units(fun, a), (a,), _UNIT) for a in objs]
-    return variables
+    return variables + [("unit_constraints", a, ((omap, a), (homs, (a, a))),
+                         lambda fun, a=a: units(fun, a), (a,), _UNIT) for a in s.sorted_objects]
 
 
 def _comparison_hom(fun, g, f):
@@ -401,7 +428,7 @@ def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
     def identity_unit(fun, a):
         return [t.id2(t.unit[fun.object_map[a]])] if _preserves_unit(fun, a) else []
 
-    natural = [law for law in lax_laws(s) if law[0] is _natural]
+    natural = [law for law in lax_laws(s) if law[3] == "comp-constraint-naturality"]
     plan = compile_plan(lax_variables(s, t, identity_comparison, identity_unit), natural)
     draft = LaxFunctor("enum", s, t, {}, {}, {}, {})
     for _ in run(plan, draft):

@@ -31,6 +31,22 @@ def test_the_flat_vertical_composition_table_is_vcomp():
             assert b.vcomp_table[(c, d)] == b.vcomp(d, c), (name, c, d)
 
 
+def test_the_flat_horizontal_composition_and_identity_tables_are_hcomp_and_id2():
+    """`hcomp_table` holds exactly the horizontally composable pairs of
+    2-cells, each with its `hcomp`, and `id2_table` exactly the 1-cells,
+    each with its `id2`."""
+    for name, build in corpus.BICATEGORIES.items():
+        b = build()
+        pairs = [(d, c) for c in b.two_cells() for d in b.two_cells()
+                 if b.home2(d)[0] == b.home2(c)[1]]
+        assert len(pairs) == len(b.hcomp_table), name
+        for d, c in pairs:
+            assert b.hcomp_table[(d, c)] == b.hcomp(d, c), (name, d, c)
+        assert len(b.one_cells()) == len(b.id2_table), name
+        for f in b.one_cells():
+            assert b.id2_table[f] == b.id2(f), (name, f)
+
+
 def test_strictness_flags():
     assert corpus.walking_arrow().is_strict()
     assert corpus.ordinal(2).is_strict()

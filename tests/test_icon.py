@@ -461,6 +461,77 @@ def test_enumerate_icons_finds_none_for_a_hom_functor_without_object_images():
     assert kappa.cells in [ic.cells for ic in enumerate_icons(kappa.source, kappa.target)]
 
 
+def _without_comparisons(f):
+    """The lax functor f with no comparisons, which `validate_lax_functor`
+    refuses."""
+    return LaxFunctor(f.name, f.source, f.target, f.object_map, f.hom_functors, {},
+                      f.unit_constraints)
+
+
+def _with_morphism_image(f, m, image):
+    """The lax functor f whose hom functor at ('*', '*') sends the 2-cell m
+    to `image`."""
+    hf = f.hom_functors[("*", "*")]
+    moved = Functor(hf.name, hf.source, hf.target, hf.object_map,
+                    {**hf.morphism_map, m: image})
+    return LaxFunctor(f.name, f.source, f.target, f.object_map, {("*", "*"): moved},
+                      f.comp_constraints, f.unit_constraints)
+
+
+def test_validate_icon_reports_a_lax_functor_without_comparisons():
+    """idem-icon-k whose source's or target's comparisons are all missing:
+    validation refuses the icon with the violations that
+    `validate_lax_functor` gives that lax functor, where it used to raise
+    KeyError(('s', 's')) in the composition law."""
+    kappa = corpus.get("icon", "idem-icon-k")
+    g = _without_comparisons(kappa.source)
+    missing = [str(v) for v in validate_lax_functor(g).violations]
+    assert missing[0] == "[missing-comp-constraint] no comparison for the pair ('s', 's')"
+    for one, two, side in ((g, kappa.target, "source"), (kappa.source, g, "target"),
+                           (g, g, "source")):
+        rep = validate_icon(Icon("k", one, two, kappa.cells, dict(kappa.families)))
+        assert [str(v) for v in rep.violations] == [
+            line.replace("] ", f"] {side} lax functor: ", 1) for line in missing]
+        assert rep.violations[0].witness == ("s", "s") and rep.structural_failure
+
+
+def test_enumerate_icons_finds_none_for_a_lax_functor_without_comparisons():
+    kappa = corpus.get("icon", "idem-icon-k")
+    g = _without_comparisons(kappa.source)
+    for one, two in ((g, kappa.target), (kappa.source, g), (g, g)):
+        assert list(enumerate_icons(one, two)) == []
+
+
+def test_validate_icon_reports_a_morphism_image_that_is_no_target_morphism():
+    """idem-icon-k whose source's or target's hom functor sends ('i', 'u')
+    to 'nope', a value that is no 2-cell, or to ('i', 's'), a 2-cell with the
+    wrong endpoints: validation refuses the icon under the kind that
+    `validate_lax_functor` gives, where both used to raise KeyError in the
+    naturality squares."""
+    kappa = corpus.get("icon", "idem-icon-k")
+    for image, kind, message, structural in (
+            ("nope", "dangling-morphism-image", "is not a target morphism", True),
+            (("i", "s"), "endpoints", "has the wrong endpoints", False)):
+        g = _with_morphism_image(kappa.source, ("i", "u"), image)
+        assert validate_lax_functor(g).violations[0].kind == "hom-functor:" + kind
+        for one, two, side in ((g, kappa.target, "source"), (kappa.source, g, "target"),
+                               (g, g, "source")):
+            rep = validate_icon(Icon("k", one, two, kappa.cells, dict(kappa.families)))
+            assert [str(v) for v in rep.violations] == [
+                f"[hom-functor:{kind}] hom functor ('*', '*') of the {side}: "
+                f"image of ('i', 'u') {message}"]
+            assert rep.violations[0].witness == (("i", "u"),)
+            assert rep.structural_failure == structural
+
+
+def test_enumerate_icons_finds_none_for_a_morphism_image_that_is_no_target_morphism():
+    kappa = corpus.get("icon", "idem-icon-k")
+    for image in ("nope", ("i", "s")):
+        g = _with_morphism_image(kappa.source, ("i", "u"), image)
+        for one, two in ((g, kappa.target), (kappa.source, g), (g, g)):
+            assert list(enumerate_icons(one, two)) == []
+
+
 def test_icon_interchange_on_idem_pair():
     idem = corpus.sigma_idem()
     one = identity_lax(idem)
