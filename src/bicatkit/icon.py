@@ -30,6 +30,14 @@ together.  The source builds it once, as its ``icon_plan``.  `enumerate_icons`
 runs its compiled search on a fresh draft icon per pair of lax functors, and
 `validate_icon` checks its listing on a given icon, so the icons the search
 finds pass the validator by construction and none is validated again.
+
+Before either, `validate_icon_pair` checks what the listing reads.  Of
+that, only the object maps concern the pair; the rest reads one lax
+functor at a time (its hom functors' images, its comparisons and unit
+comparisons), so each lax functor checks it once, as its
+``own_violations``, kept for every icon into or out of it.  So a lax
+functor is not mutated once an icon into or out of it has been checked or
+searched.
 """
 
 from __future__ import annotations
@@ -39,9 +47,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .bicat import UnsupportedSettingError
-from .catcore import _COMPONENT, OBJECT_IMAGE, Functor, NatTrans, validate_images
-from .laxfun import (_HOM_FUNCTOR, LaxFunctor, Lazy, comparison_cells, compose_lax,
-                     constraint_variables, lazy, unit_cells)
+from .catcore import _COMPONENT, OBJECT_IMAGE, Functor, NatTrans
+from .laxfun import _HOM_FUNCTOR, LaxFunctor, Lazy, compose_lax, lazy
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
 
@@ -121,11 +128,13 @@ def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
     each at every hom with 1-cells, hom functors keyed alike, the witness of
     a difference being the first key of one that the other lacks, and each
     of them a functor.  Then what the naturality squares and `icon_laws`
-    read: each hom functor's images of the cells of its hom, and then each
-    lax functor's comparisons and unit comparisons, present and 2-cells of
-    their homs.  A check that `validate_lax_functor` makes too is reported
-    as it reports it, and all but a morphism image with the wrong endpoints
-    are structural."""
+    read, which depends on one lax functor alone and is checked once per
+    lax functor, as its `own_violations`: each hom functor's images of the
+    cells of its hom, hom by hom and source before target, and, if those
+    are clean, each side's comparisons and unit comparisons, present,
+    2-cells of their homs and with the right endpoints.  A check that
+    `validate_lax_functor` makes too is reported as it reports it; the
+    endpoint checks are not structural, the others are."""
     rep = ValidationReport(f"icons {f.name} => {g.name}")
     s, t = f.source, f.target
     if s is not g.source and s != g.source:
@@ -161,64 +170,21 @@ def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
                 structural=True)
         return rep
     kind, message = _HOM_FUNCTOR[2]
-    plan, lacking = s.icon_plan, []
     for pair in _families(f):
-        hf, hg = f.hom_functors[pair], g.hom_functors[pair]
-        if not (isinstance(hf, Functor) and isinstance(hg, Functor)):
+        if not (isinstance(f.hom_functors[pair], Functor)
+                and isinstance(g.hom_functors[pair], Functor)):
             rep.add(kind, message.format(*pair), pair, structural=True)
-        elif pair in plan.reads:
-            read, cells = plan.reads[pair], t.homs[(omap[pair[0]], omap[pair[1]])].morphisms
-            if not (_images_in(cells, hf, read) and (hg is hf or _images_in(cells, hg, read))
-                    and _constraints_in(cells, f, read)
-                    and (g is f or _constraints_in(cells, g, read))):
-                lacking.append(pair)
-    if rep.violations or not lacking:
-        return rep
-    sides = (("source", f), ("target", g))[:1 if g is f else 2]
-    for pair in lacking:
-        for side, fun in sides:
-            hf = fun.hom_functors[pair]
-            rebuilt = Functor(hf.name, s.homs[pair], t.homs[(omap[pair[0]], omap[pair[1]])],
-                              hf.object_map, hf.morphism_map)
-            rep.include(validate_images(rebuilt), "hom-functor:",
-                        f"hom functor {pair!r} of the {side}: ")
     if rep.violations:
         return rep
-    variables = constraint_variables(s, comparison_cells, unit_cells)
-    for side, fun in sides:
-        constraints = ValidationReport(fun.name)
-        constraints.check_values(fun, variables, domains=False)
-        rep.include(constraints, "", f"{side} lax functor: ")
+    sides = (("source", f), ("target", g))[:1 if g is f else 2]
+    found = [(side, pair, part) for side, fun in sides for pair, part in fun.own_violations]
+    images = sorted((x for x in found if x[1] is not None),
+                    key=lambda x: s.sorted_homs.index(x[1]))
+    for side, pair, part in images:
+        rep.include(part, "hom-functor:", f"hom functor {pair!r} of the {side}: ")
+    for side, _, part in () if images else found:
+        rep.include(part, "", f"{side} lax functor: ")
     return rep
-
-
-# The checks of `validate_icon_pair` at one hom pair of the source, on the
-# 2-cells `cells` of the target's hom over it and what `_reads` lists there.
-# Each says whether the check passes; `validate_icon_pair` reports only
-# where one fails.
-
-def _images_in(cells, hf, read):
-    """Whether the hom functor hf sends each morphism of the hom to one of
-    `cells` that runs between the images of its ends.  Every 1-cell of the
-    hom is an end of its identity, so each has an image too."""
-    morphisms, sources, targets, _, _ = read
-    om = hf.object_map
-    try:
-        return list(map(cells.get, map(hf.morphism_map.__getitem__, morphisms))) \
-            == list(zip(map(om.__getitem__, sources), map(om.__getitem__, targets)))
-    except KeyError:  # an absent image
-        return False
-
-
-def _constraints_in(cells, fun, read):
-    """Whether the lax functor fun has each comparison and unit comparison
-    that lands in the hom, and has it among `cells`."""
-    _, _, _, comparisons, unit = read
-    try:
-        return (all(map(cells.__contains__, map(fun.comp_constraints.__getitem__, comparisons)))
-                and (unit is None or fun.unit_constraints[unit] in cells))
-    except KeyError:  # an absent comparison or unit comparison
-        return False
 
 
 # Each law below takes the source data that `icon_laws` binds first, then
@@ -386,34 +352,18 @@ def _family(pair, cat):
     return variables, squares
 
 
-def _reads(s):
-    """For each hom pair of `s` with 1-cells, what the checks of
-    `validate_icon_pair` read there: the morphisms of the hom (its dict of
-    ends), their sources and their targets in that order, the keys of the
-    comparisons that land in the target's hom over the pair, and the object
-    of the unit comparison that lands there, or None."""
-    reads = {pair: [s.homs[pair].morphisms, *zip(*s.homs[pair].morphisms.values()), [], None]
-             for pair in s.sorted_homs if s.homs[pair].objects}
-    for g, f in s.composable_pairs():
-        reads[(s.home1(f)[0], s.home1(g)[1])][3].append((g, f))
-    for a in s.sorted_objects:
-        reads[(a, a)][4] = a
-    return reads
-
-
 def icon_plan(s):
     """The icon declaration out of `s`, for any pair of lax functors:
     ``families``, the listing of each hom pair of `s` (`_family`);
     ``laws``, the instances of `icon_laws` in order; ``search``, the plan
     that binds the draft's ``cells`` family by family under the ``laws``
-    and the naturality squares; and ``reads``, what `validate_icon_pair`
-    reads at each hom (`_reads`)."""
+    and the naturality squares."""
     families = {pair: _family(pair, s.homs[pair]) for pair in s.sorted_homs}
     laws = tuple(icon_laws(s))
     variables = [v for listed, _ in families.values() for v in listed]
     squares = tuple(sq for _, listed in families.values() for sq in listed)
     return SimpleNamespace(families=families, laws=laws,
-                           search=compile_plan(variables, laws + squares), reads=_reads(s))
+                           search=compile_plan(variables, laws + squares))
 
 
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):

@@ -15,7 +15,7 @@ from functools import cached_property, partial
 
 from .bicat import FiniteBicategory, MonoidalCategory, sigma_bicategory
 from .catcore import (OBJECT_IMAGE, Functor, compose_functors, enumerate_functors,
-                      validate_functor)
+                      validate_functor, validate_images)
 from .report import ValidationReport
 from .search import compile_plan, run
 
@@ -72,6 +72,35 @@ class LaxFunctor(Lazy):
         homs = self.hom_functors.values()
         return ({x: y for hf in homs for x, y in hf.object_map.items()},
                 {c: d for hf in homs for c, d in hf.morphism_map.items()})
+
+    @cached_property
+    def own_violations(self):
+        """What every icon into or out of this lax functor needs of it
+        alone, as ``(pair, report)`` for each part that fails: the report of
+        `validate_images` on the hom functor at each source hom with 1-cells,
+        and, if none fails, ``(None, report)`` on the comparisons and unit
+        comparisons, checked as `validate_lax_functor` checks them; empty
+        when all hold.  `validate_icon_pair` reads it once it has checked
+        the object images and that a hom functor stands at each such hom.
+        Like `cell_maps`, it is built on first read and kept, so a lax
+        functor is not mutated once an icon into or out of it has been
+        checked or searched."""
+        s, t, omap = self.source, self.target, self.object_map
+        found = []
+        for a, b in s.sorted_homs:
+            if s.homs[(a, b)].objects:
+                hf = self.hom_functors[(a, b)]
+                images = validate_images(Functor(hf.name, s.homs[(a, b)],
+                                                 t.homs[(omap[a], omap[b])],
+                                                 hf.object_map, hf.morphism_map))
+                if images.violations:
+                    found.append(((a, b), images))
+        if not found:
+            constraints = ValidationReport(self.name)
+            constraints.check_values(self, constraint_variables(s, comparison_cells, unit_cells))
+            if constraints.violations:
+                found.append((None, constraints))
+        return tuple(found)
 
 
 def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:

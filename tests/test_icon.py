@@ -532,6 +532,74 @@ def test_enumerate_icons_finds_none_for_a_morphism_image_that_is_no_target_morph
             assert list(enumerate_icons(one, two)) == []
 
 
+def _with_constraints(f, comp=None, unit=None):
+    """The lax functor f with its comparisons and unit comparisons updated
+    by `comp` and `unit`."""
+    return LaxFunctor(f.name, f.source, f.target, f.object_map, f.hom_functors,
+                      {**f.comp_constraints, **(comp or {})},
+                      {**f.unit_constraints, **(unit or {})})
+
+
+@pytest.mark.parametrize("changed, kind", [
+    ({"comp": {("u", "u"): ("i", "s")}}, "comp-constraint-endpoints"),
+    ({"unit": {"*": ("i", "s")}}, "unit-constraint-endpoints")])
+def test_validate_icon_reports_a_constraint_with_the_wrong_endpoints(changed, kind):
+    """idem-icon-k whose source's or target's comparison at ('u', 'u'), or
+    unit comparison, is the 2-cell ('i', 's'), which runs between the wrong
+    1-cells: validation refuses the icon with the violation that
+    `validate_lax_functor` gives, and the search finds no icon, where both
+    used to raise KeyError in the compatibility laws."""
+    kappa = corpus.get("icon", "idem-icon-k")
+    g = _with_constraints(kappa.source, **changed)
+    wrong = [str(v) for v in validate_lax_functor(g).violations]
+    assert len(wrong) == 1 and wrong[0].startswith(f"[{kind}] ")
+    for one, two, side in ((g, kappa.target, "source"), (kappa.source, g, "target"),
+                           (g, g, "source")):
+        rep = validate_icon(Icon("k", one, two, kappa.cells, dict(kappa.families)))
+        assert [str(v) for v in rep.violations] == [
+            wrong[0].replace("] ", f"] {side} lax functor: ", 1)]
+        assert not rep.structural_failure
+        assert list(enumerate_icons(one, two)) == []
+
+
+def test_identity_icon_on_a_unit_comparison_with_the_wrong_endpoints_is_refused():
+    """On codiscrete3, the identity lax functor with the unit comparison
+    ('to', 'a', 'e'), a 2-cell of its hom that does not start at the unit:
+    its identity icon passes every law, and is refused all the same, as the
+    lax functor is."""
+    f = identity_lax(corpus.get("bicategory", "codiscrete3"))
+    g = _with_constraints(f, unit={"*": ("to", "a", "e")})
+    assert validate_lax_functor(g).first().kind == "unit-constraint-endpoints"
+    rep = validate_icon(identity_icon(g))
+    assert rep.first().kind == "unit-constraint-endpoints"
+    assert rep.first().message.startswith("source lax functor: ")
+    assert list(enumerate_icons(g, g)) == []
+
+
+def test_the_checks_of_one_lax_functor_run_once_for_all_its_icons(monkeypatch):
+    """Over every ordered pair of lax functors between two small corpus
+    bicategories, the checks that read one lax functor run once for each
+    distinct lax functor, and a second validation of a pair runs none."""
+    import bicatkit.laxfun as laxfun
+    real, calls = laxfun.validate_images, []
+
+    def counted(fun):
+        calls.append(fun)
+        return real(fun)
+
+    monkeypatch.setattr(laxfun, "validate_images", counted)
+    s, t = corpus.get("bicategory", "walking-arrow"), corpus.sigma_idem()
+    funs = list(enumerate_lax_functors(s, t))
+    assert len(funs) > 1
+    ones = [pair for pair in s.sorted_homs if s.homs[pair].objects]
+    for f in funs:
+        for g in funs:
+            list(enumerate_icons(f, g))
+    assert len(calls) == len(funs) * len(ones)
+    validate_icon(identity_icon(funs[0]))
+    assert len(calls) == len(funs) * len(ones)
+
+
 def test_icon_interchange_on_idem_pair():
     idem = corpus.sigma_idem()
     one = identity_lax(idem)

@@ -1,0 +1,144 @@
+"""Validators report and never raise: single-entry mutants of corpus subjects.
+
+A validator in this package reports bad data and never raises, and neither
+does an enumerator handed bad endpoints.  Two sweeps hold them to it:
+
+- every single-entry change to the source lax functor of every corpus icon
+  and of the identity icon on every corpus bicategory (its object map, its
+  hom functors' maps, its comparisons and its unit comparisons), each entry
+  dropped, set to an id that is no cell, or set to each other cell, checked
+  by `validate_icon` and `enumerate_icons`;
+- three seeded mutants (drop an entry, set one to an id that is no cell, set
+  one to another cell) for each corpus subject and each field that the
+  builders of `tests/test_violations.py` list, checked by its validator.
+"""
+
+import random
+
+import test_violations as tv
+from bicatkit import corpus
+from bicatkit.bicat import validate_bicategory
+from bicatkit.catcore import Functor, validate_category, validate_functor, validate_nat
+from bicatkit.icon import Icon, enumerate_icons, validate_icon
+from bicatkit.laxfun import LaxFunctor, validate_lax_functor
+from bicatkit.oplax import validate_oplax
+from bicatkit.report import sorted_ids
+
+NO_CELL = "no-such-cell"
+DROP = object()
+
+
+def subjects(kind):
+    """Every subject that `tv._pick` draws for `kind`, as (label, builder):
+    the identities on the corpus bicategories first, where the kind has
+    them, then the corpus's own."""
+    identities = [(f"identity on {name}",
+                   lambda name=name: tv._IDENTITIES[kind](corpus.get("bicategory", name)))
+                  for name in sorted(corpus.BICATEGORIES)] if kind in tv._IDENTITIES else []
+    return identities + [(name, lambda name=name: corpus.get(kind, name))
+                         for name in sorted(corpus.TABLES[kind])]
+
+
+def _copy(f):
+    """The lax functor f with tables of its own."""
+    homs = {pair: Functor(hf.name, hf.source, hf.target, dict(hf.object_map),
+                          dict(hf.morphism_map)) for pair, hf in f.hom_functors.items()}
+    return LaxFunctor(f.name, f.source, f.target, dict(f.object_map), homs,
+                      dict(f.comp_constraints), dict(f.unit_constraints))
+
+
+def _tables(f):
+    """The (label, table, pool) of each table of the lax functor f, in the
+    order of `tv._lax_functor`."""
+    _, _, families = tv._lax_functor(None, lambda rng, kind: ("", f))
+    return [entry for family in families for entry in family]
+
+
+def icon_mutants():
+    """(description, icon) for each single-entry change to the source lax
+    functor of each icon subject.  The change is made on a copy, which
+    stands on both sides of an identity icon."""
+    for label, build in subjects("icon"):
+        icon = build()
+        for i, (table_label, table, pool) in enumerate(_tables(icon.source)):
+            for key in sorted_ids(table):
+                for value in (DROP, NO_CELL, *(v for v in sorted_ids(pool) if v != table[key])):
+                    f = _copy(icon.source)
+                    changed = _tables(f)[i][1]
+                    if value is DROP:
+                        del changed[key]
+                    else:
+                        changed[key] = value
+                    edit = "drop" if value is DROP else f":= {value!r}"
+                    g = f if icon.target is icon.source else icon.target
+                    yield (f"{label}: {table_label}: {key!r} {edit}",
+                           Icon(icon.name, f, g, icon.cells, dict(icon.families)))
+
+
+def test_no_change_to_an_icon_source_makes_the_icon_checks_raise():
+    calls, raised = 0, []
+    for description, icon in icon_mutants():
+        for check in (validate_icon, lambda ic: list(enumerate_icons(ic.source, ic.target))):
+            calls += 1
+            try:
+                check(icon)
+            except Exception as e:
+                raised.append(f"{description}: {type(e).__name__}: {e}")
+    assert raised == []
+    assert calls == 3916
+
+
+# (validator, kind, builder): the builders of `tests/test_violations.py`,
+# with `tv._nat` split by the kind of subject it draws.
+VALIDATORS = [
+    (validate_category, "bicategory", tv._category),
+    (validate_functor, "laxfunctor", tv._functor),
+    (validate_nat, "icon", tv._icon_family),
+    (validate_nat, "laxfunctor", tv._identity_nat),
+    (validate_bicategory, "bicategory", tv._bicategory),
+    (validate_lax_functor, "laxfunctor", tv._lax_functor),
+    (validate_icon, "icon", tv._icon),
+    (validate_oplax, "oplax", tv._oplax),
+]
+
+
+def seeded_mutants():
+    """(description, validator, subject) for three mutants of each subject
+    and each of its fields, each on a fresh subject: the builder's own
+    draws (a hom, a family) are seeded by the subject's label, and the
+    table, key and value by the mutant's description."""
+    for validate, kind, build in VALIDATORS:
+        for label, make in subjects(kind):
+            def fresh():
+                _, subject, families = build(random.Random(label),
+                                             lambda rng, kind: (label, make()))
+                return subject, tv._nonempty(families)
+
+            for i in range(len(fresh()[1])):
+                for change in ("drop", "no cell", "other cell"):
+                    description = f"{validate.__name__} {label} field {i} {change}"
+                    rng, (subject, families) = random.Random(description), fresh()
+                    table_label, table, pool = rng.choice(families[i])
+                    key = rng.choice(sorted_ids(table))
+                    others = [v for v in sorted_ids(pool) if v != table[key]]
+                    if change == "drop":
+                        del table[key]
+                    elif change == "no cell":
+                        table[key] = NO_CELL
+                    elif others:
+                        table[key] = rng.choice(others)
+                    else:
+                        continue
+                    yield f"{description}: {table_label} at {key!r}", validate, subject
+
+
+def test_no_seeded_mutant_makes_a_validator_raise():
+    raised, count = [], 0
+    for description, validate, subject in seeded_mutants():
+        count += 1
+        try:
+            validate(subject)
+        except Exception as e:
+            raised.append(f"{description}: {type(e).__name__}: {e}")
+    assert raised == []
+    assert count > 0

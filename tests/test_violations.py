@@ -61,18 +61,19 @@ def _cells(b):
 
 # Each subject builder returns (label, subject, families), where a family is
 # a list of (table label, table, pool), the pool mapping each replacement value
-# to its ends.
+# to its ends.  It draws its subject from `pick(rng, kind)`, `_pick` unless a
+# caller hands it one subject (see `tests/test_mutants.py`).
 
-def _category(rng):
-    name, b = _pick(rng, "bicategory")
+def _category(rng, pick=_pick):
+    name, b = pick(rng, "bicategory")
     pair = rng.choice(sorted_ids(b.homs))
     c = b.homs[pair]
     return f"{name} hom{pair!r}", c, [[("table", c.table, c.morphisms)],
                                      [("identity", c.identity, c.morphisms)]]
 
 
-def _functor(rng):
-    name, fun = _pick(rng, "laxfunctor")
+def _functor(rng, pick=_pick):
+    name, fun = pick(rng, "laxfunctor")
     pair = rng.choice(sorted_ids(fun.hom_functors))
     hf = fun.hom_functors[pair]
     return f"{name} hom functor {pair!r}", hf, [
@@ -80,20 +81,28 @@ def _functor(rng):
         [("morphism_map", hf.morphism_map, hf.target.morphisms)]]
 
 
-def _nat(rng):
-    if rng.random() < 0.5:
-        name, icon = _pick(rng, "icon")
-        pair = rng.choice(sorted_ids(icon.families))
-        nt, label = icon.components[pair], f"{name} family {pair!r}"
-    else:
-        name, fun = _pick(rng, "laxfunctor")
-        pair = rng.choice(sorted_ids(fun.hom_functors))
-        nt, label = identity_nat(fun.hom_functors[pair]), f"identity on {name} {pair!r}"
+def _nat(rng, pick=_pick):
+    return (_icon_family if rng.random() < 0.5 else _identity_nat)(rng, pick)
+
+
+def _icon_family(rng, pick=_pick):
+    name, icon = pick(rng, "icon")
+    pair = rng.choice(sorted_ids(icon.families))
+    return _nat_families(f"{name} family {pair!r}", icon.components[pair])
+
+
+def _identity_nat(rng, pick=_pick):
+    name, fun = pick(rng, "laxfunctor")
+    pair = rng.choice(sorted_ids(fun.hom_functors))
+    return _nat_families(f"identity on {name} {pair!r}", identity_nat(fun.hom_functors[pair]))
+
+
+def _nat_families(label, nt):
     return label, nt, [[("components", nt.components, nt.source.target.morphisms)]]
 
 
-def _bicategory(rng):
-    name, b = _pick(rng, "bicategory")
+def _bicategory(rng, pick=_pick):
+    name, b = pick(rng, "bicategory")
     ones, twos = _cells(b)
     return name, b, [
         [("unit", b.unit, ones)],
@@ -106,8 +115,8 @@ def _bicategory(rng):
         [(f"hom{p!r}.identity", b.homs[p].identity, twos) for p in sorted_ids(b.homs)]]
 
 
-def _lax_functor(rng):
-    name, fun = _pick(rng, "laxfunctor")
+def _lax_functor(rng, pick=_pick):
+    name, fun = pick(rng, "laxfunctor")
     ones, twos = _cells(fun.target)
     pairs = sorted_ids(fun.hom_functors)
     return name, fun, [
@@ -118,16 +127,16 @@ def _lax_functor(rng):
         [("unit_constraints", fun.unit_constraints, twos)]]
 
 
-def _icon(rng):
-    name, icon = _pick(rng, "icon")
+def _icon(rng, pick=_pick):
+    name, icon = pick(rng, "icon")
     _, twos = _cells(icon.source.target)
     return name, icon, [
         [("cells", icon.cells, twos)],
         [("families", icon.families, dict.fromkeys([*icon.families.values(), "renamed"]))]]
 
 
-def _oplax(rng):
-    name, u = _pick(rng, "oplax")
+def _oplax(rng, pick=_pick):
+    name, u = pick(rng, "oplax")
     ones, twos = _cells(u.source.target)
     return name, u, [[("components", u.components, ones)],
                      [("constraints", u.constraints, twos)]]
