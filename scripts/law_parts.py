@@ -1,0 +1,46 @@
+"""Print, for each of the four parts of acceptance criterion 2, the law
+instances it checks and its raw wall seconds, after building the law
+universe once (its seconds are printed first).
+
+    python3 scripts/law_parts.py
+
+The parts run in the order and with the seed of `criterion_2`, so they
+check the instances that `corpus run-all` counts.  The script exits 1 if a
+law fails.
+"""
+
+import pathlib
+import random
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from bicatkit import acceptance  # noqa: E402
+
+
+def main():
+    t0 = time.perf_counter()
+    bics, fams, icons = acceptance._law_universe()
+    print(f"{'law universe':24s} {'':>8s} {time.perf_counter() - t0:8.3f} s")
+    rng = random.Random(20260814)
+    parts = (("unit laws", lambda: acceptance._unit_laws(fams, icons)),
+             ("vertical associativity", lambda: acceptance._vertical_associativity(icons, rng)),
+             ("whisker functoriality",
+              lambda: acceptance._whisker_functoriality(bics, fams, icons, rng)),
+             ("middle four", lambda: acceptance._middle_four(bics, fams, icons, rng)))
+    total = 0
+    for name, part in parts:
+        t0 = time.perf_counter()
+        checked, err = part()
+        print(f"{name:24s} {checked:8d} {time.perf_counter() - t0:8.3f} s")
+        total += checked
+        if err:
+            print(f"error: {err}")
+            return 1
+    print(f"{'law instances':24s} {total:8d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,11 +12,16 @@ and one over units.
 Icons compose vertically and horizontally on the nose, which is what makes
 the collection of bicategories, lax functors, and icons a *strict*
 2-category; the tests drive exactly those laws.  They compose componentwise
-(Lack, *Icons*): each composite is one pass over the table, and it builds
-its source and target lax functors and its family names only when they are
-read, so checking a law on cells composes no lax functors.
+(Lack, *Icons*), so the algebra is four cell kernels, `vcomp_cells`,
+`hcomp_cells`, `whisker_left_cells` and `whisker_right_cells`, each one pass
+from cells to the composite's cells.  The Icon operations `vcomp_icons`,
+`hcomp_icons`, `whisker_icon_left` and `whisker_icon_right` wrap them: each
+takes its cells from its kernel and builds its source and target lax
+functors and its family names only when they are read.  A law between
+composites is an equation between two cell tables, so acceptance criterion
+2 checks it on the kernels alone and builds no Icon per composite.
 
-Each pass reads flat tables, one dict lookup per cell: the bicategory's
+Each kernel reads flat tables, one dict lookup per cell: the bicategory's
 `vcomp_table` of every vertical composite, and a lax functor's `cell_maps`,
 its images of all 1-cells and of all 2-cells.  Both are built on first read
 and kept, so a bicategory's hom tables are fixed once an icon has been
@@ -255,12 +260,43 @@ def _target(x):
     return x if isinstance(x, LaxFunctor) else x.target
 
 
+# The four cell kernels of the icon algebra, then the Icon operations that
+# wrap them (see the module docstring).
+
+def vcomp_cells(t, later: dict, earlier: dict) -> dict:
+    """The cells of the vertical composite, in the bicategory `t`, of icons
+    with cells `later` and `earlier` ("later" runs second)."""
+    table = t.vcomp_table
+    return {x: table[(c, later[x])] for x, c in earlier.items()}
+
+
+def hcomp_cells(later: Icon, earlier: Icon) -> dict:
+    """The cells of `hcomp_icons(later, earlier)`: at x, the image under
+    later's source of earlier's cell at x, followed by later's cell at the
+    image of x under earlier's target."""
+    table, cells = later.bicategory.vcomp_table, later.cells
+    on_1, on_2 = earlier.target.cell_maps[0], later.source.cell_maps[1]
+    return {x: table[(on_2[c], cells[on_1[x]])] for x, c in earlier.cells.items()}
+
+
+def whisker_left_cells(fun: LaxFunctor, cells: dict) -> dict:
+    """The cells of an icon with cells `cells` whiskered on the left by
+    `fun`: the image under `fun` of each cell."""
+    on_2 = fun.cell_maps[1]
+    return {x: on_2[c] for x, c in cells.items()}
+
+
+def whisker_right_cells(cells: dict, fun: LaxFunctor) -> dict:
+    """The cells of an icon with cells `cells` whiskered on the right by
+    `fun`: at x, the cell at `fun`'s image of x."""
+    return {x: cells[y] for x, y in fun.cell_maps[0].items()}
+
+
 def vcomp_icons(later: Icon, earlier: Icon) -> Icon:
     """Componentwise vertical composite ("later" runs second)."""
-    t, cells = later.bicategory, later.cells
-    table = t.vcomp_table
+    t = later.bicategory
     return lazy(Icon, _VCOMP, (later, earlier), name=f"{later.name}.{earlier.name}",
-                cells={x: table[(c, cells[x])] for x, c in earlier.cells.items()}, bicategory=t)
+                cells=vcomp_cells(t, later.cells, earlier.cells), bicategory=t)
 
 
 def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
@@ -269,11 +305,8 @@ def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
     The two pastings (act on the component, then shift, or the other way
     round) agree by naturality; this builds the shift-after-act order.
     """
-    t, cells = later.bicategory, later.cells
-    table, on_1, on_2 = t.vcomp_table, earlier.target.cell_maps[0], later.source.cell_maps[1]
     return lazy(Icon, _PASTED, (later, earlier), name=f"{later.name}*{earlier.name}",
-                cells={x: table[(on_2[c], cells[on_1[x]])] for x, c in earlier.cells.items()},
-                bicategory=t)
+                cells=hcomp_cells(later, earlier), bicategory=later.bicategory)
 
 
 def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
@@ -281,9 +314,8 @@ def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
     `fun` applied to the component of `icon` at f.  This is
     `hcomp_icons(identity_icon(fun), icon)`, whose pasting composes that
     cell with an identity."""
-    on_2 = fun.cell_maps[1]
     return lazy(Icon, _PASTED, (fun, icon), name=f"id:{fun.name}*{icon.name}",
-                cells={x: on_2[c] for x, c in icon.cells.items()}, bicategory=fun.target)
+                cells=whisker_left_cells(fun, icon.cells), bicategory=fun.target)
 
 
 def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
@@ -291,10 +323,8 @@ def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
     the component of `icon` at fun(f), a pure reindexing.  This is
     `hcomp_icons(icon, identity_icon(fun))`, whose pasting composes that
     cell with the image of an identity."""
-    cells = icon.cells
     return lazy(Icon, _PASTED, (icon, fun), name=f"{icon.name}*id:{fun.name}",
-                cells={x: cells[y] for x, y in fun.cell_maps[0].items()},
-                bicategory=icon.bicategory)
+                cells=whisker_right_cells(icon.cells, fun), bicategory=icon.bicategory)
 
 
 def is_invertible_icon(icon: Icon):

@@ -52,18 +52,25 @@ def _parts(sub_universe):
             "middle-four": lambda: acceptance._middle_four(bics, fams, icons, rng)}
 
 
+# the cell kernel that each icon operation wraps, which criterion 2 calls
+_KERNELS = {"vcomp_icons": "vcomp_cells", "hcomp_icons": "hcomp_cells",
+            "whisker_icon_left": "whisker_left_cells", "whisker_icon_right": "whisker_right_cells"}
+
+
 def _corrupt_once(monkeypatch, name, call):
-    """Make the acceptance suite's `name` return, at its `call`-th call
-    (from 0), an icon with one cell replaced by a value that is no 2-cell."""
-    real, calls = getattr(acceptance, name), itertools.count()
+    """Make the acceptance suite's kernel of the icon operation `name`
+    return, at its `call`-th call (from 0), cells with one entry replaced by
+    a value that is no 2-cell."""
+    kernel = _KERNELS[name]
+    real, calls = getattr(acceptance, kernel), itertools.count()
 
     def corrupted(*args):
-        icon = real(*args)
+        cells = real(*args)
         if next(calls) == call:
-            x = next(iter(icon.cells))
-            icon.cells = {**icon.cells, x: ("corrupt", icon.cells[x])}
-        return icon
-    monkeypatch.setattr(acceptance, name, corrupted)
+            x = next(iter(cells))
+            cells = {**cells, x: ("corrupt", cells[x])}
+        return cells
+    monkeypatch.setattr(acceptance, kernel, corrupted)
 
 
 def test_law_checks_hold_on_the_sub_universe(sub_universe):
@@ -92,12 +99,13 @@ def test_law_checks_catch_one_corrupted_cell(sub_universe, monkeypatch, part, na
     assert err is not None and message in err, (part, name, err)
 
 
-_COUNTED = ("vcomp_icons", "hcomp_icons", "whisker_icon_left", "whisker_icon_right",
+_COUNTED = ("vcomp_cells", "hcomp_cells", "whisker_left_cells", "whisker_right_cells",
             "identity_icon")
 
 
 def _count_calls(monkeypatch):
-    """Count the acceptance suite's calls of the icon algebra, by name."""
+    """Count the acceptance suite's calls of the icon algebra's cell
+    kernels and of `identity_icon`, by name."""
     calls = dict.fromkeys(_COUNTED, 0)
     for name in _COUNTED:
         def counted(*args, real=getattr(acceptance, name), name=name):
@@ -129,14 +137,14 @@ def _expected_calls(part, sub_universe):
             for _, j, _ in fam:
                 for k, _ in out_of.get(j, ()):
                     if k in out_of:  # mid . a once, then three per triple
-                        calls["vcomp_icons"] += 1 + 3 * len(out_of[k])
+                        calls["vcomp_cells"] += 1 + 3 * len(out_of[k])
                         instances += len(out_of[k])
     elif part == "whisker":
         for (s, t), fam in icons.items():
             if not fam:
                 continue
-            sides = {"whisker_icon_left": [h for d in bics for h in fams[(t, d)]],
-                     "whisker_icon_right": [e for c in bics for e in fams[(c, s)]]}
+            sides = {"whisker_left_cells": [h for d in bics for h in fams[(t, d)]],
+                     "whisker_right_cells": [e for c in bics for e in fams[(c, s)]]}
             out_of = _out_of(fam)
             mids = [len(out_of.get(j, ())) for _, j, _ in fam]
             pairs, starts = sum(mids), sum(1 for n in mids if n)
@@ -144,7 +152,7 @@ def _expected_calls(part, sub_universe):
                 if funs and pairs:
                     # mid . a once per (a, mid), a whiskered once per (a, h); the
                     # composite's and mid's whiskers and their composite per instance
-                    calls["vcomp_icons"] += pairs + pairs * len(funs)
+                    calls["vcomp_cells"] += pairs + pairs * len(funs)
                     calls[name] += starts * len(funs) + 2 * pairs * len(funs)
                     instances += pairs * len(funs)
                 # the identity whiskers
@@ -157,12 +165,12 @@ def _expected_calls(part, sub_universe):
             outs = sum(len(icons[(t, d)]) for d in bics)
             if ins and outs:
                 n = ins * outs
-                calls["vcomp_icons"] += 2 * n
-                calls["hcomp_icons"] += n
-                calls["whisker_icon_right"] += 2 * n
+                calls["vcomp_cells"] += 2 * n
+                calls["hcomp_cells"] += n
+                calls["whisker_right_cells"] += 2 * n
                 # each alpha whiskered by each lax functor an icon out of t runs between
                 ends = {(d, i) for d in bics for k, ll, _ in icons[(t, d)] for i in (k, ll)}
-                calls["whisker_icon_left"] += ins * len(ends)
+                calls["whisker_left_cells"] += ins * len(ends)
                 instances += n
     return calls, instances
 

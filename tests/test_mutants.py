@@ -1,26 +1,36 @@
 """Validators report and never raise: single-entry mutants of corpus subjects.
 
 A validator in this package reports bad data and never raises, and neither
-does an enumerator handed bad endpoints.  Two sweeps hold them to it:
+does an enumerator handed bad endpoints.  Three sweeps hold them to it:
 
 - every single-entry change to the source lax functor of every corpus icon
   and of the identity icon on every corpus bicategory (its object map, its
   hom functors' maps, its comparisons and its unit comparisons), each entry
   dropped, set to an id that is no cell, or set to each other cell, checked
   by `validate_icon` and `enumerate_icons`;
+- every single-entry change to every simplex at levels 1 and 2 of the small
+  corpus bicategories (a vertex, an edge or a comparison, changed the same
+  three ways), checked by `validate_simplex`;
 - three seeded mutants (drop an entry, set one to an id that is no cell, set
   one to another cell) for each corpus subject and each field that the
   builders of `tests/test_violations.py` list, checked by its validator.
+
+On the icon and simplex mutants, and on every single-cell change to each
+icon subject, the validator also agrees with the enumerator: it passes a
+mutant exactly when the enumerator lists the mutant's data between the
+mutant's endpoints.
 """
 
 import random
 
 import test_violations as tv
 from bicatkit import corpus
+from bicatkit.acceptance import _law_universe
 from bicatkit.bicat import validate_bicategory
 from bicatkit.catcore import Functor, validate_category, validate_functor, validate_nat
 from bicatkit.icon import Icon, enumerate_icons, validate_icon
 from bicatkit.laxfun import LaxFunctor, validate_lax_functor
+from bicatkit.nerve import SimplexData, enumerate_simplices, validate_simplex
 from bicatkit.oplax import validate_oplax
 from bicatkit.report import sorted_ids
 
@@ -54,6 +64,25 @@ def _tables(f):
     return [entry for family in families for entry in family]
 
 
+def _changes(table, pool):
+    """(key, value, edit) for each single-entry change to `table`: each key
+    dropped (value `DROP`), set to an id that is no cell, or set to each
+    other value of `pool`."""
+    for key in sorted_ids(table):
+        for value in (DROP, NO_CELL, *(v for v in sorted_ids(pool) if v != table[key])):
+            yield key, value, "drop" if value is DROP else f":= {value!r}"
+
+
+def _changed(table, key, value):
+    """A copy of `table` with the entry at `key` dropped or set to `value`."""
+    table = dict(table)
+    if value is DROP:
+        del table[key]
+    else:
+        table[key] = value
+    return table
+
+
 def icon_mutants():
     """(description, icon) for each single-entry change to the source lax
     functor of each icon subject.  The change is made on a copy, which
@@ -61,18 +90,46 @@ def icon_mutants():
     for label, build in subjects("icon"):
         icon = build()
         for i, (table_label, table, pool) in enumerate(_tables(icon.source)):
-            for key in sorted_ids(table):
-                for value in (DROP, NO_CELL, *(v for v in sorted_ids(pool) if v != table[key])):
-                    f = _copy(icon.source)
-                    changed = _tables(f)[i][1]
-                    if value is DROP:
-                        del changed[key]
-                    else:
-                        changed[key] = value
-                    edit = "drop" if value is DROP else f":= {value!r}"
-                    g = f if icon.target is icon.source else icon.target
-                    yield (f"{label}: {table_label}: {key!r} {edit}",
-                           Icon(icon.name, f, g, icon.cells, dict(icon.families)))
+            for key, value, edit in _changes(table, pool):
+                f = _copy(icon.source)
+                changed = _tables(f)[i][1]
+                if value is DROP:
+                    del changed[key]
+                else:
+                    changed[key] = value
+                g = f if icon.target is icon.source else icon.target
+                yield (f"{label}: {table_label}: {key!r} {edit}",
+                       Icon(icon.name, f, g, icon.cells, dict(icon.families)))
+
+
+def icon_cell_mutants():
+    """(description, icon) for each single-cell change to each icon
+    subject: a cell dropped, set to an id that is no cell, or set to each
+    other 2-cell of its bicategory."""
+    for label, build in subjects("icon"):
+        icon = build()
+        for key, value, edit in _changes(icon.cells, icon.bicategory.two_cells()):
+            yield (f"{label}: cells: {key!r} {edit}",
+                   Icon(icon.name, icon.source, icon.target, _changed(icon.cells, key, value),
+                        dict(icon.families)))
+
+
+def simplex_mutants():
+    """(description, simplex) for each single-entry change to each simplex
+    at levels 1 and 2 of each small corpus bicategory (those of acceptance
+    criterion 2): a vertex, an edge or a comparison dropped, set to an id
+    that is no cell, or set to each other object, 1-cell or 2-cell of the
+    base."""
+    for name, b in _law_universe()[0].items():
+        pools = {"objects": b.objects, "cells": b.one_cells(), "constraints": b.two_cells()}
+        for n in (1, 2):
+            for s in enumerate_simplices(b, n):
+                tables = {field: getattr(s, field) for field in pools}
+                for field, pool in pools.items():
+                    for key, value, edit in _changes(tables[field], pool):
+                        data = {**tables, field: _changed(tables[field], key, value)}
+                        yield (f"{name} {s.key()!r}: {field}: {key!r} {edit}",
+                               SimplexData(n, b, **data))
 
 
 def test_no_change_to_an_icon_source_makes_the_icon_checks_raise():
@@ -86,6 +143,47 @@ def test_no_change_to_an_icon_source_makes_the_icon_checks_raise():
                 raised.append(f"{description}: {type(e).__name__}: {e}")
     assert raised == []
     assert calls == 3916
+
+
+def test_validate_icon_passes_exactly_the_mutants_enumerate_icons_lists():
+    """Counted per sweep as (mutants, valid mutants)."""
+    disagree, counts = [], {}
+    for sweep in (icon_mutants, icon_cell_mutants):
+        mutants = valid = 0
+        for description, icon in sweep():
+            ok = validate_icon(icon).ok
+            mutants, valid = mutants + 1, valid + ok
+            if ok != (icon.cells in [ic.cells for ic in enumerate_icons(icon.source,
+                                                                        icon.target)]):
+                disagree.append(description)
+        counts[sweep.__name__] = (mutants, valid)
+    assert disagree == []
+    assert counts == {"icon_mutants": (1958, 33), "icon_cell_mutants": (409, 7)}
+
+
+def _data(s):
+    return s.objects, s.cells, s.constraints
+
+
+def test_no_change_to_a_simplex_makes_validate_simplex_raise_or_disagree_with_the_search():
+    """Each simplex mutant is reported, never raised on, and passes
+    exactly when `enumerate_simplices` lists its data."""
+    raised, disagree, listed, calls, valid = [], [], {}, 0, 0
+    for description, s in simplex_mutants():
+        calls += 1
+        try:
+            ok = validate_simplex(s).ok
+        except Exception as e:
+            raised.append(f"{description}: {type(e).__name__}: {e}")
+            continue
+        key = (s.base.name, s.n)
+        if key not in listed:
+            listed[key] = [_data(x) for x in enumerate_simplices(s.base, s.n)]
+        valid += ok
+        if ok != (_data(s) in listed[key]):
+            disagree.append(description)
+    assert raised == [] and disagree == []
+    assert (calls, valid) == (2340, 58)
 
 
 # (validator, kind, builder): the builders of `tests/test_violations.py`,
