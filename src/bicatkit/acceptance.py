@@ -651,5 +651,13 @@ CRITERIA = (
 
 
 def run_all():
-    """Run every check; a list of (number, slug, ok, detail) rows."""
-    return [(num, slug) + tuple(fn()) for num, slug, fn in CRITERIA]
+    """Run every check; a list of (number, slug, ok, detail) rows.  A check
+    that raises fails with a detail naming the exception, and the checks
+    after it still run."""
+    rows = []
+    for num, slug, fn in CRITERIA:
+        try:
+            rows.append((num, slug) + tuple(fn()))
+        except Exception as e:
+            rows.append((num, slug, False, f"raised {type(e).__name__}: {e}"))
+    return rows

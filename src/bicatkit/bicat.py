@@ -34,13 +34,23 @@ one dict per composite: `vcomp_table` of every vertical composite,
 all three, so its hom tables, the morphism maps of ``comp`` and the
 identities are fixed once a lax functor into it has been searched or
 checked.
+
+The coherence data is a declaration over the composition data:
+`coherence_variables` lists an associator per composable triple and a left
+and a right unitor per 1-cell, each ranging over the invertible 2-cells
+with its endpoints, and `bicategory_laws` lists the naturality, pentagon
+and triangle instances.  `validate_bicategory` checks the hom categories,
+the ids, the units and the composition functors, then runs that listing;
+`search.run` enumerates it on a draft whose coherence tables are empty.
+Validation reads the live hom tables, ``comp`` and ``unit``, never the flat
+tables, so it holds on a bicategory still being built or edited.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from .catcore import (
     FiniteCategory,
@@ -253,29 +263,16 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
     if rep.violations:
         return rep
 
-    seen1, seen2 = {}, {}
+    seen = {1: {}, 2: {}}
     for pair in pairs:
-        cat = b.homs[pair]
-        for f in cat.sorted_objects:
-            if f in seen1:
-                rep.add("1-cell-clash",
-                        f"1-cell id {f!r} appears in hom{seen1[f]!r} and hom{pair!r}",
-                        (f,), structural=True)
-            seen1[f] = pair
-        for c in cat.sorted_morphisms:
-            if c in seen2:
-                rep.add("2-cell-clash",
-                        f"2-cell id {c!r} appears in hom{seen2[c]!r} and hom{pair!r}",
-                        (c,), structural=True)
-            seen2[c] = pair
+        for n, cells in ((1, b.homs[pair].sorted_objects), (2, b.homs[pair].sorted_morphisms)):
+            for x in cells:
+                if x in seen[n]:
+                    rep.add(f"{n}-cell-clash", f"{n}-cell id {x!r} appears in "
+                            f"hom{seen[n][x]!r} and hom{pair!r}", (x,), structural=True)
+                seen[n][x] = pair
 
-    for a in objs:
-        j = b.unit.get(a)
-        if a not in b.unit:
-            rep.add("missing-unit", f"object {a!r} has no unit 1-cell", (a,), structural=True)
-        elif j not in set(b.homs[(a, a)].objects):
-            rep.add("dangling-unit", f"unit of {a!r} is not an endo-1-cell of it",
-                    (a,), structural=True)
+    rep.check_values(b, [("unit", a, (), None, (a,), _UNIT) for a in objs])
     if rep.structural_failure:
         return rep
 
@@ -295,96 +292,135 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
     if rep.violations:
         return rep
 
-    # coherence cells: presence, endpoints, invertibility
-    triples = list(b.composable_triples())
-    for t in triples:
-        h, g, f = t
-        cell = b.associator.get(t)
-        if t not in b.associator:
-            rep.add("missing-associator", f"no associator at {t!r}", t, structural=True)
-            continue
-        a, _ = b.home1(f)
-        _, d = b.home1(h)
-        cat = b.homs[(a, d)]
-        if cell not in cat.morphisms:
-            rep.add("dangling-associator", f"associator at {t!r} is not a 2-cell "
-                    f"of hom{(a, d)!r}", t, structural=True)
-            continue
-        want = (b.compose1(b.compose1(h, g), f), b.compose1(h, b.compose1(g, f)))
-        if cat.morphisms[cell] != want:
-            rep.add("associator-endpoints",
-                    f"associator at {t!r} must run (h.g).f => h.(g.f)", t)
-        elif not cat.is_iso(cell):
-            rep.add("associator-not-invertible", f"associator at {t!r} has no inverse", t)
-
-    for f in b.one_cells():
-        a, bb = b.home1(f)
-        cat = b.homs[(a, bb)]
-        for store, label, src in (
-            (b.left_unitor, "left-unitor", lambda: b.compose1(b.unit[bb], f)),
-            (b.right_unitor, "right-unitor", lambda: b.compose1(f, b.unit[a])),
-        ):
-            cell = store.get(f)
-            if f not in store:
-                rep.add(f"missing-{label}", f"no {label} at {f!r}", (f,), structural=True)
-            elif cell not in cat.morphisms:
-                rep.add(f"dangling-{label}", f"{label} at {f!r} is not a 2-cell of its hom",
-                        (f,), structural=True)
-            elif cat.morphisms[cell] != (src(), f):
-                rep.add(f"{label}-endpoints", f"{label} at {f!r} has the wrong endpoints",
-                        (f,))
-            elif not cat.is_iso(cell):
-                rep.add(f"{label}-not-invertible", f"{label} at {f!r} has no inverse", (f,))
+    rep.check_values(b, coherence_variables(b))
     if rep.violations:
         return rep
+    rep.check_laws(b, bicategory_laws(b))
+    return rep
 
-    # naturality, one variable at a time (joint naturality follows because the
-    # composition functors were already checked to be functorial)
-    for t in triples:
-        for i, slot in enumerate(("later", "middle", "earlier")):
+
+# The checks of a bicategory's units and coherence cells.
+_UNIT = (("missing-unit", "object {!r} has no unit 1-cell"),
+         lambda b, a: b.homs[(a, a)].objects,
+         ("dangling-unit", "unit of {!r} is not an endo-1-cell of it"), None)
+
+
+def _invertible(between, b):
+    """The invertible ones of the 2-cells `between`: a coherence cell's domain."""
+    return [c for c in between if b.inv2(c) is not None]
+
+
+def _coherence_variable(b, field, key, cells, pair, ends, at, where, endpoints):
+    """The variable ``field[key]`` of b's coherence cells: a 2-cell of the hom
+    at `pair` with the endpoints `ends`, which composition fixes, and an
+    inverse.  Its checks name the cell `at`, a format of `cells`, and its
+    hom `where`, and say what its endpoints must be."""
+    label, between = field.replace("_", "-"), b.homs[pair].hom(*ends)
+    return (field, key, (), partial(_invertible, between), cells,
+            ((f"missing-{label}", f"no {label} at {at}"),
+             lambda b, *cells: b.homs[pair].morphisms,
+             (f"dangling-{label}", f"{label} at {at} is not a 2-cell of {where}"),
+             (f"{label}-not-invertible", f"{label} at {at} has no inverse", False,
+              lambda b, *cells: between,
+              (f"{label}-endpoints", f"{label} at {at} {endpoints}", False))))
+
+
+def coherence_variables(b):
+    """The search variables of b's coherence cells: the associator at each
+    composable triple, then the left and the right unitor at each 1-cell,
+    each ranging over the invertible 2-cells with the endpoints that
+    composition fixes.  They read b's hom tables, units and composition
+    functors, and no other variable."""
+    variables = []
+    for t in b.composable_triples():
+        h, g, f = t
+        pair = (b.home1(f)[0], b.home1(h)[1])
+        hom = "hom" + repr(pair).replace("{", "{{").replace("}", "}}")  # a literal in a format
+        variables.append(_coherence_variable(
+            b, "associator", t, t, pair, (b.compose1(b.compose1(h, g), f),
+                                          b.compose1(h, b.compose1(g, f))),
+            "({!r}, {!r}, {!r})", hom, "must run (h.g).f => h.(g.f)"))
+    for f in b.one_cells():
+        a, c = pair = b.home1(f)
+        for field, ends in (("left_unitor", (b.compose1(b.unit[c], f), f)),
+                            ("right_unitor", (b.compose1(f, b.unit[a]), f))):
+            variables.append(_coherence_variable(b, field, f, (f,), pair, ends, "{!r}",
+                                                 "its hom", "has the wrong endpoints"))
+    return variables
+
+
+# Each law below takes what `bicategory_laws` binds first, then the
+# bicategory and the cells of the instance; it reads the coherence cells it
+# names and composes with b's own `vcomp` and `hcomp`.
+
+def _associator_natural(moved, t, top, bottom, b, *cells):
+    return b.vcomp(b.associator[moved], top) == b.vcomp(bottom, b.associator[t])
+
+
+def _unitor_natural(field, f, f2, whiskered, b, c):
+    unitor = getattr(b, field)
+    return b.vcomp(unitor[f2], whiskered) == b.vcomp(c, unitor[f])
+
+
+def _pentagon(k_h_gf, kh_g_f, h_g_f, k_hg_f, k_h_g, id_k, id_f, b, *cells):
+    a = b.associator
+    return b.vcomp(a[k_h_gf], a[kh_g_f]) == b.vcomp(
+        b.hcomp(id_k, a[h_g_f]), b.vcomp(a[k_hg_f], b.hcomp(a[k_h_g], id_f)))
+
+
+def _triangle(g_u_f, id_g, id_f, b, g, f):
+    return (b.vcomp(b.hcomp(id_g, b.left_unitor[f]), b.associator[g_u_f])
+            == b.hcomp(b.right_unitor[g], id_f))
+
+
+_NATURAL = tuple(f"associator is not natural in the {slot} slot at "
+                 "({!r}, {!r}, {!r}) under {!r}" for slot in ("later", "middle", "earlier"))
+
+
+def bicategory_laws(b):
+    """Naturality of the associator, one slot at a time (joint naturality
+    follows from functorial composition), naturality of the left and the
+    right unitor, the pentagon and the triangle, as law instances (see
+    `ValidationReport.check_laws`) over `coherence_variables(b)`.
+
+    Each ``holds`` is a partial that binds what composition alone fixes:
+    the keys of the coherence cells it reads, and
+    - naturality: the horizontal composites of the moved 2-cell with the
+      identities on the other 1-cells, or with the unit's identity;
+    - the pentagon and the triangle: the identities it whiskers by."""
+    at = {t: ("associator", t) for t in b.composable_triples()}
+    hcomp = cache(b.hcomp)  # each pair composed once per listing
+    for t in at:
+        ids = tuple(map(b.id2, t))
+        for i, message in enumerate(_NATURAL):
             for c in b.homs[b.home1(t[i])].out_of(t[i]):
-                # c in slot i and identity 2-cells in the other two
-                ch, cg, cf = (c if j == i else b.id2(x) for j, x in enumerate(t))
-                moved = tuple(b.tgt2(c) if j == i else x for j, x in enumerate(t))
-                lhs = b.vcomp(b.associator[moved], b.hcomp(b.hcomp(ch, cg), cf))
-                rhs = b.vcomp(b.hcomp(ch, b.hcomp(cg, cf)), b.associator[t])
-                if lhs != rhs:
-                    rep.add("associator-naturality",
-                            f"associator is not natural in the {slot} slot at "
-                            f"({t[0]!r}, {t[1]!r}, {t[2]!r}) under {c!r}", t + (c,))
-
+                ch, cg, cf = ids[:i] + (c,) + ids[i + 1:]
+                moved = t[:i] + (b.tgt2(c),) + t[i + 1:]
+                yield (partial(_associator_natural, moved, t, hcomp(hcomp(ch, cg), cf),
+                               hcomp(ch, hcomp(cg, cf))),
+                       t + (c,), (at[moved], at[t]), "associator-naturality", message)
     for c in b.two_cells():
         f, f2 = b.src2(c), b.tgt2(c)
         a, bb = b.home2(c)
-        lhs = b.vcomp(b.left_unitor[f2], b.hcomp(b.id2(b.unit[bb]), c))
-        rhs = b.vcomp(c, b.left_unitor[f])
-        if lhs != rhs:
-            rep.add("left-unitor-naturality", f"left unitor is not natural under {c!r}", (c,))
-        lhs = b.vcomp(b.right_unitor[f2], b.hcomp(c, b.id2(b.unit[a])))
-        rhs = b.vcomp(c, b.right_unitor[f])
-        if lhs != rhs:
-            rep.add("right-unitor-naturality", f"right unitor is not natural under {c!r}", (c,))
-
-    ending = grouped(triples, lambda t: b.home1(t[0])[1])
+        for side, whiskered in (("left", b.hcomp(b.id2(b.unit[bb]), c)),
+                                ("right", b.hcomp(c, b.id2(b.unit[a])))):
+            field = f"{side}_unitor"
+            yield (partial(_unitor_natural, field, f, f2, whiskered), (c,),
+                   ((field, f2), (field, f)), f"{side}-unitor-naturality",
+                   f"{side} unitor is not natural under {{!r}}")
+    ending = grouped(at, lambda t: b.home1(t[0])[1])
     for k in b.one_cells():
         for h, g, f in ending.get(b.home1(k)[0], ()):
-            lhs = b.vcomp(b.associator[(k, h, b.compose1(g, f))],
-                          b.associator[(b.compose1(k, h), g, f)])
-            rhs = b.vcomp(b.whisker_left(k, b.associator[(h, g, f)]),
-                          b.vcomp(b.associator[(k, b.compose1(h, g), f)],
-                                  b.whisker_right(b.associator[(k, h, g)], f)))
-            if lhs != rhs:
-                rep.add("pentagon", f"pentagon fails at ({k!r}, {h!r}, {g!r}, {f!r})",
-                        (k, h, g, f))
-
+            keys = ((k, h, b.compose1(g, f)), (b.compose1(k, h), g, f), (h, g, f),
+                    (k, b.compose1(h, g), f), (k, h, g))
+            yield (partial(_pentagon, *keys, b.id2(k), b.id2(f)), (k, h, g, f),
+                   tuple(map(at.__getitem__, keys)), "pentagon",
+                   "pentagon fails at ({!r}, {!r}, {!r}, {!r})")
     for g, f in b.composable_pairs_by_later():
-        mid = b.home1(g)[0]
-        lhs = b.vcomp(b.whisker_left(g, b.left_unitor[f]),
-                      b.associator[(g, b.unit[mid], f)])
-        rhs = b.whisker_right(b.right_unitor[g], f)
-        if lhs != rhs:
-            rep.add("triangle", f"triangle fails at ({g!r}, {f!r})", (g, f))
-    return rep
+        g_u_f = (g, b.unit[b.home1(g)[0]], f)
+        yield (partial(_triangle, g_u_f, b.id2(g), b.id2(f)), (g, f),
+               (("left_unitor", f), at[g_u_f], ("right_unitor", g)), "triangle",
+               "triangle fails at ({!r}, {!r})")
 
 
 # ---------------------------------------------------------------------------

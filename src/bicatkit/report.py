@@ -55,7 +55,11 @@ class ValidationReport:
         `domains`, ``outside`` if not in ``domain(subject)``.  ``missing``
         and ``dangling`` are structural ``(kind, message)``, ``outside`` is
         ``(kind, message, structural)``, and an ``outside`` that is None is
-        not checked."""
+        not checked.  An ``outside`` may go on with ``between, misplaced``:
+        a value outside the domain that is not in ``between(subject,
+        *cells)`` either is reported as ``misplaced``, shaped as
+        ``outside``, instead, so a domain that narrows ``between`` reports
+        the coarser failure first."""
         for field, key, _, domain, cells, (missing, within, dangling, outside) in variables:
             table = getattr(subject, field)
             if key not in table:
@@ -63,6 +67,8 @@ class ValidationReport:
             elif table[key] not in within(subject, *cells):
                 self.add(dangling[0], dangling[1].format(*cells), cells, True)
             elif domains and outside and table[key] not in domain(subject):
+                if len(outside) > 3 and table[key] not in outside[3](subject, *cells):
+                    outside = outside[4]
                 self.add(outside[0], outside[1].format(*cells), cells, outside[2])
 
     def check_laws(self, subject, laws):

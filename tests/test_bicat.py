@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicatkit import corpus
-from bicatkit.bicat import (Magma, cocycle_bicategory, codiscrete_bicategory, strict_bicategory,
-                            validate_bicategory)
+from bicatkit.bicat import (Magma, bicategory_laws, coherence_variables, cocycle_bicategory,
+                            codiscrete_bicategory, strict_bicategory, validate_bicategory)
 from bicatkit.oracles import brute_z2_twist_ok
+from bicatkit.search import compile_plan, run
 
 
 def test_corpus_bicategories_all_validate():
@@ -88,6 +89,17 @@ def test_associator_naturality_failures_come_triple_by_triple_then_slot_by_slot(
         "under (1, 1)",
         "[associator-naturality] associator is not natural in the middle slot at (1, 1, 1) "
         "under (1, 1)"]
+
+
+def test_coherence_cell_failures_come_cell_by_cell_each_at_its_first_failing_check():
+    """Two associators set to k: at (s, s, s) it has the right ends and no
+    inverse, at (u, u, u) the wrong ends.  Each is reported once, at its
+    first failing check, in the order of the triples."""
+    b = corpus.sigma_idem()
+    b.associator[("s", "s", "s")] = b.associator[("u", "u", "u")] = "k"
+    assert [str(v) for v in validate_bicategory(b).violations] == [
+        "[associator-not-invertible] associator at ('s', 's', 's') has no inverse",
+        "[associator-endpoints] associator at ('u', 'u', 'u') must run (h.g).f => h.(g.f)"]
 
 
 def test_magma3_is_not_associative():
@@ -177,6 +189,35 @@ def test_z3_twist_validity_matches_direct_arithmetic():
     assert sum(verdicts) >= len(verdicts) / 3
     assert not all(verdicts)
 
+
+def coherence_tables(b):
+    """Every (associator, left unitor, right unitor) table on b's cells and
+    composition: the leaves of the search over its declaration, run on b
+    with its coherence tables emptied."""
+    b.associator, b.left_unitor, b.right_unitor = {}, {}, {}
+    plan = compile_plan(coherence_variables(b), bicategory_laws(b))
+    return [(dict(b.associator), dict(b.left_unitor), dict(b.right_unitor))
+            for _ in run(plan, b)]
+
+
+def test_the_coherence_search_on_z2_finds_the_twists_the_oracle_accepts():
+    """The coherence tables of the Z/2 delooping with Z/2 coefficients: 16,
+    of which 2 have identity unitors, and the twists of those 2 are the
+    tables among all 256 that `brute_z2_twist_ok` accepts."""
+    op = {(x, y): (x + y) % 2 for x in (0, 1) for y in (0, 1)}
+    b = cocycle_bicategory("z2", [0, 1], op, 0, [0, 1], dict(op), 0, {})
+    tables = coherence_tables(b)
+    assert len(tables) == 16
+    identities = {f: b.id2(f) for f in b.one_cells()}
+    twists = [{t: cell[1] for t, cell in assoc.items()}
+              for assoc, left, right in tables if left == right == identities]
+    triples = sorted(itertools.product((0, 1), repeat=3))
+    accepted = [twist for twist in (dict(zip(triples, bits))
+                                    for bits in itertools.product((0, 1), repeat=8))
+                if brute_z2_twist_ok(twist, n=2)]
+    assert len(twists) == 2
+    assert sorted(map(sorted, map(dict.items, twists))) == \
+        sorted(map(sorted, map(dict.items, accepted)))
 
 def test_middle_four_interchange():
     for b in (corpus.sigma_idem(), corpus.cocycle_twisted()):

@@ -262,6 +262,30 @@ def test_corpus_run_all_passes():
     assert above_timing(proc.stdout) + "\n" == golden.read_text(encoding="utf-8")
 
 
+def test_corpus_run_all_reports_a_raising_criterion_as_its_fail_row(capsys, monkeypatch):
+    """A criterion that raises fails on its own row, the others still
+    report, and the tally counts the rows there are."""
+    from bicatkit import acceptance
+
+    def raises():
+        return {}["missing"]
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        (1, "first", lambda: (True, "fine")),
+        (2, "second", raises),
+        (3, "third", lambda: (False, "refuted")),
+        (4, "fourth", lambda: (True, "fine"))))
+    code, out = run(capsys, "corpus", "run-all")
+    assert code == 1
+    assert above_timing(out).splitlines()[2:] == [
+        "criterion 1 (first): pass — fine",
+        "criterion 2 (second): FAIL — raised KeyError: 'missing'",
+        "criterion 3 (third): FAIL — refuted",
+        "criterion 4 (fourth): pass — fine",
+        "criteria passed: 2/4",
+        "result: FAIL (exit 1)"]
+
+
 # ---------------------------------------------------------------------------
 # fresh processes: which modules a command imports
 

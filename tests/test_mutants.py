@@ -18,12 +18,19 @@ does an enumerator handed bad endpoints.  Three sweeps hold them to it:
 On the icon and simplex mutants, and on every single-cell change to each
 icon subject, the validator also agrees with the enumerator: it passes a
 mutant exactly when the enumerator lists the mutant's data between the
-mutant's endpoints.
+mutant's endpoints.  So it does on every single-entry change to the
+coherence cells of the small corpus bicategories, against the search over
+`coherence_variables` and `bicategory_laws`, and on every single-entry
+change to each lax functor between the smallest of them, against
+`enumerate_lax_functors`.
 """
 
+import dataclasses
 import random
 
 import test_violations as tv
+from test_bicat import coherence_tables
+
 from bicatkit import corpus
 from bicatkit.acceptance import _law_universe
 from bicatkit.bicat import validate_bicategory
@@ -83,6 +90,18 @@ def _changed(table, key, value):
     return table
 
 
+def _changed_copy(f, i, key, value):
+    """A copy of the lax functor f with the entry at `key` of its i-th table
+    (in the order of `_tables`) dropped or set to `value`."""
+    f = _copy(f)
+    table = _tables(f)[i][1]
+    if value is DROP:
+        del table[key]
+    else:
+        table[key] = value
+    return f
+
+
 def icon_mutants():
     """(description, icon) for each single-entry change to the source lax
     functor of each icon subject.  The change is made on a copy, which
@@ -91,12 +110,7 @@ def icon_mutants():
         icon = build()
         for i, (table_label, table, pool) in enumerate(_tables(icon.source)):
             for key, value, edit in _changes(table, pool):
-                f = _copy(icon.source)
-                changed = _tables(f)[i][1]
-                if value is DROP:
-                    del changed[key]
-                else:
-                    changed[key] = value
+                f = _changed_copy(icon.source, i, key, value)
                 g = f if icon.target is icon.source else icon.target
                 yield (f"{label}: {table_label}: {key!r} {edit}",
                        Icon(icon.name, f, g, icon.cells, dict(icon.families)))
@@ -184,6 +198,67 @@ def test_no_change_to_a_simplex_makes_validate_simplex_raise_or_disagree_with_th
             disagree.append(description)
     assert raised == [] and disagree == []
     assert (calls, valid) == (2340, 58)
+
+
+def coherence_mutants():
+    """(description, bicategory, mutant) for each single-entry change to
+    the associator, left unitor and right unitor of each small corpus
+    bicategory: an entry dropped, set to an id that is no cell, or set to
+    each other 2-cell of its hom.  A mutant shares the bicategory's cells
+    and composition."""
+    for name, b in _law_universe()[0].items():
+        for field in ("associator", "left_unitor", "right_unitor"):
+            table = getattr(b, field)
+            for key in sorted_ids(table):
+                hom = b.homs[b.home2(table[key])].morphisms
+                for _, value, edit in _changes({key: table[key]}, hom):
+                    yield (f"{name}: {field}: {key!r} {edit}", b,
+                           dataclasses.replace(b, **{field: _changed(table, key, value)}))
+
+
+def test_validate_bicategory_passes_exactly_the_coherence_tables_the_search_lists():
+    raised, disagree, listed, valid = [], [], {}, 0
+    mutants = list(coherence_mutants())
+    for description, b, m in mutants:
+        if b.name not in listed:
+            listed[b.name] = coherence_tables(dataclasses.replace(b))
+        try:
+            ok = validate_bicategory(m).ok
+        except Exception as e:
+            raised.append(f"{description}: {type(e).__name__}: {e}")
+            continue
+        valid += ok
+        if ok != ((m.associator, m.left_unitor, m.right_unitor) in listed[b.name]):
+            disagree.append(description)
+    assert raised == [] and disagree == []
+    assert (len(mutants), valid) == (766, 2)
+
+
+def _lax_data(f):
+    return (f.object_map, {p: (hf.object_map, hf.morphism_map)
+                           for p, hf in f.hom_functors.items()},
+            f.comp_constraints, f.unit_constraints)
+
+
+def test_validate_lax_functor_passes_exactly_the_mutants_enumerate_lax_functors_lists():
+    """Every single-entry change to each lax functor between two small
+    corpus bicategories with at most 4 two-cells each, its tables and pools
+    as in `_tables`."""
+    bics, fams, _ = _law_universe()
+    small = [name for name, b in bics.items() if len(b.two_cells()) <= 4]
+    disagree, mutants, valid = [], 0, 0
+    for pair in ((s, t) for s in small for t in small):
+        listed = [_lax_data(f) for f in fams[pair]]
+        for f in fams[pair]:
+            for i, (table_label, table, pool) in enumerate(_tables(f)):
+                for key, value, edit in _changes(table, pool):
+                    m = _changed_copy(f, i, key, value)
+                    ok = validate_lax_functor(m).ok
+                    mutants, valid = mutants + 1, valid + ok
+                    if ok != (_lax_data(m) in listed):
+                        disagree.append(f"{pair}: {table_label}: {key!r} {edit}")
+    assert disagree == []
+    assert (mutants, valid) == (11758, 68)
 
 
 # (validator, kind, builder): the builders of `tests/test_violations.py`,
