@@ -1,12 +1,13 @@
 """Print, for each of the four parts of acceptance criterion 2, the law
 instances it checks and its raw wall seconds, after building the law
-universe once (its seconds are printed first).
+universe once (its seconds are printed first); then the raw wall seconds of
+each other acceptance criterion, 1 and 3 to 10, one line each.
 
     python3 scripts/law_parts.py
 
 The parts run in the order and with the seed of `criterion_2`, so they
 check the instances that `corpus run-all` counts.  The script exits 1 if a
-law fails.
+law or a criterion fails.
 """
 
 import pathlib
@@ -39,6 +40,15 @@ def main():
             print(f"error: {err}")
             return 1
     print(f"{'law instances':24s} {total:8d}")
+    for num, slug, criterion in acceptance.CRITERIA:
+        if num == 2:
+            continue
+        t0 = time.perf_counter()
+        ok, detail = criterion()
+        print(f"{f'criterion {num}':24s} {'':>8s} {time.perf_counter() - t0:8.3f} s  {slug}")
+        if not ok:
+            print(f"error: {detail}")
+            return 1
     return 0
 
 

@@ -27,13 +27,15 @@ object maps of ``comp`` and ``unit`` are fixed too once an icon search or an
 icon validation has run out of the bicategory.  Likewise the hom tables are
 fixed once an icon has been composed in it, since `vcomp_table` holds them.
 
-Three flat tables, each built on first read and kept, let a law check read
-one dict per composite: `vcomp_table` of every vertical composite,
-`hcomp_table` of every horizontal one and `id2_table` of every identity
-2-cell.  The law checks of lax functors and icons into the bicategory read
-all three, so its hom tables, the morphism maps of ``comp`` and the
-identities are fixed once a lax functor into it has been searched or
-checked.
+Four flat tables, each built on first read and kept, let a check read one
+dict or set per question: `vcomp_table` of every vertical composite,
+`hcomp_table` of every horizontal one, `id2_table` of every identity 2-cell
+and `identity_cells`, the set of those identities, which the strictness
+tests read.  The law checks of lax functors and icons into the bicategory
+read the first three, so its hom tables, the morphism maps of ``comp`` and
+the identities are fixed once a lax functor into it has been searched or
+checked; they are fixed too once `identity_cells` has been read, by
+`is_strict` or by a classification of a functor or transformation into it.
 
 The coherence data is a declaration over the composition data:
 `coherence_variables` lists an associator per composable triple and a left
@@ -167,6 +169,15 @@ class FiniteBicategory:
         return {f: i for hom in self.homs.values() for f, i in hom.identity.items()}
 
     @cached_property
+    def identity_cells(self):
+        """The identity 2-cells, built on first read from `id2_table`: each
+        ``id2(f)`` that is a 2-cell from f to f.  So ``c in identity_cells``
+        says whether c is a 2-cell whose source and target agree and which is
+        the identity there, and is False for an id that is no 2-cell."""
+        return frozenset(i for f, i in self.id2_table.items()
+                         if i in self._home2 and self.src2(i) == f == self.tgt2(i))
+
+    @cached_property
     def icon_plan(self):
         """The icon search out of this bicategory, compiled on first read
         (see `bicatkit.icon.icon_plan`)."""
@@ -232,12 +243,11 @@ class FiniteBicategory:
         return self.inv2(self.right_unitor[f])
 
     def is_strict(self):
-        """True when every coherence cell is an identity 2-cell."""
-        cells = itertools.chain(self.associator.values(),
-                                self.left_unitor.values(),
-                                self.right_unitor.values())
-        return all(self.src2(c) == self.tgt2(c)
-                   and c == self.id2(self.src2(c)) for c in cells)
+        """True when every coherence cell is an identity 2-cell.  The answer
+        is not kept: the coherence tables may still be edited in place."""
+        return self.identity_cells.issuperset(itertools.chain(
+            self.associator.values(), self.left_unitor.values(),
+            self.right_unitor.values()))
 
 
 def validate_bicategory(b: FiniteBicategory) -> ValidationReport:

@@ -373,19 +373,6 @@ def nat_laws(cat):
                "naturality", "naturality square at {!r} does not commute")
 
 
-def identity_nat(fun: Functor) -> NatTrans:
-    return NatTrans(f"id:{fun.name}", fun, fun,
-                    {a: fun.target.identity[fun.object_map[a]] for a in fun.source.objects})
-
-
-def vcomp_nat(later: NatTrans, earlier: NatTrans) -> NatTrans:
-    """Componentwise composite: earlier runs first."""
-    t = earlier.source.target
-    return NatTrans(f"{later.name}.{earlier.name}", earlier.source, later.target,
-                    {a: t.compose(later.components[a], earlier.components[a])
-                     for a in earlier.source.source.objects})
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration (all structures here are deliberately tiny)
 

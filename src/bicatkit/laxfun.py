@@ -251,16 +251,12 @@ class LaxClass:
 
 def classify(fun: LaxFunctor) -> LaxClass:
     t = fun.target
-
-    def is_id(cell):
-        return cell == t.id2(t.src2(cell))
-
     comps = list(fun.comp_constraints.values())
     units = list(fun.unit_constraints.values())
     return LaxClass(
-        comp_identity=all(is_id(c) for c in comps),
+        comp_identity=t.identity_cells.issuperset(comps),
         comp_invertible=all(t.inv2(c) is not None for c in comps),
-        unit_identity=all(is_id(c) for c in units),
+        unit_identity=t.identity_cells.issuperset(units),
         unit_invertible=all(t.inv2(c) is not None for c in units),
     )
 

@@ -12,6 +12,10 @@ Whiskering, interchange, and the strictness/costrictness machinery are
 deliberately restricted to strict 2-categories and strict functors; outside
 that setting they raise UnsupportedSettingError rather than guess at one of
 several inequivalent pastings.
+
+Every arrow witness has the same source, the walking arrow, built once per
+process and shared by all the probes (and the transformations composed
+from them), so it must not be mutated.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .bicat import FiniteBicategory, UnsupportedSettingError
 from .icon import Icon, validate_icon
-from .laxfun import LaxFunctor, classify, compose_lax, two_functor
+from .laxfun import LaxFunctor, compose_lax, two_functor
 from .report import ValidationReport
 from .search import compile_plan, run
 
@@ -179,7 +183,7 @@ class OplaxClass:
 def classify_oplax(u: OplaxNat) -> OplaxClass:
     t = u.source.target
     cons = list(u.constraints.values())
-    strict = all(c == t.id2(t.src2(c)) for c in cons)
+    strict = t.identity_cells.issuperset(cons)
     pseudo = all(t.inv2(c) is not None for c in cons)
     icon = all(u.components[a] == t.unit[u.source.object_map[a]]
                for a in u.source.source.objects)
@@ -236,7 +240,9 @@ def _require_strict_setting(what, bicats=(), functors=()):
                 f"{what} is only defined over strict 2-categories; "
                 f"{b.name} is not strict")
     for f in functors:
-        if not classify(f).is_strict:
+        ids = f.target.identity_cells
+        if not (ids.issuperset(f.comp_constraints.values())
+                and ids.issuperset(f.unit_constraints.values())):
             raise UnsupportedSettingError(
                 f"{what} is only defined along strict functors; "
                 f"{f.name} is not strict")
@@ -288,14 +294,20 @@ def interchange_check(beta: OplaxNat, alpha: OplaxNat) -> ValidationReport:
     return rep
 
 
+@functools.cache
+def _walking_arrow() -> FiniteBicategory:
+    """The source of every arrow witness: built once per process and shared
+    by every probe, so it must not be mutated."""
+    from .corpus import walking_arrow  # deferred: corpus imports this module
+    return walking_arrow()
+
+
 def arrow_witness(b: FiniteBicategory, f) -> OplaxNat:
     """The universal probe for a 1-cell f: A -> B of a strict 2-category:
     a strict transformation between two functors out of the walking arrow,
     one constant at A, the other picking out f, with components (1_A, f)."""
-    from .corpus import walking_arrow  # deferred: corpus imports this module
-
     _require_strict_setting("the arrow witness", (b,))
-    wa = walking_arrow()
+    wa = _walking_arrow()
     a, bb = b.home1(f)
     ua, ub = b.unit[a], b.unit[bb]
     const = two_functor(f"const[{a!r}]", wa, b, {0: a, 1: a},

@@ -35,13 +35,6 @@ def brute_z2_twist_ok(twist, n=2) -> bool:
 # ---------------------------------------------------------------------------
 # free model of the crossing hom
 
-def cross_cell_count(b, x, y) -> int:
-    """How many 1-cells (0,x) -> (1,y) the cylinder must have: one per pair
-    of base 1-cells through each intermediate object."""
-    return sum(len(b.homs[(w, y)].objects) * len(b.homs[(x, w)].objects)
-               for w in b.objects)
-
-
 class FreeCrossModel:
     """The crossing hom presented by generators and relations, built without
     reference to the closed form.
@@ -345,28 +338,6 @@ def chain_simplex_key(b, c, chain):
 
 # ---------------------------------------------------------------------------
 # quasi-inverses by exhaustive search
-
-def functor_quasi_inverse(fun):
-    """Search every functor the other way for one whose two composites are
-    naturally isomorphic to the identity functors."""
-    from .catcore import Functor, compose_functors, enumerate_functors, enumerate_nats
-
-    def identity_of(c):
-        return Functor(f"id[{c.name}]", c, c, {o: o for o in c.objects},
-                       {m: m for m in c.morphisms})
-
-    def iso_to_identity(f):
-        for nat in enumerate_nats(f, identity_of(f.source)):
-            if all(f.source.is_iso(c) for c in nat.components.values()):
-                return nat
-        return None
-
-    for g in enumerate_functors(fun.target, fun.source):
-        if iso_to_identity(compose_functors(g, fun)) is not None and \
-                iso_to_identity(compose_functors(fun, g)) is not None:
-            return g
-    return None
-
 
 def icon_inverse_by_search(icon):
     """Two-sided inverse hunt among all icons running the other way."""

@@ -14,8 +14,21 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass
 
-from bicatkit.catcore import NatTrans, compose_functors, identity_nat, vcomp_nat
+from bicatkit.catcore import Functor, NatTrans, compose_functors
 from bicatkit.laxfun import LaxFunctor
+
+
+def identity_nat(fun: Functor) -> NatTrans:
+    return NatTrans(f"id:{fun.name}", fun, fun,
+                    {a: fun.target.identity[fun.object_map[a]] for a in fun.source.objects})
+
+
+def vcomp_nat(later: NatTrans, earlier: NatTrans) -> NatTrans:
+    """Componentwise composite: earlier runs first."""
+    t = earlier.source.target
+    return NatTrans(f"{later.name}.{earlier.name}", earlier.source, later.target,
+                    {a: t.compose(later.components[a], earlier.components[a])
+                     for a in earlier.source.source.objects})
 
 
 @dataclass

@@ -57,6 +57,51 @@ def test_strictness_flags():
     assert not corpus.codiscrete3().is_strict()
 
 
+def _criterion_1_corruptions():
+    """The ten Z/2 twist corruptions of acceptance criterion 1, in its order."""
+    sites = [t for t in itertools.product((0, 1), repeat=3) if t != (1, 1, 1)]
+    for base, site in [({}, s) for s in sites] + [({(1, 1, 1): 1}, s) for s in sites[:3]]:
+        twist = dict(base)
+        twist[site] = 1 - twist.get(site, 0)
+        yield corpus.z2_twist_instance("corrupt", twist)
+
+
+def _is_identity(b, c):
+    """Whether the 2-cell c is an identity, by the expression that
+    `identity_cells` replaces."""
+    return b.src2(c) == b.tgt2(c) and c == b.id2(b.src2(c))
+
+
+def test_identity_cells_are_the_two_cells_equal_to_the_identity_on_their_source():
+    bics = [build() for build in corpus.BICATEGORIES.values()] + list(_criterion_1_corruptions())
+    assert len(bics) == len(corpus.BICATEGORIES) + 10
+    for b in bics:
+        for c in b.two_cells():
+            assert (c in b.identity_cells) == _is_identity(b, c), (b.name, c)
+        assert b.identity_cells == frozenset(b.id2_table.values()), b.name
+        coherence = [*b.associator.values(), *b.left_unitor.values(),
+                     *b.right_unitor.values()]
+        assert b.is_strict() == all(_is_identity(b, c) for c in coherence), b.name
+
+
+def test_is_strict_reads_the_coherence_tables_as_they_are_now():
+    b = corpus.sigma_idem()
+    assert b.is_strict()
+    kept = b.associator[("s", "s", "s")]
+    b.associator[("s", "s", "s")] = "k"
+    assert not b.is_strict()
+    b.associator[("s", "s", "s")] = kept
+    assert b.is_strict()
+    b.right_unitor["s"] = "k"
+    assert not b.is_strict()
+
+
+def test_is_strict_is_false_on_a_coherence_cell_that_is_no_two_cell():
+    b = corpus.walking_arrow()
+    b.associator[next(iter(b.associator))] = "no such cell"
+    assert not b.is_strict()
+
+
 def test_ordinal_composition():
     b = corpus.ordinal(2)
     assert b.compose1(("le", 1, 2), ("le", 0, 1)) == ("le", 0, 2)

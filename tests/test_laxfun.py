@@ -3,7 +3,7 @@
 import pytest
 
 from bicatkit import corpus, laxfun
-from bicatkit.acceptance import _law_universe
+from bicatkit.acceptance import _corpus_battery, _law_universe
 from bicatkit.bicat import strict_bicategory, validate_bicategory
 from bicatkit.laxfun import (
     classify,
@@ -31,6 +31,30 @@ def test_classification_labels():
     assert labels["idem-laxonly"] == "lax"
     assert labels["maxposet-unit-witness"] == "lax"
     assert labels["twisted-identity"] == "homomorphism"
+
+
+def _classify_by_the_identity_formula(fun):
+    """`classify` with its identity tests written out as the expression
+    that `identity_cells` replaces: a cell equal to the identity on its
+    source."""
+    t = fun.target
+
+    def is_id(c):
+        return c == t.id2(t.src2(c))
+
+    comps = list(fun.comp_constraints.values())
+    units = list(fun.unit_constraints.values())
+    return laxfun.LaxClass(all(map(is_id, comps)), all(t.inv2(c) is not None for c in comps),
+                           all(map(is_id, units)), all(t.inv2(c) is not None for c in units))
+
+
+def test_classify_matches_the_identity_formula_on_the_corpus_and_the_strictness_battery():
+    funs = [build() for build in corpus.LAX_FUNCTORS.values()]
+    battery = _corpus_battery()
+    assert len(battery) == 147
+    funs += [fun for beta in battery for fun in (beta.source, beta.target)]
+    for fun in funs:
+        assert classify(fun) == _classify_by_the_identity_formula(fun), fun.name
 
 
 def test_classification_flag_details():

@@ -3,10 +3,12 @@ whisker/interchange machinery, and the witness construction."""
 
 import pytest
 
-from bicatkit import corpus
+from bicatkit import corpus, oplax
+from bicatkit.acceptance import _corpus_battery
 from bicatkit.bicat import UnsupportedSettingError
-from bicatkit.laxfun import identity_lax, two_functor
+from bicatkit.laxfun import classify, identity_lax, two_functor
 from bicatkit.oplax import (
+    OplaxClass,
     OplaxNat,
     arrow_witness,
     classify_oplax,
@@ -47,6 +49,36 @@ def test_classification_labels():
     # identity constraints even though the ambient is weak
     assert classify_oplax(corpus.get("oplax", "codiscrete-shift-a")).label == \
         "strict+pseudonatural"
+
+
+def test_classify_oplax_matches_the_identity_formula_on_the_corpus_and_the_battery():
+    """The strict flag against the expression that `identity_cells`
+    replaces: every constraint equal to the identity on its source."""
+    battery = _corpus_battery()
+    assert len(battery) == 147
+    for u in [corpus.get("oplax", name) for name in corpus.OPLAX] + battery:
+        t = u.source.target
+        cons = u.constraints.values()
+        expected = OplaxClass(all(c == t.id2(t.src2(c)) for c in cons),
+                              all(t.inv2(c) is not None for c in cons),
+                              all(u.components[a] == t.unit[u.source.object_map[a]]
+                                  for a in u.source.source.objects))
+        assert classify_oplax(u) == expected, u.name
+
+
+def test_the_strict_setting_refuses_exactly_the_functors_classify_finds_not_strict():
+    funs = [(name, corpus.get("laxfunctor", name)) for name in corpus.LAX_FUNCTORS]
+    funs += [(beta.name, fun) for beta in _corpus_battery() for fun in (beta.source, beta.target)]
+    refused = set()
+    for name, fun in funs:
+        try:
+            oplax._require_strict_setting("a test", (), (fun,))
+        except UnsupportedSettingError:
+            refused.add(name)
+            assert not classify(fun).is_strict, name
+        else:
+            assert classify(fun).is_strict, name
+    assert {"twisted-identity", "idem-laxonly"} <= refused
 
 
 def test_vcomp_unit_laws_in_strict_ambient():
@@ -145,6 +177,25 @@ def test_strictness_verdict_matches_the_constraint_flag():
         beta = corpus.get("oplax", name)
         verdict = strictness_by_witness(beta)
         assert verdict.strict == classify_oplax(beta).strict, name
+
+
+def test_arrow_witnesses_share_one_walking_arrow():
+    idem = corpus.sigma_idem()
+    one, two = arrow_witness(idem, "s"), arrow_witness(corpus.ordinal(2), ("le", 0, 1))
+    assert one.source.source is two.source.source is one.target.source
+    assert corpus.walking_arrow() is not corpus.walking_arrow()
+
+
+def test_shared_walking_arrow_gives_the_verdicts_of_a_fresh_one_per_probe(monkeypatch):
+    battery = _corpus_battery()
+    shared = [strictness_by_witness(beta) for beta in battery]
+    monkeypatch.setattr(oplax, "_walking_arrow", corpus.walking_arrow)
+    assert arrow_witness(corpus.sigma_idem(), "s").source.source is not \
+        arrow_witness(corpus.sigma_idem(), "s").source.source
+    fresh = [strictness_by_witness(beta) for beta in battery]
+    assert [(v.strict, v.witnesses) for v in shared] == \
+        [(v.strict, v.witnesses) for v in fresh]
+    assert sum(v.strict for v in shared) < len(battery)
 
 
 def test_witness_replays_as_a_failing_interchange():

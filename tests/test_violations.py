@@ -22,11 +22,12 @@ import sys
 
 from bicatkit import corpus
 from bicatkit.bicat import validate_bicategory
-from bicatkit.catcore import identity_nat, validate_category, validate_functor, validate_nat
+from bicatkit.catcore import validate_category, validate_functor, validate_nat
 from bicatkit.icon import identity_icon, validate_icon
 from bicatkit.laxfun import identity_lax, validate_lax_functor
 from bicatkit.oplax import identity_oplax, validate_oplax
 from bicatkit.report import sorted_ids
+from reference_icons import identity_nat
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "violations.txt"
 DOUBLE_GOLDEN = GOLDEN.with_name("violations_double.txt")
