@@ -1,7 +1,9 @@
 """Print, for each of the four parts of acceptance criterion 2, the law
 instances it checks and its raw wall seconds, after building the law
 universe once (its seconds are printed first); then the raw wall seconds of
-each other acceptance criterion, 1 and 3 to 10, one line each.
+each other acceptance criterion, 1 and 3 to 10, one line each.  The peak
+resident memory of the process so far (``ru_maxrss``, in MB) is printed
+after the universe is built and again at the end.
 
     python3 scripts/law_parts.py
 
@@ -12,6 +14,7 @@ law or a criterion fails.
 
 import pathlib
 import random
+import resource
 import sys
 import time
 
@@ -20,10 +23,18 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from bicatkit import acceptance  # noqa: E402
 
 
+def _peak_rss(label):
+    """Print the peak resident memory of this process so far (Linux reports
+    ``ru_maxrss`` in KB)."""
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"{label:24s} {'':>8s} {kb / 1024:8.2f} MB peak rss")
+
+
 def main():
     t0 = time.perf_counter()
     bics, fams, icons = acceptance._law_universe()
     print(f"{'law universe':24s} {'':>8s} {time.perf_counter() - t0:8.3f} s")
+    _peak_rss("after the universe")
     rng = random.Random(20260814)
     parts = (("unit laws", lambda: acceptance._unit_laws(fams, icons)),
              ("vertical associativity", lambda: acceptance._vertical_associativity(icons, rng)),
@@ -49,6 +60,7 @@ def main():
         if not ok:
             print(f"error: {detail}")
             return 1
+    _peak_rss("at the end")
     return 0
 
 

@@ -34,22 +34,30 @@ squares of that hom, and the compatibility laws of `icon_laws` tie the homs
 together.  The source builds it once, as its ``icon_plan``.  `enumerate_icons`
 runs its compiled search on a fresh draft icon per pair of lax functors, and
 `validate_icon` checks its listing on a given icon, so the icons the search
-finds pass the validator by construction and none is validated again.
+finds pass the validator by construction and none is validated again.  The
+family names of an icon depend on its source alone: the plan holds them as
+one read-only mapping, ``names``, which the draft and every icon found
+share whenever the lax functors' hom functors are keyed by the source's
+homs, so a write to it raises instead of renaming every icon.  Composites
+build names of their own.
 
 Before either, `validate_icon_pair` checks what the listing reads.  Of
-that, only the object maps concern the pair; the rest reads one lax
-functor at a time (its hom functors' images, its comparisons and unit
-comparisons), so each lax functor checks it once, as its
-``own_violations``, kept for every icon into or out of it.  So a lax
-functor is not mutated once an icon into or out of it has been checked or
-searched.
+that, only the object maps and the keys of the hom functors concern the
+pair; the rest reads one lax functor at a time (its object images, its hom
+functors and their images, its comparisons and unit comparisons), so each
+lax functor checks it once, as its ``own_violations`` and its verdict
+``icon_ready``, kept for every icon into or out of it.  A pair of ready lax
+functors with the same source and target, equal object maps and hom
+functors keyed alike passes at once; any other pair runs every check.  So
+a lax functor is not mutated once an icon into or out of it has been
+checked or searched.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from .bicat import UnsupportedSettingError
 from .catcore import _COMPONENT, OBJECT_IMAGE, Functor, NatTrans
@@ -64,7 +72,8 @@ class Icon(Lazy):
     source: LaxFunctor
     target: LaxFunctor
     cells: dict       # 1-cell f -> 2-cell F(f) => G(f)
-    families: dict    # (A, B) -> name of the component family on hom(A, B)
+    families: dict    # (A, B) -> name of the component family on hom(A, B);
+                      # a searched icon may share a read-only one (`icon_plan`)
 
     def at(self, f):
         """The component 2-cell F(f) => G(f) at a 1-cell f."""
@@ -139,9 +148,18 @@ def validate_icon_pair(f: LaxFunctor, g: LaxFunctor) -> ValidationReport:
     are clean, each side's comparisons and unit comparisons, present,
     2-cells of their homs and with the right endpoints.  A check that
     `validate_lax_functor` makes too is reported as it reports it; the
-    endpoint checks are not structural, the others are."""
+    endpoint checks are not structural, the others are.
+
+    A pair that shares its source and target (by identity), its object map
+    and the keys of its hom functors, of two lax functors whose
+    `icon_ready` verdicts hold, passes all of these, and its empty report
+    is returned before any loop runs."""
     rep = ValidationReport(f"icons {f.name} => {g.name}")
     s, t = f.source, f.target
+    if (s is g.source and t is g.target and f.object_map == g.object_map
+            and f.hom_functors.keys() == g.hom_functors.keys()
+            and f.icon_ready and g.icon_ready):
+        return rep
     if s is not g.source and s != g.source:
         rep.add("parallel", "the two lax functors do not share a source", structural=True)
         return rep
@@ -387,13 +405,16 @@ def icon_plan(s):
     ``families``, the listing of each hom pair of `s` (`_family`);
     ``laws``, the instances of `icon_laws` in order; ``search``, the plan
     that binds the draft's ``cells`` family by family under the ``laws``
-    and the naturality squares."""
+    and the naturality squares; ``names``, the family names of every icon
+    `enumerate_icons` finds between lax functors with a hom functor at
+    each hom of `s`, one read-only mapping shared by all of them."""
     families = {pair: _family(pair, s.homs[pair]) for pair in s.sorted_homs}
     laws = tuple(icon_laws(s))
     variables = [v for listed, _ in families.values() for v in listed]
     squares = tuple(sq for _, listed in families.values() for sq in listed)
     return SimpleNamespace(families=families, laws=laws,
-                           search=compile_plan(variables, laws + squares))
+                           search=compile_plan(variables, laws + squares),
+                           names=MappingProxyType(dict.fromkeys(s.sorted_homs, "enum")))
 
 
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
@@ -404,12 +425,17 @@ def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
     `enumerate_nats` order.
 
     Every icon found passes `validate_icon`, which checks the same
-    declaration."""
+    declaration.  When f's hom functors are keyed by the source's homs, the
+    draft and every icon found share the plan's read-only ``names``;
+    otherwise each icon gets a dict of its own."""
     if not validate_icon_pair(f, g).ok:
         return
-    draft = Icon("enum", f, g, {}, dict.fromkeys(_families(f), "enum"))
-    for _ in run(f.source.icon_plan.search, draft):
-        yield Icon("enum", f, g, dict(draft.cells), dict(draft.families))
+    plan = f.source.icon_plan
+    shared = f.hom_functors.keys() == f.source.homs.keys()
+    draft = Icon("enum", f, g, {}, plan.names if shared else dict.fromkeys(_families(f), "enum"))
+    for _ in run(plan.search, draft):
+        yield Icon("enum", f, g, dict(draft.cells),
+                   draft.families if shared else dict(draft.families))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,21 @@ class LaxFunctor(Lazy):
                 found.append((None, constraints))
         return tuple(found)
 
+    @cached_property
+    def icon_ready(self):
+        """Whether this lax functor passes every check of `validate_icon_pair`
+        that reads it alone: an object image at each source object, a
+        target object; a hom functor at each source hom with 1-cells; each
+        hom functor a `Functor`; and `own_violations` empty.  When both lax
+        functors of a pair are, the pair is checked on what it shares alone.
+        Kept like `own_violations`, under the same rule."""
+        s, objects = self.source, self.target.objects
+        omap, homs = self.object_map, self.hom_functors
+        return (all(a in omap and omap[a] in objects for a in s.objects)
+                and all(pair in homs for pair, cat in s.homs.items() if cat.objects)
+                and all(isinstance(hf, Functor) for hf in homs.values())
+                and not self.own_violations)
+
 
 def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
     rep = ValidationReport(f"lax functor {fun.name}")

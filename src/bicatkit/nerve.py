@@ -8,6 +8,11 @@ data.  Morphisms of simplices are icons, so each nerve level is a finite
 category, and reindexing along a monotone map is just composition of lax
 functors — faces and degeneracies come out as functors between levels, and
 the simplicial identities can be checked as equalities of functors.
+
+`two_nerve` builds the lax functor of each simplex once, with its level:
+the level's icons are searched between them, their composites read the
+base's `vcomp_table`, and every face and degeneracy map reindexes those
+same lax functors instead of rebuilding one per simplex and map.
 """
 
 from __future__ import annotations
@@ -214,12 +219,12 @@ def _icon_flat(icon: Icon, n: int):
                  for i in range(n + 1) for j in range(i, n + 1))
 
 
-def _level_category(b: FiniteBicategory, k: int, sims):
-    keys = {}
-    for s in sims:
-        keys[s.key()] = s
-    objects = sorted_ids(keys)
-    funs = {sk: as_lax_functor(keys[sk]) for sk in objects}
+def _level_category(b: FiniteBicategory, k: int, funs):
+    """Level k: the simplices as objects, by key in canonical order, with
+    `funs` their lax functors; the icons between those as morphisms,
+    composed through `b.vcomp_table`."""
+    objects = list(funs)
+    vcomp = b.vcomp_table
     morphisms, identity, table = {}, {}, {}
     out = {sk: [] for sk in objects}    # simplex -> (mid, flat cells) leaving it
     for sk in objects:
@@ -234,23 +239,28 @@ def _level_category(b: FiniteBicategory, k: int, sims):
         for m1, flat1 in out[sk]:
             t1 = morphisms[m1][1]
             for m2, flat2 in out[t1]:
-                flat = tuple(b.vcomp(c2, c1) for c1, c2 in zip(flat1, flat2))
+                flat = tuple(vcomp[pair] for pair in zip(flat1, flat2))
                 table[(m1, m2)] = ("ic", sk, morphisms[m2][1], flat)
-    cat = FiniteCategory(f"nerve-{k}[{b.name}]", objects, morphisms,
-                         identity, table)
-    return cat, keys
+    return FiniteCategory(f"nerve-{k}[{b.name}]", objects, morphisms, identity, table)
 
 
-def _level_functor(nerve, k: int, k2: int, theta, name):
-    """Reindexing along theta: [k2] -> [k] as a functor between levels.
+def _reindexed_keys(funs, k: int, theta):
+    """Where `reindex_simplex` sends each simplex of level k along theta,
+    read off its lax functor in `funs`, the one the level was built from:
+    simplex key -> key."""
+    along = ordinal_map_functor(theta, k)
+    return {sk: simplex_from_lax(compose_lax(fun, along)).key() for sk, fun in funs.items()}
+
+
+def _level_functor(nerve, k: int, k2: int, theta, omap, name):
+    """Reindexing along theta: [k2] -> [k] as a functor between levels,
+    with `omap` from `_reindexed_keys` on its simplices.
 
     Whiskering an icon along theta only reindexes its components: the one
     at edge (i, j) of [k2] is the one at (theta(i), theta(j)) of [k], since
     vcomp(c, id) = c in a validated hom."""
-    src_cat, src_sims = nerve.levels[k], nerve.simplices[k]
-    omap, mmap = {}, {}
-    for sk, s in src_sims.items():
-        omap[sk] = reindex_simplex(s, theta).key()
+    src_cat = nerve.levels[k]
+    mmap = {}
     edges = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]
     picks = [edges.index((theta[i], theta[j]))
              for i in range(k2 + 1) for j in range(i, k2 + 1)]
@@ -282,9 +292,6 @@ def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
     if not 0 <= truncation <= 4:
         raise ValueError("truncation must be between 0 and 4")
     nerve = TwoNerve(b, truncation, {}, {})
-    for k in range(truncation + 1):
-        cat, sims = _level_category(b, k, enumerate_simplices(b, k))
-        nerve.levels[k], nerve.simplices[k] = cat, sims
 
     def coface(k, i):      # the injection [k-1] -> [k] missing i
         return tuple(v if v < i else v + 1 for v in range(k))
@@ -292,14 +299,25 @@ def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
     def codegeneracy(k, i):  # the surjection [k+1] -> [k] hitting i twice
         return tuple(v if v <= i else v - 1 for v in range(k + 2))
 
-    for k in range(1, truncation + 1):
-        for i in range(k + 1):
-            nerve.face[(k, i)] = _level_functor(
-                nerve, k, k - 1, coface(k, i), f"face({k},{i})")
-    for k in range(truncation):
-        for i in range(k + 1):
-            nerve.degeneracy[(k, i)] = _level_functor(
-                nerve, k, k + 1, codegeneracy(k, i), f"degeneracy({k},{i})")
+    # Each level's lax functors are built once: the simplex maps out of the
+    # level are read off them first, then the level's icons are searched
+    # between them, and they go with the next level.
+    faces, degeneracies = {}, {}    # (k, i) -> object map of the level functor
+    for k in range(truncation + 1):
+        sims = {s.key(): s for s in enumerate_simplices(b, k)}
+        funs = {sk: as_lax_functor(sims[sk]) for sk in sorted_ids(sims)}
+        for i in range(k + 1) if k else ():
+            faces[(k, i)] = _reindexed_keys(funs, k, coface(k, i))
+        for i in range(k + 1) if k < truncation else ():
+            degeneracies[(k, i)] = _reindexed_keys(funs, k, codegeneracy(k, i))
+        nerve.levels[k], nerve.simplices[k] = _level_category(b, k, funs), sims
+
+    for (k, i), omap in faces.items():
+        nerve.face[(k, i)] = _level_functor(
+            nerve, k, k - 1, coface(k, i), omap, f"face({k},{i})")
+    for (k, i), omap in degeneracies.items():
+        nerve.degeneracy[(k, i)] = _level_functor(
+            nerve, k, k + 1, codegeneracy(k, i), omap, f"degeneracy({k},{i})")
 
     rep = ValidationReport(f"2-nerve of {b.name} to level {truncation}")
     t = truncation

@@ -252,16 +252,27 @@ def whisker_oplax_left(fun: LaxFunctor, u: OplaxNat) -> OplaxNat:
     """Apply a strict functor after both sides of u."""
     _require_strict_setting("whiskering", (u.source.source, u.source.target,
                                            fun.target), (fun,))
-    comps = {a: fun.on_1(u.components[a]) for a in u.components}
-    cons = {w: fun.on_2(u.constraints[w]) for w in u.constraints}
-    return OplaxNat(f"{fun.name}.{u.name}", compose_lax(fun, u.source),
-                    compose_lax(fun, u.target), comps, cons)
+    return _whisker_left(fun, u)
 
 
 def whisker_oplax_right(u: OplaxNat, fun: LaxFunctor) -> OplaxNat:
     """Restrict u along a strict functor into its source."""
     _require_strict_setting("whiskering", (fun.source, u.source.source,
                                            u.source.target), (fun,))
+    return _whisker_right(u, fun)
+
+
+# The two whiskerings without their check of the strict setting, for
+# `interchange_check`, which checks it once for all four of its whiskerings.
+
+def _whisker_left(fun, u):
+    comps = {a: fun.on_1(u.components[a]) for a in u.components}
+    cons = {w: fun.on_2(u.constraints[w]) for w in u.constraints}
+    return OplaxNat(f"{fun.name}.{u.name}", compose_lax(fun, u.source),
+                    compose_lax(fun, u.target), comps, cons)
+
+
+def _whisker_right(u, fun):
     comps = {a: u.components[fun.object_map[a]] for a in fun.source.objects}
     cons = {w: u.constraints[fun.on_1(w)] for w in fun.source.one_cells()}
     return OplaxNat(f"{u.name}.{fun.name}", compose_lax(u.source, fun),
@@ -279,10 +290,10 @@ def interchange_check(beta: OplaxNat, alpha: OplaxNat) -> ValidationReport:
     if h.source != f.target:
         raise ValueError("beta's source 2-category must be alpha's target")
     _require_strict_setting("interchange",
-                            (f.source, f.target, h.target), (f, g, h, k))
+                            (f.source, f.target, h.target, g.source, k.target), (f, g, h, k))
     rep = ValidationReport(f"interchange of {beta.name} with {alpha.name}")
-    one = vcomp_oplax(whisker_oplax_left(k, alpha), whisker_oplax_right(beta, f))
-    two = vcomp_oplax(whisker_oplax_right(beta, g), whisker_oplax_left(h, alpha))
+    one = vcomp_oplax(_whisker_left(k, alpha), _whisker_right(beta, f))
+    two = vcomp_oplax(_whisker_right(beta, g), _whisker_left(h, alpha))
     for a in f.source.sorted_objects:
         if one.components[a] != two.components[a]:
             rep.add("interchange-component",

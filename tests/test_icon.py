@@ -1,12 +1,15 @@
 """Icons: validation, the two compatibility laws, composition, enumeration,
 and the one-object dictionary with monoidal natural transformations."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 import reference_enumerators
+import reference_icon_pair
 import reference_icons as ref
+import test_mutants
 from bicatkit import corpus
 from bicatkit import fileformat as ff
 from bicatkit.acceptance import _law_universe
@@ -14,6 +17,7 @@ from bicatkit.bicat import UnsupportedSettingError
 from bicatkit.catcore import FiniteCategory, Functor
 from bicatkit.icon import (
     Icon,
+    _families,
     enumerate_icons,
     hcomp_icons,
     icon_to_monoidal,
@@ -21,6 +25,7 @@ from bicatkit.icon import (
     is_invertible_icon,
     monoidal_to_icon,
     validate_icon,
+    validate_icon_pair,
     vcomp_icons,
     whisker_icon_left,
     whisker_icon_right,
@@ -598,6 +603,97 @@ def test_the_checks_of_one_lax_functor_run_once_for_all_its_icons(monkeypatch):
     assert len(calls) == len(funs) * len(ones)
     validate_icon(identity_icon(funs[0]))
     assert len(calls) == len(funs) * len(ones)
+
+
+def _pair_report(check, f, g):
+    rep = check(f, g)
+    return str(rep), [(v.kind, v.witness, v.structural) for v in rep.violations]
+
+
+def _pairs_reported_otherwise(pairs):
+    """The indices of the pairs on which `validate_icon_pair` and the
+    reference, which runs every loop on every pair, report differently."""
+    return [n for n, (f, g) in enumerate(pairs)
+            if _pair_report(validate_icon_pair, f, g)
+            != _pair_report(reference_icon_pair.validate_icon_pair, f, g)]
+
+
+def test_validate_icon_pair_reports_as_the_reference_on_the_law_universe():
+    """Every ordered pair of lax functors in each of the law universe's 121
+    families, those with differing object maps included."""
+    _, fams, _ = _law_universe()
+    assert len(fams) == 121
+    pairs = [(f, g) for funs in fams.values() for f in funs for g in funs]
+    assert len(pairs) == 24688
+    assert sum(not validate_icon_pair(f, g).ok for f, g in pairs) == 244
+    assert _pairs_reported_otherwise(pairs) == []
+
+
+def test_validate_icon_pair_reports_as_the_reference_on_the_icon_source_mutants():
+    mutants = [icon for _, icon in test_mutants.icon_mutants()]
+    assert len(mutants) == 1958
+    assert _pairs_reported_otherwise([(ic.source, ic.target) for ic in mutants]) == []
+
+
+def test_validate_icon_pair_reports_as_the_reference_on_pairs_that_differ_in_one_field():
+    """Lax functors like the identity on the walking 2-cell but for one
+    field: the object map (changed, short of an object, or off the target),
+    the keys of the hom functors (one short, one extra), the source or the
+    target (an equal copy, or another bicategory), or an entry of its own
+    (no comparisons, a hom functor that is None), in every ordered pair
+    with each other and with the identity."""
+    b, other = corpus.get("bicategory", "walking-two-cell"), corpus.sigma_idem()
+    f = identity_lax(b)
+    omap = f.object_map
+    funs = [f, identity_lax(b),
+            dataclasses.replace(f, object_map={**omap, "a": "b"}),
+            dataclasses.replace(f, object_map={"b": omap["b"]}),
+            dataclasses.replace(f, object_map={**omap, "a": "zz"}),
+            _rekeyed(f, drop=[("b", "a")]),
+            _rekeyed(f, drop=[("a", "b")]),
+            _rekeyed(f, extra={("a", "z"): f.hom_functors[("b", "a")]}),
+            dataclasses.replace(f, source=dataclasses.replace(b)),
+            dataclasses.replace(f, source=other),
+            dataclasses.replace(f, target=dataclasses.replace(b)),
+            dataclasses.replace(f, target=other),
+            dataclasses.replace(f, comp_constraints={}),
+            _rekeyed(f, extra={("b", "a"): None})]
+    pairs = list(itertools.product(funs, repeat=2))
+    assert sum(validate_icon_pair(f, g).ok for f, g in pairs) == 18
+    assert _pairs_reported_otherwise(pairs) == []
+
+
+def test_enumerated_icons_out_of_one_source_share_one_read_only_names_table():
+    """The icons of the law universe out of one source bicategory share one
+    family-name mapping, that of every lax functor keyed by the source's
+    homs, which refuses writes; composites carry names of their own, and so
+    do the icons between lax functors keyed otherwise."""
+    _, _, icons = _law_universe()
+    names = {}
+    for fam in icons.values():
+        for _, _, ic in fam:
+            names.setdefault(id(ic.source.source), ic.families)
+            assert ic.families is names[id(ic.source.source)]
+            assert ic.families == dict.fromkeys(_families(ic.source), "enum")
+    assert len(names) == 11
+
+    ic = icons[("sigma-idem", "sigma-idem")][0][2]
+    pair = next(iter(ic.families))
+    with pytest.raises(TypeError):
+        ic.families[pair] = "renamed"
+    assert ic.families[pair] == "enum"
+    fun = ic.source
+    for composite, name in ((vcomp_icons(ic, ic), "enum.enum"),
+                            (hcomp_icons(ic, ic), f"h{pair!r}"),
+                            (whisker_icon_left(fun, ic), f"h{pair!r}"),
+                            (whisker_icon_right(ic, fun), f"h{pair!r}")):
+        assert type(composite.families) is dict and composite.families == {pair: name}
+
+    extra = _rekeyed(fun, extra={("z", "z"): fun.hom_functors[pair]})
+    found = list(enumerate_icons(extra, extra))
+    assert len(found) > 1
+    assert all(type(x.families) is dict for x in found)
+    assert found[0].families is not found[1].families
 
 
 def test_icon_interchange_on_idem_pair():

@@ -187,6 +187,41 @@ def test_simplicial_identities_to_level_four(builder):
     assert nerve.report.ok, nerve.report.summary()
 
 
+def _reindexed_like_reindex_simplex(nerve, k, k2, theta):
+    """The reference level functor along theta: [k2] -> [k]: each simplex
+    sent by `reindex_simplex`, each icon's components picked along theta."""
+    omap = {sk: reindex_simplex(s, theta).key() for sk, s in nerve.simplices[k].items()}
+    edges = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]
+    picks = [edges.index((theta[i], theta[j]))
+             for i in range(k2 + 1) for j in range(i, k2 + 1)]
+    mmap = {mid: ("ic", omap[mid[1]], omap[mid[2]], tuple(mid[3][p] for p in picks))
+            for mid in nerve.levels[k].morphisms}
+    return omap, mmap
+
+
+@pytest.mark.parametrize("builder, truncation", [
+    *((lambda name=name: corpus.get("bicategory", name), 2)
+      for name in sorted(corpus.BICATEGORIES)),
+    (lambda: from_category(chain_category(2)), 4),
+    (lambda: corpus.get("bicategory", "walking-two-cell"), 4),
+], ids=[*sorted(corpus.BICATEGORIES), "chain2-to-4", "walking-two-cell-to-4"])
+def test_face_and_degeneracy_maps_reindex_as_reindex_simplex_does(builder, truncation):
+    """Each face and degeneracy functor, whose simplices are reindexed from
+    the lax functors the level was built from, equals the one built with
+    `reindex_simplex` on the bundled bicategories and on the bases that
+    criterion 9 takes to truncation 4."""
+    nerve = two_nerve(builder(), truncation)
+    for (k, i), fun in nerve.face.items():
+        theta = tuple(v if v < i else v + 1 for v in range(k))
+        assert (fun.object_map, fun.morphism_map) == \
+            _reindexed_like_reindex_simplex(nerve, k, k - 1, theta)
+    for (k, i), fun in nerve.degeneracy.items():
+        theta = tuple(v if v <= i else v - 1 for v in range(k + 2))
+        assert (fun.object_map, fun.morphism_map) == \
+            _reindexed_like_reindex_simplex(nerve, k, k + 1, theta)
+    assert len(nerve.face) == truncation * (truncation + 3) // 2
+
+
 def test_levels_and_structure_maps_are_well_formed():
     nerve = two_nerve(corpus.get("bicategory", "walking-two-cell"), 2)
     for lvl in nerve.levels.values():

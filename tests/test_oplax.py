@@ -198,6 +198,39 @@ def test_shared_walking_arrow_gives_the_verdicts_of_a_fresh_one_per_probe(monkey
     assert sum(v.strict for v in shared) < len(battery)
 
 
+def _interchange_by_public_whiskerings(beta, alpha):
+    """`interchange_check` pasted from the public whiskerings, each of which
+    checks the strict setting again: the verdict as a list of differences."""
+    f, g, h, k = alpha.source, alpha.target, beta.source, beta.target
+    one = vcomp_oplax(whisker_oplax_left(k, alpha), whisker_oplax_right(beta, f))
+    two = vcomp_oplax(whisker_oplax_right(beta, g), whisker_oplax_left(h, alpha))
+    return ([a for a in f.source.sorted_objects if one.components[a] != two.components[a]],
+            [w for w in f.source.one_cells() if one.constraints[w] != two.constraints[w]])
+
+
+def test_strictness_probes_check_the_strict_setting_once_per_interchange(monkeypatch):
+    """On the criterion-6 battery, `strictness_by_witness` gives the verdicts
+    and witnesses of probes pasted from the public whiskerings, and checks
+    the strict setting once for itself and once per interchange."""
+    battery = _corpus_battery()
+    real, calls = oplax._require_strict_setting, []
+
+    def counted(what, *args):
+        calls.append(what)
+        return real(what, *args)
+
+    monkeypatch.setattr(oplax, "_require_strict_setting", counted)
+    for beta in battery:
+        b = beta.source.source
+        want = [w for w in b.one_cells()
+                if _interchange_by_public_whiskerings(beta, arrow_witness(b, w)) != ([], [])]
+        del calls[:]
+        verdict = strictness_by_witness(beta)
+        assert (verdict.strict, verdict.witnesses) == (not want, want), beta.name
+        assert calls == ["strictness probing"] + ["the arrow witness", "interchange"] \
+            * len(b.one_cells()), beta.name
+
+
 def test_witness_replays_as_a_failing_interchange():
     beta = corpus.get("oplax", "icon-as-oplax-k")
     verdict = strictness_by_witness(beta)
