@@ -3,7 +3,8 @@ instances it checks and its raw wall seconds, after building the law
 universe once (its seconds are printed first); then the raw wall seconds of
 each other acceptance criterion, 1 and 3 to 10, one line each.  The peak
 resident memory of the process so far (``ru_maxrss``, in MB) is printed
-after the universe is built and again at the end.
+after the universe is built and again at the end, each time beside the
+cyclic collector's collections so far, over all generations.
 
     python3 scripts/law_parts.py
 
@@ -12,6 +13,7 @@ check the instances that `corpus run-all` counts.  The script exits 1 if a
 law or a criterion fails.
 """
 
+import gc
 import pathlib
 import random
 import resource
@@ -25,9 +27,10 @@ from bicatkit import acceptance  # noqa: E402
 
 def _peak_rss(label):
     """Print the peak resident memory of this process so far (Linux reports
-    ``ru_maxrss`` in KB)."""
+    ``ru_maxrss`` in KB) and the collections the cyclic collector has run."""
     kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(f"{label:24s} {'':>8s} {kb / 1024:8.2f} MB peak rss")
+    collections = sum(generation["collections"] for generation in gc.get_stats())
+    print(f"{label:24s} {'':>8s} {kb / 1024:8.2f} MB peak rss, {collections} gc collections")
 
 
 def main():

@@ -14,12 +14,16 @@ ValidationReport with the smallest witness they found.
 A category hands out its objects, morphisms, hom sets and composable pairs in
 canonical order (`sorted_ids`), computed once, on first read, from its cell
 sets ``objects`` and ``morphisms``.  So the cell sets are fixed once it is
-built; ``identity`` and ``table`` may still be edited in place.
+built; ``identity`` and ``table`` may still be edited in place, except the
+``table`` of a product category.  That one is read-only: it is the product
+of its factors' tables as they stand at its first read, and it is built only
+then, so a product that only carries a functor's domain never builds it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,9 +206,45 @@ def product_category(c: FiniteCategory, d: FiniteCategory) -> FiniteCategory:
                           (c.morphisms[f][1], d.morphisms[g][1]))
                  for f in c.morphisms for g in d.morphisms}
     identity = {(a, b): (c.identity[a], d.identity[b]) for a, b in objects}
-    table = {((f1, g1), (f2, g2)): (c.table[(f1, f2)], d.table[(g1, g2)])
-             for f1, f2 in c.composable_pairs() for g1, g2 in d.composable_pairs()}
-    return FiniteCategory(f"({c.name})x({d.name})", objects, morphisms, identity, table)
+    return FiniteCategory(f"({c.name})x({d.name})", objects, morphisms, identity,
+                          ProductTable(c, d))
+
+
+class ProductTable(Mapping):
+    """The composition table of the product of c and d, read-only: built on
+    first read from the factors' tables as they stand then, c's composable
+    pairs slowest, and served from that dict ever after."""
+
+    __slots__ = ("_factors", "_built")
+
+    def __init__(self, c, d):
+        self._factors = (c, d)
+        self._built = None
+
+    def _table(self):
+        if self._built is None:
+            self._built = self._build()
+        return self._built
+
+    def _build(self):
+        c, d = self._factors
+        return {((f1, g1), (f2, g2)): (c.table[(f1, f2)], d.table[(g1, g2)])
+                for f1, f2 in c.composable_pairs() for g1, g2 in d.composable_pairs()}
+
+    def __getitem__(self, key):
+        return self._table()[key]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self):
+        return len(self._table())
+
+    def __eq__(self, other):
+        return self._table() == other
+
+    def __repr__(self):
+        return repr(self._table())
 
 
 # ---------------------------------------------------------------------------

@@ -67,5 +67,10 @@ def run(plan, subject):
             if passes(i + 1):
                 yield from extend(i + 1)
 
-    if passes(0):
-        yield from extend(0)
+    # extend reaches itself through its closure; clearing it when the run
+    # ends or is closed frees the run's state without the cyclic collector
+    try:
+        if passes(0):
+            yield from extend(0)
+    finally:
+        del extend

@@ -1,10 +1,14 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
+from bicatkit import corpus
+from bicatkit.bicat import Magma, cocycle_bicategory, codiscrete_bicategory, from_category
 from bicatkit.catcore import (
     FiniteCategory,
     Functor,
     NatTrans,
+    ProductTable,
     chain_category,
     codiscrete_category,
     compose_functors,
@@ -18,6 +22,10 @@ from bicatkit.catcore import (
     validate_functor,
     validate_nat,
 )
+from bicatkit.icon import enumerate_icons
+from bicatkit.laxfun import enumerate_lax_functors
+from bicatkit.nerve import two_nerve
+from reference_product import eager_product_category
 
 
 def terminal_category():
@@ -108,6 +116,105 @@ def test_product_counts():
     assert len(p.objects) == 4
     assert len(p.morphisms) == 9
     assert validate_category(p).ok
+
+
+def _product_factors():
+    """(label, c, d): every ordered pair of hom categories of every corpus
+    bicategory, then each base category of criterion 4's monoidal pairs with
+    itself."""
+    for name in sorted(corpus.BICATEGORIES):
+        b = corpus.get("bicategory", name)
+        for p in b.sorted_homs:
+            for q in b.sorted_homs:
+                yield f"{name} {p!r} {q!r}", b.homs[p], b.homs[q]
+    for name in sorted(corpus.MONOIDAL_PAIRS):
+        cat = corpus.get("monoidal-pair", name)[0].target.cat
+        yield name, cat, cat
+
+
+def test_the_product_table_built_on_first_read_is_the_eager_one():
+    """Keys, values and their order, length, and equality both ways with a
+    dict, against the table the eager comprehension builds."""
+    count = 0
+    for label, c, d in _product_factors():
+        lazy, eager = product_category(c, d), eager_product_category(c, d)
+        assert isinstance(lazy.table, ProductTable), label
+        assert list(lazy.table.items()) == list(eager.table.items()), label
+        assert len(lazy.table) == len(eager.table), label
+        assert lazy.table == eager.table and eager.table == lazy.table, label
+        assert not (lazy.table != eager.table or eager.table != lazy.table), label
+        assert repr(lazy.table) == repr(eager.table), label
+        assert lazy == eager and eager == lazy, label
+        assert all(key in lazy.table for key in eager.table), label
+        count += 1
+    assert count > 100
+
+
+def test_a_product_table_is_read_only():
+    p = product_category(chain_category(1), chain_category(1))
+    key = next(iter(p.table))
+    with pytest.raises(TypeError):
+        p.table[key] = p.table[key]
+    with pytest.raises(TypeError):
+        del p.table[key]
+    assert p.table == eager_product_category(chain_category(1), chain_category(1)).table
+
+
+def test_a_product_over_a_factor_with_a_missing_composite_fails_on_first_read():
+    """It builds without raising; its first read raises the KeyError that the
+    eager build raised."""
+    c, d = chain_category(1), chain_category(1)
+    del c.table[(("le", 0, 1), ("le", 1, 1))]
+    with pytest.raises(KeyError) as eager:
+        eager_product_category(c, d)
+    p = product_category(c, d)
+    assert len(p.morphisms) == 9
+    with pytest.raises(KeyError) as lazy:
+        p.table[((("le", 0, 0), ("le", 0, 0)), (("le", 0, 0), ("le", 0, 0)))]
+    assert lazy.value.args == eager.value.args
+
+
+def _search_inputs():
+    """One bicategory of each kind the search benchmark hands the
+    enumerators: a poset, a unital magma's codiscrete delooping and a
+    twisted delooping of Z/3."""
+    leq = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)]
+    poset = FiniteCategory("P", [0, 1, 2], {("le", a, b): (a, b) for a, b in leq},
+                           {a: ("le", a, a) for a in range(3)},
+                           {(("le", a, b), ("le", b, d)): ("le", a, d)
+                            for a, b in leq for c, d in leq if b == c})
+    op = {(x, y): (x + y) % 3 for x in range(3) for y in range(3)}
+    # x * carry(y + z), a generator of H^3(Z/3; Z/3)
+    twist = {(x, y, z): x for x in range(3) for y in range(3) for z in range(3) if y + z >= 3}
+    return {"poset": from_category(poset, "P"),
+            "magma": codiscrete_bicategory("M", Magma(["e", "a"], {
+                ("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}, "e")),
+            "twist": cocycle_bicategory("Z3", list(range(3)), op, 0, list(range(3)),
+                                        dict(op), 0, twist)}
+
+
+def test_enumerators_build_no_stored_product_table(monkeypatch):
+    """A composition functor's domain is a product that nothing on the
+    enumeration path reads: building the bundled bicategories and the
+    search inputs, then enumerating lax functors and icons and building
+    2-nerves on them, builds none of their tables."""
+    built = []
+    build = ProductTable._build
+    monkeypatch.setattr(ProductTable, "_build", lambda table: built.append(table) or build(table))
+    bicats = {name: corpus.get("bicategory", name) for name in sorted(corpus.BICATEGORIES)}
+    bicats.update(_search_inputs())
+    stored = [fun.source.table for b in bicats.values() for fun in b.comp.values()]
+    assert stored and all(isinstance(table, ProductTable) for table in stored)
+    arrow = bicats["walking-arrow"]
+    for name, b in bicats.items():
+        for s, t in ((arrow, b), (b, b)):
+            funs = list(enumerate_lax_functors(s, t))
+            assert funs, name
+            for f in funs[:4]:
+                for g in funs[:4]:
+                    list(enumerate_icons(f, g))
+        assert two_nerve(b, 2).report.ok, name
+    assert built == []
 
 
 def test_iso_inverse():

@@ -8,6 +8,7 @@ their results, so the corpus tests also run the full validator on each.
 """
 
 import collections
+import gc
 import itertools
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ from bicatkit.icon import enumerate_icons, validate_icon
 from bicatkit.laxfun import (enumerate_lax_functors, enumerate_two_functors,
                              validate_lax_functor)
 from bicatkit.nerve import (enumerate_simplices, ordinal_as_bicategory, ordinal_map_functor,
-                            validate_simplex)
+                            two_nerve, validate_simplex)
 from bicatkit.oplax import DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax, validate_oplax
 from bicatkit.report import ValidationReport
 from bicatkit.search import compile_plan, run
@@ -95,6 +96,33 @@ def test_a_compiled_plan_runs_on_fresh_slots_each_time():
         seen.append(dict(second.slot))
     assert seen == [{"x": 0, "y": "b"}, {"x": 0, "y": "b"},
                     {"x": 1, "y": "a"}, {"x": 1, "y": "a"}]
+
+
+def _cyclic_garbage(action):
+    """The number of objects that `action` leaves to the cyclic collector,
+    counted with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_runs_free_their_state_when_they_end_or_are_closed():
+    """A finished 2-nerve, an exhausted icon search and a run dropped after
+    its first leaf leave nothing for the cyclic collector: each run's
+    draft, domains and closures are freed when it ends or is closed."""
+    b = corpus.get("bicategory", "ordinal-2")
+    f = laxfun.identity_lax(b)
+    plan = compile_plan([("slot", "x", (), lambda _: [0, 1]), ("slot", "y", (), lambda _: "ab")])
+    assert _cyclic_garbage(lambda: two_nerve(b, 3)) == 0
+    assert _cyclic_garbage(lambda: list(enumerate_icons(f, f))) == 0
+    assert _cyclic_garbage(lambda: next(run(plan, _draft()))) == 0
+    assert _cyclic_garbage(lambda: next(enumerate_lax_functors(b, b))) == 0
 
 
 # A declared slot: its value must lie in 0..9 (else dangling) and in the
