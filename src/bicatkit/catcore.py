@@ -15,17 +15,18 @@ A category hands out its objects, morphisms, hom sets and composable pairs in
 canonical order (`sorted_ids`), computed once, on first read, from its cell
 sets ``objects`` and ``morphisms``.  So the cell sets are fixed once it is
 built; ``identity`` and ``table`` may still be edited in place, except the
-``table`` of a product category.  That one is read-only: it is the product
-of its factors' tables as they stand at its first read, and it is built only
-then, so a product that only carries a functor's domain never builds it.
+``table`` of a product category, which is read-only.  A product category
+holds only its two factors: each field (name, objects, morphisms, identity,
+table) is built from the factors as they stand at that field's first read
+and kept, so a product that only carries a functor's domain builds none.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
@@ -200,51 +201,54 @@ def chain_category(n):
     return FiniteCategory(f"chain{n}", objects, morphisms, identity, table)
 
 
-def product_category(c: FiniteCategory, d: FiniteCategory) -> FiniteCategory:
-    objects = [(a, b) for a in c.objects for b in d.objects]
-    morphisms = {(f, g): ((c.morphisms[f][0], d.morphisms[g][0]),
-                          (c.morphisms[f][1], d.morphisms[g][1]))
-                 for f in c.morphisms for g in d.morphisms}
-    identity = {(a, b): (c.identity[a], d.identity[b]) for a, b in objects}
-    return FiniteCategory(f"({c.name})x({d.name})", objects, morphisms, identity,
-                          ProductTable(c, d))
-
-
-class ProductTable(Mapping):
-    """The composition table of the product of c and d, read-only: built on
-    first read from the factors' tables as they stand then, c's composable
-    pairs slowest, and served from that dict ever after."""
-
-    __slots__ = ("_factors", "_built")
+class ProductCategory(FiniteCategory):
+    """c x d, holding only its factors c and d: each field is built on first
+    read from the factors as they stand then, and kept.  Objects and
+    morphisms are pairs, c's component slowest; the table is read-only."""
 
     def __init__(self, c, d):
-        self._factors = (c, d)
-        self._built = None
-
-    def _table(self):
-        if self._built is None:
-            self._built = self._build()
-        return self._built
-
-    def _build(self):
-        c, d = self._factors
-        return {((f1, g1), (f2, g2)): (c.table[(f1, f2)], d.table[(g1, g2)])
-                for f1, f2 in c.composable_pairs() for g1, g2 in d.composable_pairs()}
-
-    def __getitem__(self, key):
-        return self._table()[key]
-
-    def __iter__(self):
-        return iter(self._table())
-
-    def __len__(self):
-        return len(self._table())
+        self.c, self.d = c, d
 
     def __eq__(self, other):
-        return self._table() == other
+        return isinstance(other, FiniteCategory) and _fields(self) == _fields(other)
 
-    def __repr__(self):
-        return repr(self._table())
+    @cached_property
+    def name(self):
+        return f"({self.c.name})x({self.d.name})"
+
+    @cached_property
+    def objects(self):
+        return [(a, b) for a in self.c.objects for b in self.d.objects]
+
+    @cached_property
+    def morphisms(self):
+        cm, dm = self.c.morphisms, self.d.morphisms
+        return {(f, g): ((cm[f][0], dm[g][0]), (cm[f][1], dm[g][1])) for f in cm for g in dm}
+
+    @cached_property
+    def identity(self):
+        ci, di = self.c.identity, self.d.identity
+        return {(a, b): (ci[a], di[b]) for a in self.c.objects for b in self.d.objects}
+
+    @cached_property
+    def table(self):
+        c, d = self.c, self.d
+        return _ReadOnlyTable(
+            (((f1, g1), (f2, g2)), (c.table[(f1, f2)], d.table[(g1, g2)]))
+            for f1, f2 in c.composable_pairs() for g1, g2 in d.composable_pairs())
+
+
+product_category = ProductCategory
+_fields = attrgetter(*(f.name for f in fields(FiniteCategory)))
+
+
+class _ReadOnlyTable(dict):
+    """A dict whose entries cannot be written or deleted."""
+
+    def _read_only(self, *args):
+        raise TypeError("a product category's table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given
 
 from bicatkit import corpus
-from bicatkit.bicat import Magma, cocycle_bicategory, codiscrete_bicategory, from_category
 from bicatkit.catcore import (
     FiniteCategory,
     Functor,
     NatTrans,
-    ProductTable,
+    ProductCategory,
     chain_category,
     codiscrete_category,
     compose_functors,
@@ -26,6 +25,7 @@ from bicatkit.icon import enumerate_icons
 from bicatkit.laxfun import enumerate_lax_functors
 from bicatkit.nerve import two_nerve
 from reference_product import eager_product_category
+from search_inputs import search_inputs
 
 
 def terminal_category():
@@ -132,20 +132,31 @@ def _product_factors():
         yield name, cat, cat
 
 
-def test_the_product_table_built_on_first_read_is_the_eager_one():
-    """Keys, values and their order, length, and equality both ways with a
-    dict, against the table the eager comprehension builds."""
+PRODUCT_FIELDS = ("name", "objects", "morphisms", "identity", "table")
+
+
+def test_a_product_built_field_by_field_on_first_read_is_the_eager_one():
+    """Each field is built only when first read, and every field equals the
+    eager build's: values and their order, length, representation, and
+    equality both ways."""
     count = 0
     for label, c, d in _product_factors():
         lazy, eager = product_category(c, d), eager_product_category(c, d)
-        assert isinstance(lazy.table, ProductTable), label
-        assert list(lazy.table.items()) == list(eager.table.items()), label
-        assert len(lazy.table) == len(eager.table), label
-        assert lazy.table == eager.table and eager.table == lazy.table, label
-        assert not (lazy.table != eager.table or eager.table != lazy.table), label
+        assert vars(lazy) == {"c": c, "d": d}, label
+        for i, field in enumerate(PRODUCT_FIELDS):
+            getattr(lazy, field)
+            assert list(vars(lazy)) == ["c", "d", *PRODUCT_FIELDS[:i + 1]], label
+        assert lazy.name == eager.name, label
+        assert lazy.objects == eager.objects, label
+        for field in PRODUCT_FIELDS[2:]:
+            mine, theirs = getattr(lazy, field), getattr(eager, field)
+            assert list(mine.items()) == list(theirs.items()), (label, field)
+            assert len(mine) == len(theirs), (label, field)
         assert repr(lazy.table) == repr(eager.table), label
+        assert lazy.table == eager.table and eager.table == lazy.table, label
         assert lazy == eager and eager == lazy, label
-        assert all(key in lazy.table for key in eager.table), label
+        assert not (lazy != eager or eager != lazy), label
+        assert lazy == product_category(c, d), label
         count += 1
     assert count > 100
 
@@ -157,6 +168,8 @@ def test_a_product_table_is_read_only():
         p.table[key] = p.table[key]
     with pytest.raises(TypeError):
         del p.table[key]
+    with pytest.raises(TypeError):
+        p.table.update({key: p.table[key]})
     assert p.table == eager_product_category(chain_category(1), chain_category(1)).table
 
 
@@ -174,37 +187,34 @@ def test_a_product_over_a_factor_with_a_missing_composite_fails_on_first_read():
     assert lazy.value.args == eager.value.args
 
 
-def _search_inputs():
-    """One bicategory of each kind the search benchmark hands the
-    enumerators: a poset, a unital magma's codiscrete delooping and a
-    twisted delooping of Z/3."""
-    leq = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)]
-    poset = FiniteCategory("P", [0, 1, 2], {("le", a, b): (a, b) for a, b in leq},
-                           {a: ("le", a, a) for a in range(3)},
-                           {(("le", a, b), ("le", b, d)): ("le", a, d)
-                            for a, b in leq for c, d in leq if b == c})
-    op = {(x, y): (x + y) % 3 for x in range(3) for y in range(3)}
-    # x * carry(y + z), a generator of H^3(Z/3; Z/3)
-    twist = {(x, y, z): x for x in range(3) for y in range(3) for z in range(3) if y + z >= 3}
-    return {"poset": from_category(poset, "P"),
-            "magma": codiscrete_bicategory("M", Magma(["e", "a"], {
-                ("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}, "e")),
-            "twist": cocycle_bicategory("Z3", list(range(3)), op, 0, list(range(3)),
-                                        dict(op), 0, twist)}
+def test_a_product_over_a_factor_without_an_identity_fails_on_first_identity_read():
+    """It builds, and so do its other fields; its first identity read raises
+    the KeyError that the eager build raised."""
+    c, d = chain_category(1), chain_category(1)
+    del c.identity[1]
+    with pytest.raises(KeyError) as eager:
+        eager_product_category(c, d)
+    p = product_category(c, d)
+    assert (len(p.objects), len(p.morphisms), len(p.table)) == (4, 9, 16)
+    with pytest.raises(KeyError) as lazy:
+        p.identity
+    assert lazy.value.args == eager.value.args
 
 
-def test_enumerators_build_no_stored_product_table(monkeypatch):
+def test_enumerators_build_no_product_field(monkeypatch):
     """A composition functor's domain is a product that nothing on the
     enumeration path reads: building the bundled bicategories and the
     search inputs, then enumerating lax functors and icons and building
-    2-nerves on them, builds none of their tables."""
+    2-nerves on them, builds none of the fields of any product."""
     built = []
-    build = ProductTable._build
-    monkeypatch.setattr(ProductTable, "_build", lambda table: built.append(table) or build(table))
+    for field in PRODUCT_FIELDS:
+        prop = vars(ProductCategory)[field]
+        monkeypatch.setattr(prop, "func", lambda p, build=prop.func, field=field:
+                            built.append(field) or build(p))
     bicats = {name: corpus.get("bicategory", name) for name in sorted(corpus.BICATEGORIES)}
-    bicats.update(_search_inputs())
-    stored = [fun.source.table for b in bicats.values() for fun in b.comp.values()]
-    assert stored and all(isinstance(table, ProductTable) for table in stored)
+    bicats.update(search_inputs())
+    stored = [fun.source for b in bicats.values() for fun in b.comp.values()]
+    assert stored and all(isinstance(p, ProductCategory) for p in stored)
     arrow = bicats["walking-arrow"]
     for name, b in bicats.items():
         for s, t in ((arrow, b), (b, b)):
@@ -215,6 +225,7 @@ def test_enumerators_build_no_stored_product_table(monkeypatch):
                     list(enumerate_icons(f, g))
         assert two_nerve(b, 2).report.ok, name
     assert built == []
+    assert all(vars(p).keys() == {"c", "d"} for p in stored)
 
 
 def test_iso_inverse():

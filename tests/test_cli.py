@@ -86,6 +86,25 @@ def test_bicategory_whose_hom_lacks_a_composite_is_structural(capsys, tmp_path):
     assert "result: error (exit 2)" in out
 
 
+def test_bicategory_whose_hom_lacks_an_identity_is_structural(capsys, tmp_path):
+    """The hom fails its own validation before any composition functor's
+    domain reads the missing identity: exit 2 and the hom's error line."""
+    doc = tmp_path / "broken.bc"
+    doc.write_text('bicategory "t"\n  object "*"\n  unit "*" = "1*"\n'
+                   '  hom "*" "*" = category "t-hom"\n    object "1*"\n    object "x"\n'
+                   '    morphism ["i","1*"] : "1*" -> "1*"\n    identity "1*" = ["i","1*"]\n'
+                   '    compose ["i","1*"] after ["i","1*"] = ["i","1*"]\n'
+                   '  end\n  compose "*" "*" "*" = functor "comp(*,*,*)"\n'
+                   '    on1 "1*" after "1*" = "1*"\n    on2 ["i","1*"] after ["i","1*"] = ["i","1*"]\n'
+                   '  end\n  assoc "1*" "1*" "1*" = ["i","1*"]\n  lunit "1*" = ["i","1*"]\n'
+                   '  runit "1*" = ["i","1*"]\nend\n', encoding="utf-8")
+    code, out = run(capsys, "--file", str(doc), "validate", "t")
+    assert code == 2
+    assert f"error: {doc}:4: category 't-hom' in bicategory 't' fails validation: " \
+           "missing-identity: object 'x' has no identity" in out.splitlines()
+    assert "result: error (exit 2)" in out
+
+
 def test_unknown_verb_exits_2():
     proc = subprocess.run([sys.executable, "-m", "bicatkit.cli", "frobnicate"],
                           capture_output=True, text=True)
