@@ -2,7 +2,10 @@
 
 A bicategory here is a finite set of objects, a finite hom-category for every
 ordered pair of objects, composition functors, unit 1-cells, and the three
-families of coherence 2-cells.  Conventions, fixed once and used everywhere:
+families of coherence 2-cells.  The composition functor at (A, B, C) runs
+from hom(B,C) x hom(A,B) to hom(A,C); its source is stored as the pair of
+the two homs, and no product category is built.  Conventions, fixed once
+and used everywhere:
 
 * ``compose1(g, f)`` is "g after f": f runs A -> B first, then g runs B -> C.
   Composition-functor tables are keyed by the pair ``(g, f)`` in that order.
@@ -42,8 +45,10 @@ The coherence data is a declaration over the composition data:
 and a right unitor per 1-cell, each ranging over the invertible 2-cells
 with its endpoints, and `bicategory_laws` lists the naturality, pentagon
 and triangle instances.  `validate_bicategory` checks the hom categories,
-the ids, the units and the composition functors, then runs that listing;
-`search.run` enumerates it on a draft whose coherence tables are empty.
+the ids, the units and the composition functors, each against
+`bifunctor_variables` and `bifunctor_laws` of its two homs, then runs the
+coherence listing; `search.run` enumerates that listing on a draft whose
+coherence tables are empty.
 Validation reads the live hom tables, ``comp`` and ``unit``, never the flat
 tables, so it holds on a bicategory still being built or edited.
 """
@@ -57,12 +62,13 @@ from functools import cache, cached_property, partial
 from .catcore import (
     FiniteCategory,
     Functor,
+    bifunctor_laws,
+    bifunctor_variables,
+    check_functor,
     codiscrete_category,
     discrete_category,
     grouped,
-    product_category,
     validate_category,
-    validate_functor,
 )
 from .report import ValidationReport, sorted_ids
 
@@ -78,7 +84,7 @@ class FiniteBicategory:
     name: str
     objects: list
     homs: dict           # (A, B) -> FiniteCategory of 1-cells and 2-cells
-    comp: dict           # (A, B, C) -> Functor: hom(B,C) x hom(A,B) -> hom(A,C)
+    comp: dict           # (A, B, C) -> Functor: (hom(B,C), hom(A,B)) -> hom(A,C)
     unit: dict           # A -> 1-cell id in hom(A, A)
     associator: dict     # (h, g, f) -> 2-cell: (h.g).f => h.(g.f)
     left_unitor: dict    # f -> 2-cell: unit.f => f
@@ -286,8 +292,9 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
     if rep.structural_failure:
         return rep
 
-    # composition functors, rebuilt over the expected product so we never
-    # trust a stored source category
+    # composition functors, each checked as a functor out of the product of
+    # its two homs, listed from the homs themselves: the stored source and
+    # target are never read
     for x, y, z in itertools.product(objs, repeat=3):
         key = (x, y, z)
         fun = b.comp.get(key)
@@ -295,10 +302,11 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
             rep.add("missing-comp", f"no composition functor for {key!r}", key,
                     structural=True)
             continue
-        expected = product_category(b.homs[(y, z)], b.homs[(x, y)])
-        rebuilt = Functor(f"comp{key!r}", expected, b.homs[(x, z)],
+        left, right, target = b.homs[(y, z)], b.homs[(x, y)], b.homs[(x, z)]
+        checked = Functor(f"comp{key!r}", (left, right), target,
                           fun.object_map, fun.morphism_map)
-        rep.include(validate_functor(rebuilt), "comp:", f"comp{key!r}: ")
+        rep.include(check_functor(checked, bifunctor_variables(left, right, target),
+                                  bifunctor_laws(left, right)), "comp:", f"comp{key!r}: ")
     if rep.violations:
         return rep
 
@@ -447,10 +455,10 @@ def strict_bicategory(name, objects, homs, unit, comp1, comp2) -> FiniteBicatego
     b = FiniteBicategory(name, list(objects), dict(homs), {}, dict(unit), {}, {}, {})
     for x, y, z in itertools.product(b.objects, repeat=3):
         left, right = homs[(y, z)], homs[(x, y)]
-        prod = product_category(left, right)
         omap = {(g, f): comp1(g, f) for g in left.objects for f in right.objects}
         mmap = {(d, c): comp2(d, c) for d in left.morphisms for c in right.morphisms}
-        b.comp[(x, y, z)] = Functor(f"comp({x},{y},{z})", prod, homs[(x, z)], omap, mmap)
+        b.comp[(x, y, z)] = Functor(f"comp({x},{y},{z})", (left, right), homs[(x, z)],
+                                    omap, mmap)
     for h, g, f in b.composable_triples():
         lhs = comp1(comp1(h, g), f)
         if lhs != comp1(h, comp1(g, f)):
@@ -528,8 +536,7 @@ def codiscrete_bicategory(name, magma: Magma) -> FiniteBicategory:
             _, g, g2 = d
             _, f, f2 = c
             mmap[(d, c)] = ("to", magma.table[(g, f)], magma.table[(g2, f2)])
-    prod = product_category(hom, hom)
-    comp = {(star, star, star): Functor(f"{name}-comp", prod, hom, omap, mmap)}
+    comp = {(star, star, star): Functor(f"{name}-comp", (hom, hom), hom, omap, mmap)}
     b = FiniteBicategory(name, [star], {(star, star): hom}, comp,
                          {star: e}, {}, {}, {})
     for f in magma.elements:
@@ -563,8 +570,8 @@ def sigma_bicategory(m: MonoidalCategory) -> FiniteBicategory:
     """The one-object bicategory whose hom-category is the monoidal category,
     with 1-cell composition given by the tensor."""
     star = "*"
-    prod = product_category(m.cat, m.cat)
-    comp = Functor(f"{m.name}-tensor", prod, m.cat, dict(m.tensor_obj), dict(m.tensor_mor))
+    comp = Functor(f"{m.name}-tensor", (m.cat, m.cat), m.cat,
+                   dict(m.tensor_obj), dict(m.tensor_mor))
     return FiniteBicategory(
         f"sigma[{m.name}]", [star], {(star, star): m.cat}, {(star, star, star): comp},
         {star: m.unit_obj}, dict(m.associator), dict(m.left_unitor), dict(m.right_unitor))

@@ -14,19 +14,14 @@ ValidationReport with the smallest witness they found.
 A category hands out its objects, morphisms, hom sets and composable pairs in
 canonical order (`sorted_ids`), computed once, on first read, from its cell
 sets ``objects`` and ``morphisms``.  So the cell sets are fixed once it is
-built; ``identity`` and ``table`` may still be edited in place, except the
-``table`` of a product category, which is read-only.  A product category
-holds only its two factors: each field (name, objects, morphisms, identity,
-table) is built from the factors as they stand at that field's first read
-and kept, so a product that only carries a functor's domain builds none.
+built; ``identity`` and ``table`` may still be edited in place.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
-from functools import cached_property
-from operator import attrgetter
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
@@ -201,85 +196,38 @@ def chain_category(n):
     return FiniteCategory(f"chain{n}", objects, morphisms, identity, table)
 
 
-class ProductCategory(FiniteCategory):
-    """c x d, holding only its factors c and d: each field is built on first
-    read from the factors as they stand then, and kept.  Objects and
-    morphisms are pairs, c's component slowest; the table is read-only."""
-
-    def __init__(self, c, d):
-        self.c, self.d = c, d
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteCategory) and _fields(self) == _fields(other)
-
-    @cached_property
-    def name(self):
-        return f"({self.c.name})x({self.d.name})"
-
-    @cached_property
-    def objects(self):
-        return [(a, b) for a in self.c.objects for b in self.d.objects]
-
-    @cached_property
-    def morphisms(self):
-        cm, dm = self.c.morphisms, self.d.morphisms
-        return {(f, g): ((cm[f][0], dm[g][0]), (cm[f][1], dm[g][1])) for f in cm for g in dm}
-
-    @cached_property
-    def identity(self):
-        ci, di = self.c.identity, self.d.identity
-        return {(a, b): (ci[a], di[b]) for a in self.c.objects for b in self.d.objects}
-
-    @cached_property
-    def table(self):
-        c, d = self.c, self.d
-        return _ReadOnlyTable(
-            (((f1, g1), (f2, g2)), (c.table[(f1, f2)], d.table[(g1, g2)]))
-            for f1, f2 in c.composable_pairs() for g1, g2 in d.composable_pairs())
-
-
-product_category = ProductCategory
-_fields = attrgetter(*(f.name for f in fields(FiniteCategory)))
-
-
-class _ReadOnlyTable(dict):
-    """A dict whose entries cannot be written or deleted."""
-
-    def _read_only(self, *args):
-        raise TypeError("a product category's table is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
-
-
 # ---------------------------------------------------------------------------
 # functors
 
 @dataclass
 class Functor:
     name: str
-    source: FiniteCategory
+    source: FiniteCategory  # a composition functor's: the pair of its factors
     target: FiniteCategory
     object_map: dict
     morphism_map: dict
 
 
 def validate_functor(fun: Functor) -> ValidationReport:
-    rep = validate_images(fun)
-    if rep.ok:
-        rep.check_laws(fun, functor_laws(fun.source))
-    return rep
+    return check_functor(fun, functor_variables(fun.source, fun.target),
+                         functor_laws(fun.source))
 
 
 def validate_images(fun: Functor) -> ValidationReport:
-    """The checks of `validate_functor` before its laws: every cell has an
-    image that is a cell of the target, then every morphism's image runs
-    between the images of its ends."""
+    """The checks of `validate_functor` before its laws."""
+    return check_functor(fun, functor_variables(fun.source, fun.target))
+
+
+def check_functor(fun, variables, laws=()) -> ValidationReport:
+    """Check `fun` against a listing of its images and laws: every cell has
+    an image that is a cell of the target, then every morphism's image runs
+    between the images of its ends, then the laws hold."""
     rep = ValidationReport(f"functor {fun.name}")
-    variables = functor_variables(fun.source, fun.target)
     for domains in (False, True):
         rep.check_values(fun, variables, domains)
         if rep.violations:
-            break
+            return rep
+    rep.check_laws(fun, laws)
     return rep
 
 
@@ -297,31 +245,66 @@ def functor_variables(s, t):
     """The search variables of a functor s -> t: the image of each object,
     then of each morphism, each in sorted order, a morphism's ranging over
     the hom between the images of its ends."""
+    return _image_variables(s.sorted_objects,
+                            ((m, s.morphisms[m]) for m in s.sorted_morphisms), t)
+
+
+def bifunctor_variables(c, d, t):
+    """`functor_variables` of a functor c x d -> t, read off the factors:
+    objects and morphisms are pairs, c's component slowest."""
+    cm, dm = c.morphisms, d.morphisms
+    return _image_variables(
+        itertools.product(c.sorted_objects, d.sorted_objects),
+        (((f, g), tuple(zip(cm[f], dm[g])))
+         for f, g in itertools.product(c.sorted_morphisms, d.sorted_morphisms)), t)
+
+
+def _image_variables(objects, morphisms, t):
+    """The image of each of the objects, then of each ``(m, (a, b))`` of the
+    morphisms, ranging over the hom of t between the images of a and b."""
     omap, targets = "object_map", t.sorted_objects
-    return [(omap, a, (), lambda fun: targets, (a,), OBJECT_IMAGE) for a in s.sorted_objects] + [
-        ("morphism_map", m, ((omap, s.src(m)), (omap, s.tgt(m))),
-         lambda fun, m=m: t.hom(fun.object_map[s.src(m)], fun.object_map[s.tgt(m)]),
-         (m,), _MORPHISM_IMAGE) for m in s.sorted_morphisms]
+    return [(omap, a, (), lambda fun: targets, (a,), OBJECT_IMAGE) for a in objects] + [
+        ("morphism_map", m, ((omap, a), (omap, b)),
+         lambda fun, a=a, b=b: t.hom(fun.object_map[a], fun.object_map[b]),
+         (m,), _MORPHISM_IMAGE) for m, (a, b) in morphisms]
 
 
-def _preserves_identity(fun, a):
-    return fun.morphism_map[fun.source.identity[a]] == fun.target.identity[fun.object_map[a]]
+def _preserves_identity(i, fun, a):
+    return fun.morphism_map[i] == fun.target.identity[fun.object_map[a]]
 
 
-def _preserves_composite(fun, f, g):
+def _preserves_composite(h, fun, f, g):
     mm = fun.morphism_map
-    return mm[fun.source.table[(f, g)]] == fun.target.table[(mm[f], mm[g])]
+    return mm[h] == fun.target.table[(mm[f], mm[g])]
 
 
 def functor_laws(s):
     """Preservation of identities, then of composites, as law instances
     (see `ValidationReport.check_laws`) of a functor out of `s`."""
+    return _functor_laws(((a, s.identity[a]) for a in s.sorted_objects),
+                         ((f, g, s.table[(f, g)]) for f, g in s.composable_pairs()))
+
+
+def bifunctor_laws(c, d):
+    """`functor_laws` of c x d, read off the factors."""
+    ci, di, ct, dt = c.identity, d.identity, c.table, d.table
+    return _functor_laws(
+        (((a, b), (ci[a], di[b]))
+         for a, b in itertools.product(c.sorted_objects, d.sorted_objects)),
+        ((p, q, (ct[(p[0], q[0])], dt[(p[1], q[1])]))
+         for p in itertools.product(c.sorted_morphisms, d.sorted_morphisms)
+         for q in itertools.product(c.out_of(c.tgt(p[0])), d.out_of(d.tgt(p[1])))))
+
+
+def _functor_laws(identities, composites):
+    """The law instances of each ``(a, identity of a)`` of the identities,
+    then of each ``(f, g, g after f)`` of the composites."""
     omap, mm = "object_map", "morphism_map"
-    for a in s.sorted_objects:
-        yield (_preserves_identity, (a,), ((omap, a), (mm, s.identity[a])),
+    for a, i in identities:
+        yield (partial(_preserves_identity, i), (a,), ((omap, a), (mm, i)),
                "identity", "identity of {!r} is not sent to an identity")
-    for f, g in s.composable_pairs():
-        yield (_preserves_composite, (f, g), ((mm, f), (mm, g), (mm, s.table[(f, g)])),
+    for f, g, h in composites:
+        yield (partial(_preserves_composite, h), (f, g), ((mm, f), (mm, g), (mm, h)),
                "composition", "images of {1!r}.{0!r} disagree")
 
 

@@ -44,7 +44,6 @@ from .catcore import (
     Functor,
     NatTrans,
     chain_category,
-    product_category,
     validate_category,
 )
 from .report import sorted_ids
@@ -326,8 +325,7 @@ def _finish_compose_functor(blk):
     for pair in ((y, z), (x, y), (x, z)):
         if pair not in homs:
             blk.fail(f"compose {x} {y} {z} precedes hom {pair}")
-    return Functor(blk.name, product_category(homs[(y, z)], homs[(x, y)]),
-                   homs[(x, z)], **blk.fields)
+    return Functor(blk.name, (homs[(y, z)], homs[(x, y)]), homs[(x, z)], **blk.fields)
 
 
 def _finish_monoidal(blk):

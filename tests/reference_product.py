@@ -1,6 +1,6 @@
-"""The product category as it was built while its composition table was a
-plain dict filled in at once: the reference that `catcore.product_category`,
-whose table is built on first read, must agree with."""
+"""The product category c x d, built in full: the reference that the
+composition listing `catcore.bifunctor_variables`/`bifunctor_laws`, read
+off the two factors without building their product, must agree with."""
 
 from bicatkit.catcore import FiniteCategory
 

@@ -1,5 +1,5 @@
 """Small inputs of each kind the search benchmark hands the enumerators,
-shared by the product-category tests and `scripts/structure_memory.py`."""
+shared by the composition-functor tests and `scripts/structure_memory.py`."""
 
 from bicatkit.bicat import Magma, cocycle_bicategory, codiscrete_bicategory, from_category
 from bicatkit.catcore import FiniteCategory

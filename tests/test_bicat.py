@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 from bicatkit import corpus
 from bicatkit.bicat import (Magma, bicategory_laws, coherence_variables, cocycle_bicategory,
                             codiscrete_bicategory, strict_bicategory, validate_bicategory)
+from bicatkit.catcore import (Functor, bifunctor_laws, bifunctor_variables, functor_laws,
+                              functor_variables, validate_functor)
 from bicatkit.oracles import brute_z2_twist_ok
+from bicatkit.report import ValidationReport, sorted_ids
 from bicatkit.search import compile_plan, run
+from reference_product import eager_product_category
+from search_inputs import search_inputs
 
 
 def test_corpus_bicategories_all_validate():
@@ -325,3 +330,110 @@ def test_missing_hom_detected():
     del b.homs[(0, 1)]
     rep = validate_bicategory(b)
     assert rep.first("missing-hom") is not None
+
+
+# ---------------------------------------------------------------------------
+# composition functors, checked from their two homs
+
+def _listing(fun, variables, laws):
+    """A listing of a functor's variables and laws as plain values, with each
+    domain and law evaluated on `fun`."""
+    return ([(field, key, reads, tuple(domain(fun)), cells, checks)
+             for field, key, reads, domain, cells, checks in variables],
+            [(holds(fun, *cells), cells, reads, kind, message)
+             for holds, cells, reads, kind, message in laws])
+
+
+def test_the_composition_listing_is_the_functor_listing_over_the_product():
+    """At every triple of objects of every corpus bicategory and search
+    input, the variables and law instances read off hom(y, z) and hom(x, y)
+    are those listed over their product, entry for entry and in order."""
+    bicats = {name: build() for name, build in sorted(corpus.BICATEGORIES.items())}
+    bicats.update(search_inputs())
+    count = 0
+    for name, b in bicats.items():
+        for x, y, z in itertools.product(b.sorted_objects, repeat=3):
+            left, right, target = b.homs[(y, z)], b.homs[(x, y)], b.homs[(x, z)]
+            eager = eager_product_category(left, right)
+            fun = b.comp[(x, y, z)]
+            mine = _listing(fun, bifunctor_variables(left, right, target),
+                            bifunctor_laws(left, right))
+            assert mine == _listing(fun, functor_variables(eager, target),
+                                    functor_laws(eager)), (name, x, y, z)
+            count += 1
+    assert count > 100
+
+
+_DROP = object()
+
+
+def _comp_edits(b, key):
+    """(field, cell, value) edits of b.comp[key], each corrupting one entry:
+    an object image dropped, dangling, or moved to another object; a
+    morphism image dropped, dangling, or moved to one with other endpoints;
+    and the first and the last morphism image that has a parallel one
+    moved to it."""
+    fun, target = b.comp[key], b.homs[(key[0], key[2])]
+    omap, mmap = fun.object_map, fun.morphism_map
+    a = sorted_ids(omap)[len(omap) // 2]
+    m = sorted_ids(mmap)[len(mmap) // 2]
+    yield "object_map", a, _DROP
+    yield "object_map", a, "nowhere"
+    yield from (("object_map", a, o) for o in target.sorted_objects[:2] if o != omap[a])
+    yield "morphism_map", m, _DROP
+    yield "morphism_map", m, "nowhere"
+    ends = target.morphisms[mmap[m]]
+    yield from [("morphism_map", m, n) for n in target.sorted_morphisms
+                if target.morphisms[n] != ends][:1]
+    parallel = [("morphism_map", m, n) for m in sorted_ids(mmap)
+                for n in target.hom(*target.morphisms[mmap[m]]) if n != mmap[m]]
+    yield from parallel[:1] + parallel[-1:]
+
+
+def _product_comp_report(b):
+    """The [comp: violations as they are found by `validate_functor` on each
+    composition functor, given the product of its two homs as source."""
+    rep = ValidationReport(b.name)
+    for key in itertools.product(b.sorted_objects, repeat=3):
+        x, y, z = key
+        fun = b.comp[key]
+        rebuilt = Functor(f"comp{key!r}", eager_product_category(b.homs[(y, z)], b.homs[(x, y)]),
+                          b.homs[(x, z)], fun.object_map, fun.morphism_map)
+        rep.include(validate_functor(rebuilt), "comp:", f"comp{key!r}: ")
+    return rep.violations
+
+
+def test_composition_violations_are_those_of_the_functor_out_of_the_product():
+    """For one corrupted entry of a composition functor of each corpus
+    bicategory, `validate_bicategory` reports the [comp: violations that
+    `validate_functor` finds over the product of the two homs."""
+    kinds = set()
+    for name, build in sorted(corpus.BICATEGORIES.items()):
+        b = build()
+        key = max(itertools.product(b.sorted_objects, repeat=3),
+                  key=lambda k: len(b.comp[k].morphism_map))
+        for field, cell, value in _comp_edits(b, key):
+            b = build()
+            table = getattr(b.comp[key], field)
+            if value is _DROP:
+                del table[cell]
+            else:
+                table[cell] = value
+            found = [v for v in validate_bicategory(b).violations if v.kind.startswith("comp:")]
+            assert found == _product_comp_report(b), (name, field, cell, value)
+            kinds.update(v.kind for v in found)
+    assert kinds == {"comp:missing-object-image", "comp:dangling-object-image",
+                     "comp:missing-morphism-image", "comp:dangling-morphism-image",
+                     "comp:endpoints", "comp:identity", "comp:composition"}
+
+
+def test_separately_built_bicategories_are_equal_until_a_hom_table_is_edited():
+    """`==` on bicategories, which composing lax functors reads through
+    `f.target != g.source`, holds between two builds of each corpus
+    bicategory and fails once one hom table of one of them is edited."""
+    for name, build in sorted(corpus.BICATEGORIES.items()):
+        b, c = build(), build()
+        assert b == c and not b != c, name
+        table = next(c.homs[pair].table for pair in c.sorted_homs if c.homs[pair].table)
+        table[next(iter(table))] = "edited"
+        assert b != c and not b == c, name

@@ -1,13 +1,14 @@
+import pathlib
+
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given
 
 from bicatkit import corpus
+from bicatkit import fileformat as ff
 from bicatkit.catcore import (
     FiniteCategory,
     Functor,
     NatTrans,
-    ProductCategory,
     chain_category,
     codiscrete_category,
     compose_functors,
@@ -16,16 +17,14 @@ from bicatkit.catcore import (
     enumerate_nats,
     is_essentially_surjective,
     is_fully_faithful,
-    product_category,
     validate_category,
     validate_functor,
     validate_nat,
 )
-from bicatkit.icon import enumerate_icons
-from bicatkit.laxfun import enumerate_lax_functors
-from bicatkit.nerve import two_nerve
 from reference_product import eager_product_category
 from search_inputs import search_inputs
+
+DATA = pathlib.Path(ff.__file__).parent / "data"
 
 
 def terminal_category():
@@ -112,120 +111,32 @@ def test_missing_composite_is_structural():
 
 
 def test_product_counts():
-    p = product_category(chain_category(1), chain_category(1))
+    """The reference product, which the composition listing of
+    `validate_bicategory` is checked against, is a category."""
+    p = eager_product_category(chain_category(1), chain_category(1))
     assert len(p.objects) == 4
     assert len(p.morphisms) == 9
     assert validate_category(p).ok
 
 
-def _product_factors():
-    """(label, c, d): every ordered pair of hom categories of every corpus
-    bicategory, then each base category of criterion 4's monoidal pairs with
-    itself."""
-    for name in sorted(corpus.BICATEGORIES):
-        b = corpus.get("bicategory", name)
-        for p in b.sorted_homs:
-            for q in b.sorted_homs:
-                yield f"{name} {p!r} {q!r}", b.homs[p], b.homs[q]
-    for name in sorted(corpus.MONOIDAL_PAIRS):
-        cat = corpus.get("monoidal-pair", name)[0].target.cat
-        yield name, cat, cat
-
-
-PRODUCT_FIELDS = ("name", "objects", "morphisms", "identity", "table")
-
-
-def test_a_product_built_field_by_field_on_first_read_is_the_eager_one():
-    """Each field is built only when first read, and every field equals the
-    eager build's: values and their order, length, representation, and
-    equality both ways."""
+def test_a_composition_functor_s_source_is_the_pair_of_its_homs():
+    """Every stored composition functor, built in code or read from the
+    bundled files, has as source the pair (hom(y, z), hom(x, y)) and as
+    target hom(x, z): the bicategory's own hom categories, not copies."""
+    bicats = [corpus.get("bicategory", name) for name in sorted(corpus.BICATEGORIES)]
+    bicats.extend(search_inputs().values())
+    sf = ff.StructureFile()
+    for path in sorted(DATA.glob("*.bc")):
+        ff.parse_path(path, into=sf)
+    bicats.extend(sf.bicategories.values())
     count = 0
-    for label, c, d in _product_factors():
-        lazy, eager = product_category(c, d), eager_product_category(c, d)
-        assert vars(lazy) == {"c": c, "d": d}, label
-        for i, field in enumerate(PRODUCT_FIELDS):
-            getattr(lazy, field)
-            assert list(vars(lazy)) == ["c", "d", *PRODUCT_FIELDS[:i + 1]], label
-        assert lazy.name == eager.name, label
-        assert lazy.objects == eager.objects, label
-        for field in PRODUCT_FIELDS[2:]:
-            mine, theirs = getattr(lazy, field), getattr(eager, field)
-            assert list(mine.items()) == list(theirs.items()), (label, field)
-            assert len(mine) == len(theirs), (label, field)
-        assert repr(lazy.table) == repr(eager.table), label
-        assert lazy.table == eager.table and eager.table == lazy.table, label
-        assert lazy == eager and eager == lazy, label
-        assert not (lazy != eager or eager != lazy), label
-        assert lazy == product_category(c, d), label
-        count += 1
+    for b in bicats:
+        for (x, y, z), fun in b.comp.items():
+            left, right = fun.source
+            assert left is b.homs[(y, z)] and right is b.homs[(x, y)], (b.name, x, y, z)
+            assert fun.target is b.homs[(x, z)], (b.name, x, y, z)
+            count += 1
     assert count > 100
-
-
-def test_a_product_table_is_read_only():
-    p = product_category(chain_category(1), chain_category(1))
-    key = next(iter(p.table))
-    with pytest.raises(TypeError):
-        p.table[key] = p.table[key]
-    with pytest.raises(TypeError):
-        del p.table[key]
-    with pytest.raises(TypeError):
-        p.table.update({key: p.table[key]})
-    assert p.table == eager_product_category(chain_category(1), chain_category(1)).table
-
-
-def test_a_product_over_a_factor_with_a_missing_composite_fails_on_first_read():
-    """It builds without raising; its first read raises the KeyError that the
-    eager build raised."""
-    c, d = chain_category(1), chain_category(1)
-    del c.table[(("le", 0, 1), ("le", 1, 1))]
-    with pytest.raises(KeyError) as eager:
-        eager_product_category(c, d)
-    p = product_category(c, d)
-    assert len(p.morphisms) == 9
-    with pytest.raises(KeyError) as lazy:
-        p.table[((("le", 0, 0), ("le", 0, 0)), (("le", 0, 0), ("le", 0, 0)))]
-    assert lazy.value.args == eager.value.args
-
-
-def test_a_product_over_a_factor_without_an_identity_fails_on_first_identity_read():
-    """It builds, and so do its other fields; its first identity read raises
-    the KeyError that the eager build raised."""
-    c, d = chain_category(1), chain_category(1)
-    del c.identity[1]
-    with pytest.raises(KeyError) as eager:
-        eager_product_category(c, d)
-    p = product_category(c, d)
-    assert (len(p.objects), len(p.morphisms), len(p.table)) == (4, 9, 16)
-    with pytest.raises(KeyError) as lazy:
-        p.identity
-    assert lazy.value.args == eager.value.args
-
-
-def test_enumerators_build_no_product_field(monkeypatch):
-    """A composition functor's domain is a product that nothing on the
-    enumeration path reads: building the bundled bicategories and the
-    search inputs, then enumerating lax functors and icons and building
-    2-nerves on them, builds none of the fields of any product."""
-    built = []
-    for field in PRODUCT_FIELDS:
-        prop = vars(ProductCategory)[field]
-        monkeypatch.setattr(prop, "func", lambda p, build=prop.func, field=field:
-                            built.append(field) or build(p))
-    bicats = {name: corpus.get("bicategory", name) for name in sorted(corpus.BICATEGORIES)}
-    bicats.update(search_inputs())
-    stored = [fun.source for b in bicats.values() for fun in b.comp.values()]
-    assert stored and all(isinstance(p, ProductCategory) for p in stored)
-    arrow = bicats["walking-arrow"]
-    for name, b in bicats.items():
-        for s, t in ((arrow, b), (b, b)):
-            funs = list(enumerate_lax_functors(s, t))
-            assert funs, name
-            for f in funs[:4]:
-                for g in funs[:4]:
-                    list(enumerate_icons(f, g))
-        assert two_nerve(b, 2).report.ok, name
-    assert built == []
-    assert all(vars(p).keys() == {"c", "d"} for p in stored)
 
 
 def test_iso_inverse():

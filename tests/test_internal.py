@@ -4,7 +4,7 @@ import pytest
 
 from bicatkit import corpus
 from bicatkit.bicat import UnsupportedSettingError, from_category
-from bicatkit.catcore import chain_category, product_category
+from bicatkit.catcore import chain_category
 from bicatkit.internal import (
     CartesianQuery,
     cartesian_report,
@@ -14,6 +14,7 @@ from bicatkit.internal import (
     is_p_cartesian,
 )
 from bicatkit.oracles import cartesian_by_definition, equivalence_by_inverse_search
+from reference_product import eager_product_category
 
 EQUIVALENCES = ["id-walking-arrow", "twisted-identity",
                 "arrow-thickening-inclusion"]
@@ -126,6 +127,6 @@ def test_collapsing_projection_fails_the_lifting_clause():
 
 def test_every_one_cell_of_a_poset_square_is_a_fibration():
     square = from_category(
-        product_category(chain_category(1), chain_category(1)), "poset-square")
+        eager_product_category(chain_category(1), chain_category(1)), "poset-square")
     for p in square.one_cells():
         assert is_fibration(square, p)
