@@ -7,9 +7,12 @@ examples of `bicatkit.corpus`.  Reports go to standard output (and, with
 witnesses, and a timing section kept last so that everything above it is
 byte-reproducible.
 
-A command imports only what its verb and its document's kinds need: each
-verb imports the modules it calls, and `bicatkit.fileformat` loads the
-module of a kind when a document defines a structure of that kind.
+A command imports only what its verb and its names need: each verb imports
+the modules it calls; `bicatkit.fileformat` loads only when there is a
+document to read (or, for `compose`, a lax functor to write), and loads the
+module of a kind when a document defines a structure of that kind; a
+bundled name loads `bicatkit.corpus`, whose builders import the lax-side
+modules of the structures they build.
 
 Exit codes: 0 all checks pass; 1 a mathematical check failed (the report
 carries a witness); 2 structural trouble — unknown verb or name, unparsable
@@ -29,15 +32,7 @@ import time
 from . import __version__
 from .bicat import UnsupportedSettingError, validate_bicategory, validate_monoidal
 from .catcore import validate_category
-from .fileformat import (
-    KINDS,
-    StructureError,
-    StructureFile,
-    _tuplify,
-    dump_id,
-    parse_path,
-    serialize_laxfunctor,
-)
+from .report import StructureError, _tuplify, dump_id
 
 
 def _validator(module, name):
@@ -56,6 +51,11 @@ _VALIDATORS = {
 }
 
 
+# The kinds that are both document kinds and corpus tables, in the order of
+# `fileformat.KINDS`, which a bundled name is looked up in.
+BUNDLED_KINDS = ("bicategory", "laxfunctor", "icon", "oplax")
+
+
 class Resolver:
     """Layered name lookup: --file documents, BICATKIT_CORPUS documents, then
     `bicatkit.corpus`.  The file layers load on first use."""
@@ -70,6 +70,11 @@ class Resolver:
 
     @staticmethod
     def _load_paths(paths):
+        """The document the files `paths` define together, or None when there
+        are no files: a command given none reads no `fileformat`."""
+        if not paths:
+            return None
+        from .fileformat import StructureFile, parse_path
         sf = StructureFile()
         for p in paths:
             parse_path(p, into=sf)
@@ -83,11 +88,12 @@ class Resolver:
     def find(self, name, kinds=None):
         """(kind, structure) for the first layer that knows the name."""
         for i in range(len(self._loaders)):
-            hit = self._layer(i).lookup(name, kinds)
+            layer = self._layer(i)
+            hit = layer.lookup(name, kinds) if layer is not None else None
             if hit is not None:
                 return hit
         from . import corpus
-        for kind in kinds or KINDS:
+        for kind in kinds or BUNDLED_KINDS:
             if name in corpus.TABLES.get(kind, ()):
                 return kind, corpus.get(kind, name)
         wanted = " or ".join(kinds) if kinds else "structure"
@@ -164,6 +170,7 @@ def _do_classify(args, res, body):
 
 
 def _do_compose(args, res, body):
+    from .fileformat import serialize_laxfunctor
     from .laxfun import compose_lax, validate_lax_functor
     g = res.one(args.g, "laxfunctor")
     f = res.one(args.f, "laxfunctor")

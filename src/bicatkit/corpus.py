@@ -4,9 +4,16 @@ Every builder returns a fresh, hand-checkable instance.  The zoo is the
 package's common ground: unit tests, the acceptance suite, `corpus run-all`
 and the CLI's bundled names all draw from here, so each structure is built
 once, by name, in one place: `get(kind, name)` over the tables of `TABLES`.
+
+Only the bicategory and category modules load with the zoo.  A builder of a
+lax functor, an icon, a monoidal functor or an oplax transformation imports
+the module of what it builds when it is called, so a command that builds a
+bicategory loads none of them.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .bicat import (
     FiniteBicategory,
@@ -18,9 +25,11 @@ from .bicat import (
     strict_bicategory,
 )
 from .catcore import FiniteCategory, Functor, chain_category
-from .icon import Icon, identity_icon, monoidal_to_icon
-from .laxfun import LaxFunctor, MonoidalFunctor, identity_lax, two_functor
-from .oplax import OplaxNat, arrow_witness, icon_as_oplax, identity_oplax
+
+if TYPE_CHECKING:  # the annotations' types; each builder imports what it calls
+    from .icon import Icon
+    from .laxfun import LaxFunctor, MonoidalFunctor
+    from .oplax import OplaxNat
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +259,7 @@ def sigma_maxposet() -> FiniteBicategory:
 
 def collapse_to_terminal(b: FiniteBicategory) -> LaxFunctor:
     """The unique strict functor from b to the terminal bicategory."""
+    from .laxfun import two_functor
     t = terminal_bicategory()
     cell1 = {f: "1*" for f in b.one_cells()}
     cell2 = {c: ("i", "1*") for c in b.two_cells()}
@@ -261,6 +271,7 @@ def idem_laxonly(base: FiniteBicategory | None = None) -> LaxFunctor:
     """Endofunctor of sigma_idem that is the identity on every cell but whose
     comparison at (s, s) is the non-invertible idempotent k.  Lax, and not a
     homomorphism."""
+    from .laxfun import identity_lax
     b = base or sigma_idem()
     fun = identity_lax(b)
     fun.name = "idem-laxonly"
@@ -270,6 +281,7 @@ def idem_laxonly(base: FiniteBicategory | None = None) -> LaxFunctor:
 
 def idem_flatten(base: FiniteBicategory | None = None) -> LaxFunctor:
     """Strict endofunctor of sigma_idem killing the 2-cell k."""
+    from .laxfun import two_functor
     b = base or sigma_idem()
     cell1 = {"u": "u", "s": "s"}
     cell2 = {("i", "u"): ("i", "u"), ("i", "s"): ("i", "s"), "k": ("i", "s")}
@@ -280,6 +292,7 @@ def maxposet_unit_witness(base: FiniteBicategory | None = None) -> LaxFunctor:
     """Lax functor from the terminal bicategory into sigma_maxposet picking
     the non-unit 1-cell s; its unit comparison is the non-invertible eta, so
     it is lax and nothing stronger."""
+    from .laxfun import LaxFunctor
     s = terminal_bicategory()
     t = base or sigma_maxposet()
     hom = Functor("pick-s", s.homs[("*", "*")], t.homs[("*", "*")],
@@ -293,6 +306,7 @@ def twisted_identity(base: FiniteBicategory | None = None) -> LaxFunctor:
     """Endo-homomorphism of the twisted delooping of Z/2 that is the identity
     on cells, with every comparison cell carrying the non-trivial coefficient.
     Its comparisons are invertible but not identities."""
+    from .laxfun import identity_lax
     b = base or cocycle_twisted()
     fun = identity_lax(b)
     fun.name = "twisted-identity"
@@ -306,6 +320,7 @@ def twisted_identity(base: FiniteBicategory | None = None) -> LaxFunctor:
 def arrow_thickening_inclusion() -> LaxFunctor:
     """The walking arrow sitting inside its thickened version: bijective on
     objects and an equivalence on homs without being surjective on 1-cells."""
+    from .laxfun import two_functor
     s, t = walking_arrow(), thickened_arrow()
     cell1 = {("le", 0, 0): "1a", ("le", 0, 1): "f", ("le", 1, 1): "1b"}
     cell2 = {("id", f): ("i", cell1[f]) for f in s.one_cells()}
@@ -316,6 +331,7 @@ def arrow_thickening_inclusion() -> LaxFunctor:
 def const_at_basepoint(base: FiniteBicategory | None = None) -> LaxFunctor:
     """Endofunctor of the codiscrete delooping constant at the unit 1-cell.
     Identity comparisons work because parallel 2-cells there are equal."""
+    from .laxfun import two_functor
     b = base or codiscrete3()
     e = b.unit["*"]
     cell1 = {f: e for f in b.one_cells()}
@@ -323,10 +339,18 @@ def const_at_basepoint(base: FiniteBicategory | None = None) -> LaxFunctor:
     return two_functor("const-at-unit", b, b, {"*": "*"}, cell1, cell2)
 
 
+def _identity_on(build):
+    """The builder of the identity lax functor on the bicategory `build()`."""
+    def identity():
+        from .laxfun import identity_lax
+        return identity_lax(build())
+    return identity
+
+
 LAX_FUNCTORS = {
-    "id-walking-arrow": lambda: identity_lax(walking_arrow()),
-    "id-sigma-idem": lambda: identity_lax(sigma_idem()),
-    "id-cocycle-twisted": lambda: identity_lax(cocycle_twisted()),
+    "id-walking-arrow": _identity_on(walking_arrow),
+    "id-sigma-idem": _identity_on(sigma_idem),
+    "id-cocycle-twisted": _identity_on(cocycle_twisted),
     "collapse-walking-two-cell": lambda: collapse_to_terminal(walking_two_cell()),
     "idem-laxonly": idem_laxonly,
     "idem-flatten": idem_flatten,
@@ -344,6 +368,8 @@ def idem_icon_k(base: FiniteBicategory | None = None) -> Icon:
     """Self-icon of the identity on sigma_idem whose component at s is the
     non-invertible idempotent k.  The standard example of a non-invertible
     icon whose underlying functors are as strict as can be."""
+    from .icon import Icon
+    from .laxfun import identity_lax
     b = base or sigma_idem()
     one = identity_lax(b)
     return Icon("idem-icon-k", one, one, {"u": ("i", "u"), "s": "k"},
@@ -353,14 +379,23 @@ def idem_icon_k(base: FiniteBicategory | None = None) -> Icon:
 def twisted_icon(c1: int, base: FiniteBicategory | None = None) -> Icon:
     """One of the two icons from the identity of the twisted delooping to the
     twisted-identity homomorphism; c1 picks the free coefficient."""
+    from .icon import monoidal_to_icon
+    from .laxfun import identity_lax
     b = base or cocycle_twisted()
     one = identity_lax(b)
     tw = twisted_identity(b)
     return monoidal_to_icon(f"twisted-icon-{c1}", {0: (0, 1), 1: (1, c1)}, one, tw)
 
 
+def id_on_id_idem() -> Icon:
+    """The identity icon of the identity lax functor on sigma_idem."""
+    from .icon import identity_icon
+    from .laxfun import identity_lax
+    return identity_icon(identity_lax(sigma_idem()))
+
+
 ICONS = {
-    "id-on-id-idem": lambda: identity_icon(identity_lax(sigma_idem())),
+    "id-on-id-idem": id_on_id_idem,
     "idem-icon-k": idem_icon_k,
     "twisted-icon-0": lambda: twisted_icon(0),
     "twisted-icon-1": lambda: twisted_icon(1),
@@ -393,6 +428,7 @@ def delooping_monoidal(b: FiniteBicategory, name=None) -> MonoidalCategory:
 
 def monoidal_identity_functor(m: MonoidalCategory) -> MonoidalFunctor:
     """Identity on cells, with identity comparison morphisms."""
+    from .laxfun import MonoidalFunctor
     fun = Functor(f"id[{m.name}]", m.cat, m.cat,
                   {x: x for x in m.cat.objects},
                   {f: f for f in m.cat.morphisms})
@@ -405,6 +441,7 @@ def monoidal_identity_functor(m: MonoidalCategory) -> MonoidalFunctor:
 def twisted_monoidal_identity(m: MonoidalCategory) -> MonoidalFunctor:
     """Monoidal self-functor of the twisted Z/2 delooping: identity on cells,
     every comparison morphism carrying the non-trivial coefficient."""
+    from .laxfun import MonoidalFunctor
     base = monoidal_identity_functor(m)
     comp = {(x, y): (x ^ y, 1) for x in (0, 1) for y in (0, 1)}
     return MonoidalFunctor("twisted-monoidal-id", m, m, base.functor,
@@ -447,6 +484,7 @@ def codiscrete_shift(elem: str, base: FiniteBicategory | None = None) -> OplaxNa
     multiply components with the underlying (non-associative!) operation —
     the standing demonstration that oplax transformations between fixed
     functors do not form a category."""
+    from .oplax import OplaxNat
     b = base or codiscrete3()
     fun = const_at_basepoint(b)
     cons = {f: ("to", elem, elem) for f in b.one_cells()}
@@ -457,6 +495,8 @@ def idem_general_oplax(base: FiniteBicategory | None = None) -> OplaxNat:
     """Self-transformation of the identity on sigma_idem with component s and
     the non-invertible k as its constraint at s: neither strict, nor
     pseudonatural, nor an icon."""
+    from .laxfun import identity_lax
+    from .oplax import OplaxNat
     b = base or sigma_idem()
     one = identity_lax(b)
     return OplaxNat("idem-general", one, one, {"*": "s"},
@@ -466,6 +506,7 @@ def idem_general_oplax(base: FiniteBicategory | None = None) -> OplaxNat:
 def arrow_shift() -> OplaxNat:
     """The arrow witness of the walking arrow's own non-identity 1-cell: a
     strict transformation whose component at 0 is that 1-cell."""
+    from .oplax import arrow_witness
     return arrow_witness(walking_arrow(), ("le", 0, 1))
 
 
@@ -473,14 +514,28 @@ def probe_at_s() -> OplaxNat:
     """The arrow-style probe of sigma_idem at its generating 1-cell: pairing
     it with any transformation whose constraint at s is not an identity makes
     interchange fail, with s in the witness."""
+    from .oplax import arrow_witness
     return arrow_witness(sigma_idem(), "s")
 
 
+def id_oplax_idem() -> OplaxNat:
+    """The identity transformation of the identity lax functor on sigma_idem."""
+    from .laxfun import identity_lax
+    from .oplax import identity_oplax
+    return identity_oplax(identity_lax(sigma_idem()))
+
+
+def icon_as_oplax_k() -> OplaxNat:
+    """The icon idem-icon-k read as an oplax transformation."""
+    from .oplax import icon_as_oplax
+    return icon_as_oplax(idem_icon_k())
+
+
 OPLAX = {
-    "id-oplax-idem": lambda: identity_oplax(identity_lax(sigma_idem())),
+    "id-oplax-idem": id_oplax_idem,
     "idem-general": idem_general_oplax,
     "arrow-shift": arrow_shift,
-    "icon-as-oplax-k": lambda: icon_as_oplax(idem_icon_k()),
+    "icon-as-oplax-k": icon_as_oplax_k,
     "codiscrete-shift-a": lambda: codiscrete_shift("a"),
     "probe-at-s": probe_at_s,
 }

@@ -46,33 +46,7 @@ from .catcore import (
     chain_category,
     validate_category,
 )
-from .report import sorted_ids
-
-
-class StructureError(ValueError):
-    """A document is malformed, dangling, or fails a validator."""
-
-
-# ---------------------------------------------------------------------------
-# identifiers as one-token JSON
-
-def dump_id(x) -> str:
-    """A cell id as one compact JSON token; tuples become arrays."""
-    return json.dumps(_listify(x), separators=(",", ":"), ensure_ascii=False)
-
-
-def _listify(x):
-    if isinstance(x, tuple):
-        return [_listify(v) for v in x]
-    if isinstance(x, (str, int, bool)) or x is None:
-        return x
-    raise StructureError(f"id {x!r} is not representable in the file format")
-
-
-def _tuplify(x):
-    if isinstance(x, list):
-        return tuple(_tuplify(v) for v in x)
-    return x
+from .report import StructureError, _tuplify, dump_id, sorted_ids
 
 
 _DECODER = json.JSONDecoder()

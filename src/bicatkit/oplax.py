@@ -309,7 +309,7 @@ def interchange_check(beta: OplaxNat, alpha: OplaxNat) -> ValidationReport:
 def _walking_arrow() -> FiniteBicategory:
     """The source of every arrow witness: built once per process and shared
     by every probe, so it must not be mutated."""
-    from .corpus import walking_arrow  # deferred: corpus imports this module
+    from .corpus import walking_arrow  # deferred: an oplax document loads no corpus
     return walking_arrow()
 
 

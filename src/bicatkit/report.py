@@ -1,4 +1,5 @@
-"""Shared reporting types.
+"""Shared reporting types, the canonical order of ids, and the one-token JSON
+form in which reports and `.bc` documents write an id.
 
 Every validator in this package returns a ValidationReport rather than raising:
 a report carries the subject's name, a verdict, and a list of violations, where
@@ -10,7 +11,13 @@ would either crash or produce noise.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+
+
+class StructureError(ValueError):
+    """A document is malformed, dangling, or fails a validator; or a name,
+    an id or a query that a command is given does not apply."""
 
 
 @dataclass(frozen=True)
@@ -124,3 +131,25 @@ def canon_key(x):
 
 def sorted_ids(ids):
     return sorted(ids, key=canon_key)
+
+
+# ---------------------------------------------------------------------------
+# identifiers as one-token JSON, shared by the .bc format and the reports
+
+def dump_id(x) -> str:
+    """A cell id as one compact JSON token; tuples become arrays."""
+    return json.dumps(_listify(x), separators=(",", ":"), ensure_ascii=False)
+
+
+def _listify(x):
+    if isinstance(x, tuple):
+        return [_listify(v) for v in x]
+    if isinstance(x, (str, int, bool)) or x is None:
+        return x
+    raise StructureError(f"id {x!r} is not representable in the file format")
+
+
+def _tuplify(x):
+    if isinstance(x, list):
+        return tuple(_tuplify(v) for v in x)
+    return x

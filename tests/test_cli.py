@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bicatkit import cli, corpus
+from bicatkit import cli, corpus, fileformat
 from bicatkit.fileformat import KINDS, document_for, dump_id, serialize
 
 
@@ -266,7 +266,7 @@ def test_bundled_names_resolve_without_reading_a_document(capsys, monkeypatch):
     def refuse(path, into=None):
         raise AssertionError(f"read {path}")
 
-    monkeypatch.setattr(cli, "parse_path", refuse)
+    monkeypatch.setattr(fileformat, "parse_path", refuse)
     monkeypatch.delenv("BICATKIT_CORPUS", raising=False)
     for argv, want, line in [
             (["validate", "cocycle-twisted"], 0, 'check bicategory "cocycle-twisted": ok'),
@@ -278,6 +278,19 @@ def test_bundled_names_resolve_without_reading_a_document(capsys, monkeypatch):
         code, out = run(capsys, *argv)
         assert code == want, out
         assert line in out.splitlines(), out
+
+
+def test_bundled_names_are_looked_up_in_the_document_kinds_order():
+    assert list(cli.BUNDLED_KINDS) == [k for k in KINDS if k in corpus.TABLES]
+
+
+def test_a_document_shadows_a_bundled_name(capsys, tmp_path):
+    doc = tmp_path / "shadow.bc"
+    doc.write_text('build "walking-arrow" = ordinal 2\n', encoding="utf-8")
+    for argv, level0 in (((), "level 0: 2 simplices, 2 morphisms"),
+                         (("--file", str(doc)), "level 0: 3 simplices, 3 morphisms")):
+        code, out = run(capsys, *argv, "nerve", "walking-arrow", "--level", "0")
+        assert code == 0 and level0 in out.splitlines(), out
 
 
 def test_corpus_env_var_layer(capsys, monkeypatch, tmp_path):
@@ -366,6 +379,7 @@ def fresh(*argv):
     import that a command needs and no other code made first."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("BICATKIT_CORPUS", None)
     proc = subprocess.run([sys.executable, "-c", _FRESH, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     report, _, modules = proc.stdout.rpartition("modules: ")
@@ -389,6 +403,33 @@ def test_nerve_adds_only_the_nerve_icon_and_lax_functor_modules(tmp_path):
     code, report, modules = fresh("--file", str(doc), "nerve", "b", "--level", "1")
     assert code == 0 and "check simplicial identities up to truncation 1: ok" in report
     assert modules == sorted(CORE + ["bicatkit.icon", "bicatkit.laxfun", "bicatkit.nerve"])
+
+
+BUNDLED = [m for m in CORE if m != "bicatkit.fileformat"] + ["bicatkit.corpus"]
+
+
+@pytest.mark.parametrize("argv, line, extra", [
+    (["validate", "walking-two-cell"], 'check bicategory "walking-two-cell": ok', []),
+    (["classify", "idem-laxonly"], "classification: lax", ["bicatkit.laxfun"]),
+    (["check-icon", "idem-icon-k"], 'check icon "idem-icon-k": ok',
+     ["bicatkit.icon", "bicatkit.laxfun"]),
+    (["compose", "idem-laxonly", "idem-flatten"],
+     'check laxfunctor "idem-laxonly.idem-flatten": ok',
+     ["bicatkit.fileformat", "bicatkit.laxfun"]),
+], ids=["validate", "classify", "check-icon", "compose"])
+def test_a_bundled_name_loads_only_what_its_verb_runs(argv, line, extra):
+    """A bundled name reads no document, so loads no `fileformat` unless its
+    verb writes one; the corpus builds a bicategory without the lax side."""
+    code, report, modules = fresh(*argv)
+    assert code == 0 and line in report.splitlines(), report
+    assert modules == sorted(BUNDLED + extra)
+
+
+def test_an_unknown_bundled_name_loads_no_document_reader():
+    code, report, modules = fresh("validate", "nosuch")
+    assert code == 2
+    assert "error: unknown structure name 'nosuch'" in report.splitlines(), report
+    assert modules == sorted(BUNDLED)
 
 
 def test_every_lax_side_kind_of_a_document_validates_in_a_fresh_process(tmp_path):

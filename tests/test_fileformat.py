@@ -7,7 +7,7 @@ import runpy
 
 import pytest
 
-from bicatkit import corpus
+from bicatkit import corpus, report
 from bicatkit import fileformat as ff
 from bicatkit.catcore import chain_category
 from bicatkit.cylinder import lax_cylinder
@@ -181,6 +181,16 @@ def test_missing_end_fails():
 def test_non_json_id_fails():
     with pytest.raises(ff.StructureError, match="unexpected line"):
         ff.parse('category "c"\n  object bare-word\nend\n')
+
+
+def test_the_id_writer_and_the_error_are_those_of_report():
+    """`fileformat` hands out the objects `report` defines, so an error one
+    raises is caught as the other's."""
+    assert ff.StructureError is report.StructureError
+    assert ff.dump_id is report.dump_id
+    assert ff.dump_id(("i", (0, None))) == '["i",[0,null]]'
+    with pytest.raises(ff.StructureError, match="not representable"):
+        ff.dump_id(1.5)
 
 
 def test_ordinal_directive_rejects_bad_argument():

@@ -4,8 +4,9 @@ whisker/interchange machinery, and the witness construction."""
 import pytest
 
 from bicatkit import corpus, oplax
-from bicatkit.acceptance import _corpus_battery
+from bicatkit.acceptance import _corpus_battery, _law_universe
 from bicatkit.bicat import UnsupportedSettingError
+from bicatkit.icon import enumerate_icons
 from bicatkit.laxfun import classify, identity_lax, two_functor
 from bicatkit.oplax import (
     OplaxClass,
@@ -250,6 +251,28 @@ def test_icon_oplax_round_trip():
     assert back.components[("*", "*")].components == \
         icon.components[("*", "*")].components
     assert oplax_is_icon(corpus.get("oplax", "arrow-shift")) is None
+
+
+def test_icon_shaped_oplax_transformations_are_the_icons_on_the_law_universe():
+    """Lack's correspondence: icons are the oplax transformations whose
+    components are identities.  For every ordered pair of lax functors of
+    the `_law_universe` families with at most 81 icons, the transformations
+    `enumerate_oplax` finds with unit components, stripped by
+    `oplax_is_icon`, have the cells of the icons `enumerate_icons` finds,
+    in the same order; a pair with different object maps has neither."""
+    _, fams, icons = _law_universe()
+    small = [key for key, fam in icons.items() if len(fam) <= 81]
+    matched = 0
+    for key in small:
+        for f in fams[key]:
+            for g in fams[key]:
+                stripped = [ic.cells for ic in map(oplax_is_icon, enumerate_oplax(f, g))
+                            if ic is not None]
+                assert stripped == [ic.cells for ic in enumerate_icons(f, g)], key
+                assert stripped == [] or f.object_map == g.object_map, key
+                matched += len(stripped)
+    assert len(small) > 100
+    assert matched == sum(len(icons[key]) for key in small)
 
 
 def test_validation_catches_incompatible_constraints():
