@@ -39,8 +39,9 @@ def main():
     print(f"{'law universe':24s} {'':>8s} {time.perf_counter() - t0:8.3f} s")
     _peak_rss("after the universe")
     rng = random.Random(20260814)
-    parts = (("unit laws", lambda: acceptance._unit_laws(fams, icons)),
-             ("vertical associativity", lambda: acceptance._vertical_associativity(icons, rng)),
+    parts = (("unit laws", lambda: acceptance._unit_laws(bics, fams, icons)),
+             ("vertical associativity",
+              lambda: acceptance._vertical_associativity(bics, icons, rng)),
              ("whisker functoriality",
               lambda: acceptance._whisker_functoriality(bics, fams, icons, rng)),
              ("middle four", lambda: acceptance._middle_four(bics, fams, icons, rng)))

@@ -10,7 +10,9 @@ exhausted whenever the tuple space is small and otherwise driven by a
 fixed-seed sample, so every run examines the same instances.  Each law of
 criterion 2 is an equation between two cell tables, and each side is
 built by the cell kernels of the icon algebra (`bicatkit.icon`), which the
-Icon operations wrap, so no Icon is built per composite.
+Icon operations wrap.  The law universe holds each icon as its cell table,
+as `icon_cells` finds it, so criterion 2 builds no Icon, neither per
+member nor per composite.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .cylinder import lax_cylinder
 from .icon import (
     enumerate_icons,
     hcomp_cells,
+    icon_cells,
     icon_to_monoidal,
     identity_icon,
     is_invertible_icon,
@@ -123,7 +126,13 @@ def criterion_1():
 @functools.lru_cache(maxsize=None)
 def _law_universe():
     """Lax functors and icons between every ordered pair of small corpus
-    bicategories (at most 2 objects and at most 6 one-cells per hom)."""
+    bicategories (at most 2 objects and at most 6 one-cells per hom), as
+    ``(bics, fams, icons)``: the bicategories by name, the lax functors
+    s -> t of each pair (s, t) in enumeration order, and the icons between
+    them.  A member of ``icons[(s, t)]`` is ``(i, j, cells)``: an icon from
+    lax functor i to lax functor j of the family, as its cell table, a
+    plain dict from 1-cells of s to 2-cells of t; members come in
+    `enumerate_icons` order, pair (i, j) by pair."""
     bics = {}
     for name in sorted(corpus.BICATEGORIES):
         b = corpus.get("bicategory", name)
@@ -137,34 +146,34 @@ def _law_universe():
             fam = []
             for i, f in enumerate(funs):
                 for j, g in enumerate(funs):
-                    for ic in enumerate_icons(f, g):
-                        fam.append((i, j, ic))
+                    for cells in icon_cells(f, g):
+                        fam.append((i, j, cells))
             fams[(s, t)] = funs
             icons[(s, t)] = fam
     return bics, fams, icons
 
 
-def _unit_laws(fams, icons):
+def _unit_laws(bics, fams, icons):
     """Both unit laws for every icon, on cells, against the identity icons
     of its source and target, each built once per lax functor."""
     for key, fam in icons.items():
         ids = [identity_icon(f).cells for f in fams[key]]
-        for i, j, ic in fam:
-            t, want = ic.bicategory, ic.cells
+        t = bics[key[1]]
+        for i, j, want in fam:
             if vcomp_cells(t, ids[j], want) != want or vcomp_cells(t, want, ids[i]) != want:
                 return len(fam), f"unit law fails in {key}"
     return sum(2 * len(f) for f in icons.values()), None
 
 
-def _vertical_associativity(icons, rng):
+def _vertical_associativity(bics, icons, rng):
     """Associativity of vertical composition, on cells, over the composable
     triples (a, mid, last) of each family, a outermost; the cells of the
     inner composite ``mid . a`` are built once per (a, mid)."""
     checked = 0
     for key, fam in icons.items():
         out_of = {}
-        for i, j, ic in fam:
-            out_of.setdefault(i, []).append((j, ic))
+        for i, j, cells in fam:
+            out_of.setdefault(i, []).append((j, cells))
         n_out = {i: len(v) for i, v in out_of.items()}
         pairs_from = {i: sum(n_out.get(k, 0) for k, _ in v)
                       for i, v in out_of.items()}
@@ -190,12 +199,12 @@ def _vertical_associativity(icons, rng):
                     continue
                 yield a, mid, rng.choice(fol)[1]
 
-        t = fam[0][2].bicategory
-        composite = _scoped(lambda a, mid: vcomp_cells(t, mid.cells, a.cells))
+        t = bics[key[1]]
+        composite = _scoped(lambda a, mid: vcomp_cells(t, mid, a))
         for a, mid, last in _take(triples, exhaustive, sampler, rng):
             checked += 1
-            lhs = vcomp_cells(t, last.cells, composite(a, mid))
-            rhs = vcomp_cells(t, vcomp_cells(t, last.cells, mid.cells), a.cells)
+            lhs = vcomp_cells(t, last, composite(a, mid))
+            rhs = vcomp_cells(t, vcomp_cells(t, last, mid), a)
             if lhs != rhs:
                 return checked, f"vertical associativity fails in {key}"
     return checked, None
@@ -217,8 +226,8 @@ def _whisker_functoriality(bics, fams, icons, rng):
 
         # whiskering the cells of a composite equals composing the whiskered cells
         out_of = {}
-        for i, j, ic in fam:
-            out_of.setdefault(i, []).append((j, ic))
+        for i, j, cells in fam:
+            out_of.setdefault(i, []).append((j, cells))
         pairs = sum(len(out_of.get(j, ())) for _, j, _ in fam)
         here = bics[t]
         for side, funs, apply in (("left", lefts, whisker_left_cells),
@@ -240,13 +249,13 @@ def _whisker_functoriality(bics, fams, icons, rng):
                         continue
                     yield a, rng.choice(nxt)[1], rng.choice(funs)
 
-            composite = _scoped(lambda a, mid: vcomp_cells(here, mid.cells, a.cells))
-            whiskered = _scoped(lambda a, h: apply(h, a.cells))
+            composite = _scoped(lambda a, mid: vcomp_cells(here, mid, a))
+            whiskered = _scoped(lambda a, h: apply(h, a))
             for a, mid, h in _take(pairs * len(funs), exhaustive, sampler, rng):
                 checked += 1
                 lhs = apply(h, composite(a, mid))
                 rhs = vcomp_cells(h.target if side == "left" else here,
-                                  apply(h, mid.cells), whiskered(a, h))
+                                  apply(h, mid), whiskered(a, h))
                 if lhs != rhs:
                     return checked, f"{side} whiskering not functorial in {s}->{t}"
 
@@ -290,10 +299,10 @@ def _middle_four(bics, fams, icons, rng):
         ins, outs = [], []
         for s in names:
             funs = fams[(s, t)]
-            ins += [(funs[i], funs[j], ic) for i, j, ic in icons[(s, t)]]
+            ins += [(funs[i], funs[j], cells) for i, j, cells in icons[(s, t)]]
         for d in names:
-            funs = fams[(t, d)]
-            outs += [(funs[k], funs[l], ic) for k, l, ic in icons[(t, d)]]
+            funs, there = fams[(t, d)], bics[d]
+            outs += [(funs[k], funs[l], there, cells) for k, l, cells in icons[(t, d)]]
         if not ins or not outs:
             continue
 
@@ -304,14 +313,13 @@ def _middle_four(bics, fams, icons, rng):
             while True:
                 yield rng.choice(ins), rng.choice(outs)
 
-        left = _scoped(lambda alpha, g: whisker_left_cells(g, alpha.cells))
-        for (fi, fj, alpha), (gk, gl, beta) in _take(
+        left = _scoped(lambda alpha, g: whisker_left_cells(g, alpha))
+        for (fi, fj, alpha), (gk, gl, d, beta) in _take(
                 len(ins) * len(outs), exhaustive, sampler, rng):
             checked += 1
-            d = beta.bicategory
-            side_a = vcomp_cells(d, whisker_right_cells(beta.cells, fj), left(alpha, gk))
-            side_b = vcomp_cells(d, left(alpha, gl), whisker_right_cells(beta.cells, fi))
-            both = hcomp_cells(beta, alpha)
+            side_a = vcomp_cells(d, whisker_right_cells(beta, fj), left(alpha, gk))
+            side_b = vcomp_cells(d, left(alpha, gl), whisker_right_cells(beta, fi))
+            both = hcomp_cells(gk, beta, alpha, fj)
             if not (side_a == side_b == both):
                 return checked, f"middle-four interchange fails over middle {t}"
     return checked, None
@@ -322,8 +330,8 @@ def criterion_2():
     bics, fams, icons = _law_universe()
     n_icons = sum(map(len, icons.values()))
     total = 0
-    for part in (lambda: _unit_laws(fams, icons),
-                 lambda: _vertical_associativity(icons, rng),
+    for part in (lambda: _unit_laws(bics, fams, icons),
+                 lambda: _vertical_associativity(bics, icons, rng),
                  lambda: _whisker_functoriality(bics, fams, icons, rng),
                  lambda: _middle_four(bics, fams, icons, rng)):
         checked, err = part()

@@ -14,12 +14,16 @@ the collection of bicategories, lax functors, and icons a *strict*
 2-category; the tests drive exactly those laws.  They compose componentwise
 (Lack, *Icons*), so the algebra is four cell kernels, `vcomp_cells`,
 `hcomp_cells`, `whisker_left_cells` and `whisker_right_cells`, each one pass
-from cells to the composite's cells.  The Icon operations `vcomp_icons`,
+from cells to the composite's cells.  The kernels take cell tables and the
+lax functors they read, not Icons: a whisker reads the whiskering functor,
+and `hcomp_cells(over, later, earlier, under)` reads later's source `over`
+and earlier's target `under`.  The Icon operations `vcomp_icons`,
 `hcomp_icons`, `whisker_icon_left` and `whisker_icon_right` wrap them: each
 takes its cells from its kernel and builds its source and target lax
 functors and its family names only when they are read.  A law between
 composites is an equation between two cell tables, so acceptance criterion
-2 checks it on the kernels alone and builds no Icon per composite.
+2 checks it on the kernels alone, over the cell tables of the icons it
+enumerates, and builds no Icon at all.
 
 Each kernel reads flat tables, one dict lookup per cell: the bicategory's
 `vcomp_table` of every vertical composite, and a lax functor's `cell_maps`,
@@ -31,15 +35,16 @@ or pasted.
 The icon declaration depends on the source bicategory alone: for each hom,
 one variable per 1-cell names a cell of the icon, under the naturality
 squares of that hom, and the compatibility laws of `icon_laws` tie the homs
-together.  The source builds it once, as its ``icon_plan``.  `enumerate_icons`
-runs its compiled search on a fresh draft icon per pair of lax functors, and
-`validate_icon` checks its listing on a given icon, so the icons the search
-finds pass the validator by construction and none is validated again.  The
-family names of an icon depend on its source alone: the plan holds them as
-one read-only mapping, ``names``, which the draft and every icon found
-share whenever the lax functors' hom functors are keyed by the source's
-homs, so a write to it raises instead of renaming every icon.  Composites
-build names of their own.
+together.  The source builds it once, as its ``icon_plan``.  `icon_cells`
+runs its compiled search on a fresh draft per pair of lax functors and
+yields the cell table of each icon it meets; `enumerate_icons` is the same
+search, each table put in an Icon.  `validate_icon` checks the listing on a
+given icon, so the icons the search finds pass the validator by
+construction and none is validated again.  The family names of an icon
+depend on its source alone: the plan holds them as one read-only mapping,
+``names``, which every icon found shares whenever the lax functors' hom
+functors are keyed by the source's homs, so a write to it raises instead of
+renaming every icon.  Composites build names of their own.
 
 Before either, `validate_icon_pair` checks what the listing reads.  Of
 that, only the object maps and the keys of the hom functors concern the
@@ -288,13 +293,14 @@ def vcomp_cells(t, later: dict, earlier: dict) -> dict:
     return {x: table[(c, later[x])] for x, c in earlier.items()}
 
 
-def hcomp_cells(later: Icon, earlier: Icon) -> dict:
-    """The cells of `hcomp_icons(later, earlier)`: at x, the image under
-    later's source of earlier's cell at x, followed by later's cell at the
-    image of x under earlier's target."""
-    table, cells = later.bicategory.vcomp_table, later.cells
-    on_1, on_2 = earlier.target.cell_maps[0], later.source.cell_maps[1]
-    return {x: table[(on_2[c], cells[on_1[x]])] for x, c in earlier.cells.items()}
+def hcomp_cells(over: LaxFunctor, later: dict, earlier: dict, under: LaxFunctor) -> dict:
+    """The cells of the horizontal composite of icons with cells `later`
+    and `earlier`, where `over` is later's source and `under` earlier's
+    target: at x, the image under `over` of earlier's cell at x, followed
+    by later's cell at the image of x under `under`."""
+    table = over.target.vcomp_table
+    on_1, on_2 = under.cell_maps[0], over.cell_maps[1]
+    return {x: table[(on_2[c], later[on_1[x]])] for x, c in earlier.items()}
 
 
 def whisker_left_cells(fun: LaxFunctor, cells: dict) -> dict:
@@ -324,7 +330,8 @@ def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
     round) agree by naturality; this builds the shift-after-act order.
     """
     return lazy(Icon, _PASTED, (later, earlier), name=f"{later.name}*{earlier.name}",
-                cells=hcomp_cells(later, earlier), bicategory=later.bicategory)
+                cells=hcomp_cells(later.source, later.cells, earlier.cells, earlier.target),
+                bicategory=later.bicategory)
 
 
 def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
@@ -417,25 +424,31 @@ def icon_plan(s):
                            names=MappingProxyType(dict.fromkeys(s.sorted_homs, "enum")))
 
 
-def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
-    """All icons f => g, in deterministic order; none when `validate_icon_pair`
-    fails.  One run of the source's `icon_plan` binds every component 2-cell,
-    hom pair by hom pair, under the naturality of each family and the icon
+def icon_cells(f: LaxFunctor, g: LaxFunctor):
+    """The cell table of each icon f => g, in deterministic order; none
+    when `validate_icon_pair` fails, in which case the source's `icon_plan`
+    is not read.  One run of that plan binds every component 2-cell, hom
+    pair by hom pair, under the naturality of each family and the icon
     laws; it meets the icons in the order of their families, each in
-    `enumerate_nats` order.
-
-    Every icon found passes `validate_icon`, which checks the same
-    declaration.  When f's hom functors are keyed by the source's homs, the
-    draft and every icon found share the plan's read-only ``names``;
-    otherwise each icon gets a dict of its own."""
+    `enumerate_nats` order.  Each table is a fresh dict."""
     if not validate_icon_pair(f, g).ok:
         return
-    plan = f.source.icon_plan
-    shared = f.hom_functors.keys() == f.source.homs.keys()
-    draft = Icon("enum", f, g, {}, plan.names if shared else dict.fromkeys(_families(f), "enum"))
-    for _ in run(plan.search, draft):
-        yield Icon("enum", f, g, dict(draft.cells),
-                   draft.families if shared else dict(draft.families))
+    draft = SimpleNamespace(source=f, target=g, cells={})
+    for _ in run(f.source.icon_plan.search, draft):
+        yield dict(draft.cells)
+
+
+def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
+    """All icons f => g, one per table of `icon_cells(f, g)`, in its order.
+
+    Every icon found passes `validate_icon`, which checks the same
+    declaration.  When f's hom functors are keyed by the source's homs,
+    every icon found shares the plan's read-only ``names``; otherwise each
+    icon gets a dict of its own."""
+    for cells in icon_cells(f, g):
+        shared = f.hom_functors.keys() == f.source.homs.keys()
+        yield Icon("enum", f, g, cells, f.source.icon_plan.names if shared
+                   else dict.fromkeys(_families(f), "enum"))
 
 
 # ---------------------------------------------------------------------------

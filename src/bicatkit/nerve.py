@@ -10,9 +10,10 @@ functors — faces and degeneracies come out as functors between levels, and
 the simplicial identities can be checked as equalities of functors.
 
 `two_nerve` builds the lax functor of each simplex once, with its level:
-the level's icons are searched between them, their composites read the
-base's `vcomp_table`, and every face and degeneracy map reindexes those
-same lax functors instead of rebuilding one per simplex and map.
+the cell tables of the level's icons are searched between them
+(`icon_cells`, so no Icon is built), their composites read the base's
+`vcomp_table`, and every face and degeneracy map reindexes those same lax
+functors instead of rebuilding one per simplex and map.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .bicat import FiniteBicategory, from_category
 from .catcore import Functor, FiniteCategory, chain_category, compose_functors
-from .icon import Icon, enumerate_icons, identity_icon
+from .icon import icon_cells, identity_icon
 from .laxfun import (LaxFunctor, comparison_cells, compose_lax, lax_laws, lax_variables,
                      two_functor, validate_lax_functor)
 from .report import ValidationReport, sorted_ids
@@ -213,10 +214,10 @@ def reindex_simplex(s: SimplexData, theta) -> SimplexData:
 # ---------------------------------------------------------------------------
 # the truncated 2-nerve
 
-def _icon_flat(icon: Icon, n: int):
-    """The component 2-cells of a simplex morphism, in edge order."""
-    return tuple(icon.at(("le", i, j))
-                 for i in range(n + 1) for j in range(i, n + 1))
+def _icon_flat(cells: dict, n: int):
+    """The component 2-cells of a simplex morphism, given its cell table, in
+    edge order."""
+    return tuple(cells[("le", i, j)] for i in range(n + 1) for j in range(i, n + 1))
 
 
 def _level_category(b: FiniteBicategory, k: int, funs):
@@ -229,12 +230,12 @@ def _level_category(b: FiniteBicategory, k: int, funs):
     out = {sk: [] for sk in objects}    # simplex -> (mid, flat cells) leaving it
     for sk in objects:
         for tk in objects:
-            for icon in enumerate_icons(funs[sk], funs[tk]):
-                flat = _icon_flat(icon, k)
+            for cells in icon_cells(funs[sk], funs[tk]):
+                flat = _icon_flat(cells, k)
                 mid = ("ic", sk, tk, flat)
                 morphisms[mid] = (sk, tk)
                 out[sk].append((mid, flat))
-        identity[sk] = ("ic", sk, sk, _icon_flat(identity_icon(funs[sk]), k))
+        identity[sk] = ("ic", sk, sk, _icon_flat(identity_icon(funs[sk]).cells, k))
     for sk in objects:
         for m1, flat1 in out[sk]:
             t1 = morphisms[m1][1]

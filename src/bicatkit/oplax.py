@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .bicat import FiniteBicategory, UnsupportedSettingError
-from .icon import Icon, validate_icon
 from .laxfun import LaxFunctor, compose_lax, two_functor
 from .report import ValidationReport
 from .search import compile_plan, run
+
+if TYPE_CHECKING:  # the annotations' type; the functions that build icons import it
+    from .icon import Icon
 
 
 @dataclass
@@ -376,6 +379,8 @@ def icon_as_oplax(icon: Icon) -> OplaxNat:
 def oplax_is_icon(u: OplaxNat):
     """Strip an icon-shaped transformation (unit components) back to its
     icon; None when some component is not a unit 1-cell."""
+    from .icon import Icon
+
     f, g = u.source, u.target
     t = f.target
     if not classify_oplax(u).icon:
@@ -443,6 +448,7 @@ def is_costrict(u: OplaxNat, battery=None) -> CostrictVerdict:
     by stripping to a validated icon and sweeping the battery; negative ones
     by an explicit cylinder refutation that replays as a failing interchange."""
     from .cylinder import costrict_refutation
+    from .icon import validate_icon
 
     _require_strict_setting("costrictness",
                             (u.source.source, u.source.target),

@@ -47,7 +47,7 @@ def sub_universe():
 def _parts(sub_universe):
     bics, fams, icons = sub_universe
     rng = random.Random(20260814)
-    return {"vertical": lambda: acceptance._vertical_associativity(icons, rng),
+    return {"vertical": lambda: acceptance._vertical_associativity(bics, icons, rng),
             "whisker": lambda: acceptance._whisker_functoriality(bics, fams, icons, rng),
             "middle-four": lambda: acceptance._middle_four(bics, fams, icons, rng)}
 
@@ -117,8 +117,8 @@ def _count_calls(monkeypatch):
 
 def _out_of(fam):
     out = {}
-    for i, j, ic in fam:
-        out.setdefault(i, []).append((j, ic))
+    for i, j, cells in fam:
+        out.setdefault(i, []).append((j, cells))
     return out
 
 

@@ -416,10 +416,15 @@ BUNDLED = [m for m in CORE if m != "bicatkit.fileformat"] + ["bicatkit.corpus"]
     (["compose", "idem-laxonly", "idem-flatten"],
      'check laxfunctor "idem-laxonly.idem-flatten": ok',
      ["bicatkit.fileformat", "bicatkit.laxfun"]),
-], ids=["validate", "classify", "check-icon", "compose"])
+    (["check-oplax", "codiscrete-shift-a"], 'check oplax "shift[a]": ok',
+     ["bicatkit.laxfun", "bicatkit.oplax"]),
+    (["strictness", "arrow-shift"], "strictness of \"witness[('le', 0, 1)]\": strict",
+     ["bicatkit.laxfun", "bicatkit.oplax"]),
+], ids=["validate", "classify", "check-icon", "compose", "check-oplax", "strictness"])
 def test_a_bundled_name_loads_only_what_its_verb_runs(argv, line, extra):
     """A bundled name reads no document, so loads no `fileformat` unless its
-    verb writes one; the corpus builds a bicategory without the lax side."""
+    verb writes one; the corpus builds a bicategory without the lax side,
+    and an oplax transformation without the icons."""
     code, report, modules = fresh(*argv)
     assert code == 0 and line in report.splitlines(), report
     assert modules == sorted(BUNDLED + extra)

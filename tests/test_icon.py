@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 import reference_enumerators
+from law_universe import universe_icons
 import reference_icon_pair
 import reference_icons as ref
 import test_mutants
@@ -165,7 +166,7 @@ def test_whiskers_equal_hcomp_with_identity_icons():
     same name, cells and families at every pair.  Both sides run between the
     composites of the same two lax functors, so their source and target are
     compared the first time that factor pair comes up."""
-    bics, fams, icons = _law_universe()
+    bics, fams, icons = universe_icons()
     checked = 0
     seen = set()
 
@@ -215,7 +216,7 @@ def test_icon_algebra_matches_the_reference():
     family with at most 9 icons.  Each composite lax functor met is
     compared, field by field, with the eager one the first time its factors
     come up."""
-    bics, fams, icons = _law_universe()
+    bics, fams, icons = universe_icons()
     small = {key: [ic for _, _, ic in fam] for key, fam in icons.items() if len(fam) <= 81}
     old = {id(ic): ref.Icon(ic.name, ic.source, ic.target, ic.components)
            for fam in small.values() for ic in fam}
@@ -664,20 +665,26 @@ def test_validate_icon_pair_reports_as_the_reference_on_pairs_that_differ_in_one
 
 
 def test_enumerated_icons_out_of_one_source_share_one_read_only_names_table():
-    """The icons of the law universe out of one source bicategory share one
-    family-name mapping, that of every lax functor keyed by the source's
-    homs, which refuses writes; composites carry names of their own, and so
-    do the icons between lax functors keyed otherwise."""
-    _, _, icons = _law_universe()
-    names = {}
-    for fam in icons.values():
-        for _, _, ic in fam:
-            names.setdefault(id(ic.source.source), ic.families)
-            assert ic.families is names[id(ic.source.source)]
-            assert ic.families == dict.fromkeys(_families(ic.source), "enum")
+    """The icons `enumerate_icons` finds between the lax functors of the law
+    universe out of one source bicategory share one family-name mapping,
+    that of every lax functor keyed by the source's homs, which refuses
+    writes; composites carry names of their own, and so do the icons
+    between lax functors keyed otherwise."""
+    _, fams, icons = _law_universe()
+    names, found = {}, 0
+    for key, fam in icons.items():
+        for i, j in dict.fromkeys((i, j) for i, j, _ in fam):
+            for ic in enumerate_icons(fams[key][i], fams[key][j]):
+                names.setdefault(id(ic.source.source), ic.families)
+                assert ic.families is names[id(ic.source.source)]
+                assert ic.families == dict.fromkeys(_families(ic.source), "enum")
+                found += 1
     assert len(names) == 11
+    assert found == 23987
 
-    ic = icons[("sigma-idem", "sigma-idem")][0][2]
+    sigma = fams[("sigma-idem", "sigma-idem")]
+    i, j, _ = icons[("sigma-idem", "sigma-idem")][0]
+    ic = next(enumerate_icons(sigma[i], sigma[j]))
     pair = next(iter(ic.families))
     with pytest.raises(TypeError):
         ic.families[pair] = "renamed"

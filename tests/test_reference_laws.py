@@ -123,7 +123,7 @@ def test_the_subjects_are_those_of_the_law_universe(subjects):
     _, fams, icons = _law_universe()
     for pair, (_, funs, found) in subjects.items():
         assert funs == fams[pair], pair
-        assert [ic.cells for ic in found] == [ic.cells for _, _, ic in icons[pair]], pair
+        assert [ic.cells for ic in found] == [cells for _, _, cells in icons[pair]], pair
 
 
 def test_lax_laws_give_the_reference_verdicts(subjects):

@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_enumerators as ref
+from law_universe import universe_icons
 from bicatkit import corpus
 from bicatkit.acceptance import BATTERY_BASES, _law_universe
 from bicatkit.bicat import Magma, codiscrete_bicategory, from_category
 from bicatkit.catcore import FiniteCategory, enumerate_functors, enumerate_nats
 from bicatkit import icon, laxfun
-from bicatkit.icon import enumerate_icons, validate_icon
+from bicatkit.icon import enumerate_icons, validate_icon, validate_icon_pair
 from bicatkit.laxfun import (enumerate_lax_functors, enumerate_two_functors,
                              validate_lax_functor)
 from bicatkit.nerve import (enumerate_simplices, ordinal_as_bicategory, ordinal_map_functor,
@@ -175,7 +176,9 @@ def test_check_values_counts_only_an_absent_key_as_missing():
 # reference equality over the corpus
 
 def test_lax_functors_and_icons_of_the_law_universe():
-    bics, fams, icons = _law_universe()
+    """Each family's lax functors, and its icons rebuilt as the Icons
+    `enumerate_icons` yields, against the reference enumerators."""
+    bics, fams, icons = universe_icons()
     assert len(fams) == 121
     for (s, t), funs in fams.items():
         assert all(validate_lax_functor(f).ok for f in funs), (s, t)
@@ -209,6 +212,62 @@ def test_icon_plan_is_compiled_once_per_source(monkeypatch):
     assert plan is s.icon_plan
     assert corpus.get("bicategory", "parallel-pair").icon_plan is not plan
     assert compiled == ["parallel-pair"] * 2
+
+
+def test_icon_cells_are_the_cells_of_the_enumerated_icons():
+    """`icon_cells(f, g)` yields the cell table of each icon of
+    `enumerate_icons(f, g)`, in its order, for every ordered pair of lax
+    functors of the law universe's families with at most 81 icons."""
+    _, fams, icons = _law_universe()
+    small = [key for key, fam in icons.items() if len(fam) <= 81]
+    found = 0
+    for key in small:
+        for f in fams[key]:
+            for g in fams[key]:
+                cells = list(icon.icon_cells(f, g))
+                assert cells == [ic.cells for ic in enumerate_icons(f, g)], key
+                found += len(cells)
+    assert len(small) > 100
+    assert found == sum(len(icons[key]) for key in small)
+
+
+def test_icon_cells_of_a_failing_pair_never_read_the_plan(monkeypatch):
+    """A pair that fails `validate_icon_pair` (different object maps, or a
+    target with no comparisons) yields no cell table, and its source's
+    `icon_plan` is not compiled; the first pair that passes compiles it."""
+    compiled = []
+
+    def counted(s):
+        compiled.append(s.name)
+        return real(s)
+
+    real = icon.icon_plan
+    monkeypatch.setattr(icon, "icon_plan", counted)
+    s, t = corpus.get("bicategory", "walking-arrow"), corpus.get("bicategory", "walking-arrow")
+    funs = list(enumerate_lax_functors(s, t))
+    f = funs[0]
+    g = next(g for g in funs if g.object_map != f.object_map)
+    broken = laxfun.LaxFunctor("broken", s, t, f.object_map, f.hom_functors, {},
+                               f.unit_constraints)
+    for pair in ((f, g), (g, f), (f, broken)):
+        assert not validate_icon_pair(*pair).ok
+        assert list(icon.icon_cells(*pair)) == []
+    assert compiled == []
+    assert list(icon.icon_cells(f, f)) == [ic.cells for ic in enumerate_icons(f, f)] != []
+    assert compiled == ["walking-arrow"]
+
+
+def test_every_member_of_the_law_universe_is_a_plain_dict():
+    """The law universe holds each icon as its cell table, ``(i, j,
+    cells)``, and no Icon."""
+    _, fams, icons = _law_universe()
+    members = [m for fam in icons.values() for m in fam]
+    assert len(members) == 23987
+    for key, fam in icons.items():
+        n = len(fams[key])
+        for i, j, cells in fam:
+            assert type(cells) is dict, key
+            assert 0 <= i < n and 0 <= j < n, key
 
 
 def _count_hom_functor_searches(monkeypatch, s, t):
