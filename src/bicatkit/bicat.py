@@ -23,11 +23,12 @@ A bicategory hands out its cells, homs and composable pairs and triples of
 1-cells in canonical order (`sorted_ids`), computed once, on first read, from
 its cell sets: ``objects`` and ``homs`` with their objects and morphisms.  So
 the cell sets are fixed once it is built; the hom tables, ``comp``, ``unit``
-and the coherence tables may still be filled in or edited in place.  One
-exception: its ``icon_plan``, compiled on first read, holds the composite of
-every composable pair of 1-cells and the unit at every object.  So the
-object maps of ``comp`` and ``unit`` are fixed too once an icon search or an
-icon validation has run out of the bicategory.  Likewise the hom tables are
+and the coherence tables may still be filled in or edited in place.  Two
+exceptions: its ``icon_plan`` and its ``oplax_plan``, each compiled on first
+read, hold the composite of every composable pair of 1-cells and the unit
+at every object.  So the object maps of ``comp`` and ``unit`` are fixed too
+once an icon search, an icon validation or an oplax search has run out of
+the bicategory.  Likewise the hom tables are
 fixed once an icon has been composed in it, since `vcomp_table` holds them.
 
 Four flat tables, each built on first read and kept, let a check read one
@@ -190,6 +191,13 @@ class FiniteBicategory:
         from .icon import icon_plan
         return icon_plan(self)
 
+    @cached_property
+    def oplax_plan(self):
+        """The compiled search of oplax transformations out of this
+        bicategory, compiled on first read (see `bicatkit.oplax.oplax_plan`)."""
+        from .oplax import oplax_plan
+        return oplax_plan(self)
+
     # -- cell operations ---------------------------------------------------
     def src2(self, c):
         return self.homs[self._home2[c]].morphisms[c][0]
@@ -305,7 +313,7 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
         left, right, target = b.homs[(y, z)], b.homs[(x, y)], b.homs[(x, z)]
         checked = Functor(f"comp{key!r}", (left, right), target,
                           fun.object_map, fun.morphism_map)
-        rep.include(check_functor(checked, bifunctor_variables(left, right, target),
+        rep.include(check_functor(checked, bifunctor_variables(left, right),
                                   bifunctor_laws(left, right)), "comp:", f"comp{key!r}: ")
     if rep.violations:
         return rep

@@ -14,7 +14,16 @@ ValidationReport with the smallest witness they found.
 A category hands out its objects, morphisms, hom sets and composable pairs in
 canonical order (`sorted_ids`), computed once, on first read, from its cell
 sets ``objects`` and ``morphisms``.  So the cell sets are fixed once it is
-built; ``identity`` and ``table`` may still be edited in place.
+built; ``identity`` and ``table`` may still be edited in place.  One
+exception: its ``functor_plan``, the search of `enumerate_functors` out of
+it, compiled on first read and run for every target (its domains read the
+target off the functor being bound), binds the identity of every object
+and the composite of every composable pair into its laws and stages each
+law by them.  So ``identity`` and ``table`` are fixed too once a functor
+out of the category has been enumerated.  A law that reads the source's
+identity and table off the subject leaves the plan depending on the cell
+sets alone, which are fixed anyway: prefer that for a law whose stage the
+cell sets fix.
 """
 
 from __future__ import annotations
@@ -91,6 +100,12 @@ class FiniteCategory:
 
     def is_iso(self, f):
         return self.iso_inverse(f) is not None
+
+    @cached_property
+    def functor_plan(self):
+        """The compiled search of `enumerate_functors` out of this category,
+        for every target: `functor_variables` under `functor_laws`."""
+        return compile_plan(functor_variables(self), functor_laws(self))
 
 
 def grouped(cells, key):
@@ -209,13 +224,12 @@ class Functor:
 
 
 def validate_functor(fun: Functor) -> ValidationReport:
-    return check_functor(fun, functor_variables(fun.source, fun.target),
-                         functor_laws(fun.source))
+    return check_functor(fun, functor_variables(fun.source), functor_laws(fun.source))
 
 
 def validate_images(fun: Functor) -> ValidationReport:
     """The checks of `validate_functor` before its laws."""
-    return check_functor(fun, functor_variables(fun.source, fun.target))
+    return check_functor(fun, functor_variables(fun.source))
 
 
 def check_functor(fun, variables, laws=()) -> ValidationReport:
@@ -241,31 +255,40 @@ _MORPHISM_IMAGE = (("missing-morphism-image", "no image for morphism {!r}"),
                    ("endpoints", "image of {!r} has the wrong endpoints", False))
 
 
-def functor_variables(s, t):
-    """The search variables of a functor s -> t: the image of each object,
+def functor_variables(s):
+    """The search variables of a functor out of s: the image of each object,
     then of each morphism, each in sorted order, a morphism's ranging over
-    the hom between the images of its ends."""
+    the hom between the images of its ends.  The domains read the target
+    off the functor being bound, so the listing serves every target."""
     return _image_variables(s.sorted_objects,
-                            ((m, s.morphisms[m]) for m in s.sorted_morphisms), t)
+                            ((m, s.morphisms[m]) for m in s.sorted_morphisms))
 
 
-def bifunctor_variables(c, d, t):
-    """`functor_variables` of a functor c x d -> t, read off the factors:
+def bifunctor_variables(c, d):
+    """`functor_variables` of a functor out of c x d, read off the factors:
     objects and morphisms are pairs, c's component slowest."""
     cm, dm = c.morphisms, d.morphisms
     return _image_variables(
         itertools.product(c.sorted_objects, d.sorted_objects),
         (((f, g), tuple(zip(cm[f], dm[g])))
-         for f, g in itertools.product(c.sorted_morphisms, d.sorted_morphisms)), t)
+         for f, g in itertools.product(c.sorted_morphisms, d.sorted_morphisms)))
 
 
-def _image_variables(objects, morphisms, t):
+def _object_images(fun):
+    return fun.target.sorted_objects
+
+
+def _morphism_images(a, b, fun):
+    return fun.target.hom(fun.object_map[a], fun.object_map[b])
+
+
+def _image_variables(objects, morphisms):
     """The image of each of the objects, then of each ``(m, (a, b))`` of the
-    morphisms, ranging over the hom of t between the images of a and b."""
-    omap, targets = "object_map", t.sorted_objects
-    return [(omap, a, (), lambda fun: targets, (a,), OBJECT_IMAGE) for a in objects] + [
-        ("morphism_map", m, ((omap, a), (omap, b)),
-         lambda fun, a=a, b=b: t.hom(fun.object_map[a], fun.object_map[b]),
+    morphisms, ranging over the hom of the functor's target between the
+    images of a and b."""
+    omap = "object_map"
+    return [(omap, a, (), _object_images, (a,), OBJECT_IMAGE) for a in objects] + [
+        ("morphism_map", m, ((omap, a), (omap, b)), partial(_morphism_images, a, b),
          (m,), _MORPHISM_IMAGE) for m, (a, b) in morphisms]
 
 
@@ -406,9 +429,10 @@ def nat_laws(cat):
 def enumerate_functors(s: FiniteCategory, t: FiniteCategory):
     """All functors s -> t, in deterministic order: by the images of the
     objects, then of the morphisms, each in sorted order (an identity's
-    image is fixed by its object's)."""
+    image is fixed by its object's).  Runs s's ``functor_plan``, compiled
+    once for every target."""
     draft = Functor("enum", s, t, {}, {})
-    for _ in run(compile_plan(functor_variables(s, t), functor_laws(s)), draft):
+    for _ in run(s.functor_plan, draft):
         yield Functor("enum", s, t, dict(draft.object_map), dict(draft.morphism_map))
 
 

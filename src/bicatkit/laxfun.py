@@ -6,6 +6,14 @@ hom-categories, a comparison 2-cell ``comp_constraints[(g, f)]`` from
 ``unit_constraints[A]`` from the target's unit at ``F(A)`` to ``F`` of the
 source's unit.  Nothing is assumed invertible; ``classify`` reports how strict
 a given functor actually is.
+
+A lax functor keeps the verdict of the checks that read it alone,
+``own_violations``, once it is first read.  The enumerators that search the
+lax listing hand it out with their results instead (`searched`): what their
+search bound lies inside that listing, so it holds by construction and is
+not checked again.  So a lax functor yielded by `enumerate_lax_functors`, or
+built by `bicatkit.nerve.two_nerve` from a simplex it found, is not mutated
+from the moment it is yielded.
 """
 
 from __future__ import annotations
@@ -84,7 +92,9 @@ class LaxFunctor(Lazy):
         the object images and that a hom functor stands at each such hom.
         Like `cell_maps`, it is built on first read and kept, so a lax
         functor is not mutated once an icon into or out of it has been
-        checked or searched."""
+        checked or searched.  A lax functor that a search yields comes with
+        it already set, empty (see `searched`), so one of those is not
+        mutated from the moment it is yielded."""
         s, t, omap = self.source, self.target, self.object_map
         found = []
         for a, b in s.sorted_homs:
@@ -334,16 +344,8 @@ def two_functor(name, s: FiniteBicategory, t: FiniteBicategory,
     """A strict functor of bicategories given by raw cell maps.  Raises if the
     maps are not strictly compatible with units and composition — use a
     hand-built LaxFunctor when genuine comparison cells are needed."""
-    homs = {}
-    for a in s.objects:
-        for b_ in s.objects:
-            cat = s.homs[(a, b_)]
-            homs[(a, b_)] = Functor(
-                f"{name}({a},{b_})", cat,
-                t.homs[(object_map[a], object_map[b_])],
-                {x: cell1_map[x] for x in cat.objects},
-                {m: cell2_map[m] for m in cat.morphisms})
-    fun = LaxFunctor(name, s, t, dict(object_map), homs, {}, {})
+    fun = LaxFunctor(name, s, t, dict(object_map),
+                     _strict_homs(name, s, t, object_map, cell1_map, cell2_map), {}, {})
     for g, f in s.composable_pairs():
         if not _preserves_composite(fun, g, f):
             raise ValueError(f"{name} does not strictly preserve the composite "
@@ -354,6 +356,20 @@ def two_functor(name, s: FiniteBicategory, t: FiniteBicategory,
             raise ValueError(f"{name} does not strictly preserve the unit at {a!r}")
         fun.unit_constraints[a] = t.id2(t.unit[object_map[a]])
     return fun
+
+
+def _strict_homs(name, s, t, object_map, cell1_map, cell2_map):
+    """The hom functors of `two_functor`: at each pair of objects, the
+    restrictions of the cell maps to that hom, each named after `name`."""
+    homs = {}
+    for a in s.objects:
+        for b in s.objects:
+            cat = s.homs[(a, b)]
+            homs[(a, b)] = Functor(f"{name}({a},{b})", cat,
+                                   t.homs[(object_map[a], object_map[b])],
+                                   {x: cell1_map[x] for x in cat.objects},
+                                   {m: cell2_map[m] for m in cat.morphisms})
+    return homs
 
 
 def _preserves_composite(fun, g, f):
@@ -458,9 +474,12 @@ def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
     composites are preserved on the nose, checked for naturality, which
     then says that horizontal composites are preserved too.
 
-    The search shares hom functors between its candidates (see
-    `lax_variables`), which must not be mutated; each functor yielded is
-    rebuilt by `two_functor` with hom functors of its own."""
+    Each one is built from the search's draft as `two_functor` builds it
+    from the same cell maps, with hom functors of its own named as that
+    names them, since the search shares hom functors between its candidates
+    (see `lax_variables`).  `two_functor`'s composite and unit checks are
+    not run again: a candidate's identity comparisons and identity units
+    exist only where they pass."""
     def identity_comparison(fun, g, f):
         ok = _preserves_composite(fun, g, f)
         return [t.id2(fun.on_1(s.compose1(g, f)))] if ok else []
@@ -476,20 +495,36 @@ def enumerate_two_functors(s: FiniteBicategory, t: FiniteBicategory):
         for hf in draft.hom_functors.values():
             cell1.update(hf.object_map)
             cell2.update(hf.morphism_map)
-        yield two_functor("enum", s, t, draft.object_map, cell1, cell2)
+        yield LaxFunctor("enum", s, t, dict(draft.object_map),
+                         _strict_homs("enum", s, t, draft.object_map, cell1, cell2),
+                         dict(draft.comp_constraints),
+                         {a: draft.unit_constraints[a] for a in s.objects})
 
 
 def enumerate_lax_functors(s: FiniteBicategory, t: FiniteBicategory):
     """All lax functors s -> t.  Exhaustive; meant for very small instances.
 
     Every one found passes `validate_lax_functor`, which checks the same
-    declaration.  The lax functors yielded share hom functors (see
-    `lax_variables`), so none of them may be mutated."""
+    declaration, and comes with its `own_violations`, empty: the search
+    binds each hom functor from `enumerate_functors` between the homs that
+    listing checks it against, each comparison from `comparison_cells` and
+    each unit comparison from `unit_cells`.  The lax functors yielded share
+    hom functors (see `lax_variables`), so none of them may be mutated."""
     plan = compile_plan(lax_variables(s, t, comparison_cells, unit_cells), lax_laws(s))
     draft = LaxFunctor("enum", s, t, {}, {}, {}, {})
     for _ in run(plan, draft):
-        yield LaxFunctor("enum", s, t, dict(draft.object_map), dict(draft.hom_functors),
-                         dict(draft.comp_constraints), dict(draft.unit_constraints))
+        yield searched(LaxFunctor("enum", s, t, dict(draft.object_map),
+                                  dict(draft.hom_functors), dict(draft.comp_constraints),
+                                  dict(draft.unit_constraints)))
+
+
+def searched(fun: LaxFunctor) -> LaxFunctor:
+    """`fun` with its `own_violations` set to empty, the verdict of a search
+    whose every candidate lies inside that listing: hom functors from
+    `enumerate_functors` between the homs it checks them against,
+    comparisons from `comparison_cells` and units from `unit_cells`."""
+    fun.own_violations = ()
+    return fun
 
 
 # ---------------------------------------------------------------------------

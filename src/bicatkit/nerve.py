@@ -25,7 +25,7 @@ from .bicat import FiniteBicategory, from_category
 from .catcore import Functor, FiniteCategory, chain_category, compose_functors
 from .icon import icon_cells, identity_icon
 from .laxfun import (LaxFunctor, comparison_cells, compose_lax, lax_laws, lax_variables,
-                     two_functor, validate_lax_functor)
+                     searched, two_functor, unit_cells, validate_lax_functor)
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
 
@@ -157,12 +157,15 @@ def enumerate_simplices(b: FiniteBicategory, n: int):
 
     Every simplex found passes `validate_simplex`, which is not run on it.
     The search is the declaration of `validate_lax_functor` out of [n] with
-    two narrowings.  A unit edge must be b's unit, with its identity 2-cell
-    as the unit comparison, as `as_lax_functor` builds it.  A comparison
-    must be invertible, as `validate_simplex` checks: one of
-    `comparison_cells` over a genuine triangle, and b's unitor over a
-    degenerate one, which is one of them in a valid b.  So the simplex read
-    off a leaf gives the leaf back as its lax functor.
+    two narrowings, each to a subset of that listing's candidates.  A unit
+    edge must be b's unit, with its identity 2-cell as the unit comparison,
+    as `as_lax_functor` builds it, if that is one of `unit_cells`.  A
+    comparison must be invertible, as `validate_simplex` checks, and one of
+    `comparison_cells`: any such one over a genuine triangle, and b's
+    unitor over a degenerate one, which in a valid b always is.  So the
+    simplex read off a leaf gives the leaf back as its lax functor, and
+    that lax functor passes the checks of its `own_violations` by
+    construction.
 
     The lax functors the search runs through share hom functors (see
     `lax_variables`), which must not be mutated; a simplex holds only the
@@ -172,14 +175,16 @@ def enumerate_simplices(b: FiniteBicategory, n: int):
 
     def comparisons(fun, g, f):
         (_, i, j), k = f, g[2]
+        cells = comparison_cells(fun, g, f)
         if i < j < k:
-            return [c for c in comparison_cells(fun, g, f) if b.inv2(c) is not None]
+            return [c for c in cells if b.inv2(c) is not None]
         unitor = _degenerate_comparison(b, lambda i, j: fun.on_1(("le", i, j)), i, j, k)
-        return [unitor] if b.inv2(unitor) is not None else []
+        return [unitor] if unitor in cells and b.inv2(unitor) is not None else []
 
     def units(fun, i):
         unit = b.unit[fun.object_map[i]]
-        return [b.id2(unit)] if fun.on_1(("le", i, i)) == unit else []
+        cell = b.id2(unit)
+        return [cell] if fun.on_1(("le", i, i)) == unit and cell in unit_cells(fun, i) else []
 
     plan = compile_plan(lax_variables(src, b, comparisons, units), lax_laws(src))
     draft = LaxFunctor("simplex", src, b, {}, {}, {}, {})
@@ -302,11 +307,13 @@ def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
 
     # Each level's lax functors are built once: the simplex maps out of the
     # level are read off them first, then the level's icons are searched
-    # between them, and they go with the next level.
+    # between them, and they go with the next level.  Each is the lax
+    # functor `enumerate_simplices` bound for its simplex, so it comes with
+    # the verdict of that search.
     faces, degeneracies = {}, {}    # (k, i) -> object map of the level functor
     for k in range(truncation + 1):
         sims = {s.key(): s for s in enumerate_simplices(b, k)}
-        funs = {sk: as_lax_functor(sims[sk]) for sk in sorted_ids(sims)}
+        funs = {sk: searched(as_lax_functor(sims[sk])) for sk in sorted_ids(sims)}
         for i in range(k + 1) if k else ():
             faces[(k, i)] = _reindexed_keys(funs, k, coface(k, i))
         for i in range(k + 1) if k < truncation else ():

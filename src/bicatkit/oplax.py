@@ -16,6 +16,12 @@ several inequivalent pastings.
 Every arrow witness has the same source, the walking arrow, built once per
 process and shared by all the probes (and the transformations composed
 from them), so it must not be mutated.
+
+The declaration depends on the source bicategory alone: `oplax_variables`
+reads the two lax functors and their target off the transformation being
+bound.  So `enumerate_oplax` runs one compiled search per source, its
+``oplax_plan``, for every pair of lax functors out of it, and
+`validate_oplax` checks the same listing on a given transformation.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ def validate_oplax(u: OplaxNat) -> ValidationReport:
         rep.add("parallel", "the two lax functors are not parallel", structural=True)
         return rep
     n = len(f.source.sorted_objects)
-    variables = oplax_variables(f, g)
+    variables = oplax_variables(f.source)
     for step in (variables[:n], variables[n:]):  # components, then constraints
         rep.check_values(u, step)
         if rep.violations:
@@ -73,25 +79,36 @@ _CONSTRAINT = (("missing-constraint", "no constraint at {!r}"),
                 "constraint at {0!r} must run comp.F{0!r} => G{0!r}.comp", False))
 
 
-def oplax_variables(f, g):
-    """The search variables of an oplax transformation f => g: a component
-    1-cell F(A) -> G(A) at every object A, from its hom, then a constraint at
-    every 1-cell w, from the hom of 2-cells comp[B].F(w) => G(w).comp[A],
-    each family in sorted order."""
-    s, t = f.source, f.target
-
-    def constraint_cells(w, u):
-        a, b = s.home1(w)
-        return _constraint_hom(u, w).hom(t.compose1(u.components[b], f.on_1(w)),
-                                         t.compose1(g.on_1(w), u.components[a]))
-
-    variables = [("components", a, (),
-                  lambda u, a=a: t.homs[(f.object_map[a], g.object_map[a])].sorted_objects,
-                  (a,), _COMPONENT) for a in s.sorted_objects]
+def oplax_variables(s):
+    """The search variables of an oplax transformation f => g between lax
+    functors out of `s`: a component 1-cell F(A) -> G(A) at every object A,
+    from its hom, then a constraint at every 1-cell w, from the hom of
+    2-cells comp[B].F(w) => G(w).comp[A], each family in sorted order.  The
+    domains read f, g and their target off the transformation being bound,
+    so the listing serves every pair."""
+    variables = [("components", a, (), functools.partial(_component_cells, a), (a,), _COMPONENT)
+                 for a in s.sorted_objects]
     variables += [("constraints", w, tuple(("components", a) for a in s.home1(w)),
-                   functools.partial(constraint_cells, w), (w,), _CONSTRAINT)
+                   functools.partial(_constraint_cells, w, *s.home1(w)), (w,), _CONSTRAINT)
                   for w in s.one_cells()]
     return variables
+
+
+def _component_cells(a, u):
+    f, g = u.source, u.target
+    return f.target.homs[(f.object_map[a], g.object_map[a])].sorted_objects
+
+
+def _constraint_cells(w, a, b, u):
+    f, g, t, comps = u.source, u.target, u.source.target, u.components
+    return _constraint_hom(u, w).hom(t.compose1(comps[b], f.on_1(w)),
+                                     t.compose1(g.on_1(w), comps[a]))
+
+
+def oplax_plan(s):
+    """The compiled search of `enumerate_oplax` between lax functors out of
+    `s`, for every pair: `oplax_variables` under `oplax_laws`."""
+    return compile_plan(oplax_variables(s), oplax_laws(s))
 
 
 def _constraint_hom(u, w):
@@ -398,11 +415,12 @@ def enumerate_oplax(f: LaxFunctor, g: LaxFunctor):
     """All oplax transformations f => g, exhaustively; tiny inputs only.
 
     Every one found passes `validate_oplax`, which checks the same
-    declaration."""
+    declaration.  The search is compiled once per source bicategory, as its
+    ``oplax_plan``, and runs for every pair of lax functors out of it."""
     if f.source != g.source or f.target != g.target:
         return
     draft = OplaxNat("enum", f, g, {}, {})
-    for _ in run(compile_plan(oplax_variables(f, g), oplax_laws(f.source)), draft):
+    for _ in run(f.source.oplax_plan, draft):
         yield OplaxNat("enum", f, g, dict(draft.components), dict(draft.constraints))
 
 

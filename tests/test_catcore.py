@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import hypothesis.strategies as st
@@ -21,6 +22,7 @@ from bicatkit.catcore import (
     validate_functor,
     validate_nat,
 )
+import reference_enumerators as ref
 from reference_product import eager_product_category
 from search_inputs import search_inputs
 
@@ -238,6 +240,42 @@ def test_enumerate_functors_chain():
     assert len(fs) == 3  # the three monotone maps of the 2-element poset
     for f in fs:
         assert validate_functor(f).ok
+
+
+def test_functor_plans_are_compiled_once_per_source_category(monkeypatch):
+    """Two lax searches between two poset bicategories compile the functor
+    plan of each source hom once, in the first search.  One category's plan
+    serves two targets, each search advanced in turn, and each gives the
+    reference's list."""
+    from bicatkit import catcore
+    from bicatkit.bicat import from_category
+    from bicatkit.laxfun import enumerate_lax_functors
+
+    compiled = []
+
+    def counted(variables, laws=()):
+        compiled.append(variables)
+        return real(variables, laws)
+
+    real = catcore.compile_plan
+    monkeypatch.setattr(catcore, "compile_plan", counted)
+    s, t = search_inputs()["poset"], from_category(chain_category(2), "chain2")
+    homs = [cat for cat in s.homs.values() if cat.objects]
+    first = list(enumerate_lax_functors(s, t))
+    assert len(first) == 14 and len(compiled) == len(homs) == 5
+    assert all("functor_plan" in vars(cat) for cat in homs)
+    assert list(enumerate_lax_functors(s, t)) == first
+    assert len(compiled) == len(homs)
+
+    c, targets = chain_category(1), (chain_category(2), codiscrete_category("ab", "ab"))
+    found = [[], []]
+    for pair in itertools.zip_longest(*(enumerate_functors(c, d) for d in targets)):
+        for got, fun in zip(found, pair):
+            if fun is not None:
+                got.append(fun)
+    assert found == [list(ref.enumerate_functors(c, d)) for d in targets]
+    assert [len(got) for got in found] == [6, 4]
+    assert len(compiled) == len(homs) + 1
 
 
 def test_enumerate_nats_identity():

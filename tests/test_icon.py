@@ -584,8 +584,10 @@ def test_identity_icon_on_a_unit_comparison_with_the_wrong_endpoints_is_refused(
 
 def test_the_checks_of_one_lax_functor_run_once_for_all_its_icons(monkeypatch):
     """Over every ordered pair of lax functors between two small corpus
-    bicategories, the checks that read one lax functor run once for each
-    distinct lax functor, and a second validation of a pair runs none."""
+    bicategories, rebuilt as plain lax functors, the checks that read one
+    lax functor run once for each distinct lax functor, and a second
+    validation of a pair runs none.  The lax functors the search yielded
+    come with the verdict of those checks, so they run none at all."""
     import bicatkit.laxfun as laxfun
     real, calls = laxfun.validate_images, []
 
@@ -595,7 +597,13 @@ def test_the_checks_of_one_lax_functor_run_once_for_all_its_icons(monkeypatch):
 
     monkeypatch.setattr(laxfun, "validate_images", counted)
     s, t = corpus.get("bicategory", "walking-arrow"), corpus.sigma_idem()
-    funs = list(enumerate_lax_functors(s, t))
+    found = list(enumerate_lax_functors(s, t))
+    for f in found:
+        for g in found:
+            list(enumerate_icons(f, g))
+    assert calls == []
+    funs = [LaxFunctor(f.name, f.source, f.target, f.object_map, f.hom_functors,
+                       f.comp_constraints, f.unit_constraints) for f in found]
     assert len(funs) > 1
     ones = [pair for pair in s.sorted_homs if s.homs[pair].objects]
     for f in funs:

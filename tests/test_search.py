@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 import reference_enumerators as ref
 from law_universe import universe_icons
+from search_inputs import search_inputs
 from bicatkit import corpus
 from bicatkit.acceptance import BATTERY_BASES, _law_universe
 from bicatkit.bicat import Magma, codiscrete_bicategory, from_category
 from bicatkit.catcore import FiniteCategory, enumerate_functors, enumerate_nats
-from bicatkit import icon, laxfun
+from bicatkit import icon, laxfun, nerve
 from bicatkit.icon import enumerate_icons, validate_icon, validate_icon_pair
 from bicatkit.laxfun import (enumerate_lax_functors, enumerate_two_functors,
                              validate_lax_functor)
@@ -268,6 +269,40 @@ def test_every_member_of_the_law_universe_is_a_plain_dict():
         for i, j, cells in fam:
             assert type(cells) is dict, key
             assert 0 <= i < n and 0 <= j < n, key
+
+
+def _rebuilt_verdicts(funs):
+    """For each lax functor, whether its verdict was preset, and its
+    `own_violations` recomputed on a plain copy of its fields."""
+    return [("own_violations" in vars(f),
+             laxfun.LaxFunctor(f.name, f.source, f.target, f.object_map, f.hom_functors,
+                               f.comp_constraints, f.unit_constraints).own_violations)
+            for f in funs]
+
+
+def test_a_preset_verdict_is_the_verdict_recomputed_on_a_rebuilt_copy(monkeypatch):
+    """Every lax functor that `enumerate_lax_functors` yields, for every
+    ordered pair of the law universe's bicategories and of the search
+    inputs, and every simplex lax functor of `two_nerve` on every corpus
+    bicategory up to truncation 2, comes with `own_violations` set, and a
+    plain copy of it finds none."""
+    _, fams, _ = _law_universe()
+    inputs = search_inputs()
+    funs = [f for fam in fams.values() for f in fam]
+    funs += [f for s in inputs.values() for t in inputs.values()
+             for f in enumerate_lax_functors(s, t)]
+    simplices = []
+
+    def recorded(s):
+        simplices.append(real(s))
+        return simplices[-1]
+
+    real = nerve.as_lax_functor
+    monkeypatch.setattr(nerve, "as_lax_functor", recorded)
+    for name in sorted(corpus.BICATEGORIES):
+        two_nerve(corpus.get("bicategory", name), 2)
+    assert (len(fams), len(funs), len(simplices)) == (121, 1158, 202)
+    assert set(_rebuilt_verdicts(funs + simplices)) == {(True, ())}
 
 
 def _count_hom_functor_searches(monkeypatch, s, t):
