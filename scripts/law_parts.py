@@ -3,8 +3,9 @@ instances it checks and its raw wall seconds, after building the law
 universe once (its seconds are printed first); then the raw wall seconds of
 each other acceptance criterion, 1 and 3 to 10, one line each.  The peak
 resident memory of the process so far (``ru_maxrss``, in MB) is printed
-after the universe is built and again at the end, each time beside the
-cyclic collector's collections so far, over all generations.
+after the universe is built, after each of the four parts and at the end,
+each time beside the cyclic collector's collections so far, over all
+generations, so it shows which step sets the peak.
 
     python3 scripts/law_parts.py
 
@@ -30,13 +31,13 @@ def _peak_rss(label):
     ``ru_maxrss`` in KB) and the collections the cyclic collector has run."""
     kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     collections = sum(generation["collections"] for generation in gc.get_stats())
-    print(f"{label:24s} {'':>8s} {kb / 1024:8.2f} MB peak rss, {collections} gc collections")
+    print(f"{label:30s} {'':>8s} {kb / 1024:8.2f} MB peak rss, {collections} gc collections")
 
 
 def main():
     t0 = time.perf_counter()
     bics, fams, icons = acceptance._law_universe()
-    print(f"{'law universe':24s} {'':>8s} {time.perf_counter() - t0:8.3f} s")
+    print(f"{'law universe':30s} {'':>8s} {time.perf_counter() - t0:8.3f} s")
     _peak_rss("after the universe")
     rng = random.Random(20260814)
     parts = (("unit laws", lambda: acceptance._unit_laws(bics, fams, icons)),
@@ -49,18 +50,19 @@ def main():
     for name, part in parts:
         t0 = time.perf_counter()
         checked, err = part()
-        print(f"{name:24s} {checked:8d} {time.perf_counter() - t0:8.3f} s")
+        print(f"{name:30s} {checked:8d} {time.perf_counter() - t0:8.3f} s")
+        _peak_rss(f"after {name}")
         total += checked
         if err:
             print(f"error: {err}")
             return 1
-    print(f"{'law instances':24s} {total:8d}")
+    print(f"{'law instances':30s} {total:8d}")
     for num, slug, criterion in acceptance.CRITERIA:
         if num == 2:
             continue
         t0 = time.perf_counter()
         ok, detail = criterion()
-        print(f"{f'criterion {num}':24s} {'':>8s} {time.perf_counter() - t0:8.3f} s  {slug}")
+        print(f"{f'criterion {num}':30s} {'':>8s} {time.perf_counter() - t0:8.3f} s  {slug}")
         if not ok:
             print(f"error: {detail}")
             return 1

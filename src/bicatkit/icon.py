@@ -12,35 +12,41 @@ and one over units.
 Icons compose vertically and horizontally on the nose, which is what makes
 the collection of bicategories, lax functors, and icons a *strict*
 2-category; the tests drive exactly those laws.  They compose componentwise
-(Lack, *Icons*), so the algebra is four cell kernels, `vcomp_cells`,
-`hcomp_cells`, `whisker_left_cells` and `whisker_right_cells`, each one pass
-from cells to the composite's cells.  The kernels take cell tables and the
-lax functors they read, not Icons: a whisker reads the whiskering functor,
-and `hcomp_cells(over, later, earlier, under)` reads later's source `over`
-and earlier's target `under`.  The Icon operations `vcomp_icons`,
-`hcomp_icons`, `whisker_icon_left` and `whisker_icon_right` wrap them: each
-takes its cells from its kernel and builds its source and target lax
-functors and its family names only when they are read.  A law between
-composites is an equation between two cell tables, so acceptance criterion
-2 checks it on the kernels alone, over the cell tables of the icons it
-enumerates, and builds no Icon at all.
+(Lack, *Icons*), so the algebra works on an icon's *row*: its cells as one
+tuple, in the order of its source's 1-cells, ``s.one_cells()``, which
+`row_order` names and which is the order the icon search binds them in.
+The four cell kernels, `vcomp_cells`, `hcomp_cells`, `whisker_left_cells`
+and `whisker_right_cells`, each map over rows, one pass from rows to the
+composite's row.  They take rows and the lax functors they read, not
+Icons: a left whisker reads the whiskering functor's images of 2-cells, a
+right whisker its positions (where each source 1-cell's image sits in the
+target's row), and `hcomp_cells(over, later, earlier, under)` reads both,
+of later's source `over` and earlier's target `under`.  An Icon keeps its cells as a table
+`{f: 2-cell}`: `icon_row` reads its row, and the Icon operations
+`vcomp_icons`, `hcomp_icons`, `whisker_icon_left` and `whisker_icon_right`
+convert their factors' tables to rows, run the kernel and read the
+composite's table back; each builds its source and target lax functors
+and its family names only when they are read.  A law between composites
+is an equation between two rows, so acceptance criterion 2 checks it on
+the kernels alone, over the rows of the icons it enumerates, and builds
+no Icon and no cell table at all.
 
-Each kernel reads flat tables, one dict lookup per cell: the bicategory's
-`vcomp_table` of every vertical composite, and a lax functor's `cell_maps`,
-its images of all 1-cells and of all 2-cells.  Both are built on first read
-and kept, so a bicategory's hom tables are fixed once an icon has been
-composed in it, and a lax functor is not mutated once it has been whiskered
-or pasted.
+Each kernel reads flat tables, one lookup per cell: the bicategory's
+`vcomp_table` of every vertical composite, and a lax functor's
+`cell_maps`, its positions and its images of all 2-cells.  Both are
+built on first read and kept, so a bicategory's hom tables are fixed once
+an icon has been composed in it, and a lax functor is not mutated once it
+has been whiskered or pasted.
 
 The icon declaration depends on the source bicategory alone: for each hom,
 one variable per 1-cell names a cell of the icon, under the naturality
 squares of that hom, and the compatibility laws of `icon_laws` tie the homs
 together.  The source builds it once, as its ``icon_plan``.  `icon_cells`
 runs its compiled search on a fresh draft per pair of lax functors and
-yields the cell table of each icon it meets; `enumerate_icons` is the same
-search, each table put in an Icon.  `validate_icon` checks the listing on a
-given icon, so the icons the search finds pass the validator by
-construction and none is validated again.  The family names of an icon
+yields the row of each icon it meets; `enumerate_icons` is the same
+search, each row read back as the cell table of an Icon.  `validate_icon`
+checks the listing on a given icon, so the icons the search finds pass the
+validator by construction and none is validated again.  The family names of an icon
 depend on its source alone: the plan holds them as one read-only mapping,
 ``names``, which every icon found shares whenever the lax functors' hom
 functors are keyed by the source's homs, so a write to it raises instead of
@@ -283,44 +289,73 @@ def _target(x):
     return x if isinstance(x, LaxFunctor) else x.target
 
 
-# The four cell kernels of the icon algebra, then the Icon operations that
-# wrap them (see the module docstring).
+# An icon's row and the four cell kernels of the icon algebra over rows,
+# then the Icon operations that wrap them (see the module docstring).
 
-def vcomp_cells(t, later: dict, earlier: dict) -> dict:
-    """The cells of the vertical composite, in the bicategory `t`, of icons
-    with cells `later` and `earlier` ("later" runs second)."""
-    table = t.vcomp_table
-    return {x: table[(c, later[x])] for x, c in earlier.items()}
-
-
-def hcomp_cells(over: LaxFunctor, later: dict, earlier: dict, under: LaxFunctor) -> dict:
-    """The cells of the horizontal composite of icons with cells `later`
-    and `earlier`, where `over` is later's source and `under` earlier's
-    target: at x, the image under `over` of earlier's cell at x, followed
-    by later's cell at the image of x under `under`."""
-    table = over.target.vcomp_table
-    on_1, on_2 = under.cell_maps[0], over.cell_maps[1]
-    return {x: table[(on_2[c], later[on_1[x]])] for x, c in earlier.items()}
+def row_order(s):
+    """The 1-cells of `s` in the order of a row of an icon out of `s`:
+    ``s.one_cells()``, hom pair by hom pair in `sorted_homs` order, which
+    is the order in which `icon_plan` binds an icon's cells."""
+    return s.one_cells()
 
 
-def whisker_left_cells(fun: LaxFunctor, cells: dict) -> dict:
-    """The cells of an icon with cells `cells` whiskered on the left by
-    `fun`: the image under `fun` of each cell."""
-    on_2 = fun.cell_maps[1]
-    return {x: on_2[c] for x, c in cells.items()}
+def _row(icon: Icon, order) -> tuple:
+    """The cells of `icon` at the 1-cells `order`, as a row."""
+    return tuple(map(icon.cells.__getitem__, order))
 
 
-def whisker_right_cells(cells: dict, fun: LaxFunctor) -> dict:
-    """The cells of an icon with cells `cells` whiskered on the right by
-    `fun`: at x, the cell at `fun`'s image of x."""
-    return {x: cells[y] for x, y in fun.cell_maps[0].items()}
+def icon_row(icon: Icon) -> tuple:
+    """The row of `icon`: its cells in `row_order` of its source."""
+    return _row(icon, row_order(icon.source.source))
+
+
+def cell_maps(fun: LaxFunctor) -> tuple:
+    """What the kernels read of `fun`, as ``(positions, {2-cell: image})``:
+    for each 1-cell of its source, in `row_order`, the position in the
+    target's `row_order` of its image, which is how a right whisker by
+    `fun` reindexes a row; and its images of all 2-cells in one table.
+    Read as ``fun.cell_maps``, built once per lax functor."""
+    at = {x: n for n, x in enumerate(row_order(fun.target))}
+    homs = fun.hom_functors.values()
+    on_1 = {x: y for hf in homs for x, y in hf.object_map.items()}
+    return (tuple(at[on_1[x]] for x in row_order(fun.source)),
+            {c: d for hf in homs for c, d in hf.morphism_map.items()})
+
+
+def vcomp_cells(t, later: tuple, earlier: tuple) -> tuple:
+    """The row of the vertical composite, in the bicategory `t`, of icons
+    with rows `later` and `earlier` ("later" runs second)."""
+    return tuple(map(t.vcomp_table.__getitem__, zip(earlier, later)))
+
+
+def hcomp_cells(over: LaxFunctor, later: tuple, earlier: tuple, under: LaxFunctor) -> tuple:
+    """The row of the horizontal composite of icons with rows `later` and
+    `earlier`, where `over` is later's source and `under` earlier's target:
+    at x, the image under `over` of earlier's cell at x, followed by
+    later's cell at the image of x under `under`."""
+    return tuple(map(over.target.vcomp_table.__getitem__,
+                     zip(map(over.cell_maps[1].__getitem__, earlier),
+                         map(later.__getitem__, under.cell_maps[0]))))
+
+
+def whisker_left_cells(fun: LaxFunctor, row: tuple) -> tuple:
+    """The row of an icon with row `row` whiskered on the left by `fun`:
+    the image under `fun` of each cell."""
+    return tuple(map(fun.cell_maps[1].__getitem__, row))
+
+
+def whisker_right_cells(row: tuple, fun: LaxFunctor) -> tuple:
+    """The row of an icon with row `row` whiskered on the right by `fun`:
+    at x, the cell at `fun`'s image of x."""
+    return tuple(map(row.__getitem__, fun.cell_maps[0]))
 
 
 def vcomp_icons(later: Icon, earlier: Icon) -> Icon:
     """Componentwise vertical composite ("later" runs second)."""
-    t = later.bicategory
+    t, order = later.bicategory, tuple(earlier.cells)
     return lazy(Icon, _VCOMP, (later, earlier), name=f"{later.name}.{earlier.name}",
-                cells=vcomp_cells(t, later.cells, earlier.cells), bicategory=t)
+                cells=dict(zip(order, vcomp_cells(t, _row(later, order), _row(earlier, order)))),
+                bicategory=t)
 
 
 def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
@@ -329,9 +364,11 @@ def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
     The two pastings (act on the component, then shift, or the other way
     round) agree by naturality; this builds the shift-after-act order.
     """
+    over, under = later.source, earlier.target
+    order = row_order(under.source)
+    row = hcomp_cells(over, _row(later, row_order(under.target)), _row(earlier, order), under)
     return lazy(Icon, _PASTED, (later, earlier), name=f"{later.name}*{earlier.name}",
-                cells=hcomp_cells(later.source, later.cells, earlier.cells, earlier.target),
-                bicategory=later.bicategory)
+                cells=dict(zip(order, row)), bicategory=later.bicategory)
 
 
 def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
@@ -339,8 +376,10 @@ def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
     `fun` applied to the component of `icon` at f.  This is
     `hcomp_icons(identity_icon(fun), icon)`, whose pasting composes that
     cell with an identity."""
+    order = tuple(icon.cells)
     return lazy(Icon, _PASTED, (fun, icon), name=f"id:{fun.name}*{icon.name}",
-                cells=whisker_left_cells(fun, icon.cells), bicategory=fun.target)
+                cells=dict(zip(order, whisker_left_cells(fun, _row(icon, order)))),
+                bicategory=fun.target)
 
 
 def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
@@ -348,8 +387,9 @@ def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
     the component of `icon` at fun(f), a pure reindexing.  This is
     `hcomp_icons(icon, identity_icon(fun))`, whose pasting composes that
     cell with the image of an identity."""
+    row = whisker_right_cells(_row(icon, row_order(fun.target)), fun)
     return lazy(Icon, _PASTED, (icon, fun), name=f"{icon.name}*id:{fun.name}",
-                cells=whisker_right_cells(icon.cells, fun), bicategory=icon.bicategory)
+                cells=dict(zip(row_order(fun.source), row)), bicategory=icon.bicategory)
 
 
 def is_invertible_icon(icon: Icon):
@@ -425,29 +465,33 @@ def icon_plan(s):
 
 
 def icon_cells(f: LaxFunctor, g: LaxFunctor):
-    """The cell table of each icon f => g, in deterministic order; none
-    when `validate_icon_pair` fails, in which case the source's `icon_plan`
-    is not read.  One run of that plan binds every component 2-cell, hom
-    pair by hom pair, under the naturality of each family and the icon
-    laws; it meets the icons in the order of their families, each in
-    `enumerate_nats` order.  Each table is a fresh dict."""
+    """The row of each icon f => g, in deterministic order; none when
+    `validate_icon_pair` fails, in which case the source's `icon_plan` is
+    not read.  One run of that plan binds every component 2-cell, hom pair
+    by hom pair, under the naturality of each family and the icon laws; it
+    meets the icons in the order of their families, each in
+    `enumerate_nats` order.  Each row is a tuple in `row_order` of the
+    source."""
     if not validate_icon_pair(f, g).ok:
         return
+    order = row_order(f.source)
     draft = SimpleNamespace(source=f, target=g, cells={})
     for _ in run(f.source.icon_plan.search, draft):
-        yield dict(draft.cells)
+        yield tuple(map(draft.cells.__getitem__, order))
 
 
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
-    """All icons f => g, one per table of `icon_cells(f, g)`, in its order.
+    """All icons f => g, one per row of `icon_cells(f, g)`, in its order,
+    each row read back as a cell table.
 
     Every icon found passes `validate_icon`, which checks the same
     declaration.  When f's hom functors are keyed by the source's homs,
     every icon found shares the plan's read-only ``names``; otherwise each
     icon gets a dict of its own."""
-    for cells in icon_cells(f, g):
+    order = row_order(f.source)
+    for row in icon_cells(f, g):
         shared = f.hom_functors.keys() == f.source.homs.keys()
-        yield Icon("enum", f, g, cells, f.source.icon_plan.names if shared
+        yield Icon("enum", f, g, dict(zip(order, row)), f.source.icon_plan.names if shared
                    else dict.fromkeys(_families(f), "enum"))
 
 

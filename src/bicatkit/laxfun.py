@@ -72,14 +72,13 @@ class LaxFunctor(Lazy):
 
     @cached_property
     def cell_maps(self):
-        """``({1-cell: image}, {2-cell: image})``: the maps of every hom
-        functor in one table each, built on first read and read by the icon
-        algebra, so the hom functors are fixed once the lax functor has been
-        whiskered.  `on_1` and `on_2` read the hom functors themselves, which
-        a search rebinds on its draft."""
-        homs = self.hom_functors.values()
-        return ({x: y for hf in homs for x, y in hf.object_map.items()},
-                {c: d for hf in homs for c, d in hf.morphism_map.items()})
+        """``(positions, {2-cell: image})``: what the icon algebra reads of
+        this lax functor, built on first read and kept (see
+        `bicatkit.icon.cell_maps`), so the hom functors are fixed once the
+        lax functor has been whiskered.  `on_1` and `on_2` read the hom
+        functors themselves, which a search rebinds on its draft."""
+        from .icon import cell_maps
+        return cell_maps(self)
 
     @cached_property
     def own_violations(self):

@@ -9,11 +9,16 @@ category, and reindexing along a monotone map is just composition of lax
 functors — faces and degeneracies come out as functors between levels, and
 the simplicial identities can be checked as equalities of functors.
 
-`two_nerve` builds the lax functor of each simplex once, with its level:
-the cell tables of the level's icons are searched between them
-(`icon_cells`, so no Icon is built), their composites read the base's
-`vcomp_table`, and every face and degeneracy map reindexes those same lax
-functors instead of rebuilding one per simplex and map.
+`two_nerve` takes the lax functor of each simplex from the search that
+found the simplex, which hands out the lax functor it bound.  The level's
+icons are searched between those lax functors as rows (`icon_cells`, so
+no Icon is built): a row holds an icon's components in the source's
+1-cell order, which for an ordinal is edge order, (0, 0), (0, 1), ...,
+(n, n), and names the morphism in the level.  Their composites are the
+icon algebra's `vcomp_cells`.  Every face and degeneracy map reindexes
+those rows by `whisker_right_cells` along the ordinal map, and the
+simplices by composing those same lax functors with it, instead of
+rebuilding a lax functor per simplex and map.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .bicat import FiniteBicategory, from_category
 from .catcore import Functor, FiniteCategory, chain_category, compose_functors
-from .icon import icon_cells, identity_icon
+from .icon import icon_cells, icon_row, identity_icon, vcomp_cells, whisker_right_cells
 from .laxfun import (LaxFunctor, comparison_cells, compose_lax, lax_laws, lax_variables,
                      searched, two_functor, unit_cells, validate_lax_functor)
 from .report import ValidationReport, sorted_ids
@@ -45,6 +50,10 @@ class SimplexData:
     objects: dict        # i -> object
     cells: dict          # (i, j) -> 1-cell, i < j
     constraints: dict    # (i, j, k) -> invertible 2-cell, i < j < k
+    # the lax functor `enumerate_simplices` bound for the simplex, with its
+    # verdict preset; None on a simplex built otherwise (`as_lax_functor`
+    # builds one from the data)
+    lax: LaxFunctor | None = field(default=None, compare=False, repr=False)
 
     def cell(self, i, j):
         if i == j:
@@ -165,11 +174,12 @@ def enumerate_simplices(b: FiniteBicategory, n: int):
     unitor over a degenerate one, which in a valid b always is.  So the
     simplex read off a leaf gives the leaf back as its lax functor, and
     that lax functor passes the checks of its `own_violations` by
-    construction.
+    construction.  Each simplex comes with that lax functor, as its
+    ``lax``: the fields of the leaf copied off the search's draft, with its
+    `own_violations` preset, empty (see `searched`).
 
     The lax functors the search runs through share hom functors (see
-    `lax_variables`), which must not be mutated; a simplex holds only the
-    cells read off them.
+    `lax_variables`), which must not be mutated.
     """
     src = ordinal_as_bicategory(n)
 
@@ -189,7 +199,12 @@ def enumerate_simplices(b: FiniteBicategory, n: int):
     plan = compile_plan(lax_variables(src, b, comparisons, units), lax_laws(src))
     draft = LaxFunctor("simplex", src, b, {}, {}, {}, {})
     for _ in run(plan, draft):
-        yield simplex_from_lax(draft)
+        simplex = simplex_from_lax(draft)
+        simplex.lax = searched(LaxFunctor(
+            f"simplex{(n, tuple(simplex.objects.values()))!r}", src, b,
+            dict(draft.object_map), dict(draft.hom_functors),
+            dict(draft.comp_constraints), dict(draft.unit_constraints)))
+        yield simplex
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,34 +234,25 @@ def reindex_simplex(s: SimplexData, theta) -> SimplexData:
 # ---------------------------------------------------------------------------
 # the truncated 2-nerve
 
-def _icon_flat(cells: dict, n: int):
-    """The component 2-cells of a simplex morphism, given its cell table, in
-    edge order."""
-    return tuple(cells[("le", i, j)] for i in range(n + 1) for j in range(i, n + 1))
-
-
 def _level_category(b: FiniteBicategory, k: int, funs):
     """Level k: the simplices as objects, by key in canonical order, with
-    `funs` their lax functors; the icons between those as morphisms,
-    composed through `b.vcomp_table`."""
+    `funs` their lax functors; the icons between those as morphisms, each
+    ``("ic", source key, target key, row)``, composed by `vcomp_cells`."""
     objects = list(funs)
-    vcomp = b.vcomp_table
     morphisms, identity, table = {}, {}, {}
-    out = {sk: [] for sk in objects}    # simplex -> (mid, flat cells) leaving it
+    out = {sk: [] for sk in objects}    # simplex -> (mid, row) leaving it
     for sk in objects:
         for tk in objects:
-            for cells in icon_cells(funs[sk], funs[tk]):
-                flat = _icon_flat(cells, k)
-                mid = ("ic", sk, tk, flat)
+            for row in icon_cells(funs[sk], funs[tk]):
+                mid = ("ic", sk, tk, row)
                 morphisms[mid] = (sk, tk)
-                out[sk].append((mid, flat))
-        identity[sk] = ("ic", sk, sk, _icon_flat(identity_icon(funs[sk]).cells, k))
+                out[sk].append((mid, row))
+        identity[sk] = ("ic", sk, sk, icon_row(identity_icon(funs[sk])))
     for sk in objects:
-        for m1, flat1 in out[sk]:
+        for m1, row1 in out[sk]:
             t1 = morphisms[m1][1]
-            for m2, flat2 in out[t1]:
-                flat = tuple(vcomp[pair] for pair in zip(flat1, flat2))
-                table[(m1, m2)] = ("ic", sk, morphisms[m2][1], flat)
+            for m2, row2 in out[t1]:
+                table[(m1, m2)] = ("ic", sk, morphisms[m2][1], vcomp_cells(b, row2, row1))
     return FiniteCategory(f"nerve-{k}[{b.name}]", objects, morphisms, identity, table)
 
 
@@ -262,17 +268,14 @@ def _level_functor(nerve, k: int, k2: int, theta, omap, name):
     """Reindexing along theta: [k2] -> [k] as a functor between levels,
     with `omap` from `_reindexed_keys` on its simplices.
 
-    Whiskering an icon along theta only reindexes its components: the one
-    at edge (i, j) of [k2] is the one at (theta(i), theta(j)) of [k], since
+    Whiskering an icon along theta only reindexes its components, the
+    right whisker of its row by theta's strict functor: the one at edge
+    (i, j) of [k2] is the one at (theta(i), theta(j)) of [k], since
     vcomp(c, id) = c in a validated hom."""
     src_cat = nerve.levels[k]
-    mmap = {}
-    edges = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]
-    picks = [edges.index((theta[i], theta[j]))
-             for i in range(k2 + 1) for j in range(i, k2 + 1)]
-    for mid in src_cat.morphisms:
-        _, sk, tk, flat = mid
-        mmap[mid] = ("ic", omap[sk], omap[tk], tuple(flat[p] for p in picks))
+    along = ordinal_map_functor(theta, k)
+    mmap = {mid: ("ic", omap[mid[1]], omap[mid[2]], whisker_right_cells(mid[3], along))
+            for mid in src_cat.morphisms}
     return Functor(name, src_cat, nerve.levels[k2], omap, mmap)
 
 
@@ -305,15 +308,19 @@ def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
     def codegeneracy(k, i):  # the surjection [k+1] -> [k] hitting i twice
         return tuple(v if v <= i else v - 1 for v in range(k + 2))
 
-    # Each level's lax functors are built once: the simplex maps out of the
-    # level are read off them first, then the level's icons are searched
-    # between them, and they go with the next level.  Each is the lax
-    # functor `enumerate_simplices` bound for its simplex, so it comes with
-    # the verdict of that search.
+    # Each level's lax functors come from the simplex search: the simplex
+    # maps out of the level are read off them first, then the level's icons
+    # are searched between them.  Each is the lax functor
+    # `enumerate_simplices` bound for its simplex, so it comes with the
+    # verdict of that search.  It is moved off its simplex, so the nerve
+    # keeps the simplex data and drops the lax functors with the level.
     faces, degeneracies = {}, {}    # (k, i) -> object map of the level functor
     for k in range(truncation + 1):
-        sims = {s.key(): s for s in enumerate_simplices(b, k)}
-        funs = {sk: searched(as_lax_functor(sims[sk])) for sk in sorted_ids(sims)}
+        sims, bound = {}, {}
+        for s in enumerate_simplices(b, k):
+            sk = s.key()
+            sims[sk], bound[sk], s.lax = s, s.lax, None
+        funs = {sk: bound[sk] for sk in sorted_ids(sims)}
         for i in range(k + 1) if k else ():
             faces[(k, i)] = _reindexed_keys(funs, k, coface(k, i))
         for i in range(k + 1) if k < truncation else ():

@@ -229,25 +229,33 @@ def vcomp_oplax(later: OplaxNat, earlier: OplaxNat) -> OplaxNat:
     u, v = earlier, later
     if u.target is not v.source and u.target != v.source:
         raise ValueError("transformations are not vertically composable")
-    f, g, h = u.source, u.target, v.target
+    f, h = u.source, v.target
     t = f.target
     comps = {a: t.compose1(v.components[a], u.components[a])
              for a in f.source.objects}
-    cons = {}
-    for w in f.source.one_cells():
-        a, b = f.source.home1(w)
-        fw, gw, hw = f.on_1(w), g.on_1(w), h.on_1(w)
-        ua, ub = u.components[a], u.components[b]
-        va, vb = v.components[a], v.components[b]
-        cons[w] = t.vcomp(
-            t.assoc(hw, va, ua),
-            t.vcomp(
-                t.whisker_right(v.constraints[w], ua),
-                t.vcomp(
-                    t.assoc_inv(vb, gw, ua),
-                    t.vcomp(t.whisker_left(vb, u.constraints[w]),
-                            t.assoc(vb, ub, fw)))))
+    cons = {w: _pasted_constraint(v, u, w) for w in f.source.one_cells()}
     return OplaxNat(f"{v.name}.{u.name}", f, h, comps, cons)
+
+
+def _pasted_constraint(later: OplaxNat, earlier: OplaxNat, w):
+    """The constraint at the 1-cell w of the vertical composite of two
+    composable transformations: their constraints at w pasted with
+    associator corrections."""
+    u, v = earlier, later
+    f, g, h = u.source, u.target, v.target
+    t = f.target
+    a, b = f.source.home1(w)
+    fw, gw, hw = f.on_1(w), g.on_1(w), h.on_1(w)
+    ua, ub = u.components[a], u.components[b]
+    va, vb = v.components[a], v.components[b]
+    return t.vcomp(
+        t.assoc(hw, va, ua),
+        t.vcomp(
+            t.whisker_right(v.constraints[w], ua),
+            t.vcomp(
+                t.assoc_inv(vb, gw, ua),
+                t.vcomp(t.whisker_left(vb, u.constraints[w]),
+                        t.assoc(vb, ub, fw)))))
 
 
 # ---------------------------------------------------------------------------
@@ -305,24 +313,37 @@ def interchange_check(beta: OplaxNat, alpha: OplaxNat) -> ValidationReport:
     constraint.  The law famously fails in general: it holds for all alpha
     exactly when beta's constraints are identities, and for all beta exactly
     when alpha's components are."""
+    rep = ValidationReport(f"interchange of {beta.name} with {alpha.name}")
+    for kind, message, witness in _interchange_differences(beta, alpha):
+        rep.add(kind, message, witness)
+    return rep
+
+
+def _interchange_differences(beta: OplaxNat, alpha: OplaxNat):
+    """Each difference between the two horizontal composites that
+    `interchange_check` compares, as ``(kind, message, witness)``, made
+    lazily: the components first, then the constraints, each pasted
+    (`_pasted_constraint`) only when it is compared.  The two composites
+    are those of `vcomp_oplax`, whose factors compose by construction.
+    The checks of the setting raise when the generator is first advanced."""
     f, g = alpha.source, alpha.target
     h, k = beta.source, beta.target
     if h.source != f.target:
         raise ValueError("beta's source 2-category must be alpha's target")
     _require_strict_setting("interchange",
                             (f.source, f.target, h.target, g.source, k.target), (f, g, h, k))
-    rep = ValidationReport(f"interchange of {beta.name} with {alpha.name}")
-    one = vcomp_oplax(_whisker_left(k, alpha), _whisker_right(beta, f))
-    two = vcomp_oplax(_whisker_right(beta, g), _whisker_left(h, alpha))
+    one = (_whisker_left(k, alpha), _whisker_right(beta, f))
+    two = (_whisker_right(beta, g), _whisker_left(h, alpha))
+    t = h.target
     for a in f.source.sorted_objects:
-        if one.components[a] != two.components[a]:
-            rep.add("interchange-component",
-                    f"the two composites have different components at {a!r}", (a,))
+        if t.compose1(one[0].components[a], one[1].components[a]) \
+                != t.compose1(two[0].components[a], two[1].components[a]):
+            yield ("interchange-component",
+                   f"the two composites have different components at {a!r}", (a,))
     for w in f.source.one_cells():
-        if one.constraints[w] != two.constraints[w]:
-            rep.add("interchange-constraint",
-                    f"the two composites have different constraints at {w!r}", (w,))
-    return rep
+        if _pasted_constraint(*one, w) != _pasted_constraint(*two, w):
+            yield ("interchange-constraint",
+                   f"the two composites have different constraints at {w!r}", (w,))
 
 
 @functools.cache
@@ -366,14 +387,13 @@ class StrictnessVerdict:
 
 def strictness_by_witness(beta: OplaxNat) -> StrictnessVerdict:
     """Decide strictness of beta purely by running interchange against the
-    arrow-witness probes, one per 1-cell of beta's source 2-category."""
+    arrow-witness probes, one per 1-cell of beta's source 2-category; a
+    probe fails at the first difference of its two composites."""
     b = beta.source.source
     _require_strict_setting("strictness probing",
                             (b, beta.source.target), (beta.source, beta.target))
-    bad = []
-    for f in b.one_cells():
-        if not interchange_check(beta, arrow_witness(b, f)).ok:
-            bad.append(f)
+    bad = [f for f in b.one_cells()
+           if next(_interchange_differences(beta, arrow_witness(b, f)), None) is not None]
     return StrictnessVerdict(not bad, bad)
 
 

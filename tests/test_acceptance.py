@@ -1,5 +1,6 @@
 """The ten bundled acceptance checks, one test and one verdict line each."""
 
+import hashlib
 import itertools
 import random
 
@@ -59,17 +60,16 @@ _KERNELS = {"vcomp_icons": "vcomp_cells", "hcomp_icons": "hcomp_cells",
 
 def _corrupt_once(monkeypatch, name, call):
     """Make the acceptance suite's kernel of the icon operation `name`
-    return, at its `call`-th call (from 0), cells with one entry replaced by
-    a value that is no 2-cell."""
+    return, at its `call`-th call (from 0), a row with its first entry
+    replaced by a value that is no 2-cell."""
     kernel = _KERNELS[name]
     real, calls = getattr(acceptance, kernel), itertools.count()
 
     def corrupted(*args):
-        cells = real(*args)
+        row = real(*args)
         if next(calls) == call:
-            x = next(iter(cells))
-            cells = {**cells, x: ("corrupt", cells[x])}
-        return cells
+            row = (("corrupt", row[0]), *row[1:])
+        return row
     monkeypatch.setattr(acceptance, kernel, corrupted)
 
 
@@ -183,3 +183,62 @@ def test_each_part_builds_each_composite_once_per_loop_step(sub_universe, monkey
     checked, err = _parts(sub_universe)[part]()
     assert err is None and checked == instances
     assert (calls, checked) == _expected_calls(part, sub_universe)
+
+
+# ---------------------------------------------------------------------------
+# the instances criterion 2 checks, the sampled ones included
+
+_DRAWN_SHA256 = "78c0205b34b32a3f5453d9dbeed1f56e4a103602cc8f46007cb980fc701df4d0"
+_DRAWING_PARTS = {"_vertical_associativity": "vertical",
+                  "_whisker_functoriality": "whisker", "_middle_four": "middle-four"}
+
+
+def _drawn_instances(monkeypatch):
+    """Run `criterion_2` and return its verdict and the sha256 and count of
+    the instances its parts draw through `_take`, in order.  Each instance
+    is recorded as its part and, for each universe member in it, the
+    member's family key and index; in the whisker part, each lax functor
+    in it (the whiskering one, and in the identity whiskers also the one
+    whose identity icon is whiskered) adds its family key and index, and
+    the side is kept.  Members and lax functors are told apart by
+    identity, so the record does not depend on how an instance is
+    packaged."""
+    _, fams, icons = acceptance._law_universe()
+    members = {id(m[2]): ("icon", key, n) for key, fam in icons.items()
+               for n, m in enumerate(fam)}
+    funs = {id(f): ("fun", key, n) for key, fam in fams.items() for n, f in enumerate(fam)}
+    digest, count, part = hashlib.sha256(), [0], [None]
+
+    def labels(x):
+        if isinstance(x, tuple) and id(x) not in members:
+            return [label for y in x for label in labels(y)]
+        if id(x) in members:
+            return [members[id(x)]]
+        if id(x) in funs and part[0] == "whisker":
+            return [funs[id(x)]]
+        return [x] if isinstance(x, str) else []
+
+    def take(*args, real=acceptance._take):
+        for instance in real(*args):
+            digest.update(repr((part[0], labels(instance))).encode())
+            count[0] += 1
+            yield instance
+
+    def entered(name, real):
+        def run(*args):
+            part[0] = _DRAWING_PARTS[name]
+            return real(*args)
+        return run
+
+    monkeypatch.setattr(acceptance, "_take", take)
+    for name in _DRAWING_PARTS:
+        monkeypatch.setattr(acceptance, name, entered(name, getattr(acceptance, name)))
+    ok, _ = acceptance.criterion_2()
+    return ok, digest.hexdigest(), count[0]
+
+
+def test_criterion_2_draws_the_same_instances(monkeypatch):
+    """The instances criterion 2 checks, which its count alone does not
+    pin: a change that draws other samples of the same size prints the same
+    line."""
+    assert _drawn_instances(monkeypatch) == (True, _DRAWN_SHA256, 388837)

@@ -129,9 +129,9 @@ def test_composite_fields_are_built_once_on_first_access(monkeypatch):
 
 
 def _agree_with_on_1_and_on_2(fun):
-    one, two = fun.cell_maps
-    s = fun.source
-    assert one == {f: fun.on_1(f) for f in s.one_cells()}, fun.name
+    positions, two = fun.cell_maps
+    s, order = fun.source, fun.target.one_cells()
+    assert [order[p] for p in positions] == [fun.on_1(f) for f in s.one_cells()], fun.name
     assert two == {c: fun.on_2(c) for c in s.two_cells()}, fun.name
 
 
@@ -139,7 +139,8 @@ def test_flat_cell_maps_equal_on_1_and_on_2():
     """The flat maps of every lax functor of the law universe, and of the
     lazily built composites of the first three of each family after the
     first three of each family that composes with it, read what `on_1` and
-    `on_2` read."""
+    `on_2` read: the 1-cell map as the position of each image in the
+    target's `one_cells`."""
     bics, fams, _ = _law_universe()
     for funs in fams.values():
         for fun in funs:

@@ -216,18 +216,21 @@ def test_icon_plan_is_compiled_once_per_source(monkeypatch):
 
 
 def test_icon_cells_are_the_cells_of_the_enumerated_icons():
-    """`icon_cells(f, g)` yields the cell table of each icon of
-    `enumerate_icons(f, g)`, in its order, for every ordered pair of lax
-    functors of the law universe's families with at most 81 icons."""
-    _, fams, icons = _law_universe()
+    """`icon_cells(f, g)` yields the row of each icon of
+    `enumerate_icons(f, g)`, its cells in its source's `one_cells` order,
+    in its order, for every ordered pair of lax functors of the law
+    universe's families with at most 81 icons."""
+    bics, fams, icons = _law_universe()
     small = [key for key, fam in icons.items() if len(fam) <= 81]
     found = 0
     for key in small:
+        s = bics[key[0]]
         for f in fams[key]:
             for g in fams[key]:
-                cells = list(icon.icon_cells(f, g))
-                assert cells == [ic.cells for ic in enumerate_icons(f, g)], key
-                found += len(cells)
+                rows = list(icon.icon_cells(f, g))
+                assert rows == [tuple(ic.cells[x] for x in s.one_cells())
+                                for ic in enumerate_icons(f, g)], key
+                found += len(rows)
     assert len(small) > 100
     assert found == sum(len(icons[key]) for key in small)
 
@@ -254,20 +257,21 @@ def test_icon_cells_of_a_failing_pair_never_read_the_plan(monkeypatch):
         assert not validate_icon_pair(*pair).ok
         assert list(icon.icon_cells(*pair)) == []
     assert compiled == []
-    assert list(icon.icon_cells(f, f)) == [ic.cells for ic in enumerate_icons(f, f)] != []
+    assert list(icon.icon_cells(f, f)) == [tuple(ic.cells[x] for x in s.one_cells())
+                                           for ic in enumerate_icons(f, f)] != []
     assert compiled == ["walking-arrow"]
 
 
 def test_every_member_of_the_law_universe_is_a_plain_dict():
-    """The law universe holds each icon as its cell table, ``(i, j,
-    cells)``, and no Icon."""
-    _, fams, icons = _law_universe()
+    """The law universe holds each icon as its row, ``(i, j, row)``, a
+    tuple with one 2-cell per 1-cell of the source, and no Icon."""
+    bics, fams, icons = _law_universe()
     members = [m for fam in icons.values() for m in fam]
     assert len(members) == 23987
     for key, fam in icons.items():
-        n = len(fams[key])
-        for i, j, cells in fam:
-            assert type(cells) is dict, key
+        n, width = len(fams[key]), len(bics[key[0]].one_cells())
+        for i, j, row in fam:
+            assert type(row) is tuple and len(row) == width, key
             assert 0 <= i < n and 0 <= j < n, key
 
 
@@ -284,8 +288,9 @@ def test_a_preset_verdict_is_the_verdict_recomputed_on_a_rebuilt_copy(monkeypatc
     """Every lax functor that `enumerate_lax_functors` yields, for every
     ordered pair of the law universe's bicategories and of the search
     inputs, and every simplex lax functor of `two_nerve` on every corpus
-    bicategory up to truncation 2, comes with `own_violations` set, and a
-    plain copy of it finds none."""
+    bicategory up to truncation 2, the one `enumerate_simplices` hands out
+    with its simplex, comes with `own_violations` set, and a plain copy of
+    it finds none."""
     _, fams, _ = _law_universe()
     inputs = search_inputs()
     funs = [f for fam in fams.values() for f in fam]
@@ -293,12 +298,13 @@ def test_a_preset_verdict_is_the_verdict_recomputed_on_a_rebuilt_copy(monkeypatc
              for f in enumerate_lax_functors(s, t)]
     simplices = []
 
-    def recorded(s):
-        simplices.append(real(s))
-        return simplices[-1]
+    def recorded(b, n):
+        for s in real(b, n):
+            simplices.append(s.lax)
+            yield s
 
-    real = nerve.as_lax_functor
-    monkeypatch.setattr(nerve, "as_lax_functor", recorded)
+    real = nerve.enumerate_simplices
+    monkeypatch.setattr(nerve, "enumerate_simplices", recorded)
     for name in sorted(corpus.BICATEGORIES):
         two_nerve(corpus.get("bicategory", name), 2)
     assert (len(fams), len(funs), len(simplices)) == (121, 1158, 202)
