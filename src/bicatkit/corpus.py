@@ -267,34 +267,34 @@ def collapse_to_terminal(b: FiniteBicategory) -> LaxFunctor:
                        {a: "*" for a in b.objects}, cell1, cell2)
 
 
-def idem_laxonly(base: FiniteBicategory | None = None) -> LaxFunctor:
+def idem_laxonly() -> LaxFunctor:
     """Endofunctor of sigma_idem that is the identity on every cell but whose
     comparison at (s, s) is the non-invertible idempotent k.  Lax, and not a
     homomorphism."""
     from .laxfun import identity_lax
-    b = base or sigma_idem()
+    b = sigma_idem()
     fun = identity_lax(b)
     fun.name = "idem-laxonly"
     fun.comp_constraints[("s", "s")] = "k"
     return fun
 
 
-def idem_flatten(base: FiniteBicategory | None = None) -> LaxFunctor:
+def idem_flatten() -> LaxFunctor:
     """Strict endofunctor of sigma_idem killing the 2-cell k."""
     from .laxfun import two_functor
-    b = base or sigma_idem()
+    b = sigma_idem()
     cell1 = {"u": "u", "s": "s"}
     cell2 = {("i", "u"): ("i", "u"), ("i", "s"): ("i", "s"), "k": ("i", "s")}
     return two_functor("idem-flatten", b, b, {"*": "*"}, cell1, cell2)
 
 
-def maxposet_unit_witness(base: FiniteBicategory | None = None) -> LaxFunctor:
+def maxposet_unit_witness() -> LaxFunctor:
     """Lax functor from the terminal bicategory into sigma_maxposet picking
     the non-unit 1-cell s; its unit comparison is the non-invertible eta, so
     it is lax and nothing stronger."""
     from .laxfun import LaxFunctor
     s = terminal_bicategory()
-    t = base or sigma_maxposet()
+    t = sigma_maxposet()
     hom = Functor("pick-s", s.homs[("*", "*")], t.homs[("*", "*")],
                   {"1*": "s"}, {("i", "1*"): ("i", "s")})
     return LaxFunctor("maxposet-unit-witness", s, t, {"*": "*"},
@@ -364,24 +364,24 @@ LAX_FUNCTORS = {
 # ---------------------------------------------------------------------------
 # icons
 
-def idem_icon_k(base: FiniteBicategory | None = None) -> Icon:
+def idem_icon_k() -> Icon:
     """Self-icon of the identity on sigma_idem whose component at s is the
     non-invertible idempotent k.  The standard example of a non-invertible
     icon whose underlying functors are as strict as can be."""
     from .icon import Icon
     from .laxfun import identity_lax
-    b = base or sigma_idem()
+    b = sigma_idem()
     one = identity_lax(b)
     return Icon("idem-icon-k", one, one, {"u": ("i", "u"), "s": "k"},
                 {("*", "*"): "k-family"})
 
 
-def twisted_icon(c1: int, base: FiniteBicategory | None = None) -> Icon:
+def twisted_icon(c1: int) -> Icon:
     """One of the two icons from the identity of the twisted delooping to the
     twisted-identity homomorphism; c1 picks the free coefficient."""
     from .icon import monoidal_to_icon
     from .laxfun import identity_lax
-    b = base or cocycle_twisted()
+    b = cocycle_twisted()
     one = identity_lax(b)
     tw = twisted_identity(b)
     return monoidal_to_icon(f"twisted-icon-{c1}", {0: (0, 1), 1: (1, c1)}, one, tw)
@@ -405,7 +405,7 @@ ICONS = {
 # ---------------------------------------------------------------------------
 # monoidal functors and their deloopings
 
-def delooping_monoidal(b: FiniteBicategory, name=None) -> MonoidalCategory:
+def delooping_monoidal(b: FiniteBicategory) -> MonoidalCategory:
     """The monoidal category carried by the single hom of a one-object
     bicategory: tensor is 1-cell composition (later factor first in the key),
     coherence morphisms are the structure cells."""
@@ -421,7 +421,7 @@ def delooping_monoidal(b: FiniteBicategory, name=None) -> MonoidalCategory:
                   for x in cells for y in cells for z in cells}
     left_unitor = {x: b.lunit(x) for x in cells}
     right_unitor = {x: b.runit(x) for x in cells}
-    return MonoidalCategory(name or f"mon[{b.name}]", hom, tensor_obj,
+    return MonoidalCategory(f"mon[{b.name}]", hom, tensor_obj,
                             tensor_mor, b.unit[star], associator,
                             left_unitor, right_unitor)
 
@@ -478,26 +478,26 @@ MONOIDAL_PAIRS = {
 # ---------------------------------------------------------------------------
 # oplax transformations
 
-def codiscrete_shift(elem: str, base: FiniteBicategory | None = None) -> OplaxNat:
+def codiscrete_shift(elem: str) -> OplaxNat:
     """Self-transformation of the constant endofunctor of the codiscrete
     delooping whose single component is `elem`.  Vertical composites of these
     multiply components with the underlying (non-associative!) operation —
     the standing demonstration that oplax transformations between fixed
     functors do not form a category."""
     from .oplax import OplaxNat
-    b = base or codiscrete3()
+    b = codiscrete3()
     fun = const_at_basepoint(b)
     cons = {f: ("to", elem, elem) for f in b.one_cells()}
     return OplaxNat(f"shift[{elem}]", fun, fun, {"*": elem}, cons)
 
 
-def idem_general_oplax(base: FiniteBicategory | None = None) -> OplaxNat:
+def idem_general_oplax() -> OplaxNat:
     """Self-transformation of the identity on sigma_idem with component s and
     the non-invertible k as its constraint at s: neither strict, nor
     pseudonatural, nor an icon."""
     from .laxfun import identity_lax
     from .oplax import OplaxNat
-    b = base or sigma_idem()
+    b = sigma_idem()
     one = identity_lax(b)
     return OplaxNat("idem-general", one, one, {"*": "s"},
                     {"u": ("i", "s"), "s": "k"})

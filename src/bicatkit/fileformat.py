@@ -153,12 +153,11 @@ class StructureFile:
     def _registry(self, kind):
         return getattr(self, _SCHEMAS[kind].attr)
 
-    def add(self, kind, name, obj, replace=False):
+    def add(self, kind, name, obj):
         reg = self._registry(kind)
-        if name in reg and not replace:
+        if name in reg:
             raise StructureError(f"duplicate {kind} {name!r}")
-        if name not in reg:
-            self.order.append((kind, name))
+        self.order.append((kind, name))
         reg[name] = obj
 
     def get(self, kind, name):

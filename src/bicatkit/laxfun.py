@@ -12,8 +12,8 @@ A lax functor keeps the verdict of the checks that read it alone,
 lax listing hand it out with their results instead (`searched`): what their
 search bound lies inside that listing, so it holds by construction and is
 not checked again.  So a lax functor yielded by `enumerate_lax_functors`, or
-built by `bicatkit.nerve.two_nerve` from a simplex it found, is not mutated
-from the moment it is yielded.
+by `bicatkit.nerve.simplex_functors`, is not mutated from the moment it is
+yielded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .bicat import FiniteBicategory, MonoidalCategory, sigma_bicategory
+from .bicat import FiniteBicategory, MonoidalCategory
 from .catcore import (OBJECT_IMAGE, Functor, compose_functors, enumerate_functors,
                       validate_functor, validate_images)
 from .report import ValidationReport
@@ -539,10 +539,9 @@ class MonoidalFunctor:
     unit: object            # morphism: target unit object -> F(source unit object)
 
 
-def sigma_functor(mf: MonoidalFunctor, source_bicat=None, target_bicat=None) -> LaxFunctor:
-    """Transport a (lax) monoidal functor to a lax functor of deloopings."""
-    s = source_bicat or sigma_bicategory(mf.source)
-    t = target_bicat or sigma_bicategory(mf.target)
+def sigma_functor(mf: MonoidalFunctor, s: FiniteBicategory, t: FiniteBicategory) -> LaxFunctor:
+    """Transport a (lax) monoidal functor to a lax functor between the
+    deloopings s of its source and t of its target."""
     star_s, star_t = s.objects[0], t.objects[0]
     hom = Functor(f"{mf.name}-hom", s.homs[(star_s, star_s)],
                   t.homs[(star_t, star_t)],

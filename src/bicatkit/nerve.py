@@ -9,16 +9,16 @@ category, and reindexing along a monotone map is just composition of lax
 functors — faces and degeneracies come out as functors between levels, and
 the simplicial identities can be checked as equalities of functors.
 
-`two_nerve` takes the lax functor of each simplex from the search that
-found the simplex, which hands out the lax functor it bound.  The level's
-icons are searched between those lax functors as rows (`icon_cells`, so
-no Icon is built): a row holds an icon's components in the source's
-1-cell order, which for an ordinal is edge order, (0, 0), (0, 1), ...,
-(n, n), and names the morphism in the level.  Their composites are the
-icon algebra's `vcomp_cells`.  Every face and degeneracy map reindexes
-those rows by `whisker_right_cells` along the ordinal map, and the
-simplices by composing those same lax functors with it, instead of
-rebuilding a lax functor per simplex and map.
+The simplex search hands out the lax functors it binds
+(`simplex_functors`); `enumerate_simplices` reads a `SimplexData` off
+each, and `two_nerve` works on the lax functors alone.  The level's icons
+are searched between them as rows (`icon_cells`, so no Icon is built): a
+row holds an icon's components in the source's 1-cell order, which for an
+ordinal is edge order, (0, 0), (0, 1), ..., (n, n), and names the
+morphism in the level.  Their composites are the icon algebra's
+`vcomp_cells`.  The face and degeneracy maps are listed once, each with
+its ordinal map: each reindexes the rows by `whisker_right_cells` along
+that map, and the simplices by composing their lax functors with it.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class SimplexData:
     objects: dict        # i -> object
     cells: dict          # (i, j) -> 1-cell, i < j
     constraints: dict    # (i, j, k) -> invertible 2-cell, i < j < k
-    # the lax functor `enumerate_simplices` bound for the simplex, with its
-    # verdict preset; None on a simplex built otherwise (`as_lax_functor`
-    # builds one from the data)
-    lax: LaxFunctor | None = field(default=None, compare=False, repr=False)
 
     def cell(self, i, j):
         if i == j:
@@ -159,24 +155,30 @@ def validate_simplex(s: SimplexData) -> ValidationReport:
 
 
 def enumerate_simplices(b: FiniteBicategory, n: int):
-    """All n-simplices in b: the normal homomorphisms out of [n] with
-    invertible comparisons, searched as lax functors whose units are
-    identities and whose degenerate triangles carry unitors.  Ordered by
-    vertices, then edges, then triangle comparisons.
+    """All n-simplices in b, read off the lax functors of
+    `simplex_functors`, in their order."""
+    return map(simplex_from_lax, simplex_functors(b, n))
 
-    Every simplex found passes `validate_simplex`, which is not run on it.
-    The search is the declaration of `validate_lax_functor` out of [n] with
-    two narrowings, each to a subset of that listing's candidates.  A unit
-    edge must be b's unit, with its identity 2-cell as the unit comparison,
-    as `as_lax_functor` builds it, if that is one of `unit_cells`.  A
-    comparison must be invertible, as `validate_simplex` checks, and one of
-    `comparison_cells`: any such one over a genuine triangle, and b's
-    unitor over a degenerate one, which in a valid b always is.  So the
-    simplex read off a leaf gives the leaf back as its lax functor, and
-    that lax functor passes the checks of its `own_violations` by
-    construction.  Each simplex comes with that lax functor, as its
-    ``lax``: the fields of the leaf copied off the search's draft, with its
-    `own_violations` preset, empty (see `searched`).
+
+def simplex_functors(b: FiniteBicategory, n: int):
+    """The lax functors of all n-simplices in b: the normal homomorphisms
+    out of [n] with invertible comparisons, searched as lax functors whose
+    units are identities and whose degenerate triangles carry unitors.
+    Ordered by vertices, then edges, then triangle comparisons.
+
+    The simplex read off each passes `validate_simplex`, which is not run
+    on it.  The search is the declaration of `validate_lax_functor` out of
+    [n] with two narrowings, each to a subset of that listing's candidates.
+    A unit edge must be b's unit, with its identity 2-cell as the unit
+    comparison, as `as_lax_functor` builds it, if that is one of
+    `unit_cells`.  A comparison must be invertible, as `validate_simplex`
+    checks, and one of `comparison_cells`: any such one over a genuine
+    triangle, and b's unitor over a degenerate one, which in a valid b
+    always is.  So the simplex read off a leaf gives the leaf back as its
+    lax functor, and that lax functor passes the checks of its
+    `own_violations` by construction.  Each lax functor yielded is the
+    leaf's fields copied off the search's draft, with its `own_violations`
+    preset, empty (see `searched`).
 
     The lax functors the search runs through share hom functors (see
     `lax_variables`), which must not be mutated.
@@ -199,12 +201,10 @@ def enumerate_simplices(b: FiniteBicategory, n: int):
     plan = compile_plan(lax_variables(src, b, comparisons, units), lax_laws(src))
     draft = LaxFunctor("simplex", src, b, {}, {}, {}, {})
     for _ in run(plan, draft):
-        simplex = simplex_from_lax(draft)
-        simplex.lax = searched(LaxFunctor(
-            f"simplex{(n, tuple(simplex.objects.values()))!r}", src, b,
+        yield searched(LaxFunctor(
+            f"simplex{(n, tuple(draft.object_map[i] for i in range(n + 1)))!r}", src, b,
             dict(draft.object_map), dict(draft.hom_functors),
             dict(draft.comp_constraints), dict(draft.unit_constraints)))
-        yield simplex
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,29 +256,6 @@ def _level_category(b: FiniteBicategory, k: int, funs):
     return FiniteCategory(f"nerve-{k}[{b.name}]", objects, morphisms, identity, table)
 
 
-def _reindexed_keys(funs, k: int, theta):
-    """Where `reindex_simplex` sends each simplex of level k along theta,
-    read off its lax functor in `funs`, the one the level was built from:
-    simplex key -> key."""
-    along = ordinal_map_functor(theta, k)
-    return {sk: simplex_from_lax(compose_lax(fun, along)).key() for sk, fun in funs.items()}
-
-
-def _level_functor(nerve, k: int, k2: int, theta, omap, name):
-    """Reindexing along theta: [k2] -> [k] as a functor between levels,
-    with `omap` from `_reindexed_keys` on its simplices.
-
-    Whiskering an icon along theta only reindexes its components, the
-    right whisker of its row by theta's strict functor: the one at edge
-    (i, j) of [k2] is the one at (theta(i), theta(j)) of [k], since
-    vcomp(c, id) = c in a validated hom."""
-    src_cat = nerve.levels[k]
-    along = ordinal_map_functor(theta, k)
-    mmap = {mid: ("ic", omap[mid[1]], omap[mid[2]], whisker_right_cells(mid[3], along))
-            for mid in src_cat.morphisms}
-    return Functor(name, src_cat, nerve.levels[k2], omap, mmap)
-
-
 @dataclass
 class TwoNerve:
     base: FiniteBicategory
@@ -290,8 +267,40 @@ class TwoNerve:
     report: ValidationReport | None = None
 
 
-def _functors_equal(f: Functor, g: Functor) -> bool:
+def _equal_or_identity(f: Functor, g: Functor | None) -> bool:
+    """Whether f equals g, or is the identity where g is None."""
+    if g is None:
+        return all(x == y for table in (f.object_map, f.morphism_map) for x, y in table.items())
     return f.object_map == g.object_map and f.morphism_map == g.morphism_map
+
+
+def _simplicial_identities(d, s, t: int):
+    """The simplicial identities inside truncation t, with `d` and `s` the
+    face and degeneracy functors by (k, i), each as ``(kind, message,
+    witness, lhs, rhs)``: the composite of the functor pair `lhs`, outer
+    first, equals that of `rhs`, or the identity where `rhs` is None."""
+    for k in range(2, t + 1):
+        for j in range(k + 1):
+            for i in range(j):
+                yield ("face-face", f"d{i} d{j} != d{j - 1} d{i}", (k, i, j),
+                       (d[(k - 1, i)], d[(k, j)]), (d[(k - 1, j - 1)], d[(k, i)]))
+    for k in range(t - 1):
+        for j in range(k + 1):
+            for i in range(j + 1):
+                yield ("degeneracy-degeneracy", f"s{i} s{j} != s{j + 1} s{i}", (k, i, j),
+                       (s[(k + 1, i)], s[(k, j)]), (s[(k + 1, j + 1)], s[(k, i)]))
+    for k in range(t):
+        for j in range(k + 1):
+            for i in range(k + 2):
+                lhs = (d[(k + 1, i)], s[(k, j)])
+                if i in (j, j + 1):
+                    yield "face-degeneracy", f"d{i} s{j} != id", (k, i, j), lhs, None
+                elif i < j:
+                    yield ("face-degeneracy", f"d{i} s{j} != s{j - 1} d{i}", (k, i, j), lhs,
+                           (s[(k - 1, j - 1)], d[(k, i)]))
+                else:
+                    yield ("face-degeneracy", f"d{i} s{j} != s{j} d{i - 1}", (k, i, j), lhs,
+                           (s[(k - 1, j)], d[(k, i - 1)]))
 
 
 def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
@@ -300,81 +309,50 @@ def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
     identity expressible inside the truncation."""
     if not 0 <= truncation <= 4:
         raise ValueError("truncation must be between 0 and 4")
-    nerve = TwoNerve(b, truncation, {}, {})
+    t = truncation
+    nerve = TwoNerve(b, t, {}, {})
+    # ((k, i), k2, theta): the face or degeneracy (k, i) from level k to
+    # level k2 reindexes along theta: [k2] -> [k], the injection missing i
+    # or the surjection hitting i twice
+    maps = [((k, i), k - 1, tuple(v if v < i else v + 1 for v in range(k)))
+            for k in range(1, t + 1) for i in range(k + 1)]
+    maps += [((k, i), k + 1, tuple(v if v <= i else v - 1 for v in range(k + 2)))
+             for k in range(t) for i in range(k + 1)]
 
-    def coface(k, i):      # the injection [k-1] -> [k] missing i
-        return tuple(v if v < i else v + 1 for v in range(k))
-
-    def codegeneracy(k, i):  # the surjection [k+1] -> [k] hitting i twice
-        return tuple(v if v <= i else v - 1 for v in range(k + 2))
-
-    # Each level's lax functors come from the simplex search: the simplex
+    # Each level's lax functors come from the simplex search: the object
     # maps out of the level are read off them first, then the level's icons
-    # are searched between them.  Each is the lax functor
-    # `enumerate_simplices` bound for its simplex, so it comes with the
-    # verdict of that search.  It is moved off its simplex, so the nerve
-    # keeps the simplex data and drops the lax functors with the level.
-    faces, degeneracies = {}, {}    # (k, i) -> object map of the level functor
-    for k in range(truncation + 1):
-        sims, bound = {}, {}
-        for s in enumerate_simplices(b, k):
+    # are searched between them, and the lax functors go with the level.
+    omaps = {}    # (k, i), k2 -> the object map of that level functor
+    for k in range(t + 1):
+        sims, funs = {}, {}
+        for fun in simplex_functors(b, k):
+            s = simplex_from_lax(fun)
             sk = s.key()
-            sims[sk], bound[sk], s.lax = s, s.lax, None
-        funs = {sk: bound[sk] for sk in sorted_ids(sims)}
-        for i in range(k + 1) if k else ():
-            faces[(k, i)] = _reindexed_keys(funs, k, coface(k, i))
-        for i in range(k + 1) if k < truncation else ():
-            degeneracies[(k, i)] = _reindexed_keys(funs, k, codegeneracy(k, i))
+            sims[sk], funs[sk] = s, fun
+        funs = {sk: funs[sk] for sk in sorted_ids(funs)}
+        for (k1, i), k2, theta in maps:
+            if k1 == k:
+                along = ordinal_map_functor(theta, k)
+                omaps[(k, i), k2] = {sk: simplex_from_lax(compose_lax(fun, along)).key()
+                                     for sk, fun in funs.items()}
         nerve.levels[k], nerve.simplices[k] = _level_category(b, k, funs), sims
 
-    for (k, i), omap in faces.items():
-        nerve.face[(k, i)] = _level_functor(
-            nerve, k, k - 1, coface(k, i), omap, f"face({k},{i})")
-    for (k, i), omap in degeneracies.items():
-        nerve.degeneracy[(k, i)] = _level_functor(
-            nerve, k, k + 1, codegeneracy(k, i), omap, f"degeneracy({k},{i})")
+    # Whiskering an icon along theta only reindexes its components, the
+    # right whisker of its row by theta's strict functor: the one at edge
+    # (i, j) of [k2] is the one at (theta(i), theta(j)) of [k], since
+    # vcomp(c, id) = c in a validated hom.
+    for (k, i), k2, theta in maps:
+        omap, along = omaps[(k, i), k2], ordinal_map_functor(theta, k)
+        mmap = {mid: ("ic", omap[mid[1]], omap[mid[2]], whisker_right_cells(mid[3], along))
+                for mid in nerve.levels[k].morphisms}
+        table, name = (nerve.face, "face") if k2 < k else (nerve.degeneracy, "degeneracy")
+        table[(k, i)] = Functor(f"{name}({k},{i})", nerve.levels[k], nerve.levels[k2],
+                                omap, mmap)
 
-    rep = ValidationReport(f"2-nerve of {b.name} to level {truncation}")
-    t = truncation
-    for k in range(2, t + 1):
-        for j in range(k + 1):
-            for i in range(j):
-                lhs = compose_functors(nerve.face[(k - 1, i)], nerve.face[(k, j)])
-                rhs = compose_functors(nerve.face[(k - 1, j - 1)], nerve.face[(k, i)])
-                if not _functors_equal(lhs, rhs):
-                    rep.add("face-face", f"d{i} d{j} != d{j - 1} d{i}", (k, i, j))
-    for k in range(t - 1):
-        for j in range(k + 1):
-            for i in range(j + 1):
-                lhs = compose_functors(nerve.degeneracy[(k + 1, i)],
-                                       nerve.degeneracy[(k, j)])
-                rhs = compose_functors(nerve.degeneracy[(k + 1, j + 1)],
-                                       nerve.degeneracy[(k, i)])
-                if not _functors_equal(lhs, rhs):
-                    rep.add("degeneracy-degeneracy",
-                            f"s{i} s{j} != s{j + 1} s{i}", (k, i, j))
-    for k in range(t):
-        for j in range(k + 1):
-            for i in range(k + 2):
-                lhs = compose_functors(nerve.face[(k + 1, i)],
-                                       nerve.degeneracy[(k, j)])
-                if i == j or i == j + 1:
-                    ident = Functor("id", nerve.levels[k], nerve.levels[k],
-                                    {o: o for o in nerve.levels[k].objects},
-                                    {m: m for m in nerve.levels[k].morphisms})
-                    if not _functors_equal(lhs, ident):
-                        rep.add("face-degeneracy", f"d{i} s{j} != id", (k, i, j))
-                elif i < j:
-                    rhs = compose_functors(nerve.degeneracy[(k - 1, j - 1)],
-                                           nerve.face[(k, i)]) if k else None
-                    if rhs is None or not _functors_equal(lhs, rhs):
-                        rep.add("face-degeneracy",
-                                f"d{i} s{j} != s{j - 1} d{i}", (k, i, j))
-                else:
-                    rhs = compose_functors(nerve.degeneracy[(k - 1, j)],
-                                           nerve.face[(k, i - 1)]) if k else None
-                    if rhs is None or not _functors_equal(lhs, rhs):
-                        rep.add("face-degeneracy",
-                                f"d{i} s{j} != s{j} d{i - 1}", (k, i, j))
+    rep = ValidationReport(f"2-nerve of {b.name} to level {t}")
+    for kind, message, witness, lhs, rhs in _simplicial_identities(
+            nerve.face, nerve.degeneracy, t):
+        if not _equal_or_identity(compose_functors(*lhs), rhs and compose_functors(*rhs)):
+            rep.add(kind, message, witness)
     nerve.report = rep
     return nerve

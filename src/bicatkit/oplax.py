@@ -447,7 +447,7 @@ def enumerate_oplax(f: LaxFunctor, g: LaxFunctor):
 DEFAULT_BATTERY_TARGET_NAMES = ("terminal", "walking-two-cell", "sigma-idem")
 
 
-def battery_transformations(b: FiniteBicategory, target_names=None):
+def battery_transformations(b: FiniteBicategory):
     """The costrictness battery: every oplax transformation between every
     pair of strict functors from b into each (small, strict) named corpus
     target, plus the crossing of b's cylinder.  Deterministic order."""
@@ -455,9 +455,8 @@ def battery_transformations(b: FiniteBicategory, target_names=None):
     from .cylinder import lax_cylinder
     from .laxfun import enumerate_two_functors
 
-    names = target_names or DEFAULT_BATTERY_TARGET_NAMES
     out = []
-    for name in names:
+    for name in DEFAULT_BATTERY_TARGET_NAMES:
         tgt = corpus.get("bicategory", name)
         funs = list(enumerate_two_functors(b, tgt))
         for h in funs:
@@ -480,7 +479,7 @@ class CostrictVerdict:
         return "costrict" if self.costrict else "not-costrict"
 
 
-def is_costrict(u: OplaxNat, battery=None) -> CostrictVerdict:
+def is_costrict(u: OplaxNat) -> CostrictVerdict:
     """Decide whether u behaves as an icon: interchange with u holds against
     every transformation on its other side.  Positive answers are certified
     by stripping to a validated icon and sweeping the battery; negative ones
@@ -494,8 +493,7 @@ def is_costrict(u: OplaxNat, battery=None) -> CostrictVerdict:
     stripped = oplax_is_icon(u)
     if stripped is None or not validate_icon(stripped).ok:
         return CostrictVerdict(False, refutation=costrict_refutation(u))
-    betas = battery if battery is not None else \
-        battery_transformations(u.source.target)
+    betas = battery_transformations(u.source.target)
     failures = []
     for beta in betas:
         rep = interchange_check(beta, u)

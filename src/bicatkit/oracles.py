@@ -356,7 +356,7 @@ def icon_inverse_by_search(icon):
     return None
 
 
-def equivalence_by_inverse_search(fun, candidates=()):
+def equivalence_by_inverse_search(fun):
     """Hunt for a functor back plus invertible icons connecting both
     composites to the identities; None certifies there is no such triple
     within the (finite) candidate space."""
@@ -372,8 +372,7 @@ def equivalence_by_inverse_search(fun, candidates=()):
                 return icon
         return None
 
-    for g in itertools.chain(candidates,
-                             enumerate_lax_functors(fun.target, fun.source)):
+    for g in enumerate_lax_functors(fun.target, fun.source):
         back = connecting_icon(compose_lax(g, fun), id_src)
         if back is None:
             continue

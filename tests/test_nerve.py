@@ -6,8 +6,10 @@ import random
 import pytest
 
 from bicatkit import corpus
+from bicatkit import nerve as nerve_module
 from bicatkit.bicat import from_category
-from bicatkit.catcore import chain_category, validate_category, validate_functor
+from bicatkit.catcore import (Functor, chain_category, compose_functors, validate_category,
+                              validate_functor)
 from bicatkit.icon import enumerate_icons, hcomp_icons, identity_icon
 from bicatkit.laxfun import classify, enumerate_two_functors, validate_lax_functor
 from bicatkit.nerve import (
@@ -185,6 +187,77 @@ def test_nerve_matches_the_classical_nerve_on_a_chain():
 def test_simplicial_identities_to_level_four(builder):
     nerve = two_nerve(builder(), 4)
     assert nerve.report.ok, nerve.report.summary()
+
+
+def _reference_identity_report(nerve) -> ValidationReport:
+    """The reference check of the simplicial identities: one loop per kind,
+    each composite built and compared with the other side, and an identity
+    functor built for each check that compares with the identity."""
+    rep = ValidationReport(f"2-nerve of {nerve.base.name} to level {nerve.truncation}")
+    t = nerve.truncation
+    for k in range(2, t + 1):
+        for j in range(k + 1):
+            for i in range(j):
+                lhs = compose_functors(nerve.face[(k - 1, i)], nerve.face[(k, j)])
+                rhs = compose_functors(nerve.face[(k - 1, j - 1)], nerve.face[(k, i)])
+                if not _functors_equal(lhs, rhs):
+                    rep.add("face-face", f"d{i} d{j} != d{j - 1} d{i}", (k, i, j))
+    for k in range(t - 1):
+        for j in range(k + 1):
+            for i in range(j + 1):
+                lhs = compose_functors(nerve.degeneracy[(k + 1, i)],
+                                       nerve.degeneracy[(k, j)])
+                rhs = compose_functors(nerve.degeneracy[(k + 1, j + 1)],
+                                       nerve.degeneracy[(k, i)])
+                if not _functors_equal(lhs, rhs):
+                    rep.add("degeneracy-degeneracy",
+                            f"s{i} s{j} != s{j + 1} s{i}", (k, i, j))
+    for k in range(t):
+        for j in range(k + 1):
+            for i in range(k + 2):
+                lhs = compose_functors(nerve.face[(k + 1, i)],
+                                       nerve.degeneracy[(k, j)])
+                if i == j or i == j + 1:
+                    ident = Functor("id", nerve.levels[k], nerve.levels[k],
+                                    {o: o for o in nerve.levels[k].objects},
+                                    {m: m for m in nerve.levels[k].morphisms})
+                    if not _functors_equal(lhs, ident):
+                        rep.add("face-degeneracy", f"d{i} s{j} != id", (k, i, j))
+                elif i < j:
+                    rhs = compose_functors(nerve.degeneracy[(k - 1, j - 1)],
+                                           nerve.face[(k, i)])
+                    if not _functors_equal(lhs, rhs):
+                        rep.add("face-degeneracy",
+                                f"d{i} s{j} != s{j - 1} d{i}", (k, i, j))
+                else:
+                    rhs = compose_functors(nerve.degeneracy[(k - 1, j)],
+                                           nerve.face[(k, i - 1)])
+                    if not _functors_equal(lhs, rhs):
+                        rep.add("face-degeneracy",
+                                f"d{i} s{j} != s{j} d{i - 1}", (k, i, j))
+    return rep
+
+
+def _functors_equal(f, g):
+    return f.object_map == g.object_map and f.morphism_map == g.morphism_map
+
+
+def test_broken_identities_are_reported_as_the_reference_reports_them(monkeypatch):
+    """With d0 and d1 out of level 2, and s0 and s1 out of level 1, each
+    built along the other's ordinal map, walking-two-cell to truncation 3
+    breaks 20 simplicial identities of all three kinds, and `two_nerve`
+    reports them in the lines and the order of the reference check."""
+    swapped = {((1, 2), 2): (0, 2), ((0, 2), 2): (1, 2),
+               ((0, 0, 1), 1): (0, 1, 1), ((0, 1, 1), 1): (0, 0, 1)}
+    real = nerve_module.ordinal_map_functor
+    monkeypatch.setattr(nerve_module, "ordinal_map_functor",
+                        lambda theta, n: real(swapped.get((theta, n), theta), n))
+    nerve = two_nerve(corpus.get("bicategory", "walking-two-cell"), 3)
+    want = _reference_identity_report(nerve)
+    assert len(want.violations) == 20
+    assert {v.kind for v in want.violations} == {
+        "face-face", "degeneracy-degeneracy", "face-degeneracy"}
+    assert nerve.report == want
 
 
 def _reindexed_like_reindex_simplex(nerve, k, k2, theta):

@@ -216,9 +216,9 @@ def test_icon_plan_is_compiled_once_per_source(monkeypatch):
 
 
 def test_icon_cells_are_the_cells_of_the_enumerated_icons():
-    """`icon_cells(f, g)` yields the row of each icon of
-    `enumerate_icons(f, g)`, its cells in its source's `one_cells` order,
-    in its order, for every ordered pair of lax functors of the law
+    """`icon_cells(f, g)` yields the row of each icon that the reference
+    `enumerate_icons(f, g)` lists, its cells in its source's `one_cells`
+    order, in its order, for every ordered pair of lax functors of the law
     universe's families with at most 81 icons."""
     bics, fams, icons = _law_universe()
     small = [key for key, fam in icons.items() if len(fam) <= 81]
@@ -229,7 +229,7 @@ def test_icon_cells_are_the_cells_of_the_enumerated_icons():
             for g in fams[key]:
                 rows = list(icon.icon_cells(f, g))
                 assert rows == [tuple(ic.cells[x] for x in s.one_cells())
-                                for ic in enumerate_icons(f, g)], key
+                                for ic in ref.enumerate_icons(f, g)], key
                 found += len(rows)
     assert len(small) > 100
     assert found == sum(len(icons[key]) for key in small)
@@ -288,9 +288,8 @@ def test_a_preset_verdict_is_the_verdict_recomputed_on_a_rebuilt_copy(monkeypatc
     """Every lax functor that `enumerate_lax_functors` yields, for every
     ordered pair of the law universe's bicategories and of the search
     inputs, and every simplex lax functor of `two_nerve` on every corpus
-    bicategory up to truncation 2, the one `enumerate_simplices` hands out
-    with its simplex, comes with `own_violations` set, and a plain copy of
-    it finds none."""
+    bicategory up to truncation 2, the one `simplex_functors` hands out,
+    comes with `own_violations` set, and a plain copy of it finds none."""
     _, fams, _ = _law_universe()
     inputs = search_inputs()
     funs = [f for fam in fams.values() for f in fam]
@@ -299,12 +298,12 @@ def test_a_preset_verdict_is_the_verdict_recomputed_on_a_rebuilt_copy(monkeypatc
     simplices = []
 
     def recorded(b, n):
-        for s in real(b, n):
-            simplices.append(s.lax)
-            yield s
+        for fun in real(b, n):
+            simplices.append(fun)
+            yield fun
 
-    real = nerve.enumerate_simplices
-    monkeypatch.setattr(nerve, "enumerate_simplices", recorded)
+    real = nerve.simplex_functors
+    monkeypatch.setattr(nerve, "simplex_functors", recorded)
     for name in sorted(corpus.BICATEGORIES):
         two_nerve(corpus.get("bicategory", name), 2)
     assert (len(fams), len(funs), len(simplices)) == (121, 1158, 202)
