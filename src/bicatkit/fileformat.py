@@ -112,6 +112,14 @@ class _Lines:
     def fail(self, message, lineno):
         raise StructureError(f"{self.source}:{lineno}: {message}")
 
+    def at(self, lineno, call, *args):
+        """`call(*args)`, a lookup in or an entry into the document, with
+        its refusal located at `lineno`."""
+        try:
+            return call(*args)
+        except StructureError as e:
+            raise StructureError(f"{self.source}:{lineno}: {e}") from None
+
 
 def _shape(toks):
     """The keyword/punctuation skeleton of a token list."""
@@ -480,9 +488,9 @@ def _read_definition(kind, toks, lineno, lines, sf):
     vals = dict(zip(schema.header.slots, _values(toks)))
     blk = _Block(lines, lineno, f"{kind} {vals['name']!r}", vals["name"])
     if schema.refs:
-        blk.source = sf.get(schema.refs, vals["source"])
-        blk.target = sf.get(schema.refs, vals["target"])
-    sf.add(kind, blk.name, _read_block(schema, blk))
+        blk.source = lines.at(lineno, sf.get, schema.refs, vals["source"])
+        blk.target = lines.at(lineno, sf.get, schema.refs, vals["target"])
+    lines.at(lineno, sf.add, kind, blk.name, _read_block(schema, blk))
 
 
 def _read_block(schema, blk):
@@ -533,39 +541,39 @@ def _run_build(toks, lineno, lines, sf):
         lines.fail("malformed build line (build NAME = KIND ARG)", lineno)
     name, kind, arg = toks[1][1], toks[3][1], toks[4][1]
     if kind == "from_category":
-        b = from_category(sf.get("category", arg), name)
+        b = from_category(lines.at(lineno, sf.get, "category", arg), name)
     elif kind == "sigma":
-        b = sigma_bicategory(sf.get("monoidal", arg))
+        b = sigma_bicategory(lines.at(lineno, sf.get, "monoidal", arg))
         b.name = name
     elif kind == "codiscrete":
         try:
-            b = codiscrete_bicategory(name, sf.get("magma", arg))
+            b = codiscrete_bicategory(name, lines.at(lineno, sf.get, "magma", arg))
         except ValueError as e:
             raise StructureError(f"{lines.source}:{lineno}: {e}")
     elif kind == "cocycle":
-        d = sf.get("cocycledata", arg)
+        d = lines.at(lineno, sf.get, "cocycledata", arg)
         b = cocycle_bicategory(name, d.g_elements, d.g_op, d.g_unit,
                                d.a_elements, d.a_op, d.a_unit, d.twist)
     elif kind == "ordinal":
-        if not isinstance(arg, int) or arg < 0:
+        if type(arg) is not int or arg < 0:
             lines.fail("ordinal takes a non-negative integer", lineno)
         b = from_category(chain_category(arg), name)
     elif kind == "cylinder":
         from .cylinder import lax_cylinder
-        base = sf.get("bicategory", arg)
+        base = lines.at(lineno, sf.get, "bicategory", arg)
         try:
             cyl = lax_cylinder(base)
         except Exception as e:
             raise StructureError(f"{lines.source}:{lineno}: {e}")
-        sf.add("bicategory", name, cyl.total)
-        sf.add("laxfunctor", f"{name}-bottom", cyl.bottom)
-        sf.add("laxfunctor", f"{name}-top", cyl.top)
-        sf.add("oplax", f"{name}-crossing", cyl.crossing)
+        lines.at(lineno, sf.add, "bicategory", name, cyl.total)
+        lines.at(lineno, sf.add, "laxfunctor", f"{name}-bottom", cyl.bottom)
+        lines.at(lineno, sf.add, "laxfunctor", f"{name}-top", cyl.top)
+        lines.at(lineno, sf.add, "oplax", f"{name}-crossing", cyl.crossing)
         return
     else:
         lines.fail(f"unknown builder {kind!r}", lineno)
     _check(validate_bicategory(b), f"built bicategory {name!r}", lines, lineno)
-    sf.add("bicategory", name, b)
+    lines.at(lineno, sf.add, "bicategory", name, b)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,14 @@ composite's row.  They take rows and the lax functors they read, not
 Icons: a left whisker reads the whiskering functor's images of 2-cells, a
 right whisker its positions (where each source 1-cell's image sits in the
 target's row), and `hcomp_cells(over, later, earlier, under)` reads both,
-of later's source `over` and earlier's target `under`.  An Icon keeps its cells as a table
-`{f: 2-cell}`: `icon_row` reads its row, and the Icon operations
-`vcomp_icons`, `hcomp_icons`, `whisker_icon_left` and `whisker_icon_right`
-convert their factors' tables to rows, run the kernel and read the
-composite's table back; each builds its source and target lax functors
-and its family names only when they are read.  A law between composites
-is an equation between two rows, so acceptance criterion 2 checks it on
-the kernels alone, over the rows of the icons it enumerates, and builds
-no Icon and no cell table at all.
+of later's source `over` and earlier's target `under`.  An Icon keeps its
+cells as a table `{f: 2-cell}`: `icon_row` reads its row, and the Icon
+operations `vcomp_icons`, `hcomp_icons`, `whisker_icon_left` and
+`whisker_icon_right` convert their factors' tables to rows, run the
+kernel and read the composite's table back.  A law between composites is
+an equation between two rows, so acceptance criterion 2 checks it on the
+kernels alone, over the rows of the icons it enumerates, and builds no
+Icon and no cell table at all.
 
 Each kernel reads flat tables, one lookup per cell: the bicategory's
 `vcomp_table` of every vertical composite, and a lax functor's
@@ -46,11 +45,7 @@ runs its compiled search on a fresh draft per pair of lax functors and
 yields the row of each icon it meets; `enumerate_icons` is the same
 search, each row read back as the cell table of an Icon.  `validate_icon`
 checks the listing on a given icon, so the icons the search finds pass the
-validator by construction and none is validated again.  The family names of an icon
-depend on its source alone: the plan holds them as one read-only mapping,
-``names``, which every icon found shares whenever the lax functors' hom
-functors are keyed by the source's homs, so a write to it raises instead of
-renaming every icon.  Composites build names of their own.
+validator by construction and none is validated again.
 
 Before either, `validate_icon_pair` checks what the listing reads.  Of
 that, only the object maps and the keys of the hom functors concern the
@@ -68,33 +63,30 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import MappingProxyType, SimpleNamespace
+from types import SimpleNamespace
 
 from .bicat import UnsupportedSettingError
 from .catcore import _COMPONENT, OBJECT_IMAGE, Functor, NatTrans
-from .laxfun import _HOM_FUNCTOR, LaxFunctor, Lazy, compose_lax, lazy
+from .laxfun import _HOM_FUNCTOR, LaxFunctor, compose_lax
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
 
 
 @dataclass
-class Icon(Lazy):
+class Icon:
     name: str
     source: LaxFunctor
     target: LaxFunctor
     cells: dict       # 1-cell f -> 2-cell F(f) => G(f)
-    families: dict    # (A, B) -> name of the component family on hom(A, B);
-                      # a searched icon may share a read-only one (`icon_plan`)
+    families: dict    # (A, B) -> name of the component family on hom(A, B)
 
     def at(self, f):
         """The component 2-cell F(f) => G(f) at a 1-cell f."""
         return self.cells[f]
 
-    @functools.cached_property
+    @property
     def bicategory(self):
-        """The bicategory the cells live in, the target of both lax functors.
-        A composite is given it by its factors, so reading it there composes
-        no lax functors."""
+        """The bicategory the cells live in, the target of both lax functors."""
         return self.source.target
 
     @property
@@ -263,30 +255,21 @@ def identity_icon(fun: LaxFunctor) -> Icon:
                 {pair: f"id:{hf.name}" for pair, hf in fun.hom_functors.items()})
 
 
-# The composites below compute their cells at once; their source, target and
-# family names are built from the two factors when first read (see `Lazy`).
-_VCOMP = {
-    "source": lambda later, earlier: earlier.source,
-    "target": lambda later, earlier: later.target,
-    "families": lambda later, earlier: {pair: f"{later.families[pair]}.{name}"
-                                        for pair, name in earlier.families.items()},
-}
-# A pasted icon runs between the composites of the sources and of the
-# targets of its two factors, where a lax functor stands for its identity.
-_PASTED = {
-    "source": lambda later, earlier: compose_lax(_source(later), _source(earlier)),
-    "target": lambda later, earlier: compose_lax(_target(later), _target(earlier)),
-    "families": lambda later, earlier: {pair: f"h{pair!r}"
-                                        for pair in _source(earlier).hom_functors},
-}
-
-
 def _source(x):
     return x if isinstance(x, LaxFunctor) else x.source
 
 
 def _target(x):
     return x if isinstance(x, LaxFunctor) else x.target
+
+
+def _pasted(name, later, earlier, cells):
+    """The pasted icon `name` with `cells`, between the composites of the
+    sources and of the targets of its two factors, where a lax functor
+    stands for its identity icon."""
+    return Icon(name, compose_lax(_source(later), _source(earlier)),
+                compose_lax(_target(later), _target(earlier)), cells,
+                {pair: f"h{pair!r}" for pair in _source(earlier).hom_functors})
 
 
 # An icon's row and the four cell kernels of the icon algebra over rows,
@@ -353,9 +336,9 @@ def whisker_right_cells(row: tuple, fun: LaxFunctor) -> tuple:
 def vcomp_icons(later: Icon, earlier: Icon) -> Icon:
     """Componentwise vertical composite ("later" runs second)."""
     t, order = later.bicategory, tuple(earlier.cells)
-    return lazy(Icon, _VCOMP, (later, earlier), name=f"{later.name}.{earlier.name}",
-                cells=dict(zip(order, vcomp_cells(t, _row(later, order), _row(earlier, order)))),
-                bicategory=t)
+    return Icon(f"{later.name}.{earlier.name}", earlier.source, later.target,
+                dict(zip(order, vcomp_cells(t, _row(later, order), _row(earlier, order)))),
+                {pair: f"{later.families[pair]}.{name}" for pair, name in earlier.families.items()})
 
 
 def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
@@ -367,8 +350,7 @@ def hcomp_icons(later: Icon, earlier: Icon) -> Icon:
     over, under = later.source, earlier.target
     order = row_order(under.source)
     row = hcomp_cells(over, _row(later, row_order(under.target)), _row(earlier, order), under)
-    return lazy(Icon, _PASTED, (later, earlier), name=f"{later.name}*{earlier.name}",
-                cells=dict(zip(order, row)), bicategory=later.bicategory)
+    return _pasted(f"{later.name}*{earlier.name}", later, earlier, dict(zip(order, row)))
 
 
 def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
@@ -377,9 +359,8 @@ def whisker_icon_left(fun: LaxFunctor, icon: Icon) -> Icon:
     `hcomp_icons(identity_icon(fun), icon)`, whose pasting composes that
     cell with an identity."""
     order = tuple(icon.cells)
-    return lazy(Icon, _PASTED, (fun, icon), name=f"id:{fun.name}*{icon.name}",
-                cells=dict(zip(order, whisker_left_cells(fun, _row(icon, order)))),
-                bicategory=fun.target)
+    return _pasted(f"id:{fun.name}*{icon.name}", fun, icon,
+                   dict(zip(order, whisker_left_cells(fun, _row(icon, order)))))
 
 
 def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
@@ -388,8 +369,7 @@ def whisker_icon_right(icon: Icon, fun: LaxFunctor) -> Icon:
     `hcomp_icons(icon, identity_icon(fun))`, whose pasting composes that
     cell with the image of an identity."""
     row = whisker_right_cells(_row(icon, row_order(fun.target)), fun)
-    return lazy(Icon, _PASTED, (icon, fun), name=f"{icon.name}*id:{fun.name}",
-                cells=dict(zip(row_order(fun.source), row)), bicategory=icon.bicategory)
+    return _pasted(f"{icon.name}*id:{fun.name}", icon, fun, dict(zip(row_order(fun.source), row)))
 
 
 def is_invertible_icon(icon: Icon):
@@ -452,16 +432,13 @@ def icon_plan(s):
     ``families``, the listing of each hom pair of `s` (`_family`);
     ``laws``, the instances of `icon_laws` in order; ``search``, the plan
     that binds the draft's ``cells`` family by family under the ``laws``
-    and the naturality squares; ``names``, the family names of every icon
-    `enumerate_icons` finds between lax functors with a hom functor at
-    each hom of `s`, one read-only mapping shared by all of them."""
+    and the naturality squares."""
     families = {pair: _family(pair, s.homs[pair]) for pair in s.sorted_homs}
     laws = tuple(icon_laws(s))
     variables = [v for listed, _ in families.values() for v in listed]
     squares = tuple(sq for _, listed in families.values() for sq in listed)
     return SimpleNamespace(families=families, laws=laws,
-                           search=compile_plan(variables, laws + squares),
-                           names=MappingProxyType(dict.fromkeys(s.sorted_homs, "enum")))
+                           search=compile_plan(variables, laws + squares))
 
 
 def icon_cells(f: LaxFunctor, g: LaxFunctor):
@@ -482,17 +459,15 @@ def icon_cells(f: LaxFunctor, g: LaxFunctor):
 
 def enumerate_icons(f: LaxFunctor, g: LaxFunctor):
     """All icons f => g, one per row of `icon_cells(f, g)`, in its order,
-    each row read back as a cell table.
+    each row read back as a cell table.  Each icon is named "enum" and has
+    a dict of its own that names each family "enum", at every hom pair of
+    f's hom functors.
 
     Every icon found passes `validate_icon`, which checks the same
-    declaration.  When f's hom functors are keyed by the source's homs,
-    every icon found shares the plan's read-only ``names``; otherwise each
-    icon gets a dict of its own."""
-    order = row_order(f.source)
+    declaration."""
+    order, names = row_order(f.source), dict.fromkeys(_families(f), "enum")
     for row in icon_cells(f, g):
-        shared = f.hom_functors.keys() == f.source.homs.keys()
-        yield Icon("enum", f, g, dict(zip(order, row)), f.source.icon_plan.names if shared
-                   else dict.fromkeys(_families(f), "enum"))
+        yield Icon("enum", f, g, dict(zip(order, row)), dict(names))
 
 
 # ---------------------------------------------------------------------------

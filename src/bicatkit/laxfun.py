@@ -31,7 +31,12 @@ from .search import compile_plan, run
 class Lazy:
     """Lets a dataclass instance leave fields unset until they are first
     read: with ``_lazy = (builders, args)`` set, a missing field ``attr``
-    is built as ``builders[attr](*args)`` and then kept."""
+    is built as ``builders[attr](*args)`` and then kept.
+
+    Its one user is `compose_lax`.  It stays because most composites are
+    read for their name, endpoints and object map alone (the source and
+    target of a pasted icon, say), and building every composite's hom
+    functors and comparisons at once slows the whole-Icon algebra."""
 
     def __getattr__(self, attr):
         # reached only for an attribute that is not set

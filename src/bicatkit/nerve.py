@@ -37,6 +37,10 @@ from .search import compile_plan, run
 
 @functools.lru_cache(maxsize=None)
 def ordinal_as_bicategory(n: int) -> FiniteBicategory:
+    """The ordinal [n] as a locally discrete 2-category, built once per
+    process for each n and shared by every caller.  Its key does not
+    depend on a base, and `two_nerve` reads it for n up to its truncation,
+    at most 4, so the nerve keeps at most 5 entries here."""
     return from_category(chain_category(n), f"ordinal-{n}")
 
 
@@ -212,7 +216,9 @@ def ordinal_map_functor(theta, n: int) -> LaxFunctor:
     """A monotone map [m] -> [n], given as the tuple of its values, as a
     strict functor between the ordinal 2-categories.  Built once per
     process for each (theta, n) and shared by every caller, so it must not
-    be mutated."""
+    be mutated.  Its key does not depend on a base, and `two_nerve` reads
+    it at the coface and codegeneracy maps among [0]..[4] alone, 14 and
+    10, so the nerve keeps at most 24 entries here."""
     m = len(theta) - 1
     if any(theta[i] > theta[i + 1] for i in range(m)) or \
             any(not 0 <= v <= n for v in theta):

@@ -12,12 +12,10 @@ from bicatkit.icon import Icon, _families, row_order
 def as_icon(f, g, row):
     """The Icon `enumerate_icons(f, g)` yields with the row `row`: named
     "enum", with the cell table that reads `row` in `row_order`, and with
-    the source's read-only family names when f's hom functors are keyed by
-    its source's homs, and a dict of its own otherwise."""
-    s = f.source
-    names = (s.icon_plan.names if f.hom_functors.keys() == s.homs.keys()
-             else dict.fromkeys(_families(f), "enum"))
-    return Icon("enum", f, g, dict(zip(row_order(s), row)), names)
+    a dict of its own that names the family at each hom pair of f's hom
+    functors "enum"."""
+    return Icon("enum", f, g, dict(zip(row_order(f.source), row)),
+                dict.fromkeys(_families(f), "enum"))
 
 
 def universe_icons():

@@ -241,11 +241,18 @@ ARROW = 'build "o" = ordinal 1\nlaxfunctor "F" : "o" -> "o"\n'
      "<string>:5: magma 'm' repeats its basepoint line"),
     ('bicategory "b"\n  object "x"\n  unit "x" = "1"\n' + HOM + HOM.replace('"h"', '"h2"')
      + 'end\n', """<string>:10: bicategory 'b' repeats its hom "x" "x" line"""),
+    ('build "o" = ordinal true\n', "<string>:1: ordinal takes a non-negative integer"),
+    ('build "o" = ordinal false\n', "<string>:1: ordinal takes a non-negative integer"),
+    ('laxfunctor "F" : "nope" -> "nope"\nend\n', "^<string>:1: unknown bicategory 'nope'$"),
+    ('build "o" = ordinal 1\nbuild "c" = cylinder "nope"\n',
+     "^<string>:2: unknown bicategory 'nope'$"),
+    (MAGMA + MAGMA, "^<string>:10: duplicate magma 'm'$"),
 ], ids=["missing-op", "missing-coop", "unit-off-group", "twist-off-group",
         "op-off-group", "magma-op-off-elements", "laxfunctor-object-image",
         "laxfunctor-hom-source", "icon-hom-of-one-side", "header-without-name",
         "header-at-end", "build-bare-name", "build-bare-argument", "repeated-dict-line",
-        "repeated-scalar-line", "repeated-block-line"])
+        "repeated-scalar-line", "repeated-block-line", "ordinal-true", "ordinal-false",
+        "laxfunctor-unknown-bicategory", "cylinder-unknown-bicategory", "duplicate-magma"])
 def test_malformed_documents_are_refused(doc, match):
     with pytest.raises(ff.StructureError, match=match):
         ff.parse(doc)

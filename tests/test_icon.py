@@ -672,43 +672,45 @@ def test_validate_icon_pair_reports_as_the_reference_on_pairs_that_differ_in_one
     assert _pairs_reported_otherwise(pairs) == []
 
 
-def test_enumerated_icons_out_of_one_source_share_one_read_only_names_table():
-    """The icons `enumerate_icons` finds between the lax functors of the law
-    universe out of one source bicategory share one family-name mapping,
-    that of every lax functor keyed by the source's homs, which refuses
-    writes; composites carry names of their own, and so do the icons
-    between lax functors keyed otherwise."""
+def test_each_enumerated_icon_has_family_names_of_its_own():
+    """Every icon `enumerate_icons` finds between the lax functors of the law
+    universe names the family at each hom pair of its source's hom functors
+    "enum", in a dict of its own: a write to one icon's names renames no
+    other icon and no icon of a later enumeration.  So do the icons between
+    lax functors whose hom functors are keyed otherwise."""
     _, fams, icons = _law_universe()
-    names, found = {}, 0
+    found = 0
     for key, fam in icons.items():
         for i, j in dict.fromkeys((i, j) for i, j, _ in fam):
             for ic in enumerate_icons(fams[key][i], fams[key][j]):
-                names.setdefault(id(ic.source.source), ic.families)
-                assert ic.families is names[id(ic.source.source)]
                 assert ic.families == dict.fromkeys(_families(ic.source), "enum")
                 found += 1
-    assert len(names) == 11
     assert found == 23987
 
     sigma = fams[("sigma-idem", "sigma-idem")]
     i, j, _ = icons[("sigma-idem", "sigma-idem")][0]
-    ic = next(enumerate_icons(sigma[i], sigma[j]))
-    pair = next(iter(ic.families))
-    with pytest.raises(TypeError):
-        ic.families[pair] = "renamed"
-    assert ic.families[pair] == "enum"
-    fun = ic.source
-    for composite, name in ((vcomp_icons(ic, ic), "enum.enum"),
+    extra = _rekeyed(sigma[i], extra={("z", "z"): next(iter(sigma[i].hom_functors.values()))})
+    for f, g in ((sigma[i], sigma[j]), (extra, extra)):
+        first, second, *_ = enumerate_icons(f, g)
+        pair = next(iter(first.families))
+        first.families[pair] = "renamed"
+        assert second.families[pair] == "enum"
+        assert all(ic.families[pair] == "enum" for ic in enumerate_icons(f, g))
+
+
+def test_composites_set_every_field_at_construction():
+    """Each of the four Icon operations builds its source, target and family
+    names with the composite, and the composite's bicategory is its source's
+    target."""
+    ic = corpus.idem_icon_k()
+    fun, pair = ic.source, ("*", "*")
+    for composite, name in ((vcomp_icons(ic, ic), "k-family.k-family"),
                             (hcomp_icons(ic, ic), f"h{pair!r}"),
                             (whisker_icon_left(fun, ic), f"h{pair!r}"),
                             (whisker_icon_right(ic, fun), f"h{pair!r}")):
-        assert type(composite.families) is dict and composite.families == {pair: name}
-
-    extra = _rekeyed(fun, extra={("z", "z"): fun.hom_functors[pair]})
-    found = list(enumerate_icons(extra, extra))
-    assert len(found) > 1
-    assert all(type(x.families) is dict for x in found)
-    assert found[0].families is not found[1].families
+        assert {"source", "target", "families"} <= vars(composite).keys(), composite.name
+        assert composite.families == {pair: name}
+        assert composite.bicategory is composite.source.target
 
 
 def test_icon_interchange_on_idem_pair():

@@ -1,7 +1,11 @@
 """Simplices, reindexing, and the truncated 2-nerve."""
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -311,6 +315,29 @@ def test_cocycle_two_simplices_count_group_squared_times_coefficients():
 def test_truncation_bound():
     with pytest.raises(ValueError):
         two_nerve(corpus.get("bicategory", "terminal"), 5)
+
+
+_CACHE_SIZES = """
+from bicatkit import corpus, nerve
+for name in ("terminal", "walking-two-cell"):
+    nerve.two_nerve(corpus.get("bicategory", name), 4)
+    print(nerve.ordinal_as_bicategory.cache_info().currsize,
+          nerve.ordinal_map_functor.cache_info().currsize)
+"""
+
+
+def test_the_ordinal_caches_of_the_nerve_are_bounded():
+    """Their keys do not depend on the base and the truncation is at most 4,
+    so a fresh process that builds the nerve to level 4 of two bases holds
+    the 5 ordinals [0]..[4] and the 24 coface and codegeneracy maps among
+    them (14 and 10), after the first base as after the second."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CACHE_SIZES], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["5", "24"] * 2
 
 
 def ordinal_inclusion_check(max_n: int = 3) -> ValidationReport:
