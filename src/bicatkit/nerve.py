@@ -5,20 +5,23 @@ An n-simplex is a normal homomorphism out of the linear order 0 < ... < n
 between them, and of invertible comparison 2-cells for the genuinely
 composite triangles; the degenerate triangles carry unitors and are not free
 data.  Morphisms of simplices are icons, so each nerve level is a finite
-category, and reindexing along a monotone map is just composition of lax
-functors — faces and degeneracies come out as functors between levels, and
-the simplicial identities can be checked as equalities of functors.
+category.  Reindexing along a monotone map theta reads a simplex at
+theta's values, a unit over each edge and a unitor over each triangle that
+theta collapses (`reindex_simplex`): the restriction of its normal
+homomorphism along theta.  Faces and degeneracies come out as functors
+between levels, and the simplicial identities can be checked as equalities
+of functors.
 
 The simplex search hands out the lax functors it binds
 (`simplex_functors`); `enumerate_simplices` reads a `SimplexData` off
-each, and `two_nerve` works on the lax functors alone.  The level's icons
-are searched between them as rows (`icon_cells`, so no Icon is built): a
-row holds an icon's components in the source's 1-cell order, which for an
-ordinal is edge order, (0, 0), (0, 1), ..., (n, n), and names the
-morphism in the level.  Their composites are the icon algebra's
+each, and `two_nerve` searches the level's icons between the lax
+functors as rows (`icon_cells`, so no Icon is built): a row holds an
+icon's components in the source's 1-cell order, which for an ordinal is
+edge order, (0, 0), (0, 1), ..., (n, n), and names the morphism in the
+level.  Their composites are the icon algebra's
 `vcomp_cells`.  The face and degeneracy maps are listed once, each with
 its ordinal map: each reindexes the rows by `whisker_right_cells` along
-that map, and the simplices by composing their lax functors with it.
+that map, and the simplices by `reindex_simplex`.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass, field
 from .bicat import FiniteBicategory, from_category
 from .catcore import Functor, FiniteCategory, chain_category, compose_functors
 from .icon import icon_cells, icon_row, identity_icon, vcomp_cells, whisker_right_cells
-from .laxfun import (LaxFunctor, comparison_cells, compose_lax, lax_laws, lax_variables,
-                     searched, two_functor, unit_cells, validate_lax_functor)
+from .laxfun import (LaxFunctor, comparison_cells, lax_laws, lax_variables, searched,
+                     two_functor, unit_cells, validate_lax_functor)
 from .report import ValidationReport, sorted_ids
 from .search import compile_plan, run
 
@@ -60,6 +63,13 @@ class SimplexData:
             return self.base.unit[self.objects[i]]
         return self.cells[(i, j)]
 
+    def constraint(self, i, j, k):
+        """The comparison over i <= j <= k: the given one over a triangle
+        i < j < k, the unitor over a degenerate one."""
+        if i < j < k:
+            return self.constraints[(i, j, k)]
+        return _degenerate_comparison(self.base, self.cell, i, j, k)
+
     def key(self):
         return ("sx", self.n, tuple(self.objects[i] for i in range(self.n + 1)),
                 tuple(sorted(self.cells.items())),
@@ -84,8 +94,7 @@ def as_lax_functor(s: SimplexData) -> LaxFunctor:
     for i in range(s.n + 1):
         for j in range(i, s.n + 1):
             for k in range(j, s.n + 1):
-                comp[(("le", j, k), ("le", i, j))] = s.constraints[(i, j, k)] \
-                    if i < j < k else _degenerate_comparison(b, s.cell, i, j, k)
+                comp[(("le", j, k), ("le", i, j))] = s.constraint(i, j, k)
     units = {i: b.id2(b.unit[s.objects[i]]) for i in range(s.n + 1)}
     return LaxFunctor(f"simplex{s.key()[1:3]!r}", src, b,
                       dict(s.objects), homs, comp, units)
@@ -211,6 +220,14 @@ def simplex_functors(b: FiniteBicategory, n: int):
             dict(draft.comp_constraints), dict(draft.unit_constraints)))
 
 
+def _domain(theta, n: int) -> int:
+    """The m of a monotone map theta: [m] -> [n], given as the tuple of its
+    values; raises ValueError if theta is no such map."""
+    if any(a > b for a, b in zip(theta, theta[1:])) or any(not 0 <= v <= n for v in theta):
+        raise ValueError(f"{theta!r} is not a monotone map into [{n}]")
+    return len(theta) - 1
+
+
 @functools.lru_cache(maxsize=None)
 def ordinal_map_functor(theta, n: int) -> LaxFunctor:
     """A monotone map [m] -> [n], given as the tuple of its values, as a
@@ -219,10 +236,7 @@ def ordinal_map_functor(theta, n: int) -> LaxFunctor:
     be mutated.  Its key does not depend on a base, and `two_nerve` reads
     it at the coface and codegeneracy maps among [0]..[4] alone, 14 and
     10, so the nerve keeps at most 24 entries here."""
-    m = len(theta) - 1
-    if any(theta[i] > theta[i + 1] for i in range(m)) or \
-            any(not 0 <= v <= n for v in theta):
-        raise ValueError(f"{theta!r} is not a monotone map into [{n}]")
+    m = _domain(theta, n)
     src, tgt = ordinal_as_bicategory(m), ordinal_as_bicategory(n)
     cell1 = {f: ("le", theta[f[1]], theta[f[2]]) for f in src.one_cells()}
     cell2 = {c: ("id", cell1[c[1]]) for c in src.two_cells()}
@@ -231,10 +245,21 @@ def ordinal_map_functor(theta, n: int) -> LaxFunctor:
 
 
 def reindex_simplex(s: SimplexData, theta) -> SimplexData:
-    """Restrict a simplex along a monotone map; faces and degeneracies are
-    the instances at the coface and codegeneracy maps."""
-    return simplex_from_lax(compose_lax(as_lax_functor(s),
-                                        ordinal_map_functor(theta, s.n)))
+    """Restrict a simplex along a monotone map theta: [m] -> [n], given as
+    the tuple of its values: vertex i is s's vertex theta(i), edge (i, j)
+    is `s.cell` at (theta(i), theta(j)) and triangle (i, j, k) is
+    `s.constraint` at (theta(i), theta(j), theta(k)), so a unit or a
+    unitor where theta collapses it.  Faces and degeneracies are the
+    instances at the coface and codegeneracy maps.
+
+    s is expected to pass `validate_simplex`.  Then this is the simplex of
+    its lax functor composed with `ordinal_map_functor(theta, n)`, whose
+    comparisons paste s's with identities."""
+    idx = range(_domain(theta, s.n) + 1)
+    return SimplexData(len(idx) - 1, s.base, {i: s.objects[theta[i]] for i in idx},
+                       {(i, j): s.cell(theta[i], theta[j]) for i in idx for j in idx if i < j},
+                       {(i, j, k): s.constraint(theta[i], theta[j], theta[k])
+                        for i in idx for j in idx for k in idx if i < j < k})
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +350,6 @@ def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
     maps += [((k, i), k + 1, tuple(v if v <= i else v - 1 for v in range(k + 2)))
              for k in range(t) for i in range(k + 1)]
 
-    # Each level's lax functors come from the simplex search: the object
-    # maps out of the level are read off them first, then the level's icons
-    # are searched between them, and the lax functors go with the level.
-    omaps = {}    # (k, i), k2 -> the object map of that level functor
     for k in range(t + 1):
         sims, funs = {}, {}
         for fun in simplex_functors(b, k):
@@ -336,11 +357,6 @@ def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
             sk = s.key()
             sims[sk], funs[sk] = s, fun
         funs = {sk: funs[sk] for sk in sorted_ids(funs)}
-        for (k1, i), k2, theta in maps:
-            if k1 == k:
-                along = ordinal_map_functor(theta, k)
-                omaps[(k, i), k2] = {sk: simplex_from_lax(compose_lax(fun, along)).key()
-                                     for sk, fun in funs.items()}
         nerve.levels[k], nerve.simplices[k] = _level_category(b, k, funs), sims
 
     # Whiskering an icon along theta only reindexes its components, the
@@ -348,7 +364,8 @@ def two_nerve(b: FiniteBicategory, truncation: int = 3) -> TwoNerve:
     # (i, j) of [k2] is the one at (theta(i), theta(j)) of [k], since
     # vcomp(c, id) = c in a validated hom.
     for (k, i), k2, theta in maps:
-        omap, along = omaps[(k, i), k2], ordinal_map_functor(theta, k)
+        omap = {sk: reindex_simplex(s, theta).key() for sk, s in nerve.simplices[k].items()}
+        along = ordinal_map_functor(theta, k)
         mmap = {mid: ("ic", omap[mid[1]], omap[mid[2]], whisker_right_cells(mid[3], along))
                 for mid in nerve.levels[k].morphisms}
         table, name = (nerve.face, "face") if k2 < k else (nerve.degeneracy, "degeneracy")

@@ -1,9 +1,11 @@
 """Simplices, reindexing, and the truncated 2-nerve."""
 
+import itertools
 import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -11,11 +13,11 @@ import pytest
 
 from bicatkit import corpus
 from bicatkit import nerve as nerve_module
-from bicatkit.bicat import from_category
+from bicatkit.bicat import from_category, validate_bicategory
 from bicatkit.catcore import (Functor, chain_category, compose_functors, validate_category,
                               validate_functor)
 from bicatkit.icon import enumerate_icons, hcomp_icons, identity_icon
-from bicatkit.laxfun import classify, enumerate_two_functors, validate_lax_functor
+from bicatkit.laxfun import classify, compose_lax, enumerate_two_functors, validate_lax_functor
 from bicatkit.nerve import (
     SimplexData,
     as_lax_functor,
@@ -131,6 +133,86 @@ def test_reindexing():
         ordinal_map_functor((1, 0), 1)
     with pytest.raises(ValueError):
         ordinal_map_functor((0, 5), 1)
+
+
+def _reindexed_by_composition(s, theta):
+    """The reference reindexing: the simplex read off the composite of s's
+    lax functor with theta's strict functor."""
+    return simplex_from_lax(compose_lax(as_lax_functor(s), ordinal_map_functor(theta, s.n)))
+
+
+@pytest.mark.parametrize("name", ["ordinal-2", "walking-two-cell", "cocycle-twisted",
+                                  "sigma-idem"])
+def test_reindexing_reads_the_simplex_as_composition_does(name):
+    """`reindex_simplex` reads a simplex at theta's values, with a unit
+    over each edge and a unitor over each triangle that theta collapses.
+    On every simplex of levels 0..3 and every monotone theta: [m] -> [n]
+    with m <= 3 that gives the simplex of its lax functor composed with
+    theta's strict functor; and a map that is not monotone, or leaves [n],
+    is refused."""
+    b = corpus.get("bicategory", name)
+    for n in range(4):
+        for s in enumerate_simplices(b, n):
+            for theta in _monotone_maps(n):
+                assert reindex_simplex(s, theta).key() == \
+                    _reindexed_by_composition(s, theta).key(), (s.key(), theta)
+    s = next(enumerate_simplices(b, 1))
+    for theta in ((1, 0), (0, 5)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(theta))} is not a monotone "
+                                             r"map into \[1\]$"):
+            reindex_simplex(s, theta)
+
+
+def _monotone_maps(n):
+    """Every monotone map [m] -> [n] with m <= 3, as the tuple of its values."""
+    thetas = [theta for m in range(4)
+              for theta in itertools.combinations_with_replacement(range(n + 1), m + 1)]
+    assert len(thetas) == sum(math.comb(n + m + 1, m + 1) for m in range(4))
+    return thetas
+
+
+def _unequal_unitors():
+    """The delooping of Z/2 with coefficients Z/2 whose associator is the
+    coboundary of the 2-cochain that is 1 at (0, 1) alone, and whose left
+    unitor at the 1-cell 1 is (1, 1), where its right unitor is the
+    identity (1, 0); with identity unitors at the unit 0, the triangle law
+    asks for exactly that.  Every bundled
+    bicategory has identity unitors, so only here does a degenerate
+    triangle show which unitor it carries."""
+    def twist(h, g, f):
+        phi = {(0, 1): 1}.get
+        return (phi((g, f), 0) + phi((h ^ g, f), 0) + phi((h, g ^ f), 0) + phi((h, g), 0)) % 2
+
+    b = corpus.z2_twist_instance("unequal-unitors", {
+        (h, g, f): twist(h, g, f) for h in (0, 1) for g in (0, 1) for f in (0, 1)})
+    b.left_unitor[1] = (1, 1)
+    assert validate_bicategory(b).ok
+    assert (b.lunit(1), b.runit(1)) == ((1, 1), (1, 0))
+    return b
+
+
+def test_collapsed_triangles_carry_the_unitors_of_the_base():
+    """On a base whose unitors are neither identities nor equal to each
+    other, the 1-simplex over the 1-cell 1 reindexed along (0, 0, 1) carries
+    the right unitor over its triangle, and along (0, 1, 1) the left one.
+    There are 1, 2, 8 and 64 simplices at levels 0..3, and each reindexed
+    along every monotone map [m] -> [n] with m <= 3 validates and equals
+    the simplex read off the composite of lax functors."""
+    b = _unequal_unitors()
+    edge = next(s for s in enumerate_simplices(b, 1) if s.cells == {(0, 1): 1})
+    assert reindex_simplex(edge, (0, 0, 1)).constraints == {(0, 1, 2): b.runit(1)}
+    assert reindex_simplex(edge, (0, 1, 1)).constraints == {(0, 1, 2): b.lunit(1)}
+    counts, reindexed = [], {}
+    for n in range(4):
+        sims = list(enumerate_simplices(b, n))
+        counts.append(len(sims))
+        for s in sims:
+            for theta in _monotone_maps(n):
+                r = reindex_simplex(s, theta)
+                assert r.key() == _reindexed_by_composition(s, theta).key(), (s.key(), theta)
+                reindexed[r.key()] = r
+    assert counts == [1, 2, 8, 64]
+    assert all(validate_simplex(r).ok for r in reindexed.values())
 
 
 def _monotone_map(rng, m, n):
@@ -250,12 +332,16 @@ def test_broken_identities_are_reported_as_the_reference_reports_them(monkeypatc
     """With d0 and d1 out of level 2, and s0 and s1 out of level 1, each
     built along the other's ordinal map, walking-two-cell to truncation 3
     breaks 20 simplicial identities of all three kinds, and `two_nerve`
-    reports them in the lines and the order of the reference check."""
+    reports them in the lines and the order of the reference check.  The
+    maps are swapped where the simplices are reindexed (`reindex_simplex`)
+    and where the icons are (`ordinal_map_functor`)."""
     swapped = {((1, 2), 2): (0, 2), ((0, 2), 2): (1, 2),
                ((0, 0, 1), 1): (0, 1, 1), ((0, 1, 1), 1): (0, 0, 1)}
-    real = nerve_module.ordinal_map_functor
+    real_map, real_reindex = nerve_module.ordinal_map_functor, nerve_module.reindex_simplex
     monkeypatch.setattr(nerve_module, "ordinal_map_functor",
-                        lambda theta, n: real(swapped.get((theta, n), theta), n))
+                        lambda theta, n: real_map(swapped.get((theta, n), theta), n))
+    monkeypatch.setattr(nerve_module, "reindex_simplex",
+                        lambda s, theta: real_reindex(s, swapped.get((theta, s.n), theta)))
     nerve = two_nerve(corpus.get("bicategory", "walking-two-cell"), 3)
     want = _reference_identity_report(nerve)
     assert len(want.violations) == 20
@@ -264,10 +350,12 @@ def test_broken_identities_are_reported_as_the_reference_reports_them(monkeypatc
     assert nerve.report == want
 
 
-def _reindexed_like_reindex_simplex(nerve, k, k2, theta):
+def _reindexed_by_reference(nerve, k, k2, theta):
     """The reference level functor along theta: [k2] -> [k]: each simplex
-    sent by `reindex_simplex`, each icon's components picked along theta."""
-    omap = {sk: reindex_simplex(s, theta).key() for sk, s in nerve.simplices[k].items()}
+    sent by `_reindexed_by_composition`, each icon's components picked
+    along theta."""
+    omap = {sk: _reindexed_by_composition(s, theta).key()
+            for sk, s in nerve.simplices[k].items()}
     edges = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]
     picks = [edges.index((theta[i], theta[j]))
              for i in range(k2 + 1) for j in range(i, k2 + 1)]
@@ -283,19 +371,20 @@ def _reindexed_like_reindex_simplex(nerve, k, k2, theta):
     (lambda: corpus.get("bicategory", "walking-two-cell"), 4),
 ], ids=[*sorted(corpus.BICATEGORIES), "chain2-to-4", "walking-two-cell-to-4"])
 def test_face_and_degeneracy_maps_reindex_as_reindex_simplex_does(builder, truncation):
-    """Each face and degeneracy functor, whose simplices are reindexed from
-    the lax functors the level was built from, equals the one built with
-    `reindex_simplex` on the bundled bicategories and on the bases that
-    criterion 9 takes to truncation 4."""
+    """Each face and degeneracy functor equals the one whose simplices are
+    reindexed by composing their lax functors with the ordinal map (the
+    reference, not `reindex_simplex`, which `two_nerve` calls), on the
+    bundled bicategories and on the bases that criterion 9 takes to
+    truncation 4."""
     nerve = two_nerve(builder(), truncation)
     for (k, i), fun in nerve.face.items():
         theta = tuple(v if v < i else v + 1 for v in range(k))
         assert (fun.object_map, fun.morphism_map) == \
-            _reindexed_like_reindex_simplex(nerve, k, k - 1, theta)
+            _reindexed_by_reference(nerve, k, k - 1, theta)
     for (k, i), fun in nerve.degeneracy.items():
         theta = tuple(v if v <= i else v - 1 for v in range(k + 2))
         assert (fun.object_map, fun.morphism_map) == \
-            _reindexed_like_reindex_simplex(nerve, k, k + 1, theta)
+            _reindexed_by_reference(nerve, k, k + 1, theta)
     assert len(nerve.face) == truncation * (truncation + 3) // 2
 
 
