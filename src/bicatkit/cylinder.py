@@ -9,10 +9,13 @@ copy of the base; there is nothing from level 1 back to level 0; and a 1-cell
     (k, sigma, tau)   with   k: W' -> W,  sigma: g => k.g',  tau: h.k => h',
 
 composed middle-to-middle, modulo sliding a 2-cell kappa: k => k' across the
-middle: (k, sigma, tau'.(h.kappa)) ~ (k', (kappa.g').sigma, tau').  The
-quotient is computed by union-find and then audited: composition must be
-constant on classes, which the construction guarantees and the audit confirms
-on every raw pair.
+middle: (k, sigma, tau'.(h.kappa)) ~ (k', (kappa.g').sigma, tau').  Each
+crossing hom is built in one pass over its ordered pairs of objects: the raw
+triples are listed and each slid pair is joined by union-find; every class is
+named by its least member, and one lookup keyed by (source pair, target pair,
+raw triple) gives the 2-cell of any raw triple.  The composition table is then
+audited: composition must be constant on classes, which the construction
+guarantees and the audit confirms on every raw pair.
 
 The two level inclusions plus the tautological crossing (components
 ("x", 1_X, 1_X)) form the universal non-icon transformation: its interchange
@@ -76,56 +79,49 @@ class Cylinder:
     crossing: OplaxNat   # bottom => top, components ("x", 1_X, 1_X)
 
 
-def _cross_data(b: FiniteBicategory, x, y):
-    """Objects and raw 2-cell triples of the crossing hom (0,x) -> (1,y)."""
-    pairs = []
-    for w in b.objects:
-        for h in b.homs[(w, y)].objects:
-            for g in b.homs[(x, w)].objects:
-                pairs.append((h, g))
-
-    def middle(pair):
-        return b.home1(pair[1])[1]
-
-    raw = {}       # (P, Q) -> list of raw triples
-    for p in pairs:
-        for q in pairs:
-            w, w2 = middle(p), middle(q)
-            h, g = p
-            h2, g2 = q
-            triples = []
-            for k in b.homs[(w2, w)].objects:
-                for sig in b.homs[(x, w)].hom(g, b.compose1(k, g2)):
-                    for tau in b.homs[(w2, y)].hom(b.compose1(h, k), h2):
-                        triples.append((k, sig, tau))
-            raw[(p, q)] = triples
-    return pairs, raw
-
-
-def _cross_quotient(b: FiniteBicategory, x, y, pairs, raw):
-    """Union-find closure of the sliding relation on raw triples."""
-    dsu = DisjointSets()
-    for key, triples in raw.items():
-        for t in triples:
-            dsu.find((key, t))
-
-    def middle(pair):
-        return b.home1(pair[1])[1]
-
-    for p in pairs:
-        for q in pairs:
-            w, w2 = middle(p), middle(q)
-            h, g = p
-            h2, g2 = q
-            for kap in b.homs[(w2, w)].morphisms:
-                k = b.homs[(w2, w)].src(kap)
-                k2 = b.homs[(w2, w)].tgt(kap)
-                for sig in b.homs[(x, w)].hom(g, b.compose1(k, g2)):
-                    for tau2 in b.homs[(w2, y)].hom(b.compose1(h, k2), h2):
-                        left = (k, sig, b.vcomp(tau2, b.whisker_left(h, kap)))
-                        right = (k2, b.vcomp(b.whisker_right(kap, g2), sig), tau2)
-                        dsu.union(((p, q), left), ((p, q), right))
-    return dsu
+def _crossing_hom(b: FiniteBicategory, x, y, name):
+    """The crossing hom (0,x) -> (1,y), and the 2-cell each raw triple names,
+    keyed by (p, q, triple): the pairs p and q already fix x and y."""
+    pairs = {(h, g): w for w in b.objects
+             for h in b.homs[(w, y)].objects for g in b.homs[(x, w)].objects}
+    raw, dsu = {}, DisjointSets()
+    for (h, g), w in pairs.items():
+        down = b.homs[(x, w)]
+        for (h2, g2), w2 in pairs.items():
+            mid, up, key = b.homs[(w2, w)], b.homs[(w2, y)], ((h, g), (h2, g2))
+            raw[key] = [(k, sig, tau) for k in mid.objects
+                        for sig in down.hom(g, b.compose1(k, g2))
+                        for tau in up.hom(b.compose1(h, k), h2)]
+            for t in raw[key]:
+                dsu.find(key + (t,))
+            # slide each kappa: k => k' across the middle
+            for kap in mid.morphisms:
+                k, k2 = mid.src(kap), mid.tgt(kap)
+                for sig in down.hom(g, b.compose1(k, g2)):
+                    for tau2 in up.hom(b.compose1(h, k2), h2):
+                        dsu.union(key + ((k, sig, b.vcomp(tau2, b.whisker_left(h, kap))),),
+                                  key + ((k2, b.vcomp(b.whisker_right(kap, g2), sig), tau2),))
+    least = {root: min((m[2] for m in members), key=canon_key)
+             for root, members in dsu.classes().items()}
+    cell = {key + (t,): ("x2",) + key + (least[dsu.find(key + (t,))],)
+            for key, triples in raw.items() for t in triples}
+    morphisms = {m: (("x",) + m[1], ("x",) + m[2]) for m in cell.values()}
+    identity = {("x",) + p: cell[(p, p, (b.unit[w], b.id2(p[1]), b.id2(p[0])))]
+                for p, w in pairs.items()}
+    # composition on classes, audited over every raw pair
+    table = {}
+    for (p, q), firsts in raw.items():
+        for r in pairs:
+            for t1 in firsts:
+                m1 = cell[(p, q, t1)]
+                for t2 in raw[(q, r)]:
+                    m = (m1, cell[(q, r, t2)])
+                    comp = cell[(p, r, _raw_compose(b, t1, t2))]
+                    if table.setdefault(m, comp) != comp:
+                        raise RuntimeError(
+                            f"crossing composition is not constant on classes at {m}")
+    return FiniteCategory(name, [("x",) + p for p in pairs], morphisms, identity,
+                          table), cell
 
 
 def _raw_compose(b: FiniteBicategory, t1, t2):
@@ -143,61 +139,22 @@ def lax_cylinder(b: FiniteBicategory) -> Cylinder:
             f"the cylinder is only constructed over strict 2-categories; "
             f"{b.name} is not strict")
 
-    objects = [(0, a) for a in b.objects] + [(1, a) for a in b.objects]
+    levels = (0, 1)
+    objects = [(i, a) for i in levels for a in b.objects]
     homs = {}
     for a in b.objects:
         for a2 in b.objects:
-            homs[((0, a), (0, a2))] = _relabel_hom(
-                b.homs[(a, a2)], 0, f"cyl0({a!r},{a2!r})")
-            homs[((1, a), (1, a2))] = _relabel_hom(
-                b.homs[(a, a2)], 1, f"cyl1({a!r},{a2!r})")
+            for i in levels:
+                homs[((i, a), (i, a2))] = _relabel_hom(
+                    b.homs[(a, a2)], i, f"cyl{i}({a!r},{a2!r})")
             homs[((1, a), (0, a2))] = FiniteCategory(
                 f"cyl-none({a!r},{a2!r})", [], {}, {}, {})
-
-    # crossing homs: build the quotient and a class-id lookup per raw triple
-    cls_of_raw = {}    # (x, y, P, Q, triple) -> morphism id
+    cross = {}    # (p, q, raw triple) -> crossing 2-cell
     for x in b.objects:
         for y in b.objects:
-            pairs, raw = _cross_data(b, x, y)
-            dsu = _cross_quotient(b, x, y, pairs, raw)
-            classes = dsu.classes()
-            rep_of_root = {root: min((t for (_, t) in members), key=canon_key)
-                           for root, members in classes.items()}
-            objs = [("x",) + p for p in pairs]
-            morphisms, identity, table = {}, {}, {}
-            mid_of = {}
-            for (p, q), triples in raw.items():
-                for t in triples:
-                    root = dsu.find(((p, q), t))
-                    mid = ("x2", p, q, rep_of_root[root])
-                    mid_of[((p, q), t)] = mid
-                    cls_of_raw[(x, y, p, q, t)] = mid
-                    morphisms[mid] = (("x",) + p, ("x",) + q)
-            for p in pairs:
-                w = b.home1(p[1])[1]
-                identity[("x",) + p] = mid_of[
-                    ((p, p), (b.unit[w], b.id2(p[1]), b.id2(p[0])))]
-            # composition on classes, audited over every raw pair
-            for p in pairs:
-                for q in pairs:
-                    for r in pairs:
-                        seen = {}
-                        for t1 in raw[(p, q)]:
-                            for t2 in raw[(q, r)]:
-                                m1 = mid_of[((p, q), t1)]
-                                m2 = mid_of[((q, r), t2)]
-                                comp = mid_of[((p, r), _raw_compose(b, t1, t2))]
-                                if (m1, m2) in seen and seen[(m1, m2)] != comp:
-                                    raise RuntimeError(
-                                        "crossing composition is not constant "
-                                        f"on classes at {(m1, m2)}")
-                                seen[(m1, m2)] = comp
-                                table[(m1, m2)] = comp
-            homs[((0, x), (1, y))] = FiniteCategory(
-                f"cylx({x!r},{y!r})", objs, morphisms, identity, table)
-
-    unit = {(0, a): (0, b.unit[a]) for a in b.objects}
-    unit.update({(1, a): (1, b.unit[a]) for a in b.objects})
+            homs[((0, x), (1, y))], cells = _crossing_hom(b, x, y, f"cylx({x!r},{y!r})")
+            cross.update(cells)
+    unit = {(i, a): (i, b.unit[a]) for i in levels for a in b.objects}
 
     def comp1(g, f):
         if g[0] == "x":
@@ -213,42 +170,30 @@ def lax_cylinder(b: FiniteBicategory) -> Cylinder:
             raise ValueError("crossing 2-cells are never beside one another")
         if d[0] == "x2":
             # c = (0, gamma): act on the inner factor of the pair
-            _, p, q, (k, sig, tau) = d
+            _, (h, g), (h2, g2), (k, sig, tau) = d
             gam = c[1]
-            p2 = (p[0], b.compose1(p[1], b.src2(gam)))
-            q2 = (q[0], b.compose1(q[1], b.tgt2(gam)))
-            x = b.home2(gam)[0]
-            y = b.home1(p[0])[1]
-            return cls_of_raw[(x, y, p2, q2, (k, b.hcomp(sig, gam), tau))]
+            return cross[((h, b.compose1(g, b.src2(gam))), (h2, b.compose1(g2, b.tgt2(gam))),
+                          (k, b.hcomp(sig, gam), tau))]
         if c[0] == "x2":
             # d = (1, delta): act on the outer factor of the pair
-            _, p, q, (k, sig, tau) = c
+            _, (h, g), (h2, g2), (k, sig, tau) = c
             dl = d[1]
-            p2 = (b.compose1(b.src2(dl), p[0]), p[1])
-            q2 = (b.compose1(b.tgt2(dl), q[0]), q[1])
-            x = b.home1(p[1])[0]
-            y = b.home2(dl)[1]
-            return cls_of_raw[(x, y, p2, q2, (k, sig, b.hcomp(dl, tau)))]
+            return cross[((b.compose1(b.src2(dl), h), g), (b.compose1(b.tgt2(dl), h2), g2),
+                          (k, sig, b.hcomp(dl, tau)))]
         return (d[0], b.hcomp(d[1], c[1]))
 
     total = strict_bicategory(f"cyl[{b.name}]", objects, homs, unit,
                               comp1, comp2)
-
-    bottom = two_functor(f"cyl0[{b.name}]", b, total,
-                         {a: (0, a) for a in b.objects},
-                         {f: (0, f) for f in b.one_cells()},
-                         {c: (0, c) for c in b.two_cells()})
-    top = two_functor(f"cyl1[{b.name}]", b, total,
-                      {a: (1, a) for a in b.objects},
-                      {f: (1, f) for f in b.one_cells()},
-                      {c: (1, c) for c in b.two_cells()})
-
+    bottom, top = (two_functor(f"cyl{i}[{b.name}]", b, total,
+                               {a: (i, a) for a in b.objects},
+                               {f: (i, f) for f in b.one_cells()},
+                               {c: (i, c) for c in b.two_cells()})
+                   for i in levels)
     comps = {a: ("x", b.unit[a], b.unit[a]) for a in b.objects}
     cons = {}
     for g in b.one_cells():
         x, y = b.home1(g)
-        cons[g] = cls_of_raw[(x, y, (b.unit[y], g), (g, b.unit[x]),
-                              (g, b.id2(g), b.id2(g)))]
+        cons[g] = cross[((b.unit[y], g), (g, b.unit[x]), (g, b.id2(g), b.id2(g)))]
     crossing = OplaxNat(f"cross[{b.name}]", bottom, top, comps, cons)
     return Cylinder(b, total, bottom, top, crossing)
 

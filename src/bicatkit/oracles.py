@@ -137,12 +137,8 @@ class FreeCrossModel:
 
     # -- relations ----------------------------------------------------------
     def _seed_relations(self):
-        from .cylinder import DisjointSets
-
         b, x, y = self.b, self.x, self.y
-        dsu = DisjointSets()
-        for w in self.words:
-            dsu.find(w)
+        self.parent = {w: w for w in self.words}
         rels = []
 
         for w in b.objects:
@@ -222,8 +218,18 @@ class FreeCrossModel:
 
         for lhs, rhs in rels:
             if lhs in self.words and rhs in self.words:
-                dsu.union(lhs, rhs)
-        self.dsu = dsu
+                self._union(lhs, rhs)
+
+    # -- union-find over words ------------------------------------------------
+    def _find(self, w):
+        parent = self.parent
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    def _union(self, a, c):
+        self.parent[self._find(a)] = self._find(c)
 
     # -- congruence closure ---------------------------------------------------
     def _congruence_closure(self):
@@ -232,7 +238,7 @@ class FreeCrossModel:
             changed = False
             groups = {}
             for w in self.words:
-                groups.setdefault(self.dsu.find(w), []).append(w)
+                groups.setdefault(self._find(w), []).append(w)
             for members in groups.values():
                 if len(members) < 2:
                     continue
@@ -248,8 +254,8 @@ class FreeCrossModel:
                 for exts in list(post.values()) + list(pre.values()):
                     exts = [w for w in exts if w in self.words]
                     for a, c in zip(exts, exts[1:]):
-                        if self.dsu.find(a) != self.dsu.find(c):
-                            self.dsu.union(a, c)
+                        if self._find(a) != self._find(c):
+                            self._union(a, c)
                             changed = True
 
     # -- interface ------------------------------------------------------------
@@ -257,7 +263,7 @@ class FreeCrossModel:
         word = self._word(p, tuple(edges))
         if word not in self.words:
             raise ValueError(f"word longer than the bound: {word!r}")
-        return self.dsu.find(word)
+        return self._find(word)
 
     def phi(self, p, q, triple):
         """Canonical image of a closed-form raw triple (k, sig, tau) from the
@@ -270,7 +276,7 @@ class FreeCrossModel:
                                  ("L", tau, g2)))
 
     def classes_between(self, p, q):
-        return {self.dsu.find(w) for w in self.words
+        return {self._find(w) for w in self.words
                 if w[0] == p and self._word_tgt(w) == q}
 
 

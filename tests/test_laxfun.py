@@ -14,6 +14,7 @@ from bicatkit.laxfun import (
     two_functor,
     validate_lax_functor,
 )
+from unequal_unitors import unequal_unitors
 
 
 def test_corpus_lax_functors_all_validate():
@@ -190,6 +191,26 @@ def test_enumerate_lax_functors_sigma_idem():
     assert len(endos) == 5
     labels = sorted(classify(f).label for f in endos)
     assert labels == ["lax", "lax", "strict", "strict", "strict"]
+
+
+def _cells(f):
+    """What a lax functor assigns: its object map, the cell maps of its hom
+    functors and its comparison and unit cells."""
+    return (f.object_map, {pair: (h.object_map, h.morphism_map)
+                           for pair, h in f.hom_functors.items()},
+            f.comp_constraints, f.unit_constraints)
+
+
+def test_unit_laws_tell_the_left_unitor_from_the_right():
+    """On a base whose left and right unitors differ, the identity is a
+    lax functor, and it is one of the 16 lax endofunctors.  Checking either
+    unit law against the other unitor leaves 8 and rejects the identity."""
+    b = unequal_unitors()
+    one = identity_lax(b)
+    assert validate_lax_functor(one).ok
+    endos = list(enumerate_lax_functors(b, b))
+    assert len(endos) == 16
+    assert [_cells(f) == _cells(one) for f in endos].count(True) == 1
 
 
 def test_enumerate_lax_functors_terminal_to_maxposet():

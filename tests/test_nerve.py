@@ -13,7 +13,7 @@ import pytest
 
 from bicatkit import corpus
 from bicatkit import nerve as nerve_module
-from bicatkit.bicat import from_category, validate_bicategory
+from bicatkit.bicat import from_category
 from bicatkit.catcore import (Functor, chain_category, compose_functors, validate_category,
                               validate_functor)
 from bicatkit.icon import enumerate_icons, hcomp_icons, identity_icon
@@ -36,6 +36,7 @@ from bicatkit.oracles import (
     classical_face,
 )
 from bicatkit.report import ValidationReport
+from unequal_unitors import unequal_unitors
 
 
 def test_ordinal_is_strict_and_locally_discrete():
@@ -171,26 +172,6 @@ def _monotone_maps(n):
     return thetas
 
 
-def _unequal_unitors():
-    """The delooping of Z/2 with coefficients Z/2 whose associator is the
-    coboundary of the 2-cochain that is 1 at (0, 1) alone, and whose left
-    unitor at the 1-cell 1 is (1, 1), where its right unitor is the
-    identity (1, 0); with identity unitors at the unit 0, the triangle law
-    asks for exactly that.  Every bundled
-    bicategory has identity unitors, so only here does a degenerate
-    triangle show which unitor it carries."""
-    def twist(h, g, f):
-        phi = {(0, 1): 1}.get
-        return (phi((g, f), 0) + phi((h ^ g, f), 0) + phi((h, g ^ f), 0) + phi((h, g), 0)) % 2
-
-    b = corpus.z2_twist_instance("unequal-unitors", {
-        (h, g, f): twist(h, g, f) for h in (0, 1) for g in (0, 1) for f in (0, 1)})
-    b.left_unitor[1] = (1, 1)
-    assert validate_bicategory(b).ok
-    assert (b.lunit(1), b.runit(1)) == ((1, 1), (1, 0))
-    return b
-
-
 def test_collapsed_triangles_carry_the_unitors_of_the_base():
     """On a base whose unitors are neither identities nor equal to each
     other, the 1-simplex over the 1-cell 1 reindexed along (0, 0, 1) carries
@@ -198,7 +179,7 @@ def test_collapsed_triangles_carry_the_unitors_of_the_base():
     There are 1, 2, 8 and 64 simplices at levels 0..3, and each reindexed
     along every monotone map [m] -> [n] with m <= 3 validates and equals
     the simplex read off the composite of lax functors."""
-    b = _unequal_unitors()
+    b = unequal_unitors()
     edge = next(s for s in enumerate_simplices(b, 1) if s.cells == {(0, 1): 1})
     assert reindex_simplex(edge, (0, 0, 1)).constraints == {(0, 1, 2): b.runit(1)}
     assert reindex_simplex(edge, (0, 1, 1)).constraints == {(0, 1, 2): b.lunit(1)}
