@@ -1,5 +1,6 @@
 """Bicategory validation: builders, laws, and corruption detection."""
 
+import hashlib
 import itertools
 import random
 
@@ -23,6 +24,19 @@ def test_corpus_bicategories_all_validate():
     for name, build in corpus.BICATEGORIES.items():
         rep = validate_bicategory(build())
         assert rep.ok, f"{name}: {rep.summary()}"
+
+
+def test_the_corpus_bicategories_are_pinned():
+    """A sha256 over the repr of each bundled bicategory, by sorted name.
+    The repr lists every dict in insertion order, so the digest pins the
+    order a builder lists homs, composition functors and coherence cells
+    in, which the bundled `.bc` files, written in canonical order, do not."""
+    digest = hashlib.sha256()
+    for name in sorted(corpus.BICATEGORIES):
+        digest.update(repr(corpus.get("bicategory", name)).encode())
+    assert len(corpus.BICATEGORIES) == 14
+    assert digest.hexdigest() == \
+        "3bbf7f02a639fb1aaeb4f9a5cc7c3c0016927c8f3c5cd7dbf39009d0d5c97dea"
 
 
 def test_the_flat_vertical_composition_table_is_vcomp():
