@@ -60,6 +60,7 @@ from .oplax import (
     validate_oplax,
     vcomp_oplax,
 )
+from .report import sorted_ids
 
 EXHAUSTIVE_CAP = 10_000
 SAMPLE_SIZE = 1_500
@@ -406,10 +407,6 @@ def criterion_3():
 # ---------------------------------------------------------------------------
 # 4. the one-object dictionary with monoidal transformations
 
-def _canon_cells(icon):
-    return repr(sorted(map(repr, icon.cells.items())))
-
-
 def criterion_4():
     from .oracles import enumerate_monoidal_nats
 
@@ -431,9 +428,8 @@ def criterion_4():
                 ic = monoidal_to_icon("t", theta, delooped[i], delooped[j])
                 if not validate_icon(ic).ok or icon_to_monoidal(ic) != theta:
                     return False, f"{pname}: dictionary does not round-trip"
-                mapped.append(_canon_cells(ic))
-            if sorted(mapped) != sorted(_canon_cells(ic)
-                                        for ic in icons):
+                mapped.append(icon_row(ic))
+            if sorted_ids(mapped) != sorted_ids(map(icon_row, icons)):
                 return False, f"{pname}: transported families miss some icon"
 
         # the dictionary preserves identities ...
@@ -578,8 +574,7 @@ def criterion_8():
             for y in b.objects:
                 model = FreeCrossModel(b, x, y, max_len=5)
                 cross = cyl.total.homs[((0, x), (1, y))]
-                if sorted(map(repr, model.objects)) != \
-                        sorted(repr(p[1:]) for p in cross.objects):
+                if sorted_ids(model.objects) != sorted_ids(p[1:] for p in cross.objects):
                     return False, f"{name}: object mismatch in hom {x}->{y}"
                 for p in cross.objects:
                     for q in cross.objects:
@@ -610,8 +605,8 @@ def _classical_mismatch():
     for k in range(4):
         want = math.comb(k + 3, 2)
         chains = classical_chains(c, k)
-        keys = {repr(chain_simplex_key(b, c, ch)) for ch in chains}
-        got = {repr(key) for key in nerve.levels[k].objects}
+        keys = {chain_simplex_key(b, c, ch) for ch in chains}
+        got = set(nerve.levels[k].objects)
         if not (len(chains) == want and keys == got):
             return f"level {k}: {len(got)} simplices, classical {want}"
     for (k, i), fun in nerve.face.items():
@@ -670,10 +665,10 @@ def criterion_10():
 
     agree = total = 0
     b = corpus.walking_two_cell()
-    for p in sorted(b.one_cells(), key=repr):
+    for p in b.one_cells():
         a_obj = b.home1(p)[0]
         for x in b.objects:
-            for alpha in sorted(b.homs[(x, a_obj)].morphisms, key=repr):
+            for alpha in b.homs[(x, a_obj)].sorted_morphisms:
                 total += 1
                 main = is_p_cartesian(CartesianQuery(b, p, alpha))
                 if main == cartesian_by_definition(b, p, alpha):

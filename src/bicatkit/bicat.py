@@ -296,7 +296,9 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
                             f"hom{seen[n][x]!r} and hom{pair!r}", (x,), structural=True)
                 seen[n][x] = pair
 
-    rep.check_values(b, [("unit", a, (), None, (a,), _UNIT) for a in objs])
+    units = [("unit", a, (), None, (a,), _UNIT) for a in objs]
+    rep.check_values(b, units)
+    rep.check_keys(b, units)
     if rep.structural_failure:
         return rep
 
@@ -318,7 +320,9 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
     if rep.violations:
         return rep
 
-    rep.check_values(b, coherence_variables(b))
+    variables = coherence_variables(b)
+    rep.check_values(b, variables)
+    rep.check_keys(b, variables)
     if rep.violations:
         return rep
     rep.check_laws(b, bicategory_laws(b))

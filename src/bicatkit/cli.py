@@ -14,6 +14,11 @@ module of a kind when a document defines a structure of that kind; a
 bundled name loads `bicatkit.corpus`, whose builders import the lax-side
 modules of the structures they build.
 
+Each verb is one row of `_VERBS` (its name, help line, runner and
+arguments), and the parser is built from that table.  Every ``check KIND
+NAME`` line that validates a structure goes through `_check`, which runs the
+kind's validator from `_VALIDATORS`.
+
 Exit codes: 0 all checks pass; 1 a mathematical check failed (the report
 carries a witness); 2 structural trouble — unknown verb or name, unparsable
 file, or a query that does not apply in the given setting.
@@ -133,6 +138,12 @@ def _dumpable(w):
         return False
 
 
+def _check(body, kind, name, obj):
+    """The check line of `obj`, a `kind` named `name`, from its kind's
+    validator; whether it passed."""
+    return body.check(f"{kind} {dump_id(name)}", _VALIDATORS[kind](obj))
+
+
 def _cell_arg(text):
     """A 1-cell id from the command line: JSON when it parses, else the
     bare string."""
@@ -150,15 +161,13 @@ def _do_validate(args, res, body):
     if kind in ("magma", "cocycledata"):
         body.append(f"check {kind} {dump_id(args.name)}: ok (closed tables)")
         return 0
-    report = _VALIDATORS[kind](obj)
-    return 0 if body.check(f"{kind} {dump_id(args.name)}", report) else 1
+    return 0 if _check(body, kind, args.name, obj) else 1
 
 
 def _do_classify(args, res, body):
-    from .laxfun import classify, validate_lax_functor
+    from .laxfun import classify
     fun = res.one(args.functor, "laxfunctor")
-    if not body.check(f"laxfunctor {dump_id(fun.name)}",
-                      validate_lax_functor(fun)):
+    if not _check(body, "laxfunctor", fun.name, fun):
         return 1
     c = classify(fun)
     body.append(f"classification: {c.label}")
@@ -171,7 +180,7 @@ def _do_classify(args, res, body):
 
 def _do_compose(args, res, body):
     from .fileformat import serialize_laxfunctor
-    from .laxfun import compose_lax, validate_lax_functor
+    from .laxfun import compose_lax
     g = res.one(args.g, "laxfunctor")
     f = res.one(args.f, "laxfunctor")
     if f.target is not g.source and f.target != g.source:
@@ -182,22 +191,20 @@ def _do_compose(args, res, body):
     h = compose_lax(g, f)
     body.append(f"compose {dump_id(g.name)} after {dump_id(f.name)} "
                 f"= {dump_id(h.name)}")
-    ok = body.check(f"laxfunctor {dump_id(h.name)}", validate_lax_functor(h))
+    ok = _check(body, "laxfunctor", h.name, h)
     body.extend(serialize_laxfunctor(h))
     return 0 if ok else 1
 
 
 def _do_check_icon(args, res, body):
-    from .icon import validate_icon
     icon = res.one(args.icon, "icon")
-    return 0 if body.check(f"icon {dump_id(icon.name)}",
-                           validate_icon(icon)) else 1
+    return 0 if _check(body, "icon", icon.name, icon) else 1
 
 
 def _do_check_oplax(args, res, body):
-    from .oplax import classify_oplax, validate_oplax
+    from .oplax import classify_oplax
     u = res.one(args.transformation, "oplax")
-    if not body.check(f"oplax {dump_id(u.name)}", validate_oplax(u)):
+    if not _check(body, "oplax", u.name, u):
         return 1
     c = classify_oplax(u)
     body.append(f"classification: {c.label}")
@@ -251,8 +258,6 @@ def _do_costrict(args, res, body):
 
 def _do_cylinder(args, res, body):
     from .cylinder import lax_cylinder
-    from .laxfun import validate_lax_functor
-    from .oplax import validate_oplax
     b = res.one(args.two_category, "bicategory")
     cyl = lax_cylinder(b)
     t = cyl.total
@@ -260,14 +265,10 @@ def _do_cylinder(args, res, body):
     n2 = sum(len(c.morphisms) for c in t.homs.values())
     body.append(f"cylinder over {dump_id(b.name)}: {len(t.objects)} objects, "
                 f"{n1} one-cells, {n2} two-cells")
-    ok = body.check(f"bicategory {dump_id(t.name)}", validate_bicategory(t))
-    ok &= body.check(f"laxfunctor {dump_id(cyl.bottom.name)}",
-                     validate_lax_functor(cyl.bottom))
-    ok &= body.check(f"laxfunctor {dump_id(cyl.top.name)}",
-                     validate_lax_functor(cyl.top))
-    ok &= body.check(f"oplax {dump_id(cyl.crossing.name)}",
-                     validate_oplax(cyl.crossing))
-    return 0 if ok else 1
+    parts = (("bicategory", t), ("laxfunctor", cyl.bottom), ("laxfunctor", cyl.top),
+             ("oplax", cyl.crossing))
+    # a list, not a generator, so that every part gets its check line
+    return 0 if all([_check(body, kind, x.name, x) for kind, x in parts]) else 1
 
 
 def _do_nerve(args, res, body):
@@ -329,6 +330,36 @@ def _do_corpus(args, res, body):
 # ---------------------------------------------------------------------------
 # entry point
 
+# Each verb: its name, its help line, its runner and its arguments, each a
+# bare name or (name, options of `add_argument`).
+_VERBS = (
+    ("validate", "run the validator of a named structure", _do_validate, ["name"]),
+    ("classify", "strict/normal/homomorphism/lax verdict", _do_classify, ["functor"]),
+    ("compose", "compose two functors (g after f)", _do_compose, ["g", "f"]),
+    ("check-icon", "validate an icon", _do_check_icon, ["icon"]),
+    ("check-oplax", "validate an oplax transformation", _do_check_oplax, ["transformation"]),
+    ("interchange", "check interchange of beta against alpha", _do_interchange,
+     ["beta", "alpha"]),
+    ("strictness", "decide strictness by arrow-witness probes", _do_strictness,
+     ["transformation"]),
+    ("costrict", "decide whether a transformation behaves as an icon", _do_costrict,
+     ["transformation"]),
+    ("cylinder", "build and validate the cylinder over a 2-category", _do_cylinder,
+     [("two_category", {"metavar": "two-category"})]),
+    ("nerve", "level counts and simplicial identities", _do_nerve,
+     ["bicategory", ("--level", {"type": int, "default": 3,
+                                 "help": "truncation level (0..4, default 3)"})]),
+    ("equivalence", "decide invertibility up to invertible icons", _do_equivalence,
+     ["functor"]),
+    ("fibration", "check the lifting property over a 1-cell", _do_fibration,
+     [("two_category", {"metavar": "two-category"}),
+      ("one_cell", {"metavar": "one-cell",
+                    "help": "a 1-cell id: bare string or JSON (arrays for tuples)"})]),
+    ("corpus", "operations on the bundled corpus", _do_corpus,
+     [("action", {"choices": ["run-all"]})]),
+)
+
+
 def _parser():
     top = argparse.ArgumentParser(
         prog="bicatkit",
@@ -339,71 +370,12 @@ def _parser():
     top.add_argument("--out", metavar="PATH",
                      help="also write the report to a file")
     sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="run the validator of a named structure")
-    p.add_argument("name")
-    p.set_defaults(run=_do_validate)
-
-    p = sub.add_parser("classify", help="strict/normal/homomorphism/lax verdict")
-    p.add_argument("functor")
-    p.set_defaults(run=_do_classify)
-
-    p = sub.add_parser("compose", help="compose two functors (g after f)")
-    p.add_argument("g")
-    p.add_argument("f")
-    p.set_defaults(run=_do_compose)
-
-    p = sub.add_parser("check-icon", help="validate an icon")
-    p.add_argument("icon")
-    p.set_defaults(run=_do_check_icon)
-
-    p = sub.add_parser("check-oplax", help="validate an oplax transformation")
-    p.add_argument("transformation")
-    p.set_defaults(run=_do_check_oplax)
-
-    p = sub.add_parser("interchange",
-                       help="check interchange of beta against alpha")
-    p.add_argument("beta")
-    p.add_argument("alpha")
-    p.set_defaults(run=_do_interchange)
-
-    p = sub.add_parser("strictness",
-                       help="decide strictness by arrow-witness probes")
-    p.add_argument("transformation")
-    p.set_defaults(run=_do_strictness)
-
-    p = sub.add_parser("costrict",
-                       help="decide whether a transformation behaves as an icon")
-    p.add_argument("transformation")
-    p.set_defaults(run=_do_costrict)
-
-    p = sub.add_parser("cylinder",
-                       help="build and validate the cylinder over a 2-category")
-    p.add_argument("two_category", metavar="two-category")
-    p.set_defaults(run=_do_cylinder)
-
-    p = sub.add_parser("nerve", help="level counts and simplicial identities")
-    p.add_argument("bicategory")
-    p.add_argument("--level", type=int, default=3,
-                   help="truncation level (0..4, default 3)")
-    p.set_defaults(run=_do_nerve)
-
-    p = sub.add_parser("equivalence",
-                       help="decide invertibility up to invertible icons")
-    p.add_argument("functor")
-    p.set_defaults(run=_do_equivalence)
-
-    p = sub.add_parser("fibration",
-                       help="check the lifting property over a 1-cell")
-    p.add_argument("two_category", metavar="two-category")
-    p.add_argument("one_cell", metavar="one-cell",
-                   help="a 1-cell id: bare string or JSON (arrays for tuples)")
-    p.set_defaults(run=_do_fibration)
-
-    p = sub.add_parser("corpus", help="operations on the bundled corpus")
-    p.add_argument("action", choices=["run-all"])
-    p.set_defaults(run=_do_corpus)
-
+    for verb, help_line, run, arguments in _VERBS:
+        p = sub.add_parser(verb, help=help_line)
+        for arg in arguments:
+            name, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(name, **options)
+        p.set_defaults(run=run)
     return top
 
 

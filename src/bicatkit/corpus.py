@@ -53,27 +53,39 @@ def hom_category(name, objects, arrows=None, composites=None) -> FiniteCategory:
     return FiniteCategory(name, list(objects), morphisms, identity, table)
 
 
-def _unit_absorbing_comp(units):
+def _unit_absorbing_comp(units, more1=lambda g, f: None, more2=lambda d, c: None):
     """comp1/comp2 callables for 2-categories whose only composable overlaps
-    involve unit 1-cells."""
-    unitset = set(units)
-    idset = {("i", u) for u in units}
+    involve unit 1-cells, apart from the composites that `more1` and `more2`
+    give (None where they give none)."""
+    def absorbing(ids, more):
+        def comp(g, f):
+            if f in ids:
+                return g
+            if g in ids:
+                return f
+            h = more(g, f)
+            if h is None:
+                raise ValueError(f"no composite defined for ({g!r}, {f!r})")
+            return h
+        return comp
 
-    def comp1(g, f):
-        if f in unitset:
-            return g
-        if g in unitset:
-            return f
-        raise ValueError(f"no composite defined for ({g!r}, {f!r})")
+    return absorbing(set(units), more1), absorbing({("i", u) for u in units}, more2)
 
-    def comp2(d, c):
-        if c in idset:
-            return d
-        if d in idset:
-            return c
-        raise ValueError(f"no composite defined for ({d!r}, {c!r})")
 
-    return comp1, comp2
+def _two_category(name, tag, objects, homs, *more) -> FiniteBicategory:
+    """The strict 2-category on `objects` whose endo hom at x holds just its
+    unit "1x", whose homs at the keys of `homs` hold the 1-cells, arrows and
+    composites given there (the arguments of `hom_category`), and whose
+    other homs are empty; each hom at (x, y) is named "<tag>-<x><y>".
+    Composition absorbs units, and `more`, if given, is the pair of
+    callables that give the other composites, as in `_unit_absorbing_comp`."""
+    units = {x: f"1{x}" for x in objects}
+    cats = {(x, x): hom_category(f"{tag}-{x}{x}", [units[x]]) for x in objects}
+    cats.update({(x, y): hom_category(f"{tag}-{x}{y}", *hom) for (x, y), hom in homs.items()})
+    cats.update({(x, y): hom_category(f"{tag}-{x}{y}", []) for x in objects for y in objects
+                 if (x, y) not in cats})
+    return strict_bicategory(name, objects, cats, units,
+                             *_unit_absorbing_comp(units.values(), *more))
 
 
 # ---------------------------------------------------------------------------
@@ -95,74 +107,34 @@ def walking_arrow() -> FiniteBicategory:
 def walking_two_cell() -> FiniteBicategory:
     """Two objects, two parallel 1-cells f0, f1, one non-invertible 2-cell
     "up": f0 => f1."""
-    homs = {
-        ("a", "a"): hom_category("w2-aa", ["1a"]),
-        ("b", "b"): hom_category("w2-bb", ["1b"]),
-        ("a", "b"): hom_category("w2-ab", ["f0", "f1"], {"up": ("f0", "f1")}),
-        ("b", "a"): hom_category("w2-ba", []),
-    }
-    comp1, comp2 = _unit_absorbing_comp(["1a", "1b"])
-    return strict_bicategory("walking-two-cell", ["a", "b"], homs,
-                             {"a": "1a", "b": "1b"}, comp1, comp2)
+    return _two_category("walking-two-cell", "w2", ["a", "b"],
+                         {("a", "b"): (["f0", "f1"], {"up": ("f0", "f1")})})
 
 
 def thickened_arrow() -> FiniteBicategory:
     """Like the walking arrow, but with two isomorphic parallel 1-cells."""
-    ab = hom_category("thick-ab", ["f", "f2"],
-                      {"m": ("f", "f2"), "w": ("f2", "f")},
-                      {("m", "w"): ("i", "f"), ("w", "m"): ("i", "f2")})
-    homs = {
-        ("a", "a"): hom_category("thick-aa", ["1a"]),
-        ("b", "b"): hom_category("thick-bb", ["1b"]),
-        ("a", "b"): ab,
-        ("b", "a"): hom_category("thick-ba", []),
-    }
-    comp1, comp2 = _unit_absorbing_comp(["1a", "1b"])
-    return strict_bicategory("thickened-arrow", ["a", "b"], homs,
-                             {"a": "1a", "b": "1b"}, comp1, comp2)
+    return _two_category("thickened-arrow", "thick", ["a", "b"],
+                         {("a", "b"): (["f", "f2"], {"m": ("f", "f2"), "w": ("f2", "f")},
+                                       {("m", "w"): ("i", "f"), ("w", "m"): ("i", "f2")})})
 
 
 def parallel_pair() -> FiniteBicategory:
     """Two objects and two parallel 1-cells with no 2-cells between them."""
-    homs = {
-        ("a", "a"): hom_category("pp-aa", ["1a"]),
-        ("b", "b"): hom_category("pp-bb", ["1b"]),
-        ("a", "b"): hom_category("pp-ab", ["p", "q"]),
-        ("b", "a"): hom_category("pp-ba", []),
-    }
-    comp1, comp2 = _unit_absorbing_comp(["1a", "1b"])
-    return strict_bicategory("parallel-pair", ["a", "b"], homs,
-                             {"a": "1a", "b": "1b"}, comp1, comp2)
+    return _two_category("parallel-pair", "pp", ["a", "b"], {("a", "b"): (["p", "q"],)})
 
 
 def collapsed_two_cell() -> FiniteBicategory:
     """The walking 2-cell with a sink object glued on the far end: a single
     1-cell q out of b, so pasting q onto "up" collapses it to an identity."""
-    homs = {
-        ("a", "a"): hom_category("c2-aa", ["1a"]),
-        ("b", "b"): hom_category("c2-bb", ["1b"]),
-        ("t", "t"): hom_category("c2-tt", ["1t"]),
-        ("a", "b"): hom_category("c2-ab", ["f0", "f1"], {"up": ("f0", "f1")}),
-        ("b", "t"): hom_category("c2-bt", ["q"]),
-        ("a", "t"): hom_category("c2-at", ["r"]),
-        ("b", "a"): hom_category("c2-ba", []),
-        ("t", "a"): hom_category("c2-ta", []),
-        ("t", "b"): hom_category("c2-tb", []),
-    }
-    base1, base2 = _unit_absorbing_comp(["1a", "1b", "1t"])
-
     def comp1(g, f):
-        if g == "q" and f in ("f0", "f1"):
-            return "r"
-        return base1(g, f)
+        return "r" if g == "q" and f in ("f0", "f1") else None
 
     def comp2(d, c):
-        if d == ("i", "q") and c in (("i", "f0"), ("i", "f1"), "up"):
-            return ("i", "r")
-        return base2(d, c)
+        return ("i", "r") if d == ("i", "q") and c in (("i", "f0"), ("i", "f1"), "up") else None
 
-    return strict_bicategory("collapsed-two-cell", ["a", "b", "t"], homs,
-                             {"a": "1a", "b": "1b", "t": "1t"}, comp1, comp2)
+    return _two_category("collapsed-two-cell", "c2", ["a", "b", "t"],
+                         {("a", "b"): (["f0", "f1"], {"up": ("f0", "f1")}),
+                          ("b", "t"): (["q"],), ("a", "t"): (["r"],)}, comp1, comp2)
 
 
 def ordinal(n: int) -> FiniteBicategory:

@@ -9,9 +9,10 @@ and every definition is validated the moment it is complete: a file that
 parses is a file whose every structure passes its validator.
 
 Cell identifiers are written as compact JSON values (strings, integers,
-arrays for tuples), so heterogeneous ids round-trip exactly; composition
-lines fix the textual order as ``compose g after f = h``, meaning g runs
-after f.  Serializing any structure and parsing the result yields an equal
+true, false, null, arrays for tuples; a number with a fraction or an
+exponent, or an infinity, is refused), so heterogeneous ids round-trip
+exactly; composition lines fix the textual order as ``compose g after f =
+h``, meaning g runs after f.  Serializing any structure and parsing the result yields an equal
 structure, names included.
 
 The grammar of every block is one entry of the table `_SCHEMAS`; the
@@ -49,7 +50,11 @@ from .catcore import (
 from .report import StructureError, _tuplify, dump_id, sorted_ids
 
 
-_DECODER = json.JSONDecoder()
+def _not_an_id(text):
+    raise ValueError(f"{text} is not an integer")
+
+
+_DECODER = json.JSONDecoder(parse_float=_not_an_id, parse_constant=_not_an_id)
 
 
 def _tokenize(line: str, where: str):

@@ -131,6 +131,7 @@ def validate_icon(icon: Icon) -> ValidationReport:
         if family.ok:
             family.check_laws(icon, squares)
         rep.include(family, "component:", f"at {pair!r}: ")
+    rep.check_keys(icon, plan.variables)
     if rep.violations:
         return rep
 
@@ -430,14 +431,16 @@ def _family(pair, cat):
 def icon_plan(s):
     """The icon declaration out of `s`, for any pair of lax functors:
     ``families``, the listing of each hom pair of `s` (`_family`);
-    ``laws``, the instances of `icon_laws` in order; ``search``, the plan
+    ``laws``, the instances of `icon_laws` in order; ``variables``, the
+    families' listings in order, which `validate_icon` checks the icon's
+    cell keys against; ``search``, the plan
     that binds the draft's ``cells`` family by family under the ``laws``
     and the naturality squares."""
     families = {pair: _family(pair, s.homs[pair]) for pair in s.sorted_homs}
     laws = tuple(icon_laws(s))
     variables = [v for listed, _ in families.values() for v in listed]
     squares = tuple(sq for _, listed in families.values() for sq in listed)
-    return SimpleNamespace(families=families, laws=laws,
+    return SimpleNamespace(families=families, laws=laws, variables=variables,
                            search=compile_plan(variables, laws + squares))
 
 

@@ -153,6 +153,7 @@ def validate_lax_functor(fun: LaxFunctor) -> ValidationReport:
         return rep
 
     rep.check_values(fun, variables[n + n * n:])
+    rep.check_keys(fun, variables)
     if rep.violations:
         return rep
     rep.check_laws(fun, lax_laws(s))

@@ -61,6 +61,9 @@ def validate_oplax(u: OplaxNat) -> ValidationReport:
         rep.check_values(u, step)
         if rep.violations:
             return rep
+    rep.check_keys(u, variables)
+    if rep.violations:
+        return rep
     rep.check_laws(u, oplax_laws(f.source))
     return rep
 

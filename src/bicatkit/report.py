@@ -78,6 +78,20 @@ class ValidationReport:
                     outside = outside[4]
                 self.add(outside[0], outside[1].format(*cells), cells, outside[2])
 
+    def check_keys(self, subject, variables):
+        """Report each entry of a dict field that `variables`, listed as
+        for `check_values`, read, at a key that no variable of that field
+        names: a structural ``spurious-<field>`` with the key as witness,
+        field by field and key by key in canonical order."""
+        named = {}
+        for field, key, *_ in variables:
+            named.setdefault(field, set()).add(key)
+        for field, keys in named.items():
+            label = field.replace("_", "-")
+            for key in sorted_ids(getattr(subject, field).keys() - keys):
+                self.add(f"spurious-{label}", f"{label} has an entry at {key!r}, a key "
+                         f"the structure does not have", (key,), True)
+
     def check_laws(self, subject, laws):
         """Report each law instance ``(holds, cells, reads, kind, message)``
         with ``holds(subject, *cells)`` false: its kind, the message

@@ -322,6 +322,24 @@ def test_unitor_corruption_detected():
     assert rep.first("left-unitor-endpoints") is not None
 
 
+def test_units_and_coherence_cells_at_keys_the_bicategory_lacks_are_refused():
+    """A unit at a non-object, and coherence cells at a 1-cell and a triple
+    the bicategory does not have, are structural, each with its key as
+    witness, field by field; the laws are not checked."""
+    b = corpus.sigma_idem()
+    b.unit["ghost"] = "u"
+    assert [(v.kind, v.witness, v.structural) for v in validate_bicategory(b).violations] == [
+        ("spurious-unit", ("ghost",), True)]
+    b = corpus.sigma_idem()
+    b.right_unitor["zz"] = "k"
+    b.associator[("s", "zz", "s")] = "k"
+    b.associator[("s", "s", "zz")] = "k"
+    assert [(v.kind, v.witness) for v in validate_bicategory(b).violations] == [
+        ("spurious-associator", (("s", "s", "zz"),)),
+        ("spurious-associator", (("s", "zz", "s"),)),
+        ("spurious-right-unitor", ("zz",))]
+
+
 def test_noninvertible_associator_detected():
     b = corpus.sigma_idem()
     b.associator[("s", "s", "s")] = "k"

@@ -391,3 +391,49 @@ def test_bundled_file_mutants_parse_or_are_refused():
             pytest.fail(f"{type(e).__name__}: {e} on a mutant of {name} at line {site + 1}:\n"
                         + "\n".join(mutant[max(0, site - start - 3):site - start + 4]))
     assert kinds["parsed"] + kinds["refused"] == FUZZ_MUTANTS and kinds["refused"] > 0
+
+
+# ---------------------------------------------------------------------------
+# what a document may not say
+
+def _discrete(*ids):
+    """A discrete category on the ids, each written as given."""
+    lines = ['category "c"']
+    for n, x in enumerate(ids):
+        lines += [f"  object {x}", f'  morphism ["i",{n}] : {x} -> {x}',
+                  f'  identity {x} = ["i",{n}]', f'  compose ["i",{n}] after ["i",{n}] = ["i",{n}]']
+    return "\n".join(lines + ["end", ""])
+
+
+@pytest.mark.parametrize("value", ["1.5", "2e0", "1e3", "-Infinity", "[0,2.5]"])
+def test_a_number_that_is_no_integer_is_refused_as_an_id(value):
+    """Such an id would validate, and then `serialize` could not write it."""
+    with pytest.raises(ff.StructureError, match=r"<string>:2: bad value in"):
+        ff.parse(_discrete(value))
+
+
+def test_true_null_minus_zero_and_big_integers_stay_ids():
+    sf = ff.parse(_discrete("true", "null", "-0", "123456789012345678901234567890"))
+    assert sf.categories["c"].objects == [True, None, 0, 123456789012345678901234567890]
+    assert ff.parse(ff.serialize(sf)).categories == sf.categories
+
+
+@pytest.mark.parametrize("name, after, extra, kind", [
+    ("sigma-idem", '  runit "u" = ["i","u"]\n', '  runit "zz" = "k"\n', "spurious-right-unitor"),
+    ("sigma-idem", '  unit "*" = "u"\n', '  unit "ghost" = "u"\n', "spurious-unit"),
+    ("idem-laxonly", '  comp "u" "u" = ["i","u"]\n', '  comp "zz" "zz" = "k"\n',
+     "spurious-comp-constraints"),
+    ("idem-general", '  constraint "u" = ["i","s"]\n', '  constraint "zz" = "k"\n',
+     "spurious-constraints"),
+], ids=["runit", "unit", "comp", "constraint"])
+def test_an_entry_at_a_key_the_structure_lacks_is_refused(name, after, extra, kind):
+    """The clean document parses; with one more entry, at a key that is no
+    object, 1-cell or composable pair of the structure, it is refused at
+    the opening line of its block."""
+    obj = next(corpus.get(k, name) for k in ("bicategory", "laxfunctor", "oplax")
+               if name in corpus.TABLES[k])
+    text = ff.serialize(ff.document_for(obj))
+    ff.parse(text)
+    assert text.count(after) == 1
+    with pytest.raises(ff.StructureError, match=rf"<string>:\d+: .* fails validation: {kind}: "):
+        ff.parse(text.replace(after, after + extra))

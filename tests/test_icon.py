@@ -50,6 +50,16 @@ def test_corpus_icons_all_validate():
         assert rep.ok, f"{name}: {rep.summary()}"
 
 
+def test_a_cell_at_a_key_the_source_lacks_is_refused():
+    """An icon built in code with a stray cell, at no 1-cell of its source,
+    fails validation with the key as witness."""
+    icon = corpus.idem_icon_k()
+    assert validate_icon(icon).ok
+    icon.cells["zz"] = "k"
+    assert [(v.kind, v.witness, v.structural) for v in validate_icon(icon).violations] == [
+        ("spurious-cells", ("zz",), True)]
+
+
 def test_identity_icon_is_unit_for_vcomp():
     kappa = corpus.idem_icon_k()
     left = vcomp_icons(identity_icon(kappa.target), kappa)

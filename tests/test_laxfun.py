@@ -23,6 +23,17 @@ def test_corpus_lax_functors_all_validate():
         assert rep.ok, f"{name}: {rep.summary()}"
 
 
+def test_comparisons_at_keys_the_source_lacks_are_refused():
+    """Comparison and unit cells at a pair and an object the source does
+    not have are structural, each with its key as witness."""
+    fun = corpus.idem_laxonly()
+    fun.comp_constraints[("zz", "zz")] = "k"
+    fun.unit_constraints["ghost"] = ("i", "u")
+    assert [(v.kind, v.witness, v.structural) for v in validate_lax_functor(fun).violations] == [
+        ("spurious-comp-constraints", (("zz", "zz"),), True),
+        ("spurious-unit-constraints", ("ghost",), True)]
+
+
 def test_classification_labels():
     labels = {name: classify(build()).label
               for name, build in corpus.LAX_FUNCTORS.items()}

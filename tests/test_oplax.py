@@ -32,6 +32,14 @@ def test_corpus_transformations_validate():
         assert rep.ok, f"{name}: {rep}"
 
 
+def test_components_and_constraints_at_keys_the_source_lacks_are_refused():
+    u = corpus.idem_general_oplax()
+    u.components["ghost"] = "s"
+    u.constraints["zz"] = "k"
+    assert [(v.kind, v.witness, v.structural) for v in oplax.validate_oplax(u).violations] == [
+        ("spurious-components", ("ghost",), True), ("spurious-constraints", ("zz",), True)]
+
+
 def test_identity_oplax_is_valid_on_every_corpus_functor():
     # the unit transformation exists on any lax functor, weak ambients included
     for name in corpus.LAX_FUNCTORS:
