@@ -14,8 +14,13 @@ rewrite the golden files; a change that means to alter reports does that in
 a change of its own.  The second file holds the reports of subjects corrupted
 twice over: a single fault stops a validator at the step that finds it, so it
 takes two faults to show the order of a validator's steps.
+
+The text shows no witness, so `test_witnesses_match_their_digest` pins the
+kind, witness and structural flag of every violation in both sets by one
+sha256; a change that means to alter a witness updates ``WITNESS_DIGEST``.
 """
 
+import hashlib
 import pathlib
 import random
 import sys
@@ -35,6 +40,7 @@ SEED = 20071130
 PER_VALIDATOR = 90
 DOUBLE_SEED = 4657
 PER_VALIDATOR_DOUBLE = 60
+WITNESS_DIGEST = "23d628006ba9b0ec9e88155b8b117b1bec4f5c1995f494deb7896f3c9b76bb64"
 
 
 # the identities on the corpus bicategories, most of them with several
@@ -175,11 +181,12 @@ def _nonempty(families):
     return [f for f in ([e for e in f if e[1]] for f in families) if f]
 
 
-def violation_reports(seed=SEED, per_validator=PER_VALIDATOR, faults=1):
-    """The report of each validator on `per_validator` subjects, each with
-    up to `faults` corruptions (fewer when an edit empties the last table)."""
+def corrupted_reports(seed=SEED, per_validator=PER_VALIDATOR, faults=1):
+    """The header line and the report of each validator on `per_validator`
+    subjects, each with up to `faults` corruptions (fewer when an edit
+    empties the last table); in place of a report, the exception the
+    validator raised."""
     rng = random.Random(seed)
-    out = []
     for validate, build in VALIDATORS:
         for i in range(per_validator):
             families = []
@@ -191,10 +198,19 @@ def violation_reports(seed=SEED, per_validator=PER_VALIDATOR, faults=1):
                 edits.append(_corrupt(rng, families))
                 families = _nonempty(families)  # an edit can empty a table
             try:
-                text = str(validate(subject))
+                report = validate(subject)
             except Exception as e:  # a crash is recorded, so that it shows too
-                text = f"raises {type(e).__name__}: {e}"
-            out.append(f"== {validate.__name__} {i}: {label}; {'; '.join(edits)}\n{text}\n")
+                report = e
+            yield f"== {validate.__name__} {i}: {label}; {'; '.join(edits)}", report
+
+
+def violation_reports(seed=SEED, per_validator=PER_VALIDATOR, faults=1):
+    """The text of `corrupted_reports`, as the golden files hold it."""
+    out = []
+    for header, report in corrupted_reports(seed, per_validator, faults):
+        text = (f"raises {type(report).__name__}: {report}" if isinstance(report, Exception)
+                else str(report))
+        out.append(f"{header}\n{text}\n")
     return "".join(out)
 
 
@@ -208,6 +224,19 @@ def test_violation_reports_match_the_golden_file():
 
 def test_double_fault_reports_match_the_golden_file():
     assert double_fault_reports() == DOUBLE_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_witnesses_match_their_digest():
+    """What the golden text does not show: a sha256 over the kind, the
+    witness and the structural flag of every violation, in order, in both
+    corruption sets, and over the exception of a validator that raises."""
+    digest = hashlib.sha256()
+    for args in ((), (DOUBLE_SEED, PER_VALIDATOR_DOUBLE, 2)):
+        for header, report in corrupted_reports(*args):
+            found = (repr(report) if isinstance(report, Exception) else
+                     [(v.kind, v.witness, v.structural) for v in report.violations])
+            digest.update(repr((header, found)).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
 
 
 if __name__ == "__main__":
