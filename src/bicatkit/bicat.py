@@ -71,7 +71,7 @@ from .catcore import (
     grouped,
     validate_category,
 )
-from .report import ValidationReport, sorted_ids
+from .report import ValidationReport, literal, sorted_ids
 
 
 class UnsupportedSettingError(Exception):
@@ -317,6 +317,7 @@ def validate_bicategory(b: FiniteBicategory) -> ValidationReport:
                           fun.object_map, fun.morphism_map)
         rep.include(check_functor(checked, bifunctor_variables(left, right),
                                   bifunctor_laws(left, right)), "comp:", f"comp{key!r}: ")
+    rep.check_keys(b, [("comp", key) for key in itertools.product(objs, repeat=3)])
     if rep.violations:
         return rep
 
@@ -365,7 +366,7 @@ def coherence_variables(b):
     for t in b.composable_triples():
         h, g, f = t
         pair = (b.home1(f)[0], b.home1(h)[1])
-        hom = "hom" + repr(pair).replace("{", "{{").replace("}", "}}")  # a literal in a format
+        hom = "hom" + literal(pair)
         variables.append(_coherence_variable(
             b, "associator", t, t, pair, (b.compose1(b.compose1(h, g), f),
                                           b.compose1(h, b.compose1(g, f))),

@@ -11,6 +11,17 @@ in hand-written structures, nested tuples in the products and quotients built
 by the rest of the package.  Validators never raise on bad data; they return a
 ValidationReport with the smallest witness they found.
 
+Each structure is a declaration, a listing of search variables and law
+instances (see `bicatkit.search`): `category_variables` and
+`category_laws` for a category on given cell sets, `functor_variables` and
+`functor_laws` for a functor, `nat_variables` and `nat_laws` for a
+transformation.  A validator checks its listing on a given structure
+through `ValidationReport`: the values (`check_values`), then that no
+entry stands at a key the listing does not name (`check_keys`), then the
+laws (`check_laws`).  `search.run` runs the same listings as searches:
+`enumerate_functors` and `enumerate_nats` do, and so does a draft category
+whose identity and table are empty.
+
 A category hands out its objects, morphisms, hom sets and composable pairs in
 canonical order (`sorted_ids`), computed once, on first read, from its cell
 sets ``objects`` and ``morphisms``.  So the cell sets are fixed once it is
@@ -32,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .report import ValidationReport, sorted_ids
+from .report import ValidationReport, literal, sorted_ids
 from .search import compile_plan, run
 
 
@@ -117,63 +128,91 @@ def grouped(cells, key):
 
 
 def validate_category(c: FiniteCategory) -> ValidationReport:
-    """Structural checks first (they suppress law checks), then category laws."""
+    """The cell sets first: no repeated object, no morphism with an end
+    that is no object.  Then `category_variables`, their values and the
+    keys they name, all structural; a structural failure suppresses
+    `category_laws`."""
     rep = ValidationReport(f"category {c.name}")
     objset = set(c.objects)
     if len(objset) != len(c.objects):
         rep.add("duplicate-object", "object list has repeats", structural=True)
     for m in c.sorted_morphisms:
-        s, t = c.morphisms[m]
-        if s not in objset:
-            rep.add("dangling-source", f"morphism {m!r} has source {s!r} not in objects",
-                    (m,), structural=True)
-        if t not in objset:
-            rep.add("dangling-target", f"morphism {m!r} has target {t!r} not in objects",
-                    (m,), structural=True)
-    for a in c.sorted_objects:
-        i = c.identity.get(a)
-        if a not in c.identity:
-            rep.add("missing-identity", f"object {a!r} has no identity", (a,), structural=True)
-        elif i not in c.morphisms:
-            rep.add("missing-identity", f"identity of {a!r} is unknown morphism {i!r}",
-                    (a,), structural=True)
-        elif c.morphisms[i] != (a, a):
-            rep.add("bad-identity", f"identity of {a!r} is not an endomorphism of it",
-                    (a, i), structural=True)
-    pairs = list(c.composable_pairs())
-    for key in sorted_ids(set(c.table).difference(pairs)):
-        rep.add("spurious-composite", f"table entry {key!r} is not a composable pair",
-                key, structural=True)
-    for key in pairs:
-        if key not in c.table:
-            rep.add("missing-composite", f"no composite for composable pair {key!r}",
-                    key, structural=True)
-    for key in [k for k in pairs if k in c.table]:
-        f, g = key
-        h = c.table[key]
-        if h not in c.morphisms:
-            rep.add("dangling-composite", f"composite of {key!r} is unknown morphism {h!r}",
-                    key, structural=True)
-        elif c.morphisms[h] != (c.morphisms[f][0], c.morphisms[g][1]):
-            rep.add("composite-endpoints",
-                    f"composite {h!r} of {key!r} has the wrong endpoints", key,
-                    structural=True)
+        for end, x in zip(("source", "target"), c.morphisms[m]):
+            if x not in objset:
+                rep.add(f"dangling-{end}", f"morphism {m!r} has {end} {x!r} not in objects",
+                        (m,), structural=True)
+    variables = category_variables(c)
+    # every missing composite first: the table's shape before its values
+    rep.check_values(c, sorted(variables, key=lambda v: v[0] == "table" and v[1] in c.table))
+    rep.check_keys(c, variables)
     if rep.structural_failure:
         return rep
+    rep.check_laws(c, category_laws(c))
+    return rep
 
+
+def _hom(a, b, c):
+    return c.hom(a, b)
+
+
+# The checks of a category's identities and composites.
+_IDENTITY = (("missing-identity", "object {!r} has no identity"), lambda c, a: c.morphisms,
+             ("missing-identity", "identity of {!r} is unknown morphism {!r}"),
+             ("bad-identity", "identity of {!r} is not an endomorphism of it", True, True))
+_COMPOSITE = (("missing-composite", "no composite for composable pair ({!r}, {!r})"),
+              lambda c, f, g: c.morphisms,
+              ("dangling-composite", "composite of ({!r}, {!r}) is unknown morphism {!r}"),
+              ("composite-endpoints", "composite {2!r} of ({0!r}, {1!r}) has the wrong endpoints",
+               True))
+
+
+def category_variables(c):
+    """The search variables of a category on c's cell sets: the identity of
+    each object, ranging over its endomorphisms, then the composite of each
+    composable pair (f, g), f slowest, ranging over the hom from the source
+    of f to the target of g."""
+    return [("identity", a, (), partial(_hom, a, a), (a,), _IDENTITY)
+            for a in c.sorted_objects] + [
+        ("table", (f, g), (), partial(_hom, c.src(f), c.tgt(g)), (f, g), _COMPOSITE)
+        for f, g in c.composable_pairs()]
+
+
+def _left_identity(c, f):
+    return c.table[(c.identity[c.morphisms[f][0]], f)] == f
+
+
+def _right_identity(c, f):
+    return c.table[(f, c.identity[c.morphisms[f][1]])] == f
+
+
+def _associative(c, f, g, h):
+    return c.table[(c.table[(f, g)], h)] == c.table[(f, c.table[(g, h)])]
+
+
+def category_laws(c):
+    """Left and right identity at each morphism, then associativity at each
+    composable triple (f, g, h), f slowest, then g, as law instances (see
+    `ValidationReport.check_laws`) over `category_variables(c)`.  Any
+    endomorphism of an object may be its identity, so an identity law reads
+    the composite of its morphism with each endomorphism of the end; and
+    associativity reads the composite with h of each morphism from the
+    source of f to the target of g, and with f of each from the source of g
+    to the target of h."""
+    hom, src, tgt = c.hom, c.src, c.tgt
+    ends = {a: literal(a) for a in c.sorted_objects}
     for f in c.sorted_morphisms:
         s, t = c.morphisms[f]
-        if c.table[(c.identity[s], f)] != f:
-            rep.add("left-identity", f"composing {f!r} after id_{s!r} is not {f!r}", (f,))
-        if c.table[(f, c.identity[t])] != f:
-            rep.add("right-identity", f"composing id_{t!r} after {f!r} is not {f!r}", (f,))
-    for f, g in pairs:
-        for h in c.out_of(c.tgt(g)):
-            if c.table[(c.table[(f, g)], h)] != c.table[(f, c.table[(g, h)])]:
-                rep.add("associativity",
-                        f"(h.g).f and h.(g.f) disagree for f={f!r} g={g!r} h={h!r}",
-                        (f, g, h))
-    return rep
+        yield (_left_identity, (f,), (("identity", s), *[("table", (i, f)) for i in hom(s, s)]),
+               "left-identity", f"composing {{0!r}} after id_{ends[s]} is not {{0!r}}")
+        yield (_right_identity, (f,), (("identity", t), *[("table", (f, i)) for i in hom(t, t)]),
+               "right-identity", f"composing id_{ends[t]} after {{0!r}} is not {{0!r}}")
+    for f, g in c.composable_pairs():
+        a, b = src(f), tgt(g)
+        for h in c.out_of(b):
+            yield (_associative, (f, g, h),
+                   (("table", (f, g)), ("table", (g, h)), *[("table", (x, h)) for x in hom(a, b)],
+                    *[("table", (f, y)) for y in hom(src(g), tgt(h))]),
+                   "associativity", "(h.g).f and h.(g.f) disagree for f={!r} g={!r} h={!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +273,12 @@ def validate_images(fun: Functor) -> ValidationReport:
 
 def check_functor(fun, variables, laws=()) -> ValidationReport:
     """Check `fun` against a listing of its images and laws: every cell has
-    an image that is a cell of the target, then every morphism's image runs
-    between the images of its ends, then the laws hold."""
+    an image that is a cell of the target, then no image stands at a key
+    that is no cell, then every morphism's image runs between the images of
+    its ends, then the laws hold."""
     rep = ValidationReport(f"functor {fun.name}")
-    for domains in (False, True):
-        rep.check_values(fun, variables, domains)
+    for check in (partial(rep.check_values, domains=False), rep.check_keys, rep.check_values):
+        check(fun, variables)
         if rep.violations:
             return rep
     rep.check_laws(fun, laws)
@@ -388,7 +428,9 @@ def validate_nat(nt: NatTrans) -> ValidationReport:
     if f.target is not g.target and f.target != g.target:
         rep.add("parallel", "source functors do not share a target category", structural=True)
         return rep
-    rep.check_values(nt, nat_variables(f, g))
+    variables = nat_variables(f, g)
+    rep.check_values(nt, variables)
+    rep.check_keys(nt, variables)
     if rep.violations:
         return rep
     rep.check_laws(nt, nat_laws(f.source))

@@ -92,8 +92,10 @@ class Icon:
     @property
     def components(self):
         """The per-hom view: (A, B) -> the natural transformation between the
-        two hom functors whose components are the cells over hom(A, B); a
-        family at a key that names no hom of the source holds no cells."""
+        two hom functors whose components are the cells over hom(A, B).  A
+        family stands at a hom of the source or at a key of the hom
+        functors, or `validate_icon` refuses it; one at a key that names no
+        hom of the source holds no cells."""
         f, g, cells, homs = self.source, self.target, self.cells, self.source.source.homs
         return {pair: NatTrans(name, f.hom_functors[pair], g.hom_functors[pair],
                                {x: cells[x] for x in (homs[pair].objects if pair in homs else ())
@@ -131,7 +133,8 @@ def validate_icon(icon: Icon) -> ValidationReport:
         if family.ok:
             family.check_laws(icon, squares)
         rep.include(family, "component:", f"at {pair!r}: ")
-    rep.check_keys(icon, plan.variables)
+    named = f.source.homs.keys() | f.hom_functors.keys()
+    rep.check_keys(icon, [*plan.variables, *(("families", pair) for pair in named)])
     if rep.violations:
         return rep
 

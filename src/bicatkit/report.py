@@ -62,30 +62,35 @@ class ValidationReport:
         `domains`, ``outside`` if not in ``domain(subject)``.  ``missing``
         and ``dangling`` are structural ``(kind, message)``, ``outside`` is
         ``(kind, message, structural)``, and an ``outside`` that is None is
-        not checked.  An ``outside`` may go on with ``between, misplaced``:
-        a value outside the domain that is not in ``between(subject,
-        *cells)`` either is reported as ``misplaced``, shaped as
-        ``outside``, instead, so a domain that narrows ``between`` reports
-        the coarser failure first."""
+        not checked.  Each message is formatted with the cells and, after
+        them, the value, when there is one.  An ``outside`` may go on with
+        True, to name the value after the cells in its witness, or with
+        ``between, misplaced``: a value outside the domain that is not in
+        ``between(subject, *cells)`` either is reported as ``misplaced``,
+        shaped as ``outside``, instead, so a domain that narrows ``between``
+        reports the coarser failure first."""
         for field, key, _, domain, cells, (missing, within, dangling, outside) in variables:
             table = getattr(subject, field)
             if key not in table:
                 self.add(missing[0], missing[1].format(*cells), cells, True)
-            elif table[key] not in within(subject, *cells):
-                self.add(dangling[0], dangling[1].format(*cells), cells, True)
-            elif domains and outside and table[key] not in domain(subject):
-                if len(outside) > 3 and table[key] not in outside[3](subject, *cells):
+                continue
+            value = table[key]
+            if value not in within(subject, *cells):
+                self.add(dangling[0], dangling[1].format(*cells, value), cells, True)
+            elif domains and outside and value not in domain(subject):
+                if len(outside) == 5 and value not in outside[3](subject, *cells):
                     outside = outside[4]
-                self.add(outside[0], outside[1].format(*cells), cells, outside[2])
+                self.add(outside[0], outside[1].format(*cells, value),
+                         cells + (value,) if len(outside) == 4 else cells, outside[2])
 
     def check_keys(self, subject, variables):
         """Report each entry of a dict field that `variables`, listed as
-        for `check_values`, read, at a key that no variable of that field
-        names: a structural ``spurious-<field>`` with the key as witness,
+        for `check_values` or as bare ``(field, key)`` pairs, read, at a key
+        that no variable of that field names: a structural ``spurious-<field>`` with the key as witness,
         field by field and key by key in canonical order."""
         named = {}
-        for field, key, *_ in variables:
-            named.setdefault(field, set()).add(key)
+        for variable in variables:
+            named.setdefault(variable[0], set()).add(variable[1])
         for field, keys in named.items():
             label = field.replace("_", "-")
             for key in sorted_ids(getattr(subject, field).keys() - keys):
@@ -145,6 +150,11 @@ def canon_key(x):
 
 def sorted_ids(ids):
     return sorted(ids, key=canon_key)
+
+
+def literal(x) -> str:
+    """``repr(x)`` as a literal in a format string: its braces doubled."""
+    return repr(x).replace("{", "{{").replace("}", "}}")
 
 
 # ---------------------------------------------------------------------------

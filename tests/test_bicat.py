@@ -340,6 +340,24 @@ def test_units_and_coherence_cells_at_keys_the_bicategory_lacks_are_refused():
         ("spurious-right-unitor", ("zz",))]
 
 
+def test_hom_categories_and_composition_functors_at_keys_the_bicategory_lacks_are_refused():
+    """A hom category's identity at a non-object, a composition functor at
+    a key that is no triple of objects, and a composition functor's image
+    of a pair that is no pair of 1-cells are structural, each with its key
+    as witness."""
+    def refusals(edit):
+        b = corpus.sigma_idem()
+        edit(b)
+        return [(v.kind, v.witness, v.structural) for v in validate_bicategory(b).violations]
+
+    assert refusals(lambda b: b.homs[("*", "*")].identity.update(zz=("i", "u"))) == [
+        ("hom:spurious-identity", ("zz",), True)]
+    assert refusals(lambda b: b.comp.update({("*", "*", "zz"): b.comp[("*", "*", "*")]})) == [
+        ("spurious-comp", (("*", "*", "zz"),), True)]
+    assert refusals(lambda b: b.comp[("*", "*", "*")].object_map.update({("zz", "zz"): "s"})) \
+        == [("comp:spurious-object-map", (("zz", "zz"),), True)]
+
+
 def test_noninvertible_associator_detected():
     b = corpus.sigma_idem()
     b.associator[("s", "s", "s")] = "k"

@@ -2,6 +2,7 @@ import itertools
 import pathlib
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from bicatkit import corpus
@@ -14,6 +15,8 @@ from bicatkit.catcore import (
     codiscrete_category,
     compose_functors,
     discrete_category,
+    category_laws,
+    category_variables,
     enumerate_functors,
     enumerate_nats,
     is_essentially_surjective,
@@ -22,6 +25,7 @@ from bicatkit.catcore import (
     validate_functor,
     validate_nat,
 )
+from bicatkit.search import compile_plan, run
 import reference_enumerators as ref
 from reference_product import eager_product_category
 from search_inputs import search_inputs
@@ -112,6 +116,46 @@ def test_missing_composite_is_structural():
     assert rep.first().kind == "missing-composite"
 
 
+def test_entries_at_keys_the_category_lacks_are_refused():
+    """An identity at a non-object and a composite at a pair that is not
+    composable are structural, each with its key as witness, field by
+    field; the laws are not checked."""
+    c = chain_category(1)
+    c.identity["zz"] = ("le", 0, 0)
+    c.table[(("le", 0, 1), ("le", 0, 1))] = ("le", 0, 1)
+    assert [(v.kind, v.witness, v.structural) for v in validate_category(c).violations] == [
+        ("spurious-identity", ("zz",), True),
+        ("spurious-table", ((("le", 0, 1), ("le", 0, 1)),), True)]
+
+
+def _brute_monoids(n):
+    """Every (identity, table) on the one-object graph with morphisms
+    0..n-1 that makes it a category, i.e. a monoid: every identity choice
+    and every table, with the laws checked here."""
+    found = set()
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    for e in range(n):
+        for values in itertools.product(range(n), repeat=len(pairs)):
+            t = dict(zip(pairs, values))
+            if all(t[(e, x)] == x == t[(x, e)] for x in range(n)) and all(
+                    t[(t[(x, y)], z)] == t[(x, t[(y, z)])]
+                    for x in range(n) for y in range(n) for z in range(n)):
+                found.add((e, tuple(sorted(t.items()))))
+    return found
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 33)])
+def test_the_category_listing_is_a_search(n, count):
+    """The listing `validate_category` checks, run as a search on the
+    one-object graph with n morphisms, meets each category on it once: the
+    1, 4 and 33 monoid structures on a set of 1, 2 and 3 elements."""
+    draft = FiniteCategory("g", ["*"], {x: ("*", "*") for x in range(n)}, {}, {})
+    found = [(draft.identity["*"], tuple(sorted(draft.table.items())))
+             for _ in run(compile_plan(category_variables(draft), category_laws(draft)), draft)]
+    assert len(found) == len(set(found)) == count
+    assert set(found) == _brute_monoids(n)
+
+
 def test_product_counts():
     """The reference product, which the composition listing of
     `validate_bicategory` is checked against, is a category."""
@@ -184,6 +228,14 @@ def test_a_none_value_is_an_id_and_only_an_absent_key_is_missing():
     del nt.components[1]
     assert [str(v) for v in validate_nat(nt).violations] == [
         "[missing-component] no component at 1"]
+
+
+def test_a_component_at_a_key_the_source_lacks_is_refused():
+    c = chain_category(1)
+    nt = NatTrans("n", identity_functor(c), identity_functor(c),
+                  {0: ("le", 0, 0), 1: ("le", 1, 1), "zz": ("le", 0, 0)})
+    assert [(v.kind, v.witness, v.structural) for v in validate_nat(nt).violations] == [
+        ("spurious-components", ("zz",), True)]
 
 
 def _arrow_with_none_id():

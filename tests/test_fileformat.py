@@ -425,11 +425,17 @@ def test_true_null_minus_zero_and_big_integers_stay_ids():
      "spurious-comp-constraints"),
     ("idem-general", '  constraint "u" = ["i","s"]\n', '  constraint "zz" = "k"\n',
      "spurious-constraints"),
-], ids=["runit", "unit", "comp", "constraint"])
+    ("idem-laxonly", '    on1 "u" -> "u"\n', '    on1 "zz" -> "s"\n',
+     "hom-functor:spurious-object-map"),
+    ("sigma-idem", '    identity "u" = ["i","u"]\n', '    identity "zz" = ["i","u"]\n',
+     "spurious-identity"),
+    ("sigma-idem", '    on1 "u" after "u" = "u"\n', '    on1 "zz" after "zz" = "s"\n',
+     "comp:spurious-object-map"),
+], ids=["runit", "unit", "comp", "constraint", "on1", "identity", "compose-on1"])
 def test_an_entry_at_a_key_the_structure_lacks_is_refused(name, after, extra, kind):
     """The clean document parses; with one more entry, at a key that is no
     object, 1-cell or composable pair of the structure, it is refused at
-    the opening line of its block."""
+    the opening line of the block that validates it."""
     obj = next(corpus.get(k, name) for k in ("bicategory", "laxfunctor", "oplax")
                if name in corpus.TABLES[k])
     text = ff.serialize(ff.document_for(obj))

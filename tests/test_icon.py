@@ -60,6 +60,16 @@ def test_a_cell_at_a_key_the_source_lacks_is_refused():
         ("spurious-cells", ("zz",), True)]
 
 
+def test_a_family_at_a_key_that_names_no_hom_is_refused():
+    """A family name at a pair that is neither a hom of the source nor a
+    key of the hom functors is structural, with the pair as witness; such
+    an icon used to validate and then fail in `Icon.components`."""
+    icon = corpus.idem_icon_k()
+    icon.families[("zz", "zz")] = "ghost"
+    assert [(v.kind, v.witness, v.structural) for v in validate_icon(icon).violations] == [
+        ("spurious-families", (("zz", "zz"),), True)]
+
+
 def test_identity_icon_is_unit_for_vcomp():
     kappa = corpus.idem_icon_k()
     left = vcomp_icons(identity_icon(kappa.target), kappa)

@@ -56,8 +56,11 @@ def _all_queries(b):
                 yield CartesianQuery(b, p, alpha)
 
 
-@pytest.mark.parametrize("name", ["walking-two-cell", "collapsed-two-cell"])
+@pytest.mark.parametrize("name", [name for name in corpus.BICATEGORIES
+                                  if corpus.get("bicategory", name).is_strict()])
 def test_cartesian_agrees_with_definition_oracle(name):
+    """On every strict corpus bicategory, each query of a 1-cell p and a
+    2-cell into its source."""
     b = corpus.get("bicategory", name)
     queries = list(_all_queries(b))
     assert queries

@@ -34,6 +34,19 @@ def test_comparisons_at_keys_the_source_lacks_are_refused():
         ("spurious-unit-constraints", ("ghost",), True)]
 
 
+def test_hom_functor_images_at_keys_the_source_lacks_are_refused():
+    """An image of a 1-cell and of a 2-cell that the source hom does not
+    have are structural, under ``hom-functor:``, each with its key as
+    witness."""
+    fun = corpus.idem_laxonly()
+    hf = fun.hom_functors[("*", "*")]
+    hf.object_map["zz"] = "s"
+    hf.morphism_map["zz"] = "k"
+    assert [(v.kind, v.witness, v.structural) for v in validate_lax_functor(fun).violations] == [
+        ("hom-functor:spurious-object-map", ("zz",), True),
+        ("hom-functor:spurious-morphism-map", ("zz",), True)]
+
+
 def test_classification_labels():
     labels = {name: classify(build()).label
               for name, build in corpus.LAX_FUNCTORS.items()}
