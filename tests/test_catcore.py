@@ -11,12 +11,12 @@ from bicatkit.catcore import (
     FiniteCategory,
     Functor,
     NatTrans,
+    category_laws,
+    category_variables,
     chain_category,
     codiscrete_category,
     compose_functors,
     discrete_category,
-    category_laws,
-    category_variables,
     enumerate_functors,
     enumerate_nats,
     is_essentially_surjective,
