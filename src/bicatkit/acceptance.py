@@ -7,18 +7,22 @@ weakens what is checked here.
 
 Quantifiers over tuples (law instances need pairs and triples of icons) are
 exhausted whenever the tuple space is small and otherwise driven by a
-fixed-seed sample, so every run examines the same instances.  Each law of
-criterion 2 is an equation between two rows, an icon's cells in its
-source's 1-cell order, and each side is built by the cell kernels of the
-icon algebra (`bicatkit.icon`), which map over rows and which the Icon
-operations wrap.  The law universe holds each icon as its row, as
-`icon_cells` finds it, so criterion 2 builds no Icon, neither per member
-nor per composite, and no cell table.
+fixed-seed sample, so every run examines the same instances.  Each part of
+criterion 2 states its space once, as the stages of `_take`: the sequence
+each element of a tuple ranges over, given the element before it.  `_take`
+walks every tuple or draws the sample from those same stages, so the two
+cannot describe different spaces.  Each law of criterion 2 is an equation
+between two rows, an icon's cells in its source's 1-cell order, and each
+side is built by the cell kernels of the icon algebra (`bicatkit.icon`),
+which map over rows and which the Icon operations wrap.  The law universe
+holds each icon as its row, as `icon_cells` finds it, so criterion 2
+builds no Icon, neither per member nor per composite, and no cell table.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -69,11 +73,52 @@ SAMPLE_SIZE = 1_500
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _take(universe_size, exhaustive, sampler, rng):
-    """All instances when the space is small, a fixed-seed sample otherwise."""
-    if universe_size <= EXHAUSTIVE_CAP:
-        return exhaustive()
-    return itertools.islice(sampler(rng), SAMPLE_SIZE)
+def _take(size, stages, rng):
+    """The tuples of a space that holds `size` of them, one element per
+    stage: ``stages[0](None)`` is the sequence the first element ranges
+    over, and each later stage, applied to the element chosen before it,
+    gives the next one's.  When `size` is at most `EXHAUSTIVE_CAP`, every
+    tuple, as `_walk` lists them; otherwise `SAMPLE_SIZE` tuples drawn by
+    one seeded choice per stage, a draw that meets an empty stage starting
+    over."""
+    def draws():
+        while True:
+            path, prev = [], None
+            for stage in stages:
+                seq = stage(prev)
+                if not seq:
+                    break
+                prev = rng.choice(seq)
+                path.append(prev)
+            else:
+                yield tuple(path)
+
+    if size <= EXHAUSTIVE_CAP:
+        return _walk((), None, *stages)
+    return itertools.islice(draws(), SAMPLE_SIZE)
+
+
+def _walk(path, prev, stage, *rest):
+    """Every tuple of `_take`'s stages that extends `path`, whose last
+    element is `prev`, in nested-loop order with the first stage slowest,
+    walked by chained iterators that spend no Python frame on a tuple."""
+    if not rest:
+        return map(path.__add__, zip(stage(prev)))
+    return itertools.chain.from_iterable(_walk(path + (x,), x, *rest) for x in stage(prev))
+
+
+def _const(seq):
+    """The stage of `_take` that gives `seq` whatever was chosen before."""
+    return lambda _: seq
+
+
+def _after(fam):
+    """The stage of `_take` that follows a member ``(i, j, row)`` of an
+    icon family by the members out of lax functor j, in family order."""
+    out_of = {}
+    for member in fam:
+        out_of.setdefault(member[0], []).append(member)
+    return lambda member: out_of.get(member[1], ())
 
 
 def _scoped(fn):
@@ -97,8 +142,8 @@ def _scoped(fn):
 class _Concat:
     """The sequence of the members of `parts`, one part after another, each
     part a ``(length, member)`` pair whose ``member(n)`` builds its n-th
-    member when asked: ``len``, indexing and iteration, all that
-    ``rng.choice`` and a loop need, and no list of the members."""
+    member when asked: ``len``, indexing and iteration, all that a seeded
+    choice and a loop need, and no list of the members."""
 
     def __init__(self, parts):
         self.parts = [(n, member) for n, member in parts if n]
@@ -197,37 +242,15 @@ def _vertical_associativity(bics, icons, rng):
     inner composite ``mid . a`` is built once per (a, mid)."""
     checked = 0
     for key, fam in icons.items():
-        out_of = {}
-        for i, j, row in fam:
-            out_of.setdefault(i, []).append((j, row))
-        n_out = {i: len(v) for i, v in out_of.items()}
-        pairs_from = {i: sum(n_out.get(k, 0) for k, _ in v)
-                      for i, v in out_of.items()}
-        triples = sum(pairs_from.get(j, 0) for _, j, _ in fam)
+        after = _after(fam)
+        n_in = collections.Counter(j for _, j, _ in fam)
+        triples = sum(n_in[mid[0]] * len(after(mid)) for mid in fam)
         if not triples:
             continue
-
-        def exhaustive():
-            for _, j, a in fam:
-                for k, mid in out_of.get(j, ()):
-                    for _, last in out_of.get(k, ()):
-                        yield a, mid, last
-
-        def sampler(rng):
-            while True:
-                _, j, a = rng.choice(fam)
-                nxt = out_of.get(j)
-                if not nxt:
-                    continue
-                k, mid = rng.choice(nxt)
-                fol = out_of.get(k)
-                if not fol:
-                    continue
-                yield a, mid, rng.choice(fol)[1]
-
         t = bics[key[1]]
         composite = _scoped(lambda a, mid: vcomp_cells(t, mid, a))
-        for a, mid, last in _take(triples, exhaustive, sampler, rng):
+        for (_, _, a), (_, _, mid), (_, _, last) in _take(
+                triples, (_const(fam), after, after), rng):
             checked += 1
             lhs = vcomp_cells(t, last, composite(a, mid))
             rhs = vcomp_cells(t, vcomp_cells(t, last, mid), a)
@@ -251,33 +274,17 @@ def _whisker_functoriality(bics, fams, icons, rng):
         rights = [e for c in names for e in fams[(c, s)]]
 
         # whiskering the row of a composite equals composing the whiskered rows
-        out_of = {}
-        for i, j, row in fam:
-            out_of.setdefault(i, []).append((j, row))
-        pairs = sum(len(out_of.get(j, ())) for _, j, _ in fam)
+        after = _after(fam)
+        pairs = sum(len(after(a)) for a in fam)
         here = bics[t]
         for side, funs, apply in (("left", lefts, whisker_left_cells),
                                   ("right", rights, lambda h, c: whisker_right_cells(c, h))):
             if not funs or not pairs:
                 continue
-
-            def exhaustive():
-                for _, j, a in fam:
-                    for _, mid in out_of.get(j, ()):
-                        for h in funs:
-                            yield a, mid, h
-
-            def sampler(rng):
-                while True:
-                    _, j, a = rng.choice(fam)
-                    nxt = out_of.get(j)
-                    if not nxt:
-                        continue
-                    yield a, rng.choice(nxt)[1], rng.choice(funs)
-
             composite = _scoped(lambda a, mid: vcomp_cells(here, mid, a))
             whiskered = _scoped(lambda a, h: apply(h, a))
-            for a, mid, h in _take(pairs * len(funs), exhaustive, sampler, rng):
+            for (_, _, a), (_, _, mid), h in _take(
+                    pairs * len(funs), (_const(fam), after, _const(funs)), rng):
                 checked += 1
                 lhs = apply(h, composite(a, mid))
                 rhs = vcomp_cells(h.target if side == "left" else here,
@@ -304,13 +311,8 @@ def _identity_whiskers(funs, lefts, rights, rng):
 
     combos = _Concat([(len(funs) * len(lefts), combo(lefts, "left")),
                       (len(funs) * len(rights), combo(rights, "right"))])
-
-    def sampler(rng):
-        while True:
-            yield rng.choice(combos)
-
     ids = _scoped(lambda _, f: icon_row(identity_icon(f)))
-    for f, h, side in _take(len(combos), lambda: iter(combos), sampler, rng):
+    for (f, h, side), in _take(len(combos), (_const(combos),), rng):
         ident = ids(None, f)
         yield ((h.target, whisker_left_cells(h, ident)) if side == "left"
                else (f.target, whisker_right_cells(ident, h)))
@@ -339,19 +341,9 @@ def _middle_four(bics, fams, icons, rng):
                         for d in names])
         if not ins or not outs:
             continue
-
-        def exhaustive():
-            for alpha in ins:
-                for beta in outs:
-                    yield alpha, beta
-
-        def sampler(rng):
-            while True:
-                yield rng.choice(ins), rng.choice(outs)
-
         left = _scoped(lambda alpha, g: whisker_left_cells(g, alpha))
         for (fi, fj, alpha), (gk, gl, d, beta) in _take(
-                len(ins) * len(outs), exhaustive, sampler, rng):
+                len(ins) * len(outs), (_const(ins), _const(outs)), rng):
             checked += 1
             side_a = vcomp_cells(d, whisker_right_cells(beta, fj), left(alpha, gk))
             side_b = vcomp_cells(d, left(alpha, gl), whisker_right_cells(beta, fi))

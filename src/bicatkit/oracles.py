@@ -426,6 +426,44 @@ def cartesian_by_definition(b, p, alpha) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# fibrations straight from the two clauses
+
+def fibration_by_definition(b, p):
+    """None when the 1-cell p: A -> B of the strict bicategory b is a
+    fibration, else a witness against one of the two clauses, transcribed
+    against the raw composition tables with `cartesian_by_definition` as
+    the only helper:
+    - ``("no-cartesian-lift", x, a, b1, beta)``: no cartesian 2-cell
+      alpha: a' => a of hom(x, A) lies over the 2-cell beta: b1 => p.a of
+      hom(x, B), that is, has p.alpha == beta (which makes p.a' == b1);
+    - ``("whisker-unstable", alpha, w)``: the cartesian alpha of hom(x, A)
+      pasted with the 1-cell w: y -> x on its inner side is not
+      cartesian."""
+    pa, pb = b.home1(p)
+    idp = b.homs[(pa, pb)].identity[p]
+    for x in b.objects:
+        up, down, comp = b.homs[(x, pa)], b.homs[(x, pb)], b.comp[(x, pa, pb)]
+        for a in up.objects:
+            for beta, (b1, end) in down.morphisms.items():
+                if end == comp.object_map[(p, a)] and not any(
+                        ends[1] == a and comp.morphism_map[(idp, alpha)] == beta
+                        and cartesian_by_definition(b, p, alpha)
+                        for alpha, ends in up.morphisms.items()):
+                    return ("no-cartesian-lift", x, a, b1, beta)
+    for x in b.objects:
+        for alpha in b.homs[(x, pa)].morphisms:
+            if not cartesian_by_definition(b, p, alpha):
+                continue
+            for y in b.objects:
+                inner = b.homs[(y, x)]
+                for w in inner.objects:
+                    pasted = b.comp[(y, x, pa)].morphism_map[(alpha, inner.identity[w])]
+                    if not cartesian_by_definition(b, p, pasted):
+                        return ("whisker-unstable", alpha, w)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # monoidal natural transformations, by direct monoidal arithmetic
 
 def enumerate_monoidal_nats(mf, mg):

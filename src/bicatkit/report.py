@@ -100,9 +100,10 @@ class ValidationReport:
     def check_laws(self, subject, laws):
         """Report each law instance ``(holds, cells, reads, kind, message)``
         with ``holds(subject, *cells)`` false: its kind, the message
-        formatted with the cells, and the cells as witness.  ``reads`` lists
+        formatted with the cells, and the cells as witness.  ``reads`` names
         the ``(field, key)`` entries of the subject's dict fields it looks at,
-        which `check_values` has passed before the laws are checked."""
+        which `check_values` has passed before the laws are checked; it may
+        be a generator, which only `compile_plan` iterates, once."""
         for holds, cells, _, kind, message in laws:
             if not holds(subject, *cells):
                 self.add(kind, message.format(*cells), cells)

@@ -36,13 +36,18 @@ def test_every_criterion_reports():
 _SUB = ("cocycle-twisted", "sigma-idem")
 
 
+def _restricted(names):
+    """The `_law_universe` restricted to the bicategories `names`."""
+    bics, fams, icons = acceptance._law_universe()
+    pairs = [(s, t) for s in names for t in names]
+    return ({name: bics[name] for name in names}, {p: fams[p] for p in pairs},
+            {p: icons[p] for p in pairs})
+
+
 @pytest.fixture(scope="module")
 def sub_universe():
     """The `_law_universe` restricted to two of its bicategories."""
-    bics, fams, icons = acceptance._law_universe()
-    pairs = [(s, t) for s in _SUB for t in _SUB]
-    return ({name: bics[name] for name in _SUB}, {p: fams[p] for p in pairs},
-            {p: icons[p] for p in pairs})
+    return _restricted(_SUB)
 
 
 def _parts(sub_universe):
@@ -77,6 +82,28 @@ def test_law_checks_hold_on_the_sub_universe(sub_universe):
     for part, run in _parts(sub_universe).items():
         checked, err = run()
         assert err is None and checked > 0, part
+
+
+@pytest.mark.parametrize("names", [_SUB, ("cocycle-trivial", "sigma-maxposet")], ids="+".join)
+def test_each_walked_space_holds_as_many_instances_as_its_size(monkeypatch, names):
+    """Each part counts its spaces by formula, because the largest hold
+    tens of millions of instances, and `_take` walks a space when that
+    count is at most `EXHAUSTIVE_CAP`.  On these sub-universes every space
+    is walked, and each yields exactly as many instances as its count.
+    The icons into sigma-maxposet are not all invertible, so there the
+    icons into a lax functor and those out of it differ in number."""
+    spaces = []
+
+    def take(size, stages, rng, real=acceptance._take):
+        got = list(real(size, stages, rng))
+        spaces.append((size, len(got)))
+        return iter(got)
+
+    monkeypatch.setattr(acceptance, "_take", take)
+    for part, run in _parts(_restricted(names)).items():
+        spaces.clear()
+        assert run()[1] is None
+        assert spaces and all(size == n <= acceptance.EXHAUSTIVE_CAP for size, n in spaces), part
 
 
 @pytest.mark.parametrize("part, name, call, message", [

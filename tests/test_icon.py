@@ -300,6 +300,8 @@ def _rekeyed(fun, drop=(), extra=None):
 
 
 _MISSING = "  [missing-hom-component] no component family at "
+_SPURIOUS = ("[spurious-families] families has an entry at ('b', 'a'), "
+             "a key the structure does not have")
 
 
 def test_hom_functors_keyed_otherwise_report_and_enumerate_as_before():
@@ -327,8 +329,9 @@ def test_hom_functors_keyed_otherwise_report_and_enumerate_as_before():
         assert '  at "a" "z" = nat "enum"\n  end\n' in ff.serialize(ff.document_for(ic))
 
     for ic in icons:
+        # a family at ('b', 'a'), where `missing` has no hom functor, is refused
         assert str(validate_icon(Icon("k", missing, missing, ic.cells, dict(ic.families)))) \
-            == "icon k: ok"
+            == "icon k: FAIL " + _SPURIOUS + "\n  " + _SPURIOUS
         assert str(validate_icon(Icon("k", missing, missing, ic.cells, {}))) == "\n".join([
             "icon k: FAIL [missing-hom-component] no component family at ('a', 'a') (+2 more)",
             _MISSING + "('a', 'a')", _MISSING + "('a', 'b')", _MISSING + "('b', 'b')"])
@@ -339,6 +342,32 @@ def test_hom_functors_keyed_otherwise_report_and_enumerate_as_before():
             "icon k: FAIL [missing-hom-component] no component family at ('a', 'a') (+4 more)",
             *(_MISSING + repr(pair) for pair in
               [("a", "a"), ("a", "b"), ("a", "z"), ("b", "a"), ("b", "b")])])
+
+
+def test_every_rekeyed_icon_that_validates_serializes():
+    """An icon `validate_icon` passes can be written out.  Over the lax
+    functors of the test above, without the hom functor at ('b', 'a') or
+    with one more at ('a', 'z'), take each icon the search finds, and each
+    icon built from an enumerated icon's cells with its families, with
+    none, or with one at each key of the hom functors: each is refused or
+    serializes to text.  A family at a hom of the source where the lax
+    functors have no hom functor is refused, since the document writes a
+    family through the hom functors."""
+    s, t = corpus.get("bicategory", "walking-two-cell"), corpus.get("bicategory", "sigma-idem")
+    f = list(enumerate_lax_functors(s, t))[0]
+    icons = list(enumerate_icons(f, f))
+    passed = 0
+    for g in (_rekeyed(f, drop=[("b", "a")]),
+              _rekeyed(f, extra={("a", "z"): f.hom_functors[("b", "a")]})):
+        built = list(enumerate_icons(g, g))
+        for ic in icons:
+            built += [Icon("k", g, g, ic.cells, families) for families in
+                      (dict(ic.families), {}, dict.fromkeys(g.hom_functors, "k"))]
+        for ic in built:
+            if validate_icon(ic).ok:
+                assert ff.serialize(ff.document_for(ic)).startswith("bicategory ")
+                passed += 1
+    assert passed == 16
 
 
 def test_a_missing_hom_functor_over_1_cells_is_reported_not_raised():

@@ -8,6 +8,7 @@ their results, so the corpus tests also run the full validator on each.
 """
 
 import collections
+import copy
 import gc
 import itertools
 from types import SimpleNamespace
@@ -21,15 +22,18 @@ from law_universe import universe_icons
 from search_inputs import search_inputs
 from bicatkit import corpus
 from bicatkit.acceptance import BATTERY_BASES, _law_universe
-from bicatkit.bicat import Magma, codiscrete_bicategory, from_category
-from bicatkit.catcore import FiniteCategory, enumerate_functors, enumerate_nats
+from bicatkit.bicat import (Magma, bicategory_laws, codiscrete_bicategory, coherence_variables,
+                            from_category)
+from bicatkit.catcore import (FiniteCategory, category_laws, category_variables,
+                              enumerate_functors, enumerate_nats)
 from bicatkit import icon, laxfun, nerve
 from bicatkit.icon import enumerate_icons, validate_icon, validate_icon_pair
-from bicatkit.laxfun import (enumerate_lax_functors, enumerate_two_functors,
-                             validate_lax_functor)
+from bicatkit.laxfun import (comparison_cells, enumerate_lax_functors, enumerate_two_functors,
+                             lax_laws, lax_variables, unit_cells, validate_lax_functor)
 from bicatkit.nerve import (enumerate_simplices, ordinal_as_bicategory, ordinal_map_functor,
                             two_nerve, validate_simplex)
-from bicatkit.oplax import DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax, validate_oplax
+from bicatkit.oplax import (DEFAULT_BATTERY_TARGET_NAMES, enumerate_oplax, oplax_plan,
+                            validate_oplax)
 from bicatkit.report import ValidationReport
 from bicatkit.search import compile_plan, run
 
@@ -171,6 +175,103 @@ def test_check_values_counts_only_an_absent_key_as_missing():
                              _declared("c", [None], holds_none)])
     assert [(v.kind, v.witness) for v in rep.violations] == [("dangling", ("aa",)),
                                                              ("missing", ("cc",))]
+
+
+# ---------------------------------------------------------------------------
+# the stage at which each law and domain runs
+
+class _Logged(dict):
+    """A dict field of a subject that logs each key looked up in it as
+    ``(field, key)``; reading the whole field is refused, since no stage
+    could be given to it."""
+
+    def __init__(self, field, entries, log):
+        super().__init__(entries)
+        self.field, self.log = field, log
+
+    def __getitem__(self, key):
+        self.log.append((self.field, key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.append((self.field, key))
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.log.append((self.field, key))
+        return super().__contains__(key)
+
+    def _whole(self, *_):
+        raise AssertionError(f"{self.field} read whole")
+
+    __iter__ = keys = values = items = _whole
+
+
+def _late_reads(plan, subject):
+    """Each entry that a law or a domain of `plan`, run on a copy of the
+    complete `subject` whose variable fields log their reads, reads and
+    that is bound after the stage `compile_plan` runs it at, as (the law's
+    cells or the domain's variable, stage, entry); a domain run at or after
+    its own variable's binding is listed with the variable as its entry.
+    The variable at position i is bound at stage i + 1."""
+    log, late = [], []
+    logged = copy.copy(subject)
+    for field in {field for field, _, _ in plan.variables}:
+        setattr(logged, field, _Logged(field, getattr(subject, field), log))
+    bound = {(field, key): i + 1 for i, (field, key, _) in enumerate(plan.variables)}
+    for step, checks in enumerate(plan.checks):
+        for holds, cells in checks:
+            log.clear()
+            assert holds(logged, *cells), cells
+            late += [(cells, step, entry) for entry in log if bound[entry] > step]
+    for step, opens in enumerate(plan.opens):
+        for i in opens:
+            field, key, domain = plan.variables[i]
+            log.clear()
+            assert domain(logged), (field, key)
+            late += [((field, key), step, entry) for entry in log if bound[entry] > step]
+            if step > i:
+                late.append(((field, key), step, (field, key)))
+    return late
+
+
+def _corpus_plans():
+    """(label, plan, subject): each hom category of each corpus bicategory
+    under the category listing and the bicategory under the coherence
+    listing, then each corpus lax functor, icon and oplax transformation
+    under the listing its enumerator searches."""
+    for name in sorted(corpus.BICATEGORIES):
+        b = corpus.get("bicategory", name)
+        for pair in b.sorted_homs:
+            c = b.homs[pair]
+            yield (f"category {name} {pair}",
+                   compile_plan(category_variables(c), category_laws(c)), c)
+        yield f"coherence {name}", compile_plan(coherence_variables(b), bicategory_laws(b)), b
+    for name in sorted(corpus.LAX_FUNCTORS):
+        f = corpus.get("laxfunctor", name)
+        variables = lax_variables(f.source, f.target, comparison_cells, unit_cells)
+        yield f"lax {name}", compile_plan(variables, lax_laws(f.source)), f
+    for name in sorted(corpus.ICONS):
+        ic = corpus.get("icon", name)
+        yield f"icon {name}", ic.source.source.icon_plan.search, ic
+    for name in sorted(corpus.OPLAX):
+        u = corpus.get("oplax", name)
+        yield f"oplax {name}", oplax_plan(u.source.source), u
+
+
+def test_every_read_is_bound_by_the_stage_it_runs_at():
+    """A search checks each law at the stage of the last entry its
+    ``reads`` lists, and computes each domain at the stage of the last of
+    its own.  An entry it reads but does not list, bound later, would hold
+    a stale value there, one an earlier branch left on the draft.  So each
+    entry each law and domain of the category, coherence, lax, icon and
+    oplax listings actually reads, on the corpus structures, is bound by
+    then, and each domain is computed before its variable is bound."""
+    labels = collections.Counter()
+    for label, plan, subject in _corpus_plans():
+        assert _late_reads(plan, subject) == [], label
+        labels[label.split()[0]] += 1
+    assert labels == {"category": 57, "coherence": 14, "lax": 10, "icon": 4, "oplax": 6}
 
 
 # ---------------------------------------------------------------------------
